@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +21,7 @@ from .backward_chain import (
 )
 from .config import (
     ConfigError, ScenarioConfig, apply_overrides, load_config, parse_config,
-    reference_scenario, worker_count,
+    reference_scenario,
 )
 from .forward_sim import compartment_fraction, simulate
 from .kernels import backward_density, malthusian_parameter
@@ -98,12 +97,7 @@ def cmd_simulate(args) -> int:
         fracs = [compartment_fraction(out, nm, times) for nm in names]
         return out.susceptible_fraction(times), fracs, float(out.infected_fraction(cfg.horizon))
 
-    workers = worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, range(args.replicas)))
-    else:
-        results = [one(r) for r in range(args.replicas)]
+    results = [one(r) for r in range(args.replicas)]
 
     rows = []
     for r, (susc, fracs, _final) in enumerate(results):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
+import math
 from dataclasses import asdict, dataclass, replace
 
 from .courses import CourseModel, MarkovSEIR, MarkovSIR
@@ -87,6 +87,16 @@ class ScenarioConfig:
         return initial_condition(kernel, self.i0, age_rate=rate)
 
 
+def _is_number(v) -> bool:
+    """A JSON number (not a bool) that converts to a finite float."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
+
+
 def _validate(raw: dict) -> list[str]:
     errors: list[str] = []
 
@@ -114,7 +124,7 @@ def _validate(raw: dict) -> list[str]:
                 errors.append(f"missing course keys: {', '.join(sorted(lack))}")
             for k in _COURSE_KEYS[fam] & set(course):
                 v = course[k]
-                if not isinstance(v, (int, float)) or not v > 0:
+                if not _is_number(v) or not v > 0:
                     errors.append(f"course.{k} must be a positive number")
             if fam == "markov_seir" and not errors and course["activation"] == course["recovery"]:
                 errors.append("markov_seir requires activation != recovery")
@@ -136,15 +146,18 @@ def _validate(raw: dict) -> list[str]:
         else:
             if len(knots) != len(levels):
                 errors.append("contact knots and levels must have equal length")
-            if any(b <= a for a, b in zip(knots, knots[1:])):
-                errors.append("contact knots must be strictly increasing")
-            if knots[0] != 0.0:
-                errors.append("contact knots must start at 0")
-            if any(not isinstance(v, (int, float)) or not 0.0 <= v <= 1.0 for v in levels):
+            if not all(_is_number(k) for k in knots):
+                errors.append("contact knots must be finite numbers")
+            else:
+                if any(b <= a for a, b in zip(knots, knots[1:])):
+                    errors.append("contact knots must be strictly increasing")
+                if knots[0] != 0.0:
+                    errors.append("contact knots must start at 0")
+            if any(not _is_number(v) or not 0.0 <= v <= 1.0 for v in levels):
                 errors.append("contact rate outside [0,1]")
 
     i0 = raw["i0"]
-    if not isinstance(i0, (int, float)) or not 0.0 < i0 < 1.0:
+    if not _is_number(i0) or not 0.0 < i0 < 1.0:
         errors.append("I0 in (0,1) required")
 
     age = raw["initial_age"]
@@ -162,7 +175,7 @@ def _validate(raw: dict) -> list[str]:
             if lack:
                 errors.append(f"missing initial_age keys: {', '.join(sorted(lack))}")
             if fam == "exponential" and "rate" in age:
-                if not isinstance(age["rate"], (int, float)) or not age["rate"] > 0:
+                if not _is_number(age["rate"]) or not age["rate"] > 0:
                     errors.append("initial_age.rate must be a positive number")
 
     n = raw["n_individuals"]
@@ -171,7 +184,7 @@ def _validate(raw: dict) -> list[str]:
 
     for key in ("horizon", "dt", "age_step", "a_max"):
         v = raw[key]
-        if not isinstance(v, (int, float)) or not v > 0:
+        if not _is_number(v) or not v > 0:
             errors.append(f"{key} must be a positive number")
 
     if not errors:
@@ -283,11 +296,3 @@ def reference_scenario(**changes) -> ScenarioConfig:
     )
     return replace(cfg, **changes) if changes else cfg
 
-
-def worker_count() -> int:
-    """Replica fan-out cap from the EPI_THREADS environment variable."""
-    raw = os.environ.get("EPI_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1

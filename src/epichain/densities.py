@@ -87,15 +87,5 @@ class GridDensity:
         table = self._quantiles
         return table[idx] + frac * (table[idx + 1] - table[idx])
 
-    def ppf_scalar(self, u: float) -> float:
-        """Scalar twin of `ppf_from_uniform` (same arithmetic, same results)."""
-        q = u * QUANTILE_TABLE_SIZE
-        idx = int(q)
-        if idx >= QUANTILE_TABLE_SIZE:
-            idx = QUANTILE_TABLE_SIZE - 1
-        frac = q - idx
-        table = self._quantiles
-        return float(table[idx] + frac * (table[idx + 1] - table[idx]))
-
     def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
         return self.ppf_from_uniform(rng.random(size))

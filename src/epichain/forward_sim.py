@@ -24,17 +24,6 @@ from .rng import make_rng
 
 
 @dataclass
-class EventLog:
-    """Per-contact records in processing order."""
-
-    time: np.ndarray
-    source: np.ndarray
-    atom_index: np.ndarray
-    target: np.ndarray
-    accepted: np.ndarray
-
-
-@dataclass
 class SimulationOutput:
     n: int
     horizon: float
@@ -43,7 +32,6 @@ class SimulationOutput:
     infector: np.ndarray          # -1 for initial infections and the never infected
     initial: np.ndarray           # bool mask of initially infected
     courses: dict[int, DiseaseCourse]
-    events: EventLog
     graph: InfectionGraph | None = None
     _starts: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
     _ends: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
@@ -130,12 +118,6 @@ def simulate(model: CourseModel, n_individuals: int, contact: ContactRate,
         courses[int(x)] = course
         schedule(int(x), course)
 
-    ev_time: list[float] = []
-    ev_src: list[int] = []
-    ev_atom: list[int] = []
-    ev_dst: list[int] = []
-    ev_ok: list[bool] = []
-
     c_at = contact.at
     while heap:
         t, x, k = heapq.heappop(heap)
@@ -143,29 +125,15 @@ def simulate(model: CourseModel, n_individuals: int, contact: ContactRate,
             u = int(graph_targets[x][k])
         else:
             u = int(rng.integers(0, n))
-        accepted = False
         if not sigma[u] <= t:  # still susceptible (self-contacts fail here too)
             s = float(graph_marks[x][k]) if record_graph else float(rng.random())
             if s <= c_at(t):
-                accepted = True
                 sigma[u] = t
                 infector[u] = x
                 course = graph_courses[u] if record_graph else model.sample_course(rng)
                 courses[u] = course
                 schedule(u, course)
-        ev_time.append(t)
-        ev_src.append(x)
-        ev_atom.append(k)
-        ev_dst.append(u)
-        ev_ok.append(accepted)
 
-    events = EventLog(
-        time=np.asarray(ev_time, dtype=float),
-        source=np.asarray(ev_src, dtype=np.int64),
-        atom_index=np.asarray(ev_atom, dtype=np.int64),
-        target=np.asarray(ev_dst, dtype=np.int64),
-        accepted=np.asarray(ev_ok, dtype=bool),
-    )
     graph = None
     if record_graph:
         graph = InfectionGraph(
@@ -173,7 +141,7 @@ def simulate(model: CourseModel, n_individuals: int, contact: ContactRate,
             targets=graph_targets, marks=graph_marks, horizon=horizon,
         )
     return SimulationOutput(n=n, horizon=horizon, z=z, sigma=sigma, infector=infector,
-                            initial=init_mask, courses=courses, events=events, graph=graph)
+                            initial=init_mask, courses=courses, graph=graph)
 
 
 # ---------------------------------------------------------------------------

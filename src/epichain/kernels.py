@@ -69,18 +69,12 @@ class ContactRate:
         return ContactRate(np.array([0.0]), np.array([float(value)]))
 
     @property
-    def is_unit(self) -> bool:
-        return bool(np.all(self.levels == 1.0))
-
-    @property
     def terminal_value(self) -> float:
         return float(self.levels[-1])
 
     @property
     def settles_at(self) -> float:
         """Time after which c is constant."""
-        if self.kind == "linear" and self.levels.size > 1:
-            return float(self.knots[-1])
         return float(self.knots[-1])
 
     def __call__(self, t) -> np.ndarray:
@@ -271,10 +265,6 @@ class TabulatedKernel(IntensityKernel):
         return total
 
 
-def basic_reproduction_number(kernel: IntensityKernel) -> float:
-    return kernel.r0
-
-
 # ---------------------------------------------------------------------------
 # growth rate
 # ---------------------------------------------------------------------------
@@ -433,8 +423,8 @@ def joint_delay_age_from_uniforms(ic: InitialCondition, u_age, u_delay):
     g(z) tau(w + z) / r0_bar.
 
     z comes from its marginal (inverse-CDF table); w given z inverts the
-    kernel's cumulative over [z, a_max].  Vectorized; used both for direct
-    sampling and for the keyed draws of the tree sampler.
+    kernel's cumulative over [z, a_max].  Vectorized; the tree sampler feeds
+    it keyed uniforms.
     """
     kern = ic.kernel
     z = ic.z_marginal.ppf_from_uniform(np.asarray(u_age, dtype=float))
@@ -450,12 +440,3 @@ def joint_delay_age_from_uniforms(ic: InitialCondition, u_age, u_delay):
     w = np.maximum(w_abs - z, 0.0)
     return w, z
 
-
-def sample_joint_G(ic: InitialCondition, rng: np.random.Generator, size: int | None = None):
-    """Sample (w, z) from the joint delay/age law G of initially infected
-    individuals.  Returns scalars when size is None."""
-    n = 1 if size is None else int(size)
-    w, z = joint_delay_age_from_uniforms(ic, rng.random(n), rng.random(n))
-    if size is None:
-        return float(w[0]), float(z[0])
-    return w, z

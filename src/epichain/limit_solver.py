@@ -92,6 +92,18 @@ def _trapezoid_convolution(tau_vals: np.ndarray, b: np.ndarray, dt: float) -> np
     return conv
 
 
+def _time_grid(horizon: float, dt: float) -> np.ndarray:
+    """The solver grid 0, dt, ..., horizon, shared by every solver entry point."""
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"time step dt must be positive and finite, got {dt!r}")
+    if not (math.isfinite(horizon) and horizon > 0):
+        raise ValueError(f"horizon must be positive and finite, got {horizon!r}")
+    n = int(round(horizon / dt))
+    if n < 1 or abs(n * dt - horizon) > 1e-9 * max(1.0, horizon):
+        raise ValueError(f"horizon {horizon:g} must be a multiple of dt {dt:g}")
+    return np.linspace(0.0, n * dt, n + 1)
+
+
 def _force_grid(kernel: IntensityKernel, ic: InitialCondition, t: np.ndarray):
     """tau and I0*tau_bar evaluated on the solver grid."""
     tau_vals = np.asarray(kernel.value(t), dtype=float)
@@ -115,12 +127,8 @@ def solve_delay(kernel: IntensityKernel, contact: ContactRate, ic: InitialCondit
     handful of iterations reaches machine accuracy).  Raises if a step fails
     to converge.
     """
-    if dt <= 0 or horizon <= 0:
-        raise ValueError("horizon and dt must be positive")
-    n = int(round(horizon / dt))
-    if abs(n * dt - horizon) > 1e-9 * max(1.0, horizon):
-        raise ValueError("horizon must be a multiple of dt")
-    t = np.linspace(0.0, n * dt, n + 1)
+    t = _time_grid(horizon, dt)
+    n = t.size - 1
     tau_vals, forcing = _force_grid(kernel, ic, t)
     c_vals = np.asarray(contact(t), dtype=float)
     s0 = 1.0 - ic.i0
@@ -146,7 +154,7 @@ def solve_delay(kernel: IntensityKernel, contact: ContactRate, ic: InitialCondit
             A_k = partial + q * bk
             S_k = s0 * math.exp(-(base_C + c_half * A_k))
             new_bk = c_vals[k] * S_k * A_k
-            if abs(new_bk - bk) <= inner_tol * max(1.0, abs(new_bk)):
+            if abs(new_bk - bk) <= inner_tol * abs(new_bk):
                 bk = new_bk
                 converged = True
                 max_iters = max(max_iters, it)
@@ -186,8 +194,8 @@ def picard_delay(kernel: IntensityKernel, contact: ContactRate, ic: InitialCondi
     weight that makes the underlying map a contraction; iteration stops when
     the unweighted change is also below tol.
     """
-    n = int(round(horizon / dt))
-    t = np.linspace(0.0, n * dt, n + 1)
+    t = _time_grid(horizon, dt)
+    n = t.size - 1
     tau_vals, forcing = _force_grid(kernel, ic, t)
     c_vals = np.asarray(contact(t), dtype=float)
     s0 = 1.0 - ic.i0
@@ -226,15 +234,6 @@ def picard_delay(kernel: IntensityKernel, contact: ContactRate, ic: InitialCondi
                         renewal_residual=residual)
     return PicardResult(solution=sol, iterations=iterations,
                         weighted_change=weighted_change, weight_rate=rate)
-
-
-def n_at(sol: LimitSolution, t: float, ages: np.ndarray) -> np.ndarray:
-    """Age profile n(t, a): transported incidence below the diagonal, the
-    aged initial density above it."""
-    ages = np.asarray(ages, dtype=float)
-    fresh = np.interp(t - ages, sol.t, sol.b, left=0.0, right=0.0)
-    seeded = sol.ic.i0 * sol.ic.g_pdf(np.maximum(ages - t, 0.0))
-    return np.where(ages <= t, fresh, seeded)
 
 
 def compartment_curve(sol: LimitSolution, model: CourseModel, compartment: str) -> np.ndarray:
@@ -277,8 +276,8 @@ def solve_linearized(kernel: IntensityKernel, ic: InitialCondition, horizon: flo
     incidence solves the plain linear renewal equation.  When the initial age
     density is the growth-rate exponential, the solution is exactly
     I0 * alpha * exp(alpha t)."""
-    n = int(round(horizon / dt))
-    t = np.linspace(0.0, n * dt, n + 1)
+    t = _time_grid(horizon, dt)
+    n = t.size - 1
     tau_vals, forcing = _force_grid(kernel, ic, t)
     b = np.zeros(n + 1)
     b[0] = forcing[0]

@@ -14,17 +14,24 @@ s <= c(candidate), the candidate value being the calendar time of that
 transmission.  B(t) = (1-I0) P(sigma <= t) solves the same delay equation as
 the macroscopic cumulative incidence, which is what `estimate_B` exploits.
 
+One sampler serves every question.  It expands a chunk of trees a
+generation at a time and folds the minima back up; when a question needs the
+chain behind sigma (the first backward step, or the whole geodesic), a
+top-down walk then follows each node's argmin edge from the root to the
+initially infected individual at the end of the chain.
+
 Randomness is counter-based: every node owns a 64-bit key, and all its draws
-are fixed functions of (key, counter).  The recursive sampler and the
-batched one therefore produce bit-identical sigma for the same seed, and
-raising the censoring horizon never changes draws already made (monotone
-coupling used by the censoring tests).
+are fixed functions of (key, counter).  A sample's draws therefore do not
+depend on the chunk it is expanded in (`sample_geodesic(seed, index)` sees
+the tree at position `index` of the batched estimators), and raising the
+censoring horizon never changes draws already made (monotone coupling used
+by the censoring tests).
 
 Per-node draw layout (counter -> use):
     0 -> number of subtree children K_S       1 -> number of leaf edges K_I
     2+2j, 3+2j -> edge length W_j and mark s_j of subtree child j
     2+2K_S+3m, +1, +2 -> initial age Z_m, delay Wbar_m, mark sbar_m of leaf m
-Subtree child j's key is child_key(parent_key, j).
+Subtree child j's key is child_key_vec(parent_key, j).
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ from scipy import stats
 from .courses import CourseModel, DiseaseCourse, sample_palm_course
 from .densities import GridDensity
 from .kernels import ContactRate, InitialCondition, IntensityKernel, joint_delay_age_from_uniforms
-from .rng import child_key, child_key_vec, keyed_u01, keyed_u01_vec, make_rng, root_key, root_key_vec
+from .rng import child_key_vec, keyed_u01_vec, make_rng, root_key_vec
 
 _CHUNK = 2048
 
@@ -97,7 +104,11 @@ def _ragged_slots(counts: np.ndarray) -> np.ndarray:
 
 
 class _Level:
-    __slots__ = ("key", "sample", "depth_len", "i_min", "parent_row", "edge_w", "edge_s")
+    """One generation of a chunk's forest, one row per node, with the leaf
+    edges of its nodes (owning row, value or inf if rejected, initial age)."""
+
+    __slots__ = ("key", "sample", "depth_len", "i_min", "parent_row", "edge_w", "edge_s",
+                 "leaf_row", "leaf_val", "leaf_z")
 
     def __init__(self, key, sample, depth_len, parent_row, edge_w, edge_s):
         self.key = key
@@ -107,12 +118,15 @@ class _Level:
         self.parent_row = parent_row
         self.edge_w = edge_w
         self.edge_s = edge_s
+        self.leaf_row = np.zeros(0, dtype=np.int64)
+        self.leaf_val = self.leaf_z = np.zeros(0)
 
 
-def _expand_chunk(p: TreeParams, keys0: np.ndarray, want_first_step: bool):
+def _expand_chunk(p: TreeParams, keys0: np.ndarray):
     """Forward expansion + bottom-up minimisation for one chunk of samples.
 
-    Returns (sigma, first_step, nodes_expanded, nodes_pruned, depth).
+    Returns (sigma, levels, nodes_expanded, nodes_pruned); `levels[0]` has one
+    row per sample, and `_walk` recovers argmin paths from the levels.
     """
     n = keys0.size
     contact = p.contact
@@ -121,9 +135,6 @@ def _expand_chunk(p: TreeParams, keys0: np.ndarray, want_first_step: bool):
                  np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0))
     per_sample_nodes = np.zeros(n, dtype=np.int64)
     nodes_pruned = 0
-    root_i_value: np.ndarray | None = None
-    root_i_sample: np.ndarray | None = None
-    root_i_first: np.ndarray | None = None
 
     while cur.key.size:
         per_sample_nodes += np.bincount(cur.sample, minlength=n)
@@ -149,11 +160,8 @@ def _expand_chunk(p: TreeParams, keys0: np.ndarray, want_first_step: bool):
             w, z = joint_delay_age_from_uniforms(p.ic, u_age, u_delay)
             ok = (marks <= contact(w)) & (cur.depth_len[rep] + w <= p.horizon)
             nodes_pruned += int(np.count_nonzero(~ok))
-            np.minimum.at(cur.i_min, rep, np.where(ok, w, np.inf))
-            if want_first_step and len(levels) == 1:
-                root_i_value = np.where(ok, w, np.inf)
-                root_i_sample = cur.sample[rep]
-                root_i_first = -z
+            cur.leaf_row, cur.leaf_val, cur.leaf_z = rep, np.where(ok, w, np.inf), z
+            np.minimum.at(cur.i_min, rep, cur.leaf_val)
 
         # subtree children
         rep = np.repeat(np.arange(cur.key.size, dtype=np.int64), k_s)
@@ -176,71 +184,82 @@ def _expand_chunk(p: TreeParams, keys0: np.ndarray, want_first_step: bool):
         )
 
     # bottom-up: fold each level's sigma into its parents' minima
-    root_s_cand = None
-    root_s_active = None
     for k in range(len(levels) - 1, 0, -1):
         lev = levels[k]
-        cand = lev.edge_w + lev.i_min
-        active = lev.edge_s <= contact(cand)
-        np.minimum.at(levels[k - 1].i_min, lev.parent_row, np.where(active, cand, np.inf))
-        if k == 1:
-            root_s_cand, root_s_active = cand, active
+        cand = _candidates(contact, lev.edge_w, lev.i_min, lev.edge_s)
+        np.minimum.at(levels[k - 1].i_min, lev.parent_row, cand)
 
     sigma = np.full(n, np.inf)
     np.minimum.at(sigma, levels[0].sample, levels[0].i_min)
+    return sigma, levels, int(per_sample_nodes.sum()), nodes_pruned
 
-    first_step = None
-    if want_first_step:
-        first_step = np.full(n, np.nan)
-        pool_val = [np.zeros(0)]
-        pool_sample = [np.zeros(0, dtype=np.int64)]
-        pool_first = [np.zeros(0)]
-        if root_i_value is not None:
-            pool_val.append(root_i_value)
-            pool_sample.append(root_i_sample)
-            pool_first.append(root_i_first)
-        if root_s_cand is not None:
-            lev = levels[1]
-            pool_val.append(np.where(root_s_active, root_s_cand, np.inf))
-            pool_sample.append(levels[0].sample[lev.parent_row])
-            pool_first.append(lev.i_min)
-        val = np.concatenate(pool_val)
-        smp = np.concatenate(pool_sample)
-        fst = np.concatenate(pool_first)
-        hit = np.isfinite(val) & (val == sigma[smp])
-        first_step[smp[hit]] = fst[hit]
 
-    expanded = int(per_sample_nodes.sum())
-    return sigma, first_step, expanded, nodes_pruned, len(levels)
+def _candidates(contact: ContactRate, edge_w, i_min, edge_s) -> np.ndarray:
+    """Subtree candidates W + sigma for the parents, inf where the mark
+    rejects them."""
+    cand = edge_w + i_min
+    return np.where(edge_s <= contact(cand), cand, np.inf)
+
+
+def _first_per_owner(idx: np.ndarray, owner: np.ndarray) -> np.ndarray:
+    """The first of `idx` (ascending, with nondecreasing owners) per owner."""
+    g = owner[idx]
+    first = np.ones(idx.size, dtype=bool)
+    first[1:] = g[1:] != g[:-1]
+    return idx[first]
+
+
+def _walk(contact: ContactRate, levels: list[_Level]):
+    """Follow every finite sample's argmin edges down from its root.
+
+    Yields one (samples, times, ages) triple of arrays per generation: the
+    infection time of each sample's next individual up the chain (-Z once it
+    is an initially infected individual, which ends that sample's path) and
+    the age at which that individual transmitted.  A tie goes to a leaf
+    edge, then to the lowest slot, the order of the per-node draws.
+    """
+    rows = np.flatnonzero(np.isfinite(levels[0].i_min))
+    for k, lev in enumerate(levels):
+        if rows.size == 0:
+            return
+        on_path = np.zeros(lev.key.size, dtype=bool)
+        on_path[rows] = True
+        hit = on_path[lev.leaf_row] & (lev.leaf_val == lev.i_min[lev.leaf_row])
+        leaf = _first_per_owner(np.flatnonzero(hit), lev.leaf_row)
+        on_path[lev.leaf_row[leaf]] = False
+        samples = lev.sample[lev.leaf_row[leaf]]
+        times = -lev.leaf_z[leaf]
+        ages = lev.leaf_val[leaf] + lev.leaf_z[leaf]
+        if k + 1 < len(levels):
+            child = levels[k + 1]
+            sel = np.flatnonzero(on_path[child.parent_row])
+            cand = _candidates(contact, child.edge_w[sel], child.i_min[sel], child.edge_s[sel])
+            rows = _first_per_owner(sel[cand == lev.i_min[child.parent_row[sel]]],
+                                    child.parent_row)
+            samples = np.concatenate((samples, child.sample[rows]))
+            times = np.concatenate((times, child.i_min[rows]))
+            ages = np.concatenate((ages, child.edge_w[rows]))
+        yield samples, times, ages
 
 
 def _batch_sigma(p: TreeParams, n_samples: int, seed: int, want_first_step: bool = False):
     sigma = np.empty(n_samples)
-    first = np.empty(n_samples) if want_first_step else None
+    first = np.full(n_samples, np.nan) if want_first_step else None
     for lo in range(0, n_samples, _CHUNK):
         hi = min(lo + _CHUNK, n_samples)
         keys = root_key_vec(seed, np.arange(lo, hi, dtype=np.uint64))
-        sig, fst, _, _, _ = _expand_chunk(p, keys, want_first_step)
-        sigma[lo:hi] = sig
+        sigma[lo:hi], levels, _, _ = _expand_chunk(p, keys)
         if want_first_step:
-            first[lo:hi] = fst
+            for samples, times, _ in _walk(p.contact, levels):
+                first[lo + samples] = times
+                break
+        del levels  # free this chunk's forest before expanding the next
     return sigma, first
 
 
 # ---------------------------------------------------------------------------
-# recursive sampler with full geodesic decoration
+# single samples with the full geodesic
 # ---------------------------------------------------------------------------
-
-
-class _Pick:
-    __slots__ = ("sigma", "kind", "edge", "z", "child")
-
-    def __init__(self, sigma, kind, edge, z, child):
-        self.sigma = sigma
-        self.kind = kind      # "S", "I", or None (censored)
-        self.edge = edge      # W for "S", Wbar for "I"
-        self.z = z            # initial age for "I"
-        self.child = child    # _Pick of the subtree child for "S"
 
 
 @dataclass(frozen=True)
@@ -264,44 +283,6 @@ class GeodesicSample:
     max_depth: int
 
 
-def _expand_scalar(p: TreeParams, key: int, depth_len: float, level: int, counters: dict) -> _Pick:
-    counters["nodes"] += 1
-    if counters["nodes"] > p.node_cap:
-        raise RuntimeError(
-            f"node cap {p.node_cap} exceeded (depth {counters['depth']}, "
-            f"{counters['pruned']} pruned); edge lengths are too short relative to the horizon")
-    counters["depth"] = max(counters["depth"], level)
-    k_s = int(np.searchsorted(p.s_cdf, keyed_u01(key, 0), side="right"))
-    k_i = int(np.searchsorted(p.i_cdf, keyed_u01(key, 1), side="right"))
-    best = _Pick(math.inf, None, None, None, None)
-
-    for m in range(k_i):
-        base = 2 + 2 * k_s + 3 * m
-        u_age = np.array([keyed_u01(key, base)])
-        u_delay = np.array([keyed_u01(key, base + 1)])
-        mark = keyed_u01(key, base + 2)
-        w_arr, z_arr = joint_delay_age_from_uniforms(p.ic, u_age, u_delay)
-        z, w = float(z_arr[0]), float(w_arr[0])
-        if mark <= p.contact.at(w) and depth_len + w <= p.horizon:
-            if w < best.sigma:
-                best = _Pick(w, "I", w, z, None)
-        else:
-            counters["pruned"] += 1
-
-    for j in range(k_s):
-        w = float(p.generation.ppf_scalar(keyed_u01(key, 2 + 2 * j)))
-        s = keyed_u01(key, 3 + 2 * j)
-        child_depth = depth_len + w
-        if child_depth > p.horizon:
-            counters["pruned"] += 1
-            continue
-        child = _expand_scalar(p, child_key(key, j), child_depth, level + 1, counters)
-        cand = w + child.sigma
-        if s <= p.contact.at(cand) and cand < best.sigma:
-            best = _Pick(cand, "S", w, None, child)
-    return best
-
-
 def sample_geodesic(p: TreeParams, seed: int, index: int = 0,
                     rng: np.random.Generator | None = None) -> GeodesicSample:
     """Sample one tree, returning sigma and the realised ancestral path.
@@ -310,38 +291,27 @@ def sample_geodesic(p: TreeParams, seed: int, index: int = 0,
     up with position `index` of the batched samplers.  `rng` only feeds the
     course decoration, never the tree itself.
     """
-    counters = {"nodes": 0, "pruned": 0, "depth": 0}
-    root = _expand_scalar(p, root_key(seed, index), 0.0, 0, counters)
-    censored = not (root.sigma <= p.horizon)
-    expanded = counters["nodes"]
-
-    if censored:
+    if index < 0:
+        raise ValueError(f"sample index must be nonnegative, got {index}")
+    keys = root_key_vec(seed, np.array([index], dtype=np.uint64))
+    sigma, levels, expanded, pruned = _expand_chunk(p, keys)
+    max_depth = len(levels) - 1
+    if not sigma[0] <= p.horizon:
         return GeodesicSample(math.inf, True, np.zeros(0), None, None,
-                              expanded, counters["pruned"], int(counters["depth"]))
+                              expanded, pruned, max_depth)
 
-    times = [root.sigma]
-    edges: list[tuple[str, float, float | None]] = []
-    node = root
-    while node.kind == "S":
-        edges.append(("S", node.edge, None))
-        node = node.child
-        times.append(node.sigma)
-    edges.append(("I", node.edge, node.z))
-    z = node.z
-    times.append(-z)
+    steps = [(times[0], ages[0]) for _, times, ages in _walk(p.contact, levels)]
+    path_times = np.array([sigma[0]] + [t for t, _ in steps])
 
     courses = None
     if p.model is not None:
         if rng is None:
             rng = make_rng(seed, "geodesic-courses", index)
-        decorated = [p.model.sample_course(rng)]
-        for kind, edge, z_edge in edges:
-            age = edge if kind == "S" else edge + z_edge
-            decorated.append(sample_palm_course(p.model, age, rng))
-        courses = tuple(decorated)
+        courses = (p.model.sample_course(rng),) + tuple(
+            sample_palm_course(p.model, age, rng) for _, age in steps)
 
-    return GeodesicSample(root.sigma, False, np.asarray(times), courses, z,
-                          expanded, counters["pruned"], int(counters["depth"]))
+    return GeodesicSample(float(sigma[0]), False, path_times, courses, float(-path_times[-1]),
+                          expanded, pruned, max_depth)
 
 
 # ---------------------------------------------------------------------------

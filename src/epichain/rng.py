@@ -8,9 +8,9 @@ Two layers:
   tag values, never on call order.
 * splitmix64 keyed uniforms: a stateless map (key, counter) -> U(0,1) used by
   the branching-tree sampler, where every tree node owns a key and the node's
-  randomness must be reproducible regardless of traversal order.  Scalar and
-  vectorized implementations are kept in lockstep (same arithmetic, same IEEE
-  operations) so that batch and single-sample code paths see identical draws.
+  randomness must be reproducible regardless of traversal order or of how
+  many trees are expanded together.  The helpers act elementwise on uint64
+  arrays, whose arithmetic wraps mod 2^64.
 """
 
 from __future__ import annotations
@@ -20,8 +20,10 @@ import hashlib
 import numpy as np
 
 _MASK = (1 << 64) - 1
-_GAMMA = 0x9E3779B97F4A7C15
-_KEY_TWEAK = 0xD1B54A32D192ED03
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_KEY_TWEAK = np.uint64(0xD1B54A32D192ED03)
+_M1 = np.uint64(0xBF58476D1CE4E5B9)
+_M2 = np.uint64(0x94D049BB133111EB)
 _INV_2_53 = 2.0 ** -53
 
 
@@ -43,63 +45,36 @@ def make_rng(master_seed: int, *tags: object) -> np.random.Generator:
     return np.random.default_rng(derive_seed(master_seed, *tags))
 
 
-def mix64(z: int) -> int:
-    """splitmix64 finalizer; bijective on 64-bit integers."""
-    z &= _MASK
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-    return z ^ (z >> 31)
-
-
-def keyed_u01(key: int, counter: int) -> float:
-    """Uniform in [0,1) determined by (key, counter). 53-bit resolution."""
-    return (mix64((key + (counter + 1) * _GAMMA) & _MASK) >> 11) * _INV_2_53
-
-
-def child_key(key: int, slot: int) -> int:
-    """Key of a node's slot-th child (slot 0-based)."""
-    return mix64(((key ^ _KEY_TWEAK) + (slot + 1) * _GAMMA) & _MASK)
-
-
-def root_key(seed: int, index: int) -> int:
-    """Key of the index-th tree root drawn from a run seed."""
-    return mix64((mix64(seed & _MASK) + (index + 1) * _GAMMA) & _MASK)
-
-
-# --- vectorized twins (uint64 arithmetic wraps mod 2^64, matching the scalar path) ---
-
-_V_GAMMA = np.uint64(_GAMMA)
-_V_TWEAK = np.uint64(_KEY_TWEAK)
-_V_M1 = np.uint64(0xBF58476D1CE4E5B9)
-_V_M2 = np.uint64(0x94D049BB133111EB)
-
-
 def mix64_vec(z: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer; bijective on 64-bit integers."""
     with np.errstate(over="ignore"):
         z = np.asarray(z, dtype=np.uint64).copy()
         z ^= z >> np.uint64(30)
-        z *= _V_M1
+        z *= _M1
         z ^= z >> np.uint64(27)
-        z *= _V_M2
+        z *= _M2
         z ^= z >> np.uint64(31)
     return z
 
 
 def keyed_u01_vec(keys: np.ndarray, counters) -> np.ndarray:
+    """Uniforms in [0,1) determined by (key, counter). 53-bit resolution."""
     with np.errstate(over="ignore"):
-        c = (np.asarray(counters, dtype=np.uint64) + np.uint64(1)) * _V_GAMMA
+        c = (np.asarray(counters, dtype=np.uint64) + np.uint64(1)) * _GAMMA
         bits = mix64_vec(np.asarray(keys, dtype=np.uint64) + c)
     return (bits >> np.uint64(11)).astype(np.float64) * _INV_2_53
 
 
 def child_key_vec(keys: np.ndarray, slots) -> np.ndarray:
+    """Keys of the nodes' slot-th children (slots 0-based)."""
     with np.errstate(over="ignore"):
-        s = (np.asarray(slots, dtype=np.uint64) + np.uint64(1)) * _V_GAMMA
-        return mix64_vec((np.asarray(keys, dtype=np.uint64) ^ _V_TWEAK) + s)
+        s = (np.asarray(slots, dtype=np.uint64) + np.uint64(1)) * _GAMMA
+        return mix64_vec((np.asarray(keys, dtype=np.uint64) ^ _KEY_TWEAK) + s)
 
 
 def root_key_vec(seed: int, indices: np.ndarray) -> np.ndarray:
+    """Keys of the tree roots at positions `indices` of a run seed's stream."""
     with np.errstate(over="ignore"):
-        base = np.asarray(mix64(seed & _MASK), dtype=np.uint64)
-        s = (np.asarray(indices, dtype=np.uint64) + np.uint64(1)) * _V_GAMMA
+        base = mix64_vec(np.uint64(seed & _MASK))
+        s = (np.asarray(indices, dtype=np.uint64) + np.uint64(1)) * _GAMMA
         return mix64_vec(base + s)

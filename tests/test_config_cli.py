@@ -4,13 +4,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epichain import (
     ConfigError, ContactRate, MarkovSIR, apply_overrides, emit_config,
     load_config, parse_config, reference_scenario,
 )
 from epichain.cli import main
-from epichain.config import worker_count
 
 
 class TestScenarioConfig:
@@ -87,11 +88,39 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError):
             apply_overrides(raw, ["course.nonsense=1"])
 
-    def test_worker_count(self, monkeypatch):
-        monkeypatch.setenv("EPI_THREADS", "4")
-        assert worker_count() == 4
-        monkeypatch.setenv("EPI_THREADS", "junk")
-        assert worker_count() == 1
+    def test_mistyped_knot_is_a_config_error(self):
+        raw = apply_overrides(json.loads(emit_config(reference_scenario())),
+                              ['contact.knots=[0,"x"]', "contact.levels=[1,0.5]"])
+        with pytest.raises(ConfigError, match="knots must be finite numbers"):
+            parse_config(raw)
+
+    @pytest.mark.parametrize("horizon", [float("inf"), 10**400, True])
+    def test_non_finite_horizon_is_a_config_error(self, horizon):
+        raw = json.loads(emit_config(reference_scenario()))
+        raw["horizon"] = horizon
+        with pytest.raises(ConfigError, match="horizon must be a positive number"):
+            parse_config(raw)
+
+
+_JSON_SCALARS = st.one_of(
+    st.integers(-10, 10), st.integers(), st.floats(), st.booleans(), st.none(), st.text(max_size=3),
+)
+_JSON_VALUES = st.one_of(_JSON_SCALARS, st.lists(_JSON_SCALARS, max_size=3),
+                         st.dictionaries(st.text(max_size=3), _JSON_SCALARS, max_size=2))
+
+
+@given(knots=st.one_of(_JSON_VALUES, st.lists(_JSON_VALUES, max_size=4)),
+       levels=st.one_of(_JSON_VALUES, st.lists(_JSON_VALUES, max_size=4)))
+@settings(max_examples=200, deadline=None)
+def test_malformed_contact_raises_only_config_error(knots, levels):
+    raw = json.loads(emit_config(reference_scenario()))
+    raw["contact"]["knots"] = knots
+    raw["contact"]["levels"] = levels
+    try:
+        cfg = parse_config(raw)
+    except ConfigError:
+        return
+    assert cfg.build_contact().knots.size == len(knots)
 
 
 def _read_csv(path):

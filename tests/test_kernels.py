@@ -137,6 +137,7 @@ class TestContactRate:
         c = ContactRate((0.0, 2.0), (1.0, 0.5), "linear")
         assert c.at(1.0) == pytest.approx(0.75)
         assert c.at(10.0) == pytest.approx(0.5)
+        assert c.settles_at == 2.0
 
     def test_matrix_argument(self):
         c = ContactRate((0.0, 4.0), (1.0, 0.25), "step")

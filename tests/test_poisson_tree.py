@@ -1,5 +1,6 @@
-"""Dual tree sampler: agreement with the limit solver, scalar/batch parity,
-geodesic path structure, and the conditioned first-step law."""
+"""Dual tree sampler: agreement with the limit solver, geodesic path
+structure and its agreement with the batched estimators, and the
+conditioned first-step law."""
 
 import math
 
@@ -45,12 +46,17 @@ class TestEstimateB:
 
 
 class TestScalarBatchParity:
+    """A geodesic drawn for (seed, index) agrees bitwise with the batched
+    estimators' draw for the same root."""
+
     def test_sigma_bitwise_equal(self, params):
         batch, _ = _batch_sigma(params, 64, seed=811)
         for i in range(64):
             one = sample_geodesic(params, seed=811, index=i)
-            scalar = math.inf if one.censored else one.sigma
-            assert scalar == batch[i] or (math.isinf(scalar) and math.isinf(batch[i]))
+            if one.censored:
+                assert math.isinf(batch[i])
+            else:
+                assert one.sigma == batch[i]
 
     def test_first_step_matches_path(self, params):
         _, first = _batch_sigma(params, 64, seed=811, want_first_step=True)
@@ -59,8 +65,20 @@ class TestScalarBatchParity:
             if one.censored:
                 assert math.isnan(first[i])
             else:
-                want = one.path_times[1] if one.path_times.size > 1 else -one.terminal_age
-                assert first[i] == want
+                assert one.path_times[1] == first[i]
+
+
+# (index, path_times as float.hex) of seed 821 at horizon 8, recorded when
+# geodesics came from a separate recursive sampler
+RECORDED_PATHS = {
+    16: ["0x1.f8d0d368ad6f6p+1", "0x1.bb0705312b954p+1", "0x1.9220e412446dap+1",
+         "0x1.00cabeeb0d8aep+1", "0x1.11d1fa9efce75p+0", "-0x1.91e854b40aa79p-5"],
+    34: ["0x1.c6871998259dbp+2", "0x1.c019650ced02ap+2", "0x1.13f91d0181771p+2",
+         "0x1.f93b658220cffp+0", "0x1.8339f10973366p-3", "-0x1.6f3b2431cfd1ep-3"],
+    36: ["0x1.633d89fcdf82ep+1", "0x1.9ec39971ad63dp+0", "0x1.6a15243ec7770p+0",
+         "0x1.0c9dd1de091aep+0", "0x1.d65abd51d3864p-1", "0x1.d6b87866be278p-2",
+         "-0x1.0e66420cb7c5dp-1"],
+}
 
 
 class TestGeodesicPaths:
@@ -69,13 +87,27 @@ class TestGeodesicPaths:
         for i in range(200):
             one = sample_geodesic(params, seed=821, index=i)
             if one.censored:
+                assert one.path_times.size == 0 and one.terminal_age is None
                 continue
             found += 1
             assert one.path_times[0] == one.sigma
             assert np.all(np.diff(one.path_times) < 0)
             assert one.terminal_age is not None and one.terminal_age > 0
-            assert one.path_times[-1] == pytest.approx(-one.terminal_age)
+            assert one.path_times[-1] == -one.terminal_age
+            assert one.max_depth >= one.path_times.size - 2
         assert found > 20
+
+    def test_recorded_paths_reproduced(self, params):
+        for i, want in RECORDED_PATHS.items():
+            one = sample_geodesic(params, seed=821, index=i)
+            assert [x.hex() for x in one.path_times] == want
+            assert one.sigma.hex() == want[0]
+        counts = sample_geodesic(params, seed=821, index=34)
+        assert (counts.nodes_expanded, counts.nodes_pruned, counts.max_depth) == (22, 7, 6)
+
+    def test_rejects_negative_index(self, params):
+        with pytest.raises(ValueError, match="index"):
+            sample_geodesic(params, seed=821, index=-1)
 
     def test_decorated_courses(self, kernel, ic, unit_contact, model):
         p = tree_params(kernel, ic, unit_contact, horizon=8.0, model=model)
