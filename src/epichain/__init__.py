@@ -12,19 +12,15 @@ from .analysis import (
     lln_convergence_report,
 )
 from .backward_chain import (
-    HChain,
-    HChainBatch,
+    ChainBatch,
     MartingaleReport,
-    RenewalChain,
     SurvivalReport,
-    apply_killing,
     h_row_sums,
     martingale_diagnostic,
     reweighted_first_steps,
-    sample_h_chain,
     sample_h_chains,
     sample_h_first_steps,
-    sample_renewal,
+    sample_renewal_chains,
     survival_representation_check,
 )
 from .config import (
@@ -93,10 +89,9 @@ __all__ = [
     "ComparisonReport", "Histogram", "histogram_from_density",
     "histogram_from_samples", "ks_distance", "l1_histogram_distance",
     "lln_convergence_report",
-    "HChain", "HChainBatch", "MartingaleReport", "RenewalChain",
-    "SurvivalReport", "apply_killing", "h_row_sums", "martingale_diagnostic",
-    "reweighted_first_steps", "sample_h_chain", "sample_h_chains",
-    "sample_h_first_steps", "sample_renewal", "survival_representation_check",
+    "ChainBatch", "MartingaleReport", "SurvivalReport", "h_row_sums",
+    "martingale_diagnostic", "reweighted_first_steps", "sample_h_chains",
+    "sample_h_first_steps", "sample_renewal_chains", "survival_representation_check",
     "ConfigError", "ScenarioConfig", "apply_overrides", "emit_config",
     "load_config", "parse_config", "reference_scenario",
     "CourseModel", "DiseaseCourse", "MarkovSEIR", "MarkovSIR", "PoissonCourse",

@@ -15,7 +15,9 @@ chain, M_k = h(R_{k and L}) 1{not yet killed} is a martingale, and the
 survival probability of the killed chain represents b itself when the
 initial age density is the equilibrium exponential.  Each of those
 statements has a sampler or diagnostic here; together they cross-check the
-solver and the tree sampler.
+solver and the tree sampler.  Every sampler is batched: chains advance one
+column at a time across all rows, and paths come back as a NaN-padded
+`ChainBatch`.  alpha is always the kernel's Malthusian parameter.
 """
 
 from __future__ import annotations
@@ -26,74 +28,44 @@ from dataclasses import dataclass
 import numpy as np
 
 from .densities import GridDensity
-from .kernels import ContactRate, backward_density, malthusian_parameter
+from .kernels import IntensityKernel, backward_density, malthusian_parameter
 from .limit_solver import LimitSolution
 from .rng import make_rng
 
 _B_FLOOR = 1e-12
 _BLOCK = 100_000
+_H_ROWS = 256  # rows per (rows x ages) matrix in _h_transition
+
+
+@dataclass(frozen=True)
+class ChainBatch:
+    """Stacked backward paths; row i holds chain i, NaN past its end."""
+
+    times: np.ndarray      # (n, max_len + 1); column 0 is the start state
+    lengths: np.ndarray    # transitions per chain
+
+    @property
+    def first_steps(self) -> np.ndarray:
+        return self.times[:, 1]
+
+    @property
+    def first_increments(self) -> np.ndarray:
+        return self.times[:, 0] - self.times[:, 1]
+
+    @property
+    def increments(self) -> np.ndarray:
+        """All jumps of all chains, pooled."""
+        jumps = self.times[:, :-1] - self.times[:, 1:]
+        return jumps[~np.isnan(jumps)]
+
+    @property
+    def terminals(self) -> np.ndarray:
+        return self.times[np.arange(self.times.shape[0]), self.lengths]
 
 
 # ---------------------------------------------------------------------------
 # renewal chain with killing
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RenewalChain:
-    """One backward renewal path R_0 = start > R_1 > ... > R_L <= 0.
-
-    `killing_index` is None until killing has been applied, math.inf when
-    every survival check passed, otherwise the index of the first failed
-    check (checks happen at the positive states R_0 .. R_{L-1}).
-    """
-
-    start: float
-    times: np.ndarray
-    killing_index: float | None = None
-
-    @property
-    def stop_index(self) -> int:
-        return int(self.times.size - 1)
-
-    @property
-    def survived(self) -> bool:
-        if self.killing_index is None:
-            raise ValueError("killing has not been applied to this chain")
-        return self.killing_index >= self.stop_index
-
-    @property
-    def increments(self) -> np.ndarray:
-        return -np.diff(self.times)
-
-
-def sample_renewal(t: float, alpha: float, kernel, rng: np.random.Generator,
-                   r_density: GridDensity | None = None) -> RenewalChain:
-    """Walk down from t with jumps from r(a) = e^{-alpha a} tau(a) until <= 0.
-
-    Pass a precomputed `r_density` when sampling many chains; building the
-    quantile table dominates a single walk."""
-    if t <= 0:
-        return RenewalChain(start=float(t), times=np.asarray([float(t)]))
-    if r_density is None:
-        r_density = backward_density(kernel, alpha)
-    times = [float(t)]
-    while times[-1] > 0:
-        times.append(times[-1] - float(r_density.sample(rng)))
-    return RenewalChain(start=float(t), times=np.asarray(times))
-
-
-def apply_killing(chain: RenewalChain, sol: LimitSolution, contact: ContactRate,
-                  rng: np.random.Generator) -> RenewalChain:
-    """Run the survival checks: at each positive state x the chain survives
-    with probability S(x)c(x); states <= 0 are never checked."""
-    k = math.inf
-    for j in range(chain.stop_index):
-        x = chain.times[j]
-        if rng.random() > float(sol.S_at(x)) * contact.at(float(x)):
-            k = j
-            break
-    return RenewalChain(start=chain.start, times=chain.times, killing_index=k)
 
 
 def _renewal_block(t: float, r_density: GridDensity, n: int, k_min: int,
@@ -111,16 +83,38 @@ def _renewal_block(t: float, r_density: GridDensity, n: int, k_min: int,
     return np.column_stack(cols)
 
 
-def _killing_failures(R: np.ndarray, sol: LimitSolution, contact: ContactRate,
+def sample_renewal_chains(t: float, kernel: IntensityKernel, n_chains: int,
+                          seed: int) -> ChainBatch:
+    """n independent renewal paths R_0 = t > R_1 > ... > R_L <= 0 with jumps
+    from r(a) = e^{-alpha a} tau(a); a start t <= 0 gives L = 0."""
+    r_density = backward_density(kernel, malthusian_parameter(kernel).alpha)
+    R = _renewal_block(t, r_density, n_chains, 0, make_rng(seed, "renewal", t))
+    lengths = np.count_nonzero(R > 0, axis=1)
+    past_end = np.arange(R.shape[1])[None, :] > lengths[:, None]
+    return ChainBatch(times=np.where(past_end, np.nan, R), lengths=lengths)
+
+
+def _killing_failures(R: np.ndarray, sol: LimitSolution,
                       rng: np.random.Generator) -> np.ndarray:
     """Cumulative failed-check counts, same shape as R.
 
-    Column k counts failures among the checks at states R_0..R_k; entries at
+    Column k counts failures among the checks at states R_0..R_k; a check at
+    a positive state x fails with probability 1 - S(x)c(x), and entries at
     nonpositive states never fail.
     """
-    ell = sol.S_at(R) * contact(R)
+    ell = sol.S_at(R) * sol.contact(R)
     fail = (R > 0) & (rng.random(R.shape) > ell)
     return np.cumsum(fail, axis=1)
+
+
+def _killed_blocks(t: float, sol: LimitSolution, alpha: float, n_samples: int,
+                   k_min: int, rng: np.random.Generator):
+    """Killed renewal chains from t, in blocks of at most `_BLOCK` rows:
+    yields (R, fails) from `_renewal_block` and `_killing_failures`."""
+    r_density = backward_density(sol.kernel, alpha)
+    for lo in range(0, n_samples, _BLOCK):
+        R = _renewal_block(t, r_density, min(_BLOCK, n_samples - lo), k_min, rng)
+        yield R, _killing_failures(R, sol, rng)
 
 
 @dataclass(frozen=True)
@@ -144,28 +138,18 @@ class MartingaleReport:
 
 
 def martingale_diagnostic(t: float, sol: LimitSolution, n_samples: int, k_max: int,
-                          seed: int, contact: ContactRate | None = None,
-                          alpha: float | None = None) -> MartingaleReport:
-    if contact is None:
-        contact = sol.contact
-    if alpha is None:
-        alpha = malthusian_parameter(sol.kernel).alpha
-    r_density = backward_density(sol.kernel, alpha)
-    rng = make_rng(seed, "martingale", t)
+                          seed: int) -> MartingaleReport:
+    alpha = malthusian_parameter(sol.kernel).alpha
     sums = np.zeros(k_max + 1)
     sq_sums = np.zeros(k_max + 1)
-    done = 0
-    while done < n_samples:
-        n = min(_BLOCK, n_samples - done)
-        R = _renewal_block(t, r_density, n, k_max, rng)
-        fails = _killing_failures(R, sol, contact, rng)
+    for R, fails in _killed_blocks(t, sol, alpha, n_samples, k_max,
+                                   make_rng(seed, "martingale", t)):
         for k in range(k_max + 1):
             x = R[:, k]
-            alive = np.ones(n, dtype=bool) if k == 0 else fails[:, k - 1] == 0
+            alive = np.ones(x.size, dtype=bool) if k == 0 else fails[:, k - 1] == 0
             m = np.where(alive, sol.b_at(x) * np.exp(-alpha * x), 0.0)
             sums[k] += m.sum()
             sq_sums[k] += (m * m).sum()
-        done += n
     mean = sums / n_samples
     var = np.maximum(sq_sums / n_samples - mean ** 2, 0.0)
     se = np.sqrt(var / n_samples)
@@ -201,22 +185,14 @@ class SurvivalReport:
 
 
 def survival_representation_check(t: float, sol: LimitSolution, n_samples: int,
-                                  seed: int, alpha: float | None = None) -> SurvivalReport:
-    if alpha is None:
-        alpha = malthusian_parameter(sol.kernel).alpha
+                                  seed: int) -> SurvivalReport:
+    alpha = malthusian_parameter(sol.kernel).alpha
     rate = sol.ic.age_rate
     if rate is None or abs(rate - alpha) > 1e-8 * max(1.0, abs(alpha)):
         raise ValueError("representation requires equilibrium g (exponential with the Malthusian rate)")
-    r_density = backward_density(sol.kernel, alpha)
-    rng = make_rng(seed, "survival", t)
     survived = 0
-    done = 0
-    while done < n_samples:
-        n = min(_BLOCK, n_samples - done)
-        R = _renewal_block(t, r_density, n, 0, rng)
-        fails = _killing_failures(R, sol, sol.contact, rng)
+    for _, fails in _killed_blocks(t, sol, alpha, n_samples, 0, make_rng(seed, "survival", t)):
         survived += int((fails[:, -1] == 0).sum())
-        done += n
     p = survived / n_samples
     se_p = math.sqrt(p * (1.0 - p) / n_samples)
     scale = sol.ic.i0 * alpha * math.exp(alpha * t)
@@ -233,44 +209,6 @@ def survival_representation_check(t: float, sol: LimitSolution, n_samples: int,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HChain:
-    """Conditioned ancestral path: start > ... > terminal <= 0."""
-
-    start: float
-    times: np.ndarray
-
-    @property
-    def increments(self) -> np.ndarray:
-        return -np.diff(self.times)
-
-
-@dataclass(frozen=True)
-class HChainBatch:
-    """Stacked conditioned paths; row i holds chain i, NaN past its end."""
-
-    times: np.ndarray      # (n, max_len + 1); column 0 is the start state
-    lengths: np.ndarray    # transitions per chain
-
-    @property
-    def first_steps(self) -> np.ndarray:
-        return self.times[:, 1]
-
-    @property
-    def first_increments(self) -> np.ndarray:
-        return self.times[:, 0] - self.times[:, 1]
-
-    @property
-    def increments(self) -> np.ndarray:
-        """All jumps of all chains, pooled."""
-        jumps = self.times[:, :-1] - self.times[:, 1:]
-        return jumps[~np.isnan(jumps)]
-
-    @property
-    def terminals(self) -> np.ndarray:
-        return self.times[np.arange(self.times.shape[0]), self.lengths]
-
-
 def _h_transition(x: np.ndarray, sol: LimitSolution, u: np.ndarray) -> np.ndarray:
     """One conditioned step from each positive state x, by exact inversion of
     the trapezoid CDF of the jump density tau(v) b(x - v) over v in (0, A]."""
@@ -279,8 +217,8 @@ def _h_transition(x: np.ndarray, sol: LimitSolution, u: np.ndarray) -> np.ndarra
     da = kern.step
     tau = kern.table
     out = np.empty_like(x)
-    for lo in range(0, x.size, 1024):
-        xs = x[lo:lo + 1024]
+    for lo in range(0, x.size, _H_ROWS):
+        xs = x[lo:lo + _H_ROWS]
         w = tau[None, :] * sol.b_at(xs[:, None] - ages[None, :])
         inner = np.cumsum((w[:, 1:] + w[:, :-1]) * (0.5 * da), axis=1)
         c = np.concatenate([np.zeros((xs.size, 1)), inner], axis=1)
@@ -291,7 +229,7 @@ def _h_transition(x: np.ndarray, sol: LimitSolution, u: np.ndarray) -> np.ndarra
             raise RuntimeError(
                 f"conditioned chain stuck at x={bad:g}: integral tau(v) b(x - v) dv vanishes "
                 f"although b(x)={float(sol.b_at(bad)):g} > 0, so no ancestor time is assignable")
-        target = u[lo:lo + 1024] * total
+        target = u[lo:lo + _H_ROWS] * total
         idx = np.clip((c < target[:, None]).sum(axis=1) - 1, 0, ages.size - 2)
         w0 = np.take_along_axis(w, idx[:, None], axis=1)[:, 0]
         w1 = np.take_along_axis(w, idx[:, None] + 1, axis=1)[:, 0]
@@ -301,12 +239,12 @@ def _h_transition(x: np.ndarray, sol: LimitSolution, u: np.ndarray) -> np.ndarra
         disc = np.sqrt(np.maximum(w0 * w0 + 4.0 * half_slope * r, 0.0))
         denom = w0 + disc
         s = np.where(denom > 0, 2.0 * r / np.where(denom > 0, denom, 1.0), 0.0)
-        out[lo:lo + 1024] = xs - (ages[idx] + np.clip(s, 0.0, 1.0) * da)
+        out[lo:lo + _H_ROWS] = xs - (ages[idx] + np.clip(s, 0.0, 1.0) * da)
     return out
 
 
 def _h_paths(starts: np.ndarray, sol: LimitSolution, rng: np.random.Generator,
-             max_steps: int = 500) -> HChainBatch:
+             max_steps: int = 500) -> ChainBatch:
     starts = np.asarray(starts, dtype=float)
     low_b = sol.b_at(starts) < _B_FLOOR
     if low_b.any():
@@ -328,17 +266,10 @@ def _h_paths(starts: np.ndarray, sol: LimitSolution, rng: np.random.Generator,
         active = np.where(np.isnan(cur), False, cur > 0)
     times = np.column_stack(columns)
     lengths = np.sum(~np.isnan(times), axis=1) - 1
-    return HChainBatch(times=times, lengths=lengths)
+    return ChainBatch(times=times, lengths=lengths)
 
 
-def sample_h_chain(t: float, sol: LimitSolution, rng: np.random.Generator) -> HChain:
-    """One conditioned ancestral path from calendar time t."""
-    batch = _h_paths(np.asarray([float(t)]), sol, rng)
-    row = batch.times[0]
-    return HChain(start=float(t), times=row[~np.isnan(row)])
-
-
-def sample_h_chains(t: float, sol: LimitSolution, n_chains: int, seed: int) -> HChainBatch:
+def sample_h_chains(t: float, sol: LimitSolution, n_chains: int, seed: int) -> ChainBatch:
     """n independent conditioned paths from calendar time t."""
     rng = make_rng(seed, "h-chain", t)
     return _h_paths(np.full(n_chains, float(t)), sol, rng)
@@ -384,28 +315,20 @@ class ReweightedFirstSteps:
         return int(self.values.size)
 
 
-def reweighted_first_steps(t: float, sol: LimitSolution, n_samples: int, seed: int,
-                           alpha: float | None = None) -> ReweightedFirstSteps:
+def reweighted_first_steps(t: float, sol: LimitSolution, n_samples: int,
+                           seed: int) -> ReweightedFirstSteps:
     """Sample killed renewal chains; keep survivors with weight
     b(R_L)e^{-alpha R_L} / (b(t)e^{-alpha t}).  Their weighted first-step
     histogram reproduces the conditioned chain's first step."""
-    if alpha is None:
-        alpha = malthusian_parameter(sol.kernel).alpha
-    r_density = backward_density(sol.kernel, alpha)
-    rng = make_rng(seed, "reweighted", t)
+    alpha = malthusian_parameter(sol.kernel).alpha
     vals = []
     wts = []
     h_start = float(sol.b_at(t)) * math.exp(-alpha * t)
-    done = 0
-    while done < n_samples:
-        n = min(_BLOCK, n_samples - done)
-        R = _renewal_block(t, r_density, n, 1, rng)
-        fails = _killing_failures(R, sol, sol.contact, rng)
+    for R, fails in _killed_blocks(t, sol, alpha, n_samples, 1, make_rng(seed, "reweighted", t)):
         keep = fails[:, -1] == 0
         term_idx = np.argmax(R <= 0, axis=1)
-        term = R[np.arange(n), term_idx]
+        term = R[np.arange(R.shape[0]), term_idx]
         vals.append(R[keep, 1])
         wts.append(sol.b_at(term[keep]) * np.exp(-alpha * term[keep]) / h_start)
-        done += n
     return ReweightedFirstSteps(values=np.concatenate(vals), weights=np.concatenate(wts),
                                 n_samples=n_samples)

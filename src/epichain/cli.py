@@ -17,16 +17,15 @@ from pathlib import Path
 import numpy as np
 
 from .backward_chain import (
-    martingale_diagnostic, sample_h_chains, sample_renewal, survival_representation_check,
+    martingale_diagnostic, sample_h_chains, sample_renewal_chains, survival_representation_check,
 )
 from .config import (
     ConfigError, ScenarioConfig, apply_overrides, load_config, parse_config,
     reference_scenario,
 )
 from .forward_sim import compartment_fraction, simulate
-from .kernels import backward_density, malthusian_parameter
 from .limit_solver import solve_delay
-from .poisson_tree import estimate_B, tree_params
+from .poisson_tree import NODE_CAP, estimate_B, tree_params
 from .rng import derive_seed, make_rng
 
 REPORT_POINTS = 64
@@ -166,26 +165,16 @@ def cmd_chain(args) -> int:
     if args.mode == "hchain":
         batch = sample_h_chains(t, sol, args.samples,
                                 seed=derive_seed(cfg.seed, "chain", "hchain"))
-        rows = []
-        for i in range(batch.times.shape[0]):
-            for k in range(batch.lengths[i] + 1):
-                rows.append([i, k, batch.times[i, k]])
-        out = outdir / "chain_hchain.csv"
-        _write_csv(out, cfg.digest, ["chain", "k", "time"], rows)
-        print(f"chain hchain: wrote {out} ({args.samples} conditioned chains from t={t:g})")
-        return 0
-
-    alpha = malthusian_parameter(kernel).alpha
-    r_density = backward_density(kernel, alpha)
-    rng = make_rng(derive_seed(cfg.seed, "chain", "renewal"))
+    else:
+        batch = sample_renewal_chains(t, kernel, args.samples,
+                                      seed=derive_seed(cfg.seed, "chain", "renewal"))
     rows = []
-    for i in range(args.samples):
-        chain = sample_renewal(t, alpha, kernel, rng, r_density=r_density)
-        for k, x in enumerate(chain.times):
-            rows.append([i, k, float(x)])
-    out = outdir / "chain_renewal.csv"
+    for i in range(batch.times.shape[0]):
+        for k in range(batch.lengths[i] + 1):
+            rows.append([i, k, batch.times[i, k]])
+    out = outdir / f"chain_{args.mode}.csv"
     _write_csv(out, cfg.digest, ["chain", "k", "time"], rows)
-    print(f"chain renewal: wrote {out} ({args.samples} chains from t={t:g})")
+    print(f"chain {args.mode}: wrote {out} ({args.samples} chains from t={t:g})")
     return 0
 
 
@@ -215,9 +204,11 @@ def cmd_validate(args) -> int:
         wanted = sorted({int(x) for x in args.criteria.split(",")})
     results = run_all(criteria=wanted)
     records = [
-        {"criterion": r.criterion, "name": r.name, "value": r.value,
-         "threshold": r.threshold, "passed": r.passed, "se": r.se,
-         "n_samples": r.n_samples, "detail": r.detail, "runtime_s": round(r.runtime_s, 2)}
+        {"criterion": r.criterion, "name": r.name, "passed": r.passed,
+         "runtime_s": round(r.runtime_s, 2),
+         "checks": [{"name": c.name, "value": float(c.value), "threshold": float(c.threshold),
+                     "se": float(c.se), "n_samples": int(c.n_samples), "passed": c.passed,
+                     "detail": c.detail} for c in r.checks]}
         for r in results
     ]
     ok = all(r.passed for r in results)
@@ -261,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--samples", type=int, default=10_000)
     p.add_argument("--points", type=int, default=9, help="grid points over [0, horizon]")
-    p.add_argument("--node-cap", type=int, default=10_000)
+    p.add_argument("--node-cap", type=int, default=NODE_CAP)
     p.set_defaults(func=cmd_tree)
 
     p = sub.add_parser("chain", help="backward-chain samplers and diagnostics")

@@ -69,11 +69,12 @@ def simulate(model: CourseModel, n_individuals: int, contact: ContactRate,
              record_graph: bool = False) -> SimulationOutput:
     """Run the epidemic among `n_individuals` up to `horizon`.
 
-    With `record_graph=True` every individual's course and every atom's
-    (target, mark) pair are drawn up front and kept, so the full decorated
-    infection graph is available afterwards (used by the small-instance
-    geodesic cross-checks).  The default draws lazily in event order, which
-    is faster and distributionally identical.
+    Draws happen lazily in event order: a course when an individual is
+    infected, a target for every popped contact, and a mark only when that
+    target is still susceptible.  With `record_graph=True` the run also
+    records what it drew as an `InfectionGraph` (used by the small-instance
+    geodesic cross-checks); recording draws nothing, so `sigma`, `infector`,
+    `z` and the courses are bitwise those of the same run without it.
     """
     if n_individuals <= 0:
         raise ValueError("need a positive population size")
@@ -91,22 +92,18 @@ def simulate(model: CourseModel, n_individuals: int, contact: ContactRate,
     sigma[init_ids] = -z[init_ids]
     infector = np.full(n, -1, dtype=np.int64)
     courses: dict[int, DiseaseCourse] = {}
-
-    graph_courses: list[DiseaseCourse] | None = None
-    graph_targets: list[np.ndarray] | None = None
-    graph_marks: list[np.ndarray] | None = None
-    if record_graph:
-        graph_courses, graph_targets, graph_marks = [], [], []
-        for x in range(n):
-            course = model.sample_course(rng)
-            graph_courses.append(course)
-            k = course.atoms.size
-            graph_targets.append(rng.integers(0, n, size=k))
-            graph_marks.append(rng.random(k))
+    # decorations never drawn stay a self-target with mark inf (see InfectionGraph)
+    targets: dict[int, np.ndarray] = {}
+    marks: dict[int, np.ndarray] = {}
 
     heap: list[tuple[float, int, int]] = []
 
-    def schedule(x: int, course: DiseaseCourse) -> None:
+    def infect(x: int) -> None:
+        course = model.sample_course(rng)
+        courses[x] = course
+        if record_graph:
+            targets[x] = np.full(course.atoms.size, x, dtype=np.int64)
+            marks[x] = np.full(course.atoms.size, math.inf)
         base = sigma[x]
         for idx in range(course.atoms.size):
             tc = base + course.atoms[idx]
@@ -114,31 +111,28 @@ def simulate(model: CourseModel, n_individuals: int, contact: ContactRate,
                 heapq.heappush(heap, (tc, x, idx))
 
     for x in init_ids:
-        course = graph_courses[x] if record_graph else model.sample_course(rng)
-        courses[int(x)] = course
-        schedule(int(x), course)
+        infect(int(x))
 
     c_at = contact.at
     while heap:
         t, x, k = heapq.heappop(heap)
+        u = int(rng.integers(0, n))
         if record_graph:
-            u = int(graph_targets[x][k])
-        else:
-            u = int(rng.integers(0, n))
+            targets[x][k] = u
         if not sigma[u] <= t:  # still susceptible (self-contacts fail here too)
-            s = float(graph_marks[x][k]) if record_graph else float(rng.random())
+            s = float(rng.random())
+            if record_graph:
+                marks[x][k] = s
             if s <= c_at(t):
                 sigma[u] = t
                 infector[u] = x
-                course = graph_courses[u] if record_graph else model.sample_course(rng)
-                courses[u] = course
-                schedule(u, course)
+                infect(u)
 
     graph = None
     if record_graph:
         graph = InfectionGraph(
-            n=n, initial=init_mask, z=z, courses=graph_courses,
-            targets=graph_targets, marks=graph_marks, horizon=horizon,
+            n=n, initial=init_mask, z=z, courses=courses,
+            targets=targets, marks=marks, horizon=horizon,
         )
     return SimulationOutput(n=n, horizon=horizon, z=z, sigma=sigma, infector=infector,
                             initial=init_mask, courses=courses, graph=graph)

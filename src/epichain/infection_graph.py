@@ -1,13 +1,15 @@
 """Fully decorated infection graph and a brute-force infection-time oracle.
 
-When the simulation pre-draws every course, target, and mark, the epidemic
-becomes a deterministic function of that decoration: individual x gets
-infected at the earliest candidate time over chains of contacts rooted in
-the initially infected, where a chain only counts if every intermediate
+`simulate(record_graph=True)` records every course, target and mark its run
+drew.  Given that decoration the epidemic is deterministic: individual x
+gets infected at the earliest candidate time over chains of contacts rooted
+in the initially infected, where a chain only counts if every intermediate
 host was itself infected exactly at the chain's prefix time and every jump
-passed its contact-rate check.  `brute_force_infection_times` evaluates that
-minimisation by enumerating candidate chains directly, with no event queue,
-so it can cross-check the event-driven run on small populations.
+passed its contact-rate check.  Decorations the run never drew cannot
+change that minimum (see `InfectionGraph`).  `brute_force_infection_times`
+evaluates the minimisation by enumerating candidate chains directly, with no
+event queue, so it can cross-check the event-driven run on small
+populations.
 """
 
 from __future__ import annotations
@@ -23,26 +25,37 @@ from .kernels import ContactRate
 
 @dataclass(frozen=True)
 class InfectionGraph:
-    """Population-level decoration drawn up front by `simulate(record_graph=True)`.
+    """Population-level decoration recorded by `simulate(record_graph=True)`.
 
-    `targets[x][k]` and `marks[x][k]` decorate atom k of individual x's
-    course.  Edge lengths are the raw course ages; an initially infected
-    individual starts at time -z, so its pre-time-0 contacts are removed by
-    the arrival >= 0 rule rather than by shifting lengths.
+    `courses[x]`, `targets[x][k]` and `marks[x][k]` decorate atom k of the
+    course of an infected individual x; `courses` is the run's own dict.
+    Edge lengths are the raw course ages; an initially infected individual
+    starts at time -z, so its pre-time-0 contacts are removed by the
+    arrival >= 0 rule rather than by shifting lengths.
+
+    The run draws a target only for a contact it pops and a mark only when
+    that target is still susceptible.  A decoration it never drew is stored
+    as a self-target (the oracle skips it, the host being on its own chain)
+    with mark inf, which no contact rate accepts: contacts outside
+    [0, horizon], contacts whose target was already infected, and the
+    contacts of individuals never infected (`out_edges` gives none).
     """
 
     n: int
     initial: np.ndarray
     z: np.ndarray
-    courses: list[DiseaseCourse]
-    targets: list[np.ndarray]
-    marks: list[np.ndarray]
+    courses: dict[int, DiseaseCourse]
+    targets: dict[int, np.ndarray]
+    marks: dict[int, np.ndarray]
     horizon: float
 
     def out_edges(self, x: int) -> list[tuple[float, int, float]]:
         """(length, target, mark) triples for the atoms of x."""
+        if x not in self.courses:
+            return []
         atoms = self.courses[x].atoms
-        return [(float(atoms[k]), int(self.targets[x][k]), float(self.marks[x][k]))
+        targets, marks = self.targets[x], self.marks[x]
+        return [(float(atoms[k]), int(targets[k]), float(marks[k]))
                 for k in range(atoms.size)]
 
 

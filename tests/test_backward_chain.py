@@ -8,59 +8,51 @@ import numpy as np
 import pytest
 
 from epichain import (
-    apply_killing, backward_density, h_row_sums, histogram_from_samples,
-    initial_condition, l1_histogram_distance, ks_distance, make_rng,
-    martingale_diagnostic, reweighted_first_steps, sample_h_chain,
-    sample_h_chains, sample_h_first_steps, sample_renewal, solve_delay,
-    survival_representation_check,
+    backward_density, h_row_sums, histogram_from_samples, initial_condition,
+    l1_histogram_distance, ks_distance, make_rng, martingale_diagnostic,
+    reweighted_first_steps, sample_h_chains, sample_h_first_steps,
+    sample_renewal_chains, solve_delay, survival_representation_check,
 )
-
-
-@pytest.fixture(scope="module")
-def r_density(kernel, alpha):
-    return backward_density(kernel, alpha)
+from epichain.backward_chain import _killing_failures, _renewal_block
 
 
 class TestRenewalChain:
-    def test_path_structure(self, kernel, alpha, r_density):
-        rng = make_rng(71, "renewal-struct")
-        for _ in range(50):
-            chain = sample_renewal(6.0, alpha, kernel, rng, r_density=r_density)
-            assert chain.times[0] == 6.0
-            assert np.all(np.diff(chain.times) < 0)
-            assert chain.times[-1] <= 0
-            assert np.all(chain.times[:-1] > 0)
-            assert np.all(chain.increments > 0)
+    def test_path_structure(self, kernel):
+        batch = sample_renewal_chains(6.0, kernel, 400, seed=71)
+        finite = ~np.isnan(batch.times)
+        assert np.array_equal(finite.sum(axis=1) - 1, batch.lengths)
+        for i in range(0, 400, 40):
+            row = batch.times[i][finite[i]]
+            assert row[0] == 6.0
+            assert np.all(np.diff(row) < 0)
+            assert row[-1] <= 0
+            assert np.all(row[:-1] > 0)
+        assert np.all(batch.terminals <= 0)
+        assert np.all(batch.increments > 0)
 
-    def test_increments_follow_tilted_density(self, kernel, alpha, r_density):
+    def test_increments_follow_tilted_density(self, kernel):
         # r(u) = e^{-u/2} 1.5 e^{-u} = Exp(3/2)
-        rng = make_rng(73, "renewal-incr")
-        inc = np.concatenate([
-            sample_renewal(8.0, alpha, kernel, rng, r_density=r_density).increments
-            for _ in range(1_500)])
+        inc = sample_renewal_chains(8.0, kernel, 1_500, seed=73).increments
         d = ks_distance(inc, lambda x: 1.0 - np.exp(-1.5 * np.asarray(x)))
         assert d < 0.02, f"KS distance {d:.4f} against Exp(3/2)"
 
-    def test_nonpositive_start_is_terminal(self, kernel, alpha):
-        rng = make_rng(74, "renewal-neg")
-        chain = sample_renewal(-0.3, alpha, kernel, rng)
-        assert chain.stop_index == 0
+    def test_nonpositive_start_is_terminal(self, kernel):
+        batch = sample_renewal_chains(-0.3, kernel, 5, seed=74)
+        assert np.array_equal(batch.lengths, np.zeros(5))
+        assert np.array_equal(batch.terminals, np.full(5, -0.3))
 
-    def test_killing_flags(self, kernel, alpha, sol, unit_contact, r_density):
+    def test_killing_flags(self, kernel, alpha, sol):
         rng = make_rng(75, "killing")
-        seen_dead = seen_alive = False
-        for _ in range(200):
-            chain = sample_renewal(10.0, alpha, kernel, rng, r_density=r_density)
-            with pytest.raises(ValueError):
-                chain.survived
-            killed = apply_killing(chain, sol, unit_contact, rng)
-            if killed.survived:
-                seen_alive = True
-                assert killed.killing_index == math.inf
-            else:
-                seen_dead = True
-                assert 0 <= killed.killing_index < killed.stop_index
-        assert seen_dead and seen_alive
+        R = _renewal_block(10.0, backward_density(kernel, alpha), 2_000, 3, rng)
+        fails = _killing_failures(R, sol, rng)
+        assert fails.shape == R.shape
+        steps = np.diff(fails, axis=1, prepend=0)
+        # cumulative counts of 0/1 failures, none at a nonpositive state
+        assert np.all((steps == 0) | (steps == 1))
+        assert np.all(steps[R <= 0] == 0)
+        # S < 1 after t = 0, so both outcomes occur
+        survived = fails[:, -1] == 0
+        assert survived.any() and not survived.all()
 
 
 class TestMartingale:
@@ -75,6 +67,30 @@ class TestMartingale:
         # b(5) e^{-5/2} for the benchmark scenario
         rep = martingale_diagnostic(5.0, sol, 2_000, k_max=2, seed=78)
         assert rep.reference == pytest.approx(0.003315, abs=5e-6)
+
+
+class TestRecordedValues:
+    """Recorded float.hex values: the killed-chain diagnostics must keep
+    their random stream and arithmetic, so they reproduce these bitwise."""
+
+    def test_martingale(self, sol):
+        rep = martingale_diagnostic(5.0, sol, 1_000, k_max=3, seed=91)
+        assert [float(v).hex() for v in rep.mean] == [
+            "0x1.b27b1a295d34cp-9", "0x1.b011ba2032381p-9",
+            "0x1.b0b69e1808c68p-9", "0x1.a9c98a2fed1c7p-9"]
+        assert [float(v).hex() for v in rep.se] == [
+            "0x0.0p+0", "0x1.3c76f5b51717dp-15",
+            "0x1.a2e87d4d52387p-15", "0x1.ecef41e5822cbp-15"]
+
+    def test_reweighted_first_steps(self, sol):
+        rew = reweighted_first_steps(5.0, sol, 1_000, seed=92)
+        assert rew.n_survivors == 647
+        assert [float(v).hex() for v in rew.values[:3]] == [
+            "0x1.1d1a2e49837b7p+1", "0x1.fb214a9baee86p+1", "0x1.f3e2dd1fb933dp+1"]
+        assert [float(v).hex() for v in rew.weights[:3]] == [
+            "0x1.8224da2043152p+0", "0x1.8224da203b388p+0", "0x1.8224da1fece98p+0"]
+        assert float(rew.values.sum()).hex() == "0x1.5c4f7957c8884p+11"
+        assert float(rew.weights.sum()).hex() == "0x1.e7f591a39dc27p+9"
 
 
 class TestSurvivalRepresentation:
@@ -107,13 +123,6 @@ class TestConditionedChain:
         assert np.array_equal(batch.first_steps, batch.times[:, 1])
         assert np.all(batch.first_increments > 0)
 
-    def test_scalar_matches_structure(self, sol):
-        rng = make_rng(83, "h-scalar")
-        chain = sample_h_chain(5.0, sol, rng)
-        assert chain.times[0] == 5.0
-        assert np.all(np.diff(chain.times) < 0)
-        assert chain.times[-1] <= 0
-
     def test_first_steps_stay_below_start(self, sol):
         starts = np.linspace(2.0, 8.0, 500)
         nxt = sample_h_first_steps(starts, sol, seed=85)
@@ -132,8 +141,8 @@ class TestHTransformIdentities:
         tol = max(10.0 * sol.renewal_residual, 1e-12)
         assert np.max(np.abs(rows - 1.0)) < tol
 
-    def test_reweighted_survivors_match_h_law(self, sol, alpha):
-        rew = reweighted_first_steps(5.0, sol, 30_000, seed=87, alpha=alpha)
+    def test_reweighted_survivors_match_h_law(self, sol):
+        rew = reweighted_first_steps(5.0, sol, 30_000, seed=87)
         assert rew.n_survivors > 10_000
         # terminal-h martingale: E[weight 1{survive}] = 1, killed chains
         # contributing zero (survivor weights alone are nearly constant here)

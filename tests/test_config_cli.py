@@ -192,6 +192,13 @@ class TestCli:
         report = json.loads((tmp_path / "validation.json").read_text())
         assert report["all_passed"] is True
         assert [r["criterion"] for r in report["criteria"]] == [2]
+        (check,) = report["criteria"][0]["checks"]
+        assert check["name"] == "sup |b_marching - b_picard|"
+        assert check["threshold"] == 1e-6
+        assert 0.0 <= check["value"] <= check["threshold"]
+        assert check["passed"] is True
+        assert check["n_samples"] == 25_001
+        assert check["se"] == 0.0 and check["detail"] == ""
         assert report["scenario_digest"] == reference_scenario().digest
 
     def test_bad_config_reports_every_error(self, tmp_path, capsys):

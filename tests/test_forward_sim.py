@@ -31,6 +31,33 @@ class TestExactLaw:
             oracle = brute_force_infection_times(out.graph, c)
             assert np.array_equal(out.sigma, oracle)
 
+    def test_seeded_instances_match_oracle(self, model, unit_contact):
+        # at I0 = 0.01 almost no small instance has an initially infected
+        # individual; I0 = 0.2 makes the oracle replay real secondary chains
+        ic = initial_condition(model.kernel, 0.2, age_rate=0.5)
+        step = ContactRate((0.0, 2.0), (1.0, 0.4), "step")
+        for contact in (unit_contact, step):
+            secondary = 0
+            for i in range(30):
+                out = simulate(model, 12, contact, ic, horizon=8.0,
+                               seed=derive_seed(406, "seeded", i), record_graph=True)
+                secondary += int(np.sum(np.isfinite(out.sigma) & ~out.initial))
+                oracle = brute_force_infection_times(out.graph, contact)
+                assert np.array_equal(out.sigma, oracle), f"instance {i} diverged"
+            assert secondary >= 30
+
+    def test_record_graph_does_not_change_the_run(self, model, unit_contact, ic):
+        step = ContactRate((0.0, 4.0, 8.0), (1.0, 0.3, 0.8), "step")
+        for contact in (unit_contact, step):
+            for seed in (7, 8):
+                plain = simulate(model, 2_000, contact, ic, horizon=25.0, seed=seed)
+                rec = simulate(model, 2_000, contact, ic, horizon=25.0, seed=seed,
+                               record_graph=True)
+                assert plain.graph is None
+                assert rec.graph.courses is rec.courses
+                for name in ("sigma", "infector", "z", "initial"):
+                    assert np.array_equal(getattr(plain, name), getattr(rec, name)), name
+
 
 class TestDeterminism:
     def test_same_seed_same_run(self, model, unit_contact, ic):
