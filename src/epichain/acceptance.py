@@ -231,6 +231,12 @@ def criterion_3(shared: SharedReferences) -> CriterionResult:
     return CriterionResult(3, "LLN at N=50000", checks, runtime)
 
 
+def _tree_nodes(result) -> str:
+    """The work counts of an `estimate_B` or `conditioned_first_step` run."""
+    return (f"{result.n_samples} trees: nodes expanded {result.nodes_expanded}, "
+            f"pruned {result.nodes_pruned}")
+
+
 def criterion_4(shared: SharedReferences) -> CriterionResult:
     """The dual tree's censored-root law reproduces cumulative incidence:
     B_hat(t) within 3 SE of the solver's B at t in {2, 5, 10}."""
@@ -245,7 +251,8 @@ def criterion_4(shared: SharedReferences) -> CriterionResult:
                          threshold=float(3.0 * curve.se[i]), se=float(curve.se[i]),
                          n_samples=curve.n_samples)
         for i, t in enumerate(grid)
-    ) + (ComparisonReport(name="runtime (s)", value=runtime, threshold=60.0),)
+    ) + (ComparisonReport(name="runtime (s)", value=runtime, threshold=60.0,
+                          detail=_tree_nodes(curve)),)
     return CriterionResult(4, "tree dual estimates B", checks, runtime)
 
 
@@ -331,7 +338,8 @@ def criterion_7(shared: SharedReferences) -> CriterionResult:
     checks = (
         ComparisonReport(name="conditioned-sample deficit below 1e4",
                          value=max(0.0, 1e4 - sample.n_conditioned), threshold=0.0,
-                         n_samples=sample.n_conditioned),
+                         n_samples=sample.n_conditioned,
+                         detail=_tree_nodes(sample)),
         ComparisonReport(name="L1(tree, spinal density)", value=l1_tree, threshold=0.05,
                          n_samples=sample.n_conditioned),
         ComparisonReport(name="L1(tree, h-chain)", value=l1_h, threshold=0.05,
@@ -452,7 +460,8 @@ def criterion_12(shared: SharedReferences) -> CriterionResult:
                          n_samples=curve.n_samples)
         for i, t in enumerate(grid)
     ) + (
-        ComparisonReport(name="tree runtime (s)", value=tree_runtime, threshold=60.0),
+        ComparisonReport(name="tree runtime (s)", value=tree_runtime, threshold=60.0,
+                         detail=_tree_nodes(curve)),
         ComparisonReport(name="|mean final fraction - fixed point|", value=abs(mean - fp),
                          threshold=3.0 * se, se=se, n_samples=finals.size,
                          detail=f"fixed point {fp:.5f}, simulated {mean:.5f}"),

@@ -20,12 +20,21 @@ chain behind sigma (the first backward step, or the whole geodesic), a
 top-down walk then follows each node's argmin edge from the root to the
 initially infected individual at the end of the chain.
 
+Each estimator expands its trees only as far as the latest time it reads:
+`estimate_B` to the largest grid time and `conditioned_first_step` to the
+end of its window, not to `params.horizon`.  Censoring at H is exact for
+every sample with sigma <= H: a node at depth d only affects the root
+through candidates of at least d, so a subtree rooted deeper than H offers
+nothing at or below H, and ties in the argmin walk are unaffected for the
+same reason.  (A path whose length lies within rounding of H may fall on
+either side, as it does at `params.horizon`.)
+
 Randomness is counter-based: every node owns a 64-bit key, and all its draws
 are fixed functions of (key, counter).  A sample's draws therefore do not
 depend on the chunk it is expanded in (`sample_geodesic(seed, index)` sees
-the tree at position `index` of the batched estimators), and raising the
-censoring horizon never changes draws already made (monotone coupling used
-by the censoring tests).
+the tree at position `index` of the batched estimators), and changing the
+censoring horizon never changes the draws of the nodes both expansions keep
+(the monotone coupling the censoring tests check).
 
 Per-node draw layout (counter -> use):
     0 -> number of subtree children K_S       1 -> number of leaf edges K_I
@@ -37,7 +46,7 @@ Subtree child j's key is child_key_vec(parent_key, j).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import stats
@@ -247,18 +256,23 @@ def _walk(contact: ContactRate, levels: list[_Level]):
 
 
 def _batch_sigma(p: TreeParams, n_samples: int, seed: int, want_first_step: bool = False):
+    """sigma (and the first backward time) of samples 0..n_samples-1 of the
+    seed, censored at `p.horizon`, with the nodes expanded and pruned."""
     sigma = np.empty(n_samples)
     first = np.full(n_samples, np.nan) if want_first_step else None
+    expanded = pruned = 0
     for lo in range(0, n_samples, _CHUNK):
         hi = min(lo + _CHUNK, n_samples)
         keys = root_key_vec(seed, np.arange(lo, hi, dtype=np.uint64))
-        sigma[lo:hi], levels, _, _ = _expand_chunk(p, keys)
+        sigma[lo:hi], levels, chunk_expanded, chunk_pruned = _expand_chunk(p, keys)
+        expanded += chunk_expanded
+        pruned += chunk_pruned
         if want_first_step:
             for samples, times, _ in _walk(p.contact, levels):
                 first[lo + samples] = times
                 break
         del levels  # free this chunk's forest before expanding the next
-    return sigma, first
+    return sigma, first, expanded, pruned
 
 
 # ---------------------------------------------------------------------------
@@ -325,33 +339,52 @@ def sample_geodesic(p: TreeParams, seed: int, index: int = 0,
 
 @dataclass(frozen=True)
 class DualCurve:
+    """B estimated on a time grid; `nodes_expanded`/`nodes_pruned` count the
+    tree nodes of all samples, expanded up to the largest grid time."""
+
     t: np.ndarray
     estimate: np.ndarray
     se: np.ndarray
     n_samples: int
+    nodes_expanded: int
+    nodes_pruned: int
 
 
 def estimate_B(p: TreeParams, t_grid, n_samples: int, seed: int) -> DualCurve:
-    """Monte Carlo cumulative-incidence curve B(t) = (1-I0) P(sigma <= t)."""
+    """Monte Carlo cumulative-incidence curve B(t) = (1-I0) P(sigma <= t).
+
+    The trees are censored at max(t_grid), the latest time the curve reads.
+    """
     if n_samples < 1000:
         raise ValueError("need at least 1000 samples for a stable curve")
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
+    if t_grid.size == 0:
+        raise ValueError("curve grid t_grid is empty")
+    if not np.all(np.isfinite(t_grid)):
+        i = int(np.argmin(np.isfinite(t_grid)))
+        raise ValueError(f"curve grid t_grid must be finite, got {t_grid[i]} at index {i}")
     if t_grid.max() > p.horizon:
         raise ValueError("curve grid extends beyond the censoring horizon")
-    sigma, _ = _batch_sigma(p, n_samples, seed)
+    sigma, _, expanded, pruned = _batch_sigma(replace(p, horizon=float(t_grid.max())),
+                                              n_samples, seed)
     frac = (sigma[:, None] <= t_grid[None, :]).mean(axis=0)
     se = p.s0 * np.sqrt(frac * (1.0 - frac) / n_samples)
-    return DualCurve(t=t_grid, estimate=p.s0 * frac, se=se, n_samples=n_samples)
+    return DualCurve(t=t_grid, estimate=p.s0 * frac, se=se, n_samples=n_samples,
+                     nodes_expanded=expanded, nodes_pruned=pruned)
 
 
 @dataclass(frozen=True)
 class FirstStepSample:
-    """First backward times among samples conditioned on sigma in a window."""
+    """First backward times among samples conditioned on sigma in a window;
+    `nodes_expanded`/`nodes_pruned` count the tree nodes of all n_samples,
+    expanded up to the end of the window."""
 
     window: tuple[float, float]
     values: np.ndarray
     sigmas: np.ndarray
     n_samples: int
+    nodes_expanded: int
+    nodes_pruned: int
 
     @property
     def n_conditioned(self) -> int:
@@ -362,19 +395,23 @@ def conditioned_first_step(p: TreeParams, t: float, delta: float,
                            n_samples: int, seed: int) -> FirstStepSample:
     """Condition on sigma in [t, t+delta] and report each sample's first
     backward time (the infector's infection time, negative if the infector
-    was initially infected)."""
+    was initially infected).  The trees are censored at t + delta."""
+    for name, value in (("t", t), ("delta", delta)):
+        if not math.isfinite(value):
+            raise ValueError(f"window {name} must be finite, got {value}")
     if delta <= 0:
         raise ValueError("window width must be positive")
     if t + delta > p.horizon:
         raise ValueError("window extends beyond the censoring horizon")
-    sigma, first = _batch_sigma(p, n_samples, seed, want_first_step=True)
+    sigma, first, expanded, pruned = _batch_sigma(replace(p, horizon=t + delta), n_samples,
+                                                  seed, want_first_step=True)
     sel = (sigma >= t) & (sigma <= t + delta)
     if int(sel.sum()) < 200:
         raise RuntimeError(
             f"only {int(sel.sum())} samples landed in [{t}, {t + delta}]; "
             "increase n_samples")
-    return FirstStepSample(window=(t, t + delta), values=first[sel],
-                           sigmas=sigma[sel], n_samples=n_samples)
+    return FirstStepSample(window=(t, t + delta), values=first[sel], sigmas=sigma[sel],
+                           n_samples=n_samples, nodes_expanded=expanded, nodes_pruned=pruned)
 
 
 def sample_root_decorations(p: TreeParams, n_samples: int, seed: int):

@@ -41,3 +41,5 @@ def test_criterion(criterion, shared):
         print("   ", check.line())
     failing = [c for c in result.checks if not c.passed]
     assert result.passed, "; ".join(c.line() for c in failing)
+    if criterion in (4, 7, 12):  # the tree criteria report their work counts
+        assert any("nodes expanded" in c.detail for c in result.checks)

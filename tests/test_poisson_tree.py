@@ -1,6 +1,7 @@
 """Dual tree sampler: agreement with the limit solver, geodesic path
-structure and its agreement with the batched estimators, and the
-conditioned first-step law."""
+structure and its agreement with the batched estimators, the conditioned
+first-step law, and the exactness of censoring each estimator at the latest
+time it reads."""
 
 import math
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from epichain import (
-    conditioned_first_step, estimate_B, sample_geodesic, tree_params,
+    ContactRate, conditioned_first_step, estimate_B, sample_geodesic, tree_params,
 )
 from epichain.poisson_tree import _batch_sigma, sample_root_decorations
 
@@ -39,6 +40,11 @@ class TestEstimateB:
         with pytest.raises(ValueError):
             estimate_B(params, [9.0], 5_000, seed=1)
 
+    @pytest.mark.parametrize("grid", [[], [1.0, math.nan], [math.inf], [-math.inf, 2.0]])
+    def test_rejects_empty_or_non_finite_grid(self, params, grid):
+        with pytest.raises(ValueError, match="grid"):
+            estimate_B(params, grid, 5_000, seed=1)
+
     def test_node_cap_triggers(self, kernel, ic, unit_contact):
         tight = tree_params(kernel, ic, unit_contact, horizon=8.0, node_cap=2)
         with pytest.raises(RuntimeError):
@@ -50,7 +56,7 @@ class TestScalarBatchParity:
     estimators' draw for the same root."""
 
     def test_sigma_bitwise_equal(self, params):
-        batch, _ = _batch_sigma(params, 64, seed=811)
+        batch, _, _, _ = _batch_sigma(params, 64, seed=811)
         for i in range(64):
             one = sample_geodesic(params, seed=811, index=i)
             if one.censored:
@@ -59,7 +65,7 @@ class TestScalarBatchParity:
                 assert one.sigma == batch[i]
 
     def test_first_step_matches_path(self, params):
-        _, first = _batch_sigma(params, 64, seed=811, want_first_step=True)
+        _, first, _, _ = _batch_sigma(params, 64, seed=811, want_first_step=True)
         for i in range(64):
             one = sample_geodesic(params, seed=811, index=i)
             if one.censored:
@@ -134,6 +140,65 @@ class TestConditionedFirstStep:
     def test_too_few_conditioned_raises(self, params):
         with pytest.raises(RuntimeError):
             conditioned_first_step(params, 7.9, 0.05, 2_000, seed=832)
+
+    @pytest.mark.parametrize("t, delta, name", [
+        (math.nan, 0.5, "t"), (-math.inf, 0.5, "t"), (4.0, math.nan, "delta"),
+        (4.0, math.inf, "delta"),
+    ])
+    def test_rejects_non_finite_window(self, params, t, delta, name):
+        with pytest.raises(ValueError, match=f"window {name} must be finite"):
+            conditioned_first_step(params, t, delta, 2_000, seed=832)
+
+    def test_recorded_values_reproduced(self, params):
+        # recorded as float.hex when every tree was expanded to the horizon
+        sample = conditioned_first_step(params, 2.0, 3.0, 4_000, seed=851)
+        assert sample.n_conditioned == 301
+        assert [x.hex() for x in sample.values[:3]] == [
+            "0x1.0cfd42a7bca86p+2", "0x1.fd771d0b3f624p+0", "0x1.98221f5e84dd0p+1"]
+        assert [x.hex() for x in sample.sigmas[:3]] == [
+            "0x1.2a666ce33a4a1p+2", "0x1.a742ca6e95d16p+1", "0x1.1d4d4d4520a60p+2"]
+        assert float(np.sum(sample.values)).hex() == "0x1.c504e15f81912p+9"
+        assert float(np.sum(sample.sigmas)).hex() == "0x1.1b9c68d5a9a3ep+10"
+
+
+# contact halved from t = 3, so that windows past 3 see marks rejected
+HALVED = dict(knots=(0.0, 3.0), levels=(1.0, 0.5), kind="step")
+
+
+class TestCensoring:
+    """Each estimator expands its trees only up to the latest time it reads;
+    every sample it reads is bitwise the full-horizon sample."""
+
+    @pytest.mark.parametrize("contact, t, delta, n", [
+        ("unit", 4.0, 0.5, 16_000),
+        ("unit", 7.0, 1.0, 4_000),      # window ends at the horizon
+        ("halved", 3.0, 2.0, 16_000),
+        ("halved", 5.0, 3.0, 24_000),   # window ends at the horizon
+    ])
+    def test_first_step_matches_full_horizon(self, kernel, ic, contact, t, delta, n):
+        rate = ContactRate.constant(1.0) if contact == "unit" else ContactRate(**HALVED)
+        p = tree_params(kernel, ic, rate, horizon=8.0)
+        sample = conditioned_first_step(p, t, delta, n, seed=861)
+        sigma, first, expanded, pruned = _batch_sigma(p, n, seed=861, want_first_step=True)
+        sel = (sigma >= t) & (sigma <= t + delta)
+        assert np.array_equal(sample.sigmas, sigma[sel])
+        assert np.array_equal(sample.values, first[sel])
+        if t + delta < p.horizon:
+            assert sample.nodes_expanded < expanded
+        else:
+            assert (sample.nodes_expanded, sample.nodes_pruned) == (expanded, pruned)
+
+    @pytest.mark.parametrize("contact", ["unit", "halved"])
+    def test_estimate_B_matches_full_horizon(self, kernel, ic, contact):
+        rate = ContactRate.constant(1.0) if contact == "unit" else ContactRate(**HALVED)
+        p = tree_params(kernel, ic, rate, horizon=8.0)
+        grid = np.array([1.0, 3.0, 6.0])
+        curve = estimate_B(p, grid, 5_000, seed=862)
+        sigma, _, expanded, _ = _batch_sigma(p, 5_000, seed=862)
+        frac = (sigma[:, None] <= grid[None, :]).mean(axis=0)
+        assert np.array_equal(curve.estimate, p.s0 * frac)
+        assert np.array_equal(curve.se, p.s0 * np.sqrt(frac * (1.0 - frac) / 5_000))
+        assert curve.nodes_expanded < expanded
 
 
 class TestRootDecorations:
