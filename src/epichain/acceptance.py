@@ -397,8 +397,12 @@ def criterion_10(shared: SharedReferences) -> CriterionResult:
     emp = histogram_from_samples(inc, edges)
     exact = histogram_from_density(r_density.pdf, edges)
     l1 = l1_histogram_distance(emp, exact)
+    transitions = int(batch.lengths.sum())
     checks = (ComparisonReport(name="L1(increments, e^(-au) tau(u))", value=l1,
-                               threshold=0.05, n_samples=int(inc.size)),)
+                               threshold=0.05, n_samples=int(inc.size),
+                               detail=(f"{transitions} transitions: "
+                                       f"{batch.proposals / transitions:.4f} envelope "
+                                       "proposals per transition")),)
     return CriterionResult(10, "backward generation times", checks, time.time() - t0)
 
 

@@ -18,6 +18,16 @@ statements has a sampler or diagnostic here; together they cross-check the
 solver and the tree sampler.  Every sampler is batched: chains advance one
 column at a time across all rows, and paths come back as a NaN-padded
 `ChainBatch`.  alpha is always the kernel's Malthusian parameter.
+
+A conditioned step from x draws the jump v = x - y from the density
+proportional to q(v) b(x - v) on [0, a_max], where q is tau's cell-constant
+density on the kernel's trapezoid table (within O(da^2) of tau).  It is
+sampled by rejection against one envelope per call: the ancestor-time axis
+[-a_max, T] is cut into blocks of width `_ENVELOPE_WIDTH`, each carrying the
+sup of b over it; a block is proposed in proportion to that sup times the
+kernel mass it covers, v inside it by inverting the kernel's cumulative
+table, and about 1.1 proposals are made per step.  The kernel enters only
+through its table, so every kernel takes the same path.
 """
 
 from __future__ import annotations
@@ -34,7 +44,8 @@ from .rng import make_rng
 
 _B_FLOOR = 1e-12
 _BLOCK = 100_000
-_H_ROWS = 256  # rows per (rows x ages) matrix in _h_transition
+_ENVELOPE_WIDTH = 0.5  # width of the ancestor-time blocks of the b envelope
+_MAX_ROUNDS = 1_000    # rejection rounds before a conditioned step is declared stuck
 
 
 @dataclass(frozen=True)
@@ -43,6 +54,7 @@ class ChainBatch:
 
     times: np.ndarray      # (n, max_len + 1); column 0 is the start state
     lengths: np.ndarray    # transitions per chain
+    proposals: int = 0     # envelope draws behind the transitions (conditioned chains)
 
     @property
     def first_steps(self) -> np.ndarray:
@@ -209,77 +221,136 @@ def survival_representation_check(t: float, sol: LimitSolution, n_samples: int,
 # ---------------------------------------------------------------------------
 
 
-def _h_transition(x: np.ndarray, sol: LimitSolution, u: np.ndarray) -> np.ndarray:
-    """One conditioned step from each positive state x, by exact inversion of
-    the trapezoid CDF of the jump density tau(v) b(x - v) over v in (0, A]."""
+def _b_envelope(sol: LimitSolution) -> tuple[np.ndarray, np.ndarray]:
+    """Block edges y_0 < ... < y_K, `_ENVELOPE_WIDTH` apart with 0 among
+    them, covering the ancestor-time axis [-a_max, T], and bmax_k >= b on
+    each closed block [y_k, y_{k+1}].
+
+    b is linear between solver knots on [0, T], and for y < 0 it is I0 g(-y)
+    with g linear between age-density knots or exponential (monotone), so
+    its sup over a block is attained at a knot or an edge.  At 0 the
+    solver's b(0) and the left limit I0 g(0) differ; both count for the two
+    blocks that meet there."""
+    w = _ENVELOPE_WIDTH
+    edges = w * np.arange(-math.ceil(sol.kernel.a_max / w), math.ceil(sol.t[-1] / w) + 1)
+    pts = np.concatenate([edges, sol.t, -sol.ic.age_density.grid])
+    vals = sol.b_at(pts)
+    pts = np.append(pts, 0.0)
+    vals = np.append(vals, sol.ic.i0 * sol.ic.g_pdf(0.0))
+    inside = (pts >= edges[0]) & (pts <= edges[-1])
+    bmax = np.zeros(edges.size - 1)
+    for side in ("left", "right"):  # a point on an edge belongs to both blocks
+        k = np.clip(np.searchsorted(edges, pts[inside], side=side) - 1, 0, bmax.size - 1)
+        np.maximum.at(bmax, k, vals[inside])
+    return edges, bmax
+
+
+def _h_transition(x: np.ndarray, sol: LimitSolution, envelope: tuple[np.ndarray, np.ndarray],
+                  rng: np.random.Generator) -> tuple[np.ndarray, int]:
+    """One conditioned step y = x - v from each positive state x, and the
+    number of envelope proposals it took.
+
+    v is drawn exactly from the density proportional to q(v) b(x - v) on
+    [0, a_max], q being the cell-constant density of the kernel's trapezoid
+    table, by rejection against the blockwise envelope of b: block k is
+    proposed with weight bmax_k times the kernel mass of its v-interval
+    (x - y_{k+1}, x - y_k], v inside it by inverting the kernel's
+    cumulative table, and the proposal is accepted when u bmax_k <= b(x - v).
+    Rejected rows redraw in the next round."""
+    if x.size == 0:
+        return x.copy(), 0
     kern = sol.kernel
-    ages = kern.ages
-    da = kern.step
-    tau = kern.table
+    edges, bmax = envelope
+    # only blocks meeting [min x - a_max, max x] can carry mass
+    lo = max(int(np.searchsorted(edges, x.min() - kern.a_max, side="right")) - 1, 0)
+    hi = int(np.searchsorted(edges, x.max(), side="left"))
+    edges, bmax = edges[lo:hi + 1], bmax[lo:hi]
+    c_edge = kern.cumulative(x[:, None] - edges[None, :])
+    weights = np.cumsum((c_edge[:, :-1] - c_edge[:, 1:]) * bmax, axis=1)
+    total = weights[:, -1]
+    dead = total <= 0.0
+    if dead.any():
+        bad = float(x[dead][0])
+        raise RuntimeError(
+            f"conditioned chain stuck at x={bad:g}: integral tau(v) b(x - v) dv vanishes "
+            f"although b(x)={float(sol.b_at(bad)):g} > 0, so no ancestor time is assignable")
     out = np.empty_like(x)
-    for lo in range(0, x.size, _H_ROWS):
-        xs = x[lo:lo + _H_ROWS]
-        w = tau[None, :] * sol.b_at(xs[:, None] - ages[None, :])
-        inner = np.cumsum((w[:, 1:] + w[:, :-1]) * (0.5 * da), axis=1)
-        c = np.concatenate([np.zeros((xs.size, 1)), inner], axis=1)
-        total = c[:, -1]
-        dead = total <= 0.0
-        if dead.any():
-            bad = float(xs[dead][0])
-            raise RuntimeError(
-                f"conditioned chain stuck at x={bad:g}: integral tau(v) b(x - v) dv vanishes "
-                f"although b(x)={float(sol.b_at(bad)):g} > 0, so no ancestor time is assignable")
-        target = u[lo:lo + _H_ROWS] * total
-        idx = np.clip((c < target[:, None]).sum(axis=1) - 1, 0, ages.size - 2)
-        w0 = np.take_along_axis(w, idx[:, None], axis=1)[:, 0]
-        w1 = np.take_along_axis(w, idx[:, None] + 1, axis=1)[:, 0]
-        c0 = np.take_along_axis(c, idx[:, None], axis=1)[:, 0]
-        r = (target - c0) / da
-        half_slope = 0.5 * (w1 - w0)
-        disc = np.sqrt(np.maximum(w0 * w0 + 4.0 * half_slope * r, 0.0))
-        denom = w0 + disc
-        s = np.where(denom > 0, 2.0 * r / np.where(denom > 0, denom, 1.0), 0.0)
-        out[lo:lo + _H_ROWS] = xs - (ages[idx] + np.clip(s, 0.0, 1.0) * da)
-    return out
+    pending = np.arange(x.size)
+    proposals = 0
+    for _ in range(_MAX_ROUNDS):
+        proposals += pending.size
+        u = rng.random((3, pending.size))
+        # 1 - u lies in (0, 1], so the chosen block always has positive weight
+        k = np.count_nonzero(weights[pending] < ((1.0 - u[0]) * total[pending])[:, None], axis=1)
+        c_lo = c_edge[pending, k + 1]
+        v = kern.inverse_cumulative(c_lo + u[1] * (c_edge[pending, k] - c_lo))
+        y = x[pending] - v
+        accept = u[2] * bmax[k] <= sol.b_at(y)
+        out[pending[accept]] = y[accept]
+        pending = pending[~accept]
+        if pending.size == 0:
+            return out, proposals
+    raise RuntimeError(
+        f"conditioned chain step from x={float(x[pending[0]]):g} rejected {_MAX_ROUNDS} "
+        "envelope proposals in a row: the envelope of b is far above b there")
+
+
+def _check_starts(starts, sol: LimitSolution, positive: bool) -> np.ndarray:
+    """The start states as a float array.  A ValueError names the first
+    start that is not finite, lies past the solver horizon, has b below
+    `_B_FLOOR`, or, when `positive`, is not above 0."""
+    starts = np.asarray(starts, dtype=float)
+    horizon = float(sol.t[-1])
+    checks = [(~np.isfinite(starts), "is not finite"),
+              (starts > horizon, f"lies past the solver horizon T={horizon:g}, where b is not solved")]
+    if positive:
+        checks.append((starts <= 0, "is not positive: a chain ends at its first state <= 0, "
+                                    "so no step follows it"))
+    checks.append((sol.b_at(starts) < _B_FLOOR,
+                   f"has incidence b below {_B_FLOOR:g}, so no chain is defined there"))
+    for bad, why in checks:
+        if bad.any():
+            raise ValueError(f"chain start {float(starts[bad][0]):g} {why}")
+    return starts
 
 
 def _h_paths(starts: np.ndarray, sol: LimitSolution, rng: np.random.Generator,
              max_steps: int = 500) -> ChainBatch:
-    starts = np.asarray(starts, dtype=float)
-    low_b = sol.b_at(starts) < _B_FLOOR
-    if low_b.any():
-        raise ValueError(
-            f"chain undefined at t={float(starts[low_b][0]):g}: incidence below {_B_FLOOR:g}")
+    envelope = _b_envelope(sol)
     n = starts.size
     columns = [starts.copy()]
     cur = starts.copy()
     active = cur > 0
     steps = 0
+    proposals = 0
     while active.any():
         steps += 1
         if steps > max_steps:
             raise RuntimeError(f"conditioned chain exceeded {max_steps} steps")
         nxt = np.full(n, np.nan)
-        nxt[active] = _h_transition(cur[active], sol, rng.random(int(active.sum())))
+        nxt[active], drawn = _h_transition(cur[active], sol, envelope, rng)
+        proposals += drawn
         columns.append(nxt)
         cur = nxt
         active = np.where(np.isnan(cur), False, cur > 0)
     times = np.column_stack(columns)
     lengths = np.sum(~np.isnan(times), axis=1) - 1
-    return ChainBatch(times=times, lengths=lengths)
+    return ChainBatch(times=times, lengths=lengths, proposals=proposals)
 
 
 def sample_h_chains(t: float, sol: LimitSolution, n_chains: int, seed: int) -> ChainBatch:
-    """n independent conditioned paths from calendar time t."""
-    rng = make_rng(seed, "h-chain", t)
-    return _h_paths(np.full(n_chains, float(t)), sol, rng)
+    """n independent conditioned paths from calendar time t; a start t <= 0
+    gives L = 0.  `proposals` counts the envelope draws of all transitions."""
+    starts = _check_starts(np.full(n_chains, float(t)), sol, positive=False)
+    return _h_paths(starts, sol, make_rng(seed, "h-chain", t))
 
 
 def sample_h_first_steps(starts: np.ndarray, sol: LimitSolution, seed: int) -> np.ndarray:
-    """One conditioned transition from each (possibly distinct) start state."""
-    rng = make_rng(seed, "h-first")
-    starts = np.asarray(starts, dtype=float)
-    return _h_transition(starts, sol, rng.random(starts.size))
+    """One conditioned transition from each (possibly distinct) start state;
+    every start must be positive."""
+    starts = _check_starts(starts, sol, positive=True)
+    values, _ = _h_transition(starts, sol, _b_envelope(sol), make_rng(seed, "h-first"))
+    return values
 
 
 def h_row_sums(sol: LimitSolution, state_indices) -> np.ndarray:

@@ -146,6 +146,15 @@ class IntensityKernel:
     def cumulative_table(self) -> np.ndarray:
         return self._cum
 
+    def inverse_cumulative(self, c) -> np.ndarray:
+        """The age a with cumulative(a) = c, for c in [0, grid_mass): the
+        inverse of the piecewise-linear trapezoid table, i.e. the quantile
+        map of tau's cell-constant density."""
+        cum = self._cum
+        j = np.clip(np.searchsorted(cum, c, side="right") - 1, 0, cum.size - 2)
+        denom = np.maximum(cum[j + 1] - cum[j], 1e-300)
+        return self.ages[j] + (c - cum[j]) / denom * self.step
+
     @property
     def grid_mass(self) -> float:
         """Grid-quadrature mass (equals r0 up to truncation/quadrature error)."""
@@ -429,14 +438,9 @@ def joint_delay_age_from_uniforms(ic: InitialCondition, u_age, u_delay):
     kern = ic.kernel
     z = ic.z_marginal.ppf_from_uniform(np.asarray(u_age, dtype=float))
     cum = kern.cumulative_table
-    ages = kern.ages
-    da = kern.step
     c_end = cum[-1]
-    c_z = np.interp(z, ages, cum)
+    c_z = np.interp(z, kern.ages, cum)
     target = c_z + np.asarray(u_delay, dtype=float) * (c_end - c_z)
-    j = np.clip(np.searchsorted(cum, target, side="right") - 1, 0, cum.size - 2)
-    denom = np.maximum(cum[j + 1] - cum[j], 1e-300)
-    w_abs = ages[j] + (target - cum[j]) / denom * da
-    w = np.maximum(w_abs - z, 0.0)
+    w = np.maximum(kern.inverse_cumulative(target) - z, 0.0)
     return w, z
 

@@ -403,6 +403,9 @@ def conditioned_first_step(p: TreeParams, t: float, delta: float,
         raise ValueError("window width must be positive")
     if t + delta > p.horizon:
         raise ValueError("window extends beyond the censoring horizon")
+    if t + delta <= 0:
+        raise ValueError(f"window [{t}, {t + delta}] ends at or before 0, where no sigma "
+                         "(always positive) can land")
     sigma, first, expanded, pruned = _batch_sigma(replace(p, horizon=t + delta), n_samples,
                                                   seed, want_first_step=True)
     sel = (sigma >= t) & (sigma <= t + delta)

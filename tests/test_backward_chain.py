@@ -8,12 +8,15 @@ import numpy as np
 import pytest
 
 from epichain import (
-    backward_density, h_row_sums, histogram_from_samples, initial_condition,
-    l1_histogram_distance, ks_distance, make_rng, martingale_diagnostic,
+    GridDensity, MarkovSEIR, backward_density, h_row_sums, histogram_from_samples,
+    initial_condition, l1_histogram_distance, ks_distance, make_rng, martingale_diagnostic,
     reweighted_first_steps, sample_h_chains, sample_h_first_steps,
     sample_renewal_chains, solve_delay, survival_representation_check,
 )
-from epichain.backward_chain import _killing_failures, _renewal_block
+from epichain import backward_chain
+from epichain.backward_chain import (
+    _b_envelope, _h_transition, _killing_failures, _renewal_block,
+)
 
 
 class TestRenewalChain:
@@ -132,6 +135,110 @@ class TestConditionedChain:
         # far in the negative past, b(-u) = I0 g(u) underflows the guard
         with pytest.raises(ValueError):
             sample_h_chains(-50.0, sol, 4, seed=1)
+
+    @pytest.mark.parametrize("start, named", [
+        (math.inf, "inf"), (math.nan, "nan"), (30.0, "30"), (-60.0, "-60"), (-1.0, "-1"),
+    ])
+    def test_first_steps_reject_bad_start(self, sol, start, named):
+        # T = 25 here: 30 lies past the horizon, b(-60) is below the floor,
+        # and a start <= 0 has already ended its chain
+        with pytest.raises(ValueError, match=f"start {named} "):
+            sample_h_first_steps(np.array([2.0, start]), sol, seed=1)
+
+    @pytest.mark.parametrize("start, named", [
+        (math.inf, "inf"), (math.nan, "nan"), (30.0, "30"), (-60.0, "-60"),
+    ])
+    def test_chains_reject_bad_start(self, sol, start, named):
+        with pytest.raises(ValueError, match=f"start {named} "):
+            sample_h_chains(start, sol, 4, seed=1)
+
+    def test_nonpositive_start_is_terminal(self, sol):
+        batch = sample_h_chains(-1.0, sol, 3, seed=2)
+        assert np.array_equal(batch.lengths, np.zeros(3))
+        assert batch.proposals == 0
+
+    def test_same_seed_same_arrays(self, sol):
+        a = sample_h_chains(4.0, sol, 300, seed=3)
+        b = sample_h_chains(4.0, sol, 300, seed=3)
+        assert np.array_equal(a.times, b.times, equal_nan=True)
+        assert a.proposals == b.proposals
+        starts = np.linspace(0.5, 20.0, 300)
+        first = sample_h_first_steps(starts, sol, seed=4)
+        assert np.array_equal(first, sample_h_first_steps(starts, sol, seed=4))
+        assert not np.array_equal(first, sample_h_first_steps(starts, sol, seed=5))
+
+    def test_proposals_per_transition(self, sol):
+        batch = sample_h_chains(6.0, sol, 2_000, seed=6)
+        transitions = int(batch.lengths.sum())
+        # b grows by at most e^{alpha w} ~ 1.28 across a block of width 0.5
+        assert transitions <= batch.proposals < 1.3 * transitions
+
+
+@pytest.fixture(scope="module")
+def seir_sol(unit_contact):
+    """SEIR-shaped kernel: tau(0) = 0 and a hump, the other closed-form
+    kernel `epichain chain` can reach."""
+    kern = MarkovSEIR(2.0, 2.0, 1.0, step=0.01, a_max=30.0).kernel
+    return solve_delay(kern, unit_contact, initial_condition(kern, 0.01, age_rate=0.5),
+                       15.0, 0.01)
+
+
+@pytest.fixture(scope="module")
+def tabulated_age_sol(kernel, unit_contact):
+    """Initial ages from a tabulated density: b(y < 0) is piecewise linear
+    with kinks at the age-density knots, which the envelope must cover."""
+    grid = np.linspace(0.0, 10.0, 2_001)  # on the kernel's age step
+    knots = 0.17 + 0.93 * np.arange(11.0)  # kinks inside envelope blocks, not on edges
+    shape = [0.2, 3.0, 0.1, 2.0, 0.0, 1.0, 0.5, 0.5, 0.3, 0.1, 0.0]
+    g = GridDensity(grid, np.interp(grid, knots, shape))
+    return solve_delay(kernel, unit_contact, initial_condition(kernel, 0.01, age_density=g),
+                       8.0, 0.005)
+
+
+class TestHTransition:
+    """The blockwise rejection sampler behind every conditioned step."""
+
+    @pytest.mark.parametrize("which", ["sol", "seir_sol", "tabulated_age_sol"])
+    def test_envelope_bounds_b(self, request, which):
+        run = request.getfixturevalue(which)
+        edges, bmax = _b_envelope(run)
+        assert 0.0 in edges and edges[0] <= -run.kernel.a_max and edges[-1] >= run.t[-1]
+        y = np.concatenate([np.linspace(-run.kernel.a_max, run.t[-1], 200_001), edges,
+                            [-1e-12, 1e-12]])
+        b = run.b_at(y)
+        for side in ("left", "right"):
+            k = np.clip(np.searchsorted(edges, y, side=side) - 1, 0, bmax.size - 1)
+            assert np.all(b <= bmax[k])
+
+    @pytest.mark.parametrize("which", ["sol", "seir_sol"])
+    @pytest.mark.parametrize("x", [0.3, 5.0, 12.0])
+    def test_first_step_law(self, request, which, x):
+        run = request.getfixturevalue(which)
+        kern = run.kernel
+        v = np.linspace(0.0, kern.a_max, 400_001)
+        dens = kern.value(v) * run.b_at(x - v)
+        dens /= np.trapezoid(dens, v)
+        mean = np.trapezoid(v * dens, v)
+        sd = math.sqrt(np.trapezoid((v - mean) ** 2 * dens, v))
+        n = 40_000
+        inc = x - sample_h_first_steps(np.full(n, x), run, seed=int(10 * x))
+        assert np.all(inc > 0)
+        assert abs(inc.mean() - mean) < 4.0 * sd / math.sqrt(n)
+        edges = np.quantile(inc, np.linspace(0.0, 1.0, 21))
+        cdf = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(v))])
+        p = np.diff(np.interp(edges, v, cdf))
+        emp = np.histogram(inc, edges)[0] / n
+        assert np.max(np.abs(emp - p) / np.sqrt(p * (1.0 - p) / n)) < 4.5
+
+    def test_zero_envelope_mass_names_x(self, sol):
+        edges, bmax = _b_envelope(sol)
+        with pytest.raises(RuntimeError, match="stuck at x=5"):
+            _h_transition(np.array([5.0]), sol, (edges, np.zeros_like(bmax)), make_rng(7))
+
+    def test_rejection_cap_names_x(self, sol, monkeypatch):
+        monkeypatch.setattr(backward_chain, "_MAX_ROUNDS", 0)
+        with pytest.raises(RuntimeError, match="from x=5"):
+            _h_transition(np.array([5.0]), sol, _b_envelope(sol), make_rng(8))
 
 
 class TestHTransformIdentities:

@@ -149,6 +149,11 @@ class TestConditionedFirstStep:
         with pytest.raises(ValueError, match=f"window {name} must be finite"):
             conditioned_first_step(params, t, delta, 2_000, seed=832)
 
+    @pytest.mark.parametrize("t, delta", [(-5.0, 1.0), (-1.0, 1.0)])
+    def test_rejects_window_ending_at_or_before_zero(self, params, t, delta):
+        with pytest.raises(ValueError, match=rf"window \[{t}, {t + delta}\] ends at or before 0"):
+            conditioned_first_step(params, t, delta, 2_000, seed=833)
+
     def test_recorded_values_reproduced(self, params):
         # recorded as float.hex when every tree was expanded to the horizon
         sample = conditioned_first_step(params, 2.0, 3.0, 4_000, seed=851)
