@@ -33,6 +33,7 @@ from .config import (
     reference_scenario,
 )
 from .courses import (
+    CourseBatch,
     CourseModel,
     DiseaseCourse,
     MarkovSEIR,
@@ -94,8 +95,8 @@ __all__ = [
     "sample_h_first_steps", "sample_renewal_chains", "survival_representation_check",
     "ConfigError", "ScenarioConfig", "apply_overrides", "emit_config",
     "load_config", "parse_config", "reference_scenario",
-    "CourseModel", "DiseaseCourse", "MarkovSEIR", "MarkovSIR", "PoissonCourse",
-    "empirical_tau", "sample_palm_course",
+    "CourseBatch", "CourseModel", "DiseaseCourse", "MarkovSEIR", "MarkovSIR",
+    "PoissonCourse", "empirical_tau", "sample_palm_course",
     "GridDensity",
     "HistoricalSummary", "SimulationOutput", "compartment_fraction",
     "historical_measure", "simulate",

@@ -143,14 +143,21 @@ def _sim_solve_deviation(shared: SharedReferences, contact: ContactRate, sol, ho
                          n: int, replicas: int, tag: str, n_times: int = 64,
                          window: tuple[float, float] | None = None):
     """Replica sup-deviations of the I fraction from the limit curve, final
-    infected fractions, and (optionally) first backward increments in a
-    sigma-window, in one pass over the replicas."""
+    infected fractions, (optionally) first backward increments in a
+    sigma-window, and the simulator's work counts, in one pass over the
+    replicas."""
     times = np.linspace(0.0, horizon, n_times)
     limit = np.interp(times, sol.t, compartment_curve(sol, shared.model, "I"))
     devs, finals, increments = [], [], []
+    contacts = accepted = infections = rounds = max_rounds = 0
     for r in range(replicas):
         out = simulate(shared.model, n, contact, shared.ic, horizon,
                        seed=derive_seed(MASTER_SEED, tag, r))
+        contacts += out.contacts
+        accepted += out.accepted
+        infections += out.infections
+        rounds += out.rounds
+        max_rounds = max(max_rounds, out.rounds)
         frac = compartment_fraction(out, "I", times)
         devs.append(float(np.max(np.abs(frac - limit))))
         finals.append(float(out.infected_fraction(horizon)))
@@ -160,7 +167,9 @@ def _sim_solve_deviation(shared: SharedReferences, contact: ContactRate, sol, ho
                 & (out.sigma <= window[1]) & (out.infector >= 0))
             increments.append(out.sigma[sel] - out.sigma[out.infector[sel]])
     inc = np.concatenate(increments) if window is not None else None
-    return np.asarray(devs), np.asarray(finals), inc
+    counts = (f"{replicas} runs: {contacts} contacts drawn, {accepted} accepted, "
+              f"{infections} infections, {rounds} frontier rounds (max {max_rounds})")
+    return np.asarray(devs), np.asarray(finals), inc, counts
 
 
 def _b_weighted_starts(sol, lo: float, hi: float, n: int, seed: int) -> np.ndarray:
@@ -217,7 +226,7 @@ def criterion_3(shared: SharedReferences) -> CriterionResult:
     """Functional LLN: the I-compartment fraction of N = 5e4 runs stays
     within 0.02 of the limit curve in at least 18 of 20 replicas."""
     t0 = time.time()
-    devs, finals, _ = _sim_solve_deviation(
+    devs, finals, _, counts = _sim_solve_deviation(
         shared, shared.contact, shared.sol, 25.0, 50_000, 20, "c3")
     shared._cache["c3_finals"] = finals
     failures = int(np.sum(devs > 0.02))
@@ -225,7 +234,8 @@ def criterion_3(shared: SharedReferences) -> CriterionResult:
     checks = (
         ComparisonReport(name="replicas exceeding 0.02 sup-deviation", value=float(failures),
                          threshold=2.0, n_samples=20,
-                         detail=f"max deviation {devs.max():.4f}, median {np.median(devs):.4f}"),
+                         detail=f"max deviation {devs.max():.4f}, median {np.median(devs):.4f}; "
+                                f"{counts}"),
         ComparisonReport(name="runtime (s)", value=runtime, threshold=120.0),
     )
     return CriterionResult(3, "LLN at N=50000", checks, runtime)
@@ -280,7 +290,7 @@ def criterion_5(shared: SharedReferences) -> CriterionResult:
 
 
 def criterion_6(shared: SharedReferences) -> CriterionResult:
-    """Small populations, exact law: event-driven infection times equal
+    """Small populations, exact law: the simulator's infection times equal
     brute-force evaluation of the geodesic recursion on the decorated graph,
     bit for bit, on 100 seeded instances."""
     t0 = time.time()
@@ -411,7 +421,7 @@ def criterion_11(shared: SharedReferences) -> CriterionResult:
     infected during a time window match the conditioned chain's law."""
     t0 = time.time()
     lo, hi = 4.0, 6.0
-    _, _, inc_sim = _sim_solve_deviation(
+    _, _, inc_sim, counts = _sim_solve_deviation(
         shared, shared.contact, shared.sol, hi + 0.5, 50_000, 12, "c11",
         window=(lo, hi))
     starts = _b_weighted_starts(shared.sol, lo, hi, inc_sim.size,
@@ -423,7 +433,8 @@ def criterion_11(shared: SharedReferences) -> CriterionResult:
                                histogram_from_samples(inc_h, edges))
     checks = (ComparisonReport(name="L1(sim increments, h-chain increments)", value=l1,
                                threshold=0.05, n_samples=int(inc_sim.size),
-                               detail=f"window [{lo:g}, {hi:g}], {inc_sim.size} sim chains"),)
+                               detail=f"window [{lo:g}, {hi:g}], {inc_sim.size} sim chains; "
+                                      f"{counts}"),)
     return CriterionResult(11, "historical first increments", checks, time.time() - t0)
 
 
@@ -436,7 +447,7 @@ def criterion_12(shared: SharedReferences) -> CriterionResult:
     t0 = time.time()
     sol = shared.sol_step80
     sim_start = time.time()
-    devs, finals, _ = _sim_solve_deviation(
+    devs, finals, _, counts = _sim_solve_deviation(
         shared, shared.step_contact, sol, 80.0, 50_000, 20, "c12")
     sim_runtime = time.time() - sim_start
     failures = int(np.sum(devs > 0.02))
@@ -456,7 +467,7 @@ def criterion_12(shared: SharedReferences) -> CriterionResult:
     checks = (
         ComparisonReport(name="replicas exceeding 0.02 sup-deviation", value=float(failures),
                          threshold=2.0, n_samples=20,
-                         detail=f"max deviation {devs.max():.4f}"),
+                         detail=f"max deviation {devs.max():.4f}; {counts}"),
         ComparisonReport(name="simulation runtime (s)", value=sim_runtime, threshold=120.0),
     ) + tuple(
         ComparisonReport(name=f"|B_hat - B| at t={t:g}", value=float(abs(curve.estimate[i] - b_sol[i])),

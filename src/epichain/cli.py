@@ -179,12 +179,15 @@ def cmd_chain(args) -> int:
 
 
 def cmd_courses_dump(args) -> int:
+    if args.samples < 0:
+        raise ValueError(f"--samples must be nonnegative, got {args.samples}")
     cfg = _load(args)
     model = cfg.build_model()
     rng = make_rng(derive_seed(cfg.seed, "courses"))
+    batch = model.sample_courses(rng, args.samples)
     rows = []
     for i in range(args.samples):
-        course = model.sample_course(rng)
+        course = batch.course(i)
         for j, name in enumerate(course.compartments):
             rows.append([i, "entry", float(course.entry_ages[j]), name])
         for a in course.atoms:

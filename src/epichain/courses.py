@@ -5,6 +5,8 @@ the point process of infectious-contact ages (atoms) and the life-cycle path
 through compartments, stored as (entry age, compartment) pairs.  Course
 models sample i.i.d. courses, declare their mean intensity kernel, and expose
 the age-marginal occupation probabilities p(a, i) when known in closed form.
+Models draw courses in batches (`CourseModel.sample_courses`), stored flat as
+a `CourseBatch`; a `DiseaseCourse` is one row of a batch, built on request.
 """
 
 from __future__ import annotations
@@ -90,14 +92,78 @@ class DiseaseCourse:
         return self.compartments[idx]
 
 
+@dataclass(frozen=True)
+class CourseBatch:
+    """n courses stored flat (CSR): course i has the sorted contact ages
+    `atoms[offsets[i]:offsets[i + 1]]` and enters `compartments[j]` at age
+    `entry_ages[i, j]`.  Every course of a batch runs through the same
+    compartment sequence."""
+
+    offsets: np.ndarray     # (n + 1,) int64
+    atoms: np.ndarray       # (offsets[-1],)
+    entry_ages: np.ndarray  # (n, len(compartments))
+    compartments: tuple[str, ...]
+
+    @property
+    def n(self) -> int:
+        return int(self.entry_ages.shape[0])
+
+    def owners(self) -> np.ndarray:
+        """The course index of every atom."""
+        return np.repeat(np.arange(self.n), np.diff(self.offsets))
+
+    def course(self, i: int) -> DiseaseCourse:
+        return DiseaseCourse(self.atoms[self.offsets[i]:self.offsets[i + 1]],
+                             self.entry_ages[i], self.compartments)
+
+
+def _sorted_uniforms(rng: np.random.Generator, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """counts[i] sorted uniforms on [0, 1] for each i, flat, with their owner i.
+
+    No sort: the first k partial sums of k + 1 i.i.d. exponential spacings,
+    divided by the last one, are the order statistics of k uniforms.  Atom m
+    of the flat output owned by i uses spacing m + i (each earlier owner has
+    one spacing more than atoms).  The partial sums run over the whole batch,
+    so a uniform carries a rounding error of about 1e-16 times the sum of
+    the spacings before its owner's (1e-11 at n = 5e4).
+    """
+    ends = np.cumsum(counts + 1)
+    partial = np.cumsum(rng.standard_exponential(int(counts.sum()) + counts.size))
+    before = np.concatenate(([0.0], partial[ends[:-1] - 1]))
+    total = partial[ends - 1] - before
+    owner = np.repeat(np.arange(counts.size), counts)
+    spacing = np.arange(owner.size) + owner
+    return owner, (partial[spacing] - before[owner]) / total[owner]
+
+
+def _offsets(owner: np.ndarray, n: int) -> np.ndarray:
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(owner, minlength=n), out=offsets[1:])
+    return offsets
+
+
+def _infectious_atoms(rng: np.random.Generator, start: np.ndarray, duration: np.ndarray,
+                      beta: float, a_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """Contacts at rate beta over [start, start + duration] of each course,
+    up to the kernel grid's a_max: CSR offsets and sorted atoms."""
+    owner, u = _sorted_uniforms(rng, rng.poisson(beta * duration))
+    atoms = start[owner] + u * duration[owner]
+    keep = atoms <= a_max
+    return _offsets(owner[keep], start.size), atoms[keep]
+
+
 class CourseModel:
     """Base class for course samplers."""
 
     compartment_set: CompartmentSet
     kernel: IntensityKernel
 
-    def sample_course(self, rng: np.random.Generator) -> DiseaseCourse:
+    def sample_courses(self, rng: np.random.Generator, n: int) -> CourseBatch:
+        """n independent courses."""
         raise NotImplementedError
+
+    def sample_course(self, rng: np.random.Generator) -> DiseaseCourse:
+        return self.sample_courses(rng, 1).course(0)
 
     def marginal_p(self, a, compartment: str) -> np.ndarray:
         """p(a, i) = P(course occupies compartment i at age a)."""
@@ -115,12 +181,12 @@ class MarkovSIR(CourseModel):
         self.kernel = ExponentialKernel(beta, gamma, step=step, a_max=a_max)
         self.compartment_set = CompartmentSet(("I", "R"), (("I", "R"),))
 
-    def sample_course(self, rng: np.random.Generator) -> DiseaseCourse:
-        duration = rng.exponential(1.0 / self.gamma)
-        n = rng.poisson(self.beta * duration)
-        atoms = np.sort(rng.random(n) * duration)
-        atoms = atoms[atoms <= self.kernel.a_max]
-        return DiseaseCourse(atoms, np.array([0.0, duration]), ("I", "R"))
+    def sample_courses(self, rng: np.random.Generator, n: int) -> CourseBatch:
+        duration = rng.exponential(1.0 / self.gamma, n)
+        offsets, atoms = _infectious_atoms(rng, np.zeros(n), duration, self.beta,
+                                           self.kernel.a_max)
+        entry = np.column_stack((np.zeros(n), duration))
+        return CourseBatch(offsets, atoms, entry, ("I", "R"))
 
     def marginal_p(self, a, compartment: str) -> np.ndarray:
         a = np.asarray(a, dtype=float)
@@ -144,13 +210,13 @@ class MarkovSEIR(CourseModel):
         self.kernel = LatentExponentialKernel(beta, activation, recovery, step=step, a_max=a_max)
         self.compartment_set = CompartmentSet(("E", "I", "R"), (("E", "I"), ("I", "R")))
 
-    def sample_course(self, rng: np.random.Generator) -> DiseaseCourse:
-        latency = rng.exponential(1.0 / self.activation)
-        duration = rng.exponential(1.0 / self.recovery)
-        n = rng.poisson(self.beta * duration)
-        atoms = latency + np.sort(rng.random(n) * duration)
-        atoms = atoms[atoms <= self.kernel.a_max]
-        return DiseaseCourse(atoms, np.array([0.0, latency, latency + duration]), ("E", "I", "R"))
+    def sample_courses(self, rng: np.random.Generator, n: int) -> CourseBatch:
+        latency = rng.exponential(1.0 / self.activation, n)
+        duration = rng.exponential(1.0 / self.recovery, n)
+        offsets, atoms = _infectious_atoms(rng, latency, duration, self.beta,
+                                           self.kernel.a_max)
+        entry = np.column_stack((np.zeros(n), latency, latency + duration))
+        return CourseBatch(offsets, atoms, entry, ("E", "I", "R"))
 
     def marginal_p(self, a, compartment: str) -> np.ndarray:
         a = np.asarray(a, dtype=float)
@@ -180,13 +246,14 @@ class PoissonCourse(CourseModel):
         self._grid_mass = kernel.grid_mass
         self._nu = kernel.generation_density() if self._grid_mass > 0 else None
 
-    def sample_course(self, rng: np.random.Generator) -> DiseaseCourse:
+    def sample_courses(self, rng: np.random.Generator, n: int) -> CourseBatch:
         if self._nu is None:
-            atoms = np.empty(0)
+            offsets, atoms = np.zeros(n + 1, dtype=np.int64), np.empty(0)
         else:
-            n = rng.poisson(self._grid_mass)
-            atoms = np.sort(self._nu.sample(rng, n))
-        return DiseaseCourse(atoms, np.array([0.0]), (self._compartment,))
+            # the tabulated quantile function is nondecreasing: sorted uniforms, sorted ages
+            owner, u = _sorted_uniforms(rng, rng.poisson(self._grid_mass, n))
+            offsets, atoms = _offsets(owner, n), self._nu.ppf_from_uniform(u)
+        return CourseBatch(offsets, atoms, np.zeros((n, 1)), (self._compartment,))
 
     def marginal_p(self, a, compartment: str) -> np.ndarray:
         if compartment != self._compartment:
@@ -200,6 +267,7 @@ def default_palm_window(model: CourseModel) -> float:
 
 
 _PALM_COUNT_BOUND = 8  # acceptance cap; window counts above this are astronomically rare
+_PALM_BATCH = 4096     # proposals drawn per batch
 
 
 def sample_palm_course(model: CourseModel, age: float, rng: np.random.Generator,
@@ -208,9 +276,9 @@ def sample_palm_course(model: CourseModel, age: float, rng: np.random.Generator,
 
     Poisson courses use the exact reduced-Palm property: condition-free
     sampling plus a forced atom at `age`.  Other models use acceptance-
-    rejection: propose courses, accept proportionally to the number of atoms
-    in a window of width `window` around `age` (bias O(window),
-    documented).
+    rejection: propose courses in batches, accept proportionally to the
+    number of atoms in a window of width `window` around `age` (bias
+    O(window), documented).
     """
     if float(np.asarray(model.kernel.value(age))) <= 0.0:
         raise ValueError(f"Palm sampling undefined at age {age}: intensity is zero there")
@@ -221,11 +289,17 @@ def sample_palm_course(model: CourseModel, age: float, rng: np.random.Generator,
     if window is None:
         window = default_palm_window(model)
     lo, hi = age - 0.5 * window, age + 0.5 * window
-    for _ in range(max_proposals):
-        course = model.sample_course(rng)
-        count = int(np.count_nonzero((course.atoms >= lo) & (course.atoms <= hi)))
-        if count and rng.random() * _PALM_COUNT_BOUND < count:
-            return course
+    drawn = 0
+    while drawn < max_proposals:
+        size = min(_PALM_BATCH, max_proposals - drawn)
+        batch = model.sample_courses(rng, size)
+        inside = (batch.atoms >= lo) & (batch.atoms <= hi)
+        count = np.bincount(batch.owners()[inside], minlength=size)
+        # the first accepted of i.i.d. proposals, as if proposed one at a time
+        hit = np.flatnonzero(rng.random(size) * _PALM_COUNT_BOUND < count)
+        if hit.size:
+            return batch.course(int(hit[0]))
+        drawn += size
     raise RuntimeError(
         f"Palm sampling at age {age} found no acceptance in {max_proposals} proposals; "
         "widen the window or check the intensity"
@@ -263,25 +337,13 @@ def empirical_tau(model: CourseModel, n: int, rng: np.random.Generator,
     grid = np.asarray(grid, dtype=float)
     n_bins = grid.size - 1
     width = grid[1] - grid[0]
-    all_atoms = []
-    course_ids = []
-    for i in range(n):
-        atoms = model.sample_course(rng).atoms
-        if atoms.size:
-            all_atoms.append(atoms)
-            course_ids.append(np.full(atoms.size, i, dtype=np.int64))
-    counts = np.zeros(n_bins)
-    sq = np.zeros(n_bins)
-    if all_atoms:
-        atoms = np.concatenate(all_atoms)
-        ids = np.concatenate(course_ids)
-        bins = np.searchsorted(grid, atoms, side="right") - 1
-        keep = (bins >= 0) & (bins < n_bins)
-        atoms, ids, bins = atoms[keep], ids[keep], bins[keep]
-        keys, mult = np.unique(ids * n_bins + bins, return_counts=True)
-        key_bins = (keys % n_bins).astype(np.int64)
-        np.add.at(counts, key_bins, mult)
-        np.add.at(sq, key_bins, mult.astype(float) ** 2)
+    batch = model.sample_courses(rng, n)
+    bins = np.searchsorted(grid, batch.atoms, side="right") - 1
+    keep = (bins >= 0) & (bins < n_bins)
+    keys, mult = np.unique(batch.owners()[keep] * n_bins + bins[keep], return_counts=True)
+    key_bins = keys % n_bins
+    counts = np.bincount(key_bins, mult, minlength=n_bins)
+    sq = np.bincount(key_bins, mult.astype(float) ** 2, minlength=n_bins)
     mean_counts = counts / n
     var_counts = np.maximum(sq / n - mean_counts**2, 0.0)
     values = mean_counts / width

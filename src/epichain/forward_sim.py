@@ -1,24 +1,23 @@
-"""Event-driven simulation of the individual-based epidemic.
+"""Simulation of the individual-based epidemic.
 
-Each infected individual carries a sampled disease course; every contact age
-in the course schedules a contact event at (infection time + age).  Events
-pop in time order (ties broken by source id, then atom index); each contact
-picks a uniform target, which gets infected if still susceptible and a
-uniform mark falls below the contact rate c(t).  Initially infected
-individuals enter with a negative infection time -Z, Z drawn from the
-initial age density, and only the contact ages beyond Z take effect.
+Everything random is drawn up front, in array order: who is initially
+infected, their initial ages Z, a course for every individual, and a uniform
+target and a uniform mark for every contact atom of every course.  These
+draws decorate the infection graph (`InfectionGraph`), on which the infection
+times are deterministic: `first_passage` solves them in a few vectorised
+rounds.  Initially infected individuals enter with infection time -Z, so
+only their contacts at ages beyond Z take effect.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .courses import CourseModel, DiseaseCourse
-from .infection_graph import InfectionGraph
+from .courses import CourseBatch, CourseModel, DiseaseCourse
+from .infection_graph import InfectionGraph, first_passage
 from .kernels import ContactRate, InitialCondition
 from .rng import make_rng
 
@@ -31,7 +30,9 @@ class SimulationOutput:
     sigma: np.ndarray             # infection time; +inf if never infected
     infector: np.ndarray          # -1 for initial infections and the never infected
     initial: np.ndarray           # bool mask of initially infected
-    courses: dict[int, DiseaseCourse]
+    courses: CourseBatch          # every individual's course, infected or not
+    accepted: int                 # contacts of the infected in [0, horizon] passing c(t)
+    rounds: int                   # frontier rounds of the infection-time solve
     graph: InfectionGraph | None = None
     _starts: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
     _ends: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
@@ -39,6 +40,16 @@ class SimulationOutput:
     @property
     def infected_ids(self) -> np.ndarray:
         return np.flatnonzero(np.isfinite(self.sigma))
+
+    @property
+    def contacts(self) -> int:
+        """Contacts drawn: one target and one mark per atom of `courses`."""
+        return int(self.courses.atoms.size)
+
+    @property
+    def infections(self) -> int:
+        """Individuals infected during the run (initial infections excluded)."""
+        return int(np.count_nonzero(self.infector >= 0))
 
     def infected_fraction(self, times) -> np.ndarray:
         sig = np.sort(self.sigma[np.isfinite(self.sigma)])
@@ -49,17 +60,17 @@ class SimulationOutput:
 
     def _compartment_spans(self, compartment: str):
         if compartment not in self._starts:
-            starts, ends = [], []
-            for x, course in self.courses.items():
-                s = self.sigma[x]
-                ages = course.entry_ages
-                for j, name in enumerate(course.compartments):
-                    if name != compartment:
-                        continue
-                    starts.append(s + ages[j])
-                    ends.append(s + ages[j + 1] if j + 1 < ages.size else math.inf)
-            self._starts[compartment] = np.sort(np.asarray(starts, dtype=float))
-            self._ends[compartment] = np.sort(np.asarray(ends, dtype=float))
+            names = self.courses.compartments
+            if compartment in names:
+                j = names.index(compartment)
+                ids = self.infected_ids
+                s, entry = self.sigma[ids], self.courses.entry_ages[ids]
+                starts = s + entry[:, j]
+                ends = s + entry[:, j + 1] if j + 1 < len(names) else np.full(ids.size, math.inf)
+            else:
+                starts = ends = np.empty(0)
+            self._starts[compartment] = np.sort(starts)
+            self._ends[compartment] = np.sort(ends)
         return self._starts[compartment], self._ends[compartment]
 
 
@@ -69,73 +80,36 @@ def simulate(model: CourseModel, n_individuals: int, contact: ContactRate,
              record_graph: bool = False) -> SimulationOutput:
     """Run the epidemic among `n_individuals` up to `horizon`.
 
-    Draws happen lazily in event order: a course when an individual is
-    infected, a target for every popped contact, and a mark only when that
-    target is still susceptible.  With `record_graph=True` the run also
-    records what it drew as an `InfectionGraph` (used by the small-instance
-    geodesic cross-checks); recording draws nothing, so `sigma`, `infector`,
-    `z` and the courses are bitwise those of the same run without it.
+    Draws, in this order: the initially infected, their ages, one course per
+    individual (`model.sample_courses`), then a target and a mark per atom.
+    The run always builds the decorated `InfectionGraph`; `record_graph`
+    only decides whether it is returned as `out.graph` (the small-instance
+    oracle cross-checks read it).
     """
+    if isinstance(n_individuals, bool) or not isinstance(n_individuals, (int, np.integer)):
+        raise ValueError(f"n_individuals must be an integer, got {n_individuals!r}")
     if n_individuals <= 0:
-        raise ValueError("need a positive population size")
-    if horizon < 0:
-        raise ValueError("horizon must be nonnegative")
+        raise ValueError(f"n_individuals must be positive, got {n_individuals}")
+    if not float(horizon) >= 0.0:
+        raise ValueError(f"horizon must be a nonnegative number, got {horizon!r}")
     if rng is None:
         rng = make_rng(0 if seed is None else seed, "forward-sim")
 
     n = int(n_individuals)
-    init_mask = rng.random(n) < ic.i0
-    init_ids = np.flatnonzero(init_mask)
+    initial = rng.random(n) < ic.i0
+    init_ids = np.flatnonzero(initial)
     z = np.zeros(n)
     z[init_ids] = ic.sample_initial_age(rng, init_ids.size)
-    sigma = np.full(n, math.inf)
-    sigma[init_ids] = -z[init_ids]
-    infector = np.full(n, -1, dtype=np.int64)
-    courses: dict[int, DiseaseCourse] = {}
-    # decorations never drawn stay a self-target with mark inf (see InfectionGraph)
-    targets: dict[int, np.ndarray] = {}
-    marks: dict[int, np.ndarray] = {}
-
-    heap: list[tuple[float, int, int]] = []
-
-    def infect(x: int) -> None:
-        course = model.sample_course(rng)
-        courses[x] = course
-        if record_graph:
-            targets[x] = np.full(course.atoms.size, x, dtype=np.int64)
-            marks[x] = np.full(course.atoms.size, math.inf)
-        base = sigma[x]
-        for idx in range(course.atoms.size):
-            tc = base + course.atoms[idx]
-            if 0.0 <= tc <= horizon:
-                heapq.heappush(heap, (tc, x, idx))
-
-    for x in init_ids:
-        infect(int(x))
-
-    c_at = contact.at
-    while heap:
-        t, x, k = heapq.heappop(heap)
-        u = int(rng.integers(0, n))
-        if record_graph:
-            targets[x][k] = u
-        if not sigma[u] <= t:  # still susceptible (self-contacts fail here too)
-            s = float(rng.random())
-            if record_graph:
-                marks[x][k] = s
-            if s <= c_at(t):
-                sigma[u] = t
-                infector[u] = x
-                infect(u)
-
-    graph = None
-    if record_graph:
-        graph = InfectionGraph(
-            n=n, initial=init_mask, z=z, courses=courses,
-            targets=targets, marks=marks, horizon=horizon,
-        )
-    return SimulationOutput(n=n, horizon=horizon, z=z, sigma=sigma, infector=infector,
-                            initial=init_mask, courses=courses, graph=graph)
+    courses = model.sample_courses(rng, n)
+    targets = rng.integers(0, n, courses.atoms.size)
+    marks = rng.random(courses.atoms.size)
+    graph = InfectionGraph(n=n, initial=initial, z=z, courses=courses, targets=targets,
+                           marks=marks, horizon=horizon)
+    solved = first_passage(graph, contact)
+    return SimulationOutput(n=n, horizon=horizon, z=z, sigma=solved.sigma,
+                            infector=solved.infector, initial=initial, courses=courses,
+                            accepted=solved.accepted, rounds=solved.rounds,
+                            graph=graph if record_graph else None)
 
 
 # ---------------------------------------------------------------------------
@@ -160,18 +134,17 @@ def age_compartment_measure(out: SimulationOutput, t: float,
         raise ValueError("time outside the simulated range")
     edges = np.asarray(age_bins, dtype=float)
     comps = model.compartment_set.names
-    comp_idx = {name: j for j, name in enumerate(comps)}
-    counts = np.zeros((edges.size - 1, len(comps)))
-    for x, course in out.courses.items():
-        s = out.sigma[x]
-        if s > t:
-            continue
-        age = t - s
-        b = int(np.searchsorted(edges, age, side="right")) - 1
-        if 0 <= b < edges.size - 1:
-            counts[b, comp_idx[course.compartment_at(age)]] += 1.0
+    ids = np.flatnonzero(out.sigma <= t)
+    age = t - out.sigma[ids]
+    b = np.searchsorted(edges, age, side="right") - 1
+    inside = (b >= 0) & (b < edges.size - 1)
+    # the compartment entered last by `age` (DiseaseCourse.compartment_at)
+    j = np.maximum(np.sum(out.courses.entry_ages[ids] <= age[:, None], axis=1) - 1, 0)
+    comp_idx = np.array([comps.index(name) for name in out.courses.compartments])
+    counts = np.bincount(b[inside] * len(comps) + comp_idx[j[inside]],
+                         minlength=(edges.size - 1) * len(comps)).astype(float)
     return AgeCompartmentMeasure(time=t, bin_edges=edges, compartments=comps,
-                                 fractions=counts / out.n)
+                                 fractions=counts.reshape(edges.size - 1, len(comps)) / out.n)
 
 
 def compartment_fraction(out: SimulationOutput, compartment: str, times) -> np.ndarray:
@@ -210,7 +183,7 @@ def ancestral_path(out: SimulationOutput, x: int) -> AncestralPath:
     return AncestralPath(
         individuals=np.asarray(ids, dtype=np.int64),
         times=times,
-        courses=tuple(out.courses[i] for i in ids),
+        courses=tuple(out.courses.course(i) for i in ids),
         root_age=float(out.z[ids[-1]]),
     )
 
@@ -229,19 +202,17 @@ class HistoricalSummary:
 
 def historical_measure(out: SimulationOutput, t: float) -> HistoricalSummary:
     """Chain-level summaries of the transmission history up to time t."""
-    order = np.argsort(out.sigma, kind="stable")
-    lengths = np.zeros(out.n, dtype=np.int64)
-    roots = np.full(out.n, -1, dtype=np.int64)
-    for x in order:
-        if not np.isfinite(out.sigma[x]):
+    # pointer doubling over infector: up[x] is x's 2^k-th ancestor (stopping at
+    # the chain's root) and hops[x] the number of infections between them
+    has_parent = out.infector >= 0
+    up = np.where(has_parent, out.infector, np.arange(out.n))
+    hops = has_parent.astype(np.int64)
+    while True:
+        up2 = up[up]
+        if np.array_equal(up2, up):
             break
-        p = out.infector[x]
-        if p < 0:
-            lengths[x] = 1
-            roots[x] = x
-        else:
-            lengths[x] = lengths[p] + 1
-            roots[x] = roots[p]
+        hops = hops + hops[up]
+        up = up2
     sel = np.flatnonzero(np.isfinite(out.sigma) & (out.sigma <= t))
     parents = out.infector[sel]
     inc = np.where(parents >= 0, out.sigma[sel] - out.sigma[np.maximum(parents, 0)], np.nan)
@@ -249,7 +220,7 @@ def historical_measure(out: SimulationOutput, t: float) -> HistoricalSummary:
         time=t,
         ids=sel,
         sigma=out.sigma[sel],
-        chain_length=lengths[sel],
+        chain_length=hops[sel] + 1,
         first_increment=inc,
-        root_age=out.z[roots[sel]],
+        root_age=out.z[up[sel]],
     )

@@ -17,7 +17,6 @@ uniform age grid, which is what the quadrature-based solvers consume.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -61,8 +60,6 @@ class ContactRate:
             raise ValueError("contact rate values must lie in [0, 1]")
         object.__setattr__(self, "knots", knots)
         object.__setattr__(self, "levels", levels)
-        object.__setattr__(self, "_knots_list", knots.tolist())
-        object.__setattr__(self, "_levels_list", levels.tolist())
 
     @staticmethod
     def constant(value: float) -> "ContactRate":
@@ -83,15 +80,6 @@ class ContactRate:
             return np.interp(t, self.knots, self.levels)
         idx = np.clip(np.searchsorted(self.knots, t, side="right") - 1, 0, None)
         return self.levels[idx]
-
-    def at(self, t: float) -> float:
-        """Scalar evaluation (fast path for event loops)."""
-        if self.kind == "linear":
-            return float(np.interp(t, self.knots, self.levels))
-        idx = bisect.bisect_right(self._knots_list, t) - 1
-        if idx < 0:
-            idx = 0
-        return self._levels_list[idx]
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,7 @@ class TestScenarioConfig:
         assert model.kernel.step == cfg.age_step
         contact = cfg.build_contact()
         assert isinstance(contact, ContactRate)
-        assert float(contact.at(3.0)) == 1.0
+        assert float(contact(3.0)) == 1.0
         ic = cfg.build_ic(model.kernel)
         assert ic.i0 == 0.01
         assert ic.age_rate == 0.5
@@ -152,13 +152,17 @@ class TestCli:
         assert (tmp_path / "solve.csv").read_bytes() == first
 
     def test_simulate(self, tmp_path):
-        rc = main(["simulate", "--out", str(tmp_path), "--replicas", "2",
-                   "--set", "n_individuals=2000", "--set", "horizon=5.0"])
+        argv = ["simulate", "--out", str(tmp_path), "--replicas", "2",
+                "--set", "n_individuals=2000", "--set", "horizon=5.0"]
+        rc = main(argv)
         assert rc == 0
         header, rows = _read_csv(tmp_path / "simulate.csv")
         assert header[:3] == ["replica", "t", "susceptible"]
         assert "I" in header and "R" in header
         assert {r[0] for r in rows} == {"0", "1"}
+        first = (tmp_path / "simulate.csv").read_bytes()
+        assert main(argv) == 0
+        assert (tmp_path / "simulate.csv").read_bytes() == first
 
     def test_tree(self, tmp_path):
         rc = main(["tree", "--out", str(tmp_path), "--samples", "2000",
@@ -183,6 +187,11 @@ class TestCli:
         header, rows = _read_csv(tmp_path / "courses.csv")
         assert header == ["course", "kind", "age", "compartment"]
         assert {r[0] for r in rows} == {str(i) for i in range(20)}
+
+    def test_courses_dump_rejects_negative_samples(self, tmp_path, capsys):
+        rc = main(["courses-dump", "--out", str(tmp_path), "--samples", "-1"])
+        assert rc == 1
+        assert "--samples must be nonnegative" in capsys.readouterr().err
 
     def test_validate_subset(self, tmp_path, capsys):
         rc = main(["validate", "--out", str(tmp_path), "--criteria", "2"])

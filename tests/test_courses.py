@@ -68,15 +68,35 @@ class TestSampledCourses:
 
     def test_empirical_tau_recovers_kernel(self, model):
         rng = make_rng(13, "emp-tau")
-        emp = empirical_tau(model, 40_000, rng, grid=np.linspace(0.0, 6.0, 25))
-        mid = 0.5 * (emp.bin_edges[:-1] + emp.bin_edges[1:])
-        # bin averages of 1.5 e^{-a}, not midpoint values
-        width = emp.bin_edges[1] - emp.bin_edges[0]
-        oracle = 1.5 * (np.exp(-emp.bin_edges[:-1]) - np.exp(-emp.bin_edges[1:])) / width
-        dev = np.abs(emp.values - oracle)
-        assert np.all(dev < 5 * np.maximum(emp.standard_errors, 1e-4))
-        assert emp.value(np.array([mid[0]]))[0] == emp.values[0]
-        assert emp.value(np.array([100.0]))[0] == 0.0
+        for m in (model, PoissonCourse(model.kernel)):
+            emp = empirical_tau(m, 40_000, rng, grid=np.linspace(0.0, 6.0, 25))
+            mid = 0.5 * (emp.bin_edges[:-1] + emp.bin_edges[1:])
+            # bin averages of 1.5 e^{-a}, not midpoint values
+            width = emp.bin_edges[1] - emp.bin_edges[0]
+            oracle = 1.5 * (np.exp(-emp.bin_edges[:-1]) - np.exp(-emp.bin_edges[1:])) / width
+            dev = np.abs(emp.values - oracle)
+            assert np.all(dev < 5 * np.maximum(emp.standard_errors, 1e-4)), type(m).__name__
+            assert emp.value(np.array([mid[0]]))[0] == emp.values[0]
+            assert emp.value(np.array([100.0]))[0] == 0.0
+
+
+class TestCourseBatch:
+    def test_flat_courses_are_valid(self, model, kernel):
+        seir = MarkovSEIR(2.0, 1.0, 1.5, step=0.01, a_max=50.0)
+        for m in (model, seir, PoissonCourse(kernel)):
+            batch = m.sample_courses(make_rng(37, "batch"), 500)
+            assert batch.n == 500
+            assert batch.offsets[0] == 0 and batch.offsets[-1] == batch.atoms.size
+            assert np.all(np.diff(batch.offsets) >= 0)
+            assert batch.entry_ages.shape == (500, len(m.compartment_set.names))
+            for i in range(batch.n):
+                batch.course(i).validate(m)
+
+    def test_one_course_is_a_one_row_batch(self, model):
+        one = model.sample_course(make_rng(41, "one"))
+        row = model.sample_courses(make_rng(41, "one"), 1).course(0)
+        assert np.array_equal(one.atoms, row.atoms)
+        assert np.array_equal(one.entry_ages, row.entry_ages)
 
 
 class TestPalm:

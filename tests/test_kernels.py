@@ -135,8 +135,8 @@ class TestContactRate:
 
     def test_linear_interpolation(self):
         c = ContactRate((0.0, 2.0), (1.0, 0.5), "linear")
-        assert c.at(1.0) == pytest.approx(0.75)
-        assert c.at(10.0) == pytest.approx(0.5)
+        assert c(1.0) == pytest.approx(0.75)
+        assert c(10.0) == pytest.approx(0.5)
         assert c.settles_at == 2.0
 
     def test_matrix_argument(self):
@@ -157,7 +157,7 @@ class TestContactRate:
     @settings(max_examples=50, deadline=None)
     def test_values_stay_in_band(self, t):
         c = ContactRate((0.0, 3.0, 6.0), (0.9, 0.2, 0.6), "linear")
-        assert 0.2 <= c.at(t) <= 0.9
+        assert 0.2 <= c(t) <= 0.9
 
 
 class TestTabulatedKernel:
