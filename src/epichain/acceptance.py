@@ -244,7 +244,7 @@ def criterion_3(shared: SharedReferences) -> CriterionResult:
 def _tree_nodes(result) -> str:
     """The work counts of an `estimate_B` or `conditioned_first_step` run."""
     return (f"{result.n_samples} trees: nodes expanded {result.nodes_expanded}, "
-            f"pruned {result.nodes_pruned}")
+            f"pruned {result.nodes_pruned}, max depth {result.max_depth}")
 
 
 def criterion_4(shared: SharedReferences) -> CriterionResult:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -118,12 +119,18 @@ def cmd_tree(args) -> int:
     ic = cfg.build_ic(kernel)
     params = tree_params(kernel, ic, contact, cfg.horizon, node_cap=args.node_cap)
     grid = np.linspace(0.0, cfg.horizon, args.points)
+    t0 = time.perf_counter()
     curve = estimate_B(params, grid, args.samples, seed=derive_seed(cfg.seed, "tree"))
+    elapsed = time.perf_counter() - t0
     out = _outdir(cfg) / "tree.csv"
     _write_csv(out, cfg.digest, ["t", "B_hat", "se"],
                zip(curve.t, curve.estimate, curve.se))
     print(f"tree: wrote {out} ({args.samples} samples, {args.points} grid points)")
     print(f"  B_hat(T) = {float(curve.estimate[-1]):.5f} +- {float(curve.se[-1]):.5f}")
+    # timings go to stdout only, so that tree.csv stays deterministic
+    print(f"  nodes expanded {curve.nodes_expanded}, pruned {curve.nodes_pruned}, "
+          f"max depth {curve.max_depth}; {curve.nodes_expanded / elapsed:.3g} nodes/s "
+          f"in {elapsed:.2f} s")
     return 0
 
 

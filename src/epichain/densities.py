@@ -35,6 +35,7 @@ class GridDensity:
     total: float = field(init=False)
     _cdf: np.ndarray = field(init=False, repr=False)
     _quantiles: np.ndarray = field(init=False, repr=False)
+    _quantile_steps: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         grid = np.asarray(self.grid, dtype=float)
@@ -64,6 +65,7 @@ class GridDensity:
         u_nodes = np.linspace(0.0, 1.0, QUANTILE_TABLE_SIZE + 1)
         quant = np.interp(u_nodes, cdf[keep], grid[keep])
         object.__setattr__(self, "_quantiles", quant)
+        object.__setattr__(self, "_quantile_steps", np.diff(quant))
 
     @property
     def step(self) -> float:
@@ -83,9 +85,10 @@ class GridDensity:
         """Map uniforms in [0,1) through the tabulated inverse CDF."""
         q = np.asarray(u, dtype=float) * QUANTILE_TABLE_SIZE
         idx = np.minimum(q.astype(np.int64), QUANTILE_TABLE_SIZE - 1)
-        frac = q - idx
-        table = self._quantiles
-        return table[idx] + frac * (table[idx + 1] - table[idx])
+        q -= idx
+        q *= self._quantile_steps[idx]
+        q += self._quantiles[idx]
+        return q
 
     def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
         return self.ppf_from_uniform(rng.random(size))

@@ -41,6 +41,14 @@ Per-node draw layout (counter -> use):
     2+2j, 3+2j -> edge length W_j and mark s_j of subtree child j
     2+2K_S+3m, +1, +2 -> initial age Z_m, delay Wbar_m, mark sbar_m of leaf m
 Subtree child j's key is child_key_vec(parent_key, j).
+
+No draw that the horizon cuts is ever made.  An edge's length comes first;
+only a subtree child with depth + W <= H gets its mark and its key, and only
+a leaf edge with depth + Wbar <= H gets its mark.  Since a draw depends only
+on (key, counter), skipping the others leaves the layout above, and every
+draw that is made, as it would be if all were made.  K_S and K_I come from
+guide tables (`PoissonCounts`) that return exactly the index of
+`searchsorted` on the Poisson CDF.
 """
 
 from __future__ import annotations
@@ -63,11 +71,44 @@ _CHUNK = 2048
 NODE_CAP = 150_000
 
 
-def _poisson_cdf_table(lam: float) -> np.ndarray:
-    if lam < 0:
-        raise ValueError("Poisson mean must be nonnegative")
-    k_max = int(lam + 40.0 * math.sqrt(lam + 1.0) + 40.0)
-    return stats.poisson.cdf(np.arange(k_max), lam)
+# buckets of the Poisson guide tables; a power of two, so that u * _GUIDE_SIZE
+# is exact for the 53-bit keyed uniforms and its floor names u's bucket
+_GUIDE_SIZE = 4096
+
+
+@dataclass(frozen=True)
+class PoissonCounts:
+    """Poisson(mean) draws by inversion: `cdf` holds P(K <= k) for
+    k = 0..len-1, and the count of a uniform u is
+    `np.searchsorted(cdf, u, side="right")`.
+
+    A guide table (Chen and Asau, 1974) returns that index in O(1): bucket j
+    covers [j/G, (j+1)/G), and `guide[j]` holds the count of every u in it,
+    or -1 where a knot lies inside the bucket.  Only the uniforms that land
+    in such a bucket go through `searchsorted`.
+    """
+
+    cdf: np.ndarray
+    guide: np.ndarray
+
+    @classmethod
+    def of_mean(cls, lam: float) -> "PoissonCounts":
+        if lam < 0:
+            raise ValueError("Poisson mean must be nonnegative")
+        k_max = int(lam + 40.0 * math.sqrt(lam + 1.0) + 40.0)
+        cdf = stats.poisson.cdf(np.arange(k_max), lam)
+        edges = np.arange(_GUIDE_SIZE + 1) / _GUIDE_SIZE
+        below = np.searchsorted(cdf, edges[:-1], side="right")   # knots <= j/G
+        inside = np.searchsorted(cdf, edges[1:], side="left") - below  # in (j/G, (j+1)/G)
+        return cls(cdf=cdf, guide=np.where(inside > 0, -1, below))
+
+    def draw(self, u: np.ndarray) -> np.ndarray:
+        """The counts of uniforms u in [0, 1)."""
+        k = self.guide[(u * _GUIDE_SIZE).astype(np.intp)]
+        fix = np.flatnonzero(k < 0)
+        if fix.size:
+            k[fix] = np.searchsorted(self.cdf, u[fix], side="right")
+        return k
 
 
 @dataclass(frozen=True)
@@ -82,8 +123,8 @@ class TreeParams:
     mean_s_children: float
     mean_i_children: float
     generation: GridDensity
-    s_cdf: np.ndarray
-    i_cdf: np.ndarray
+    s_counts: PoissonCounts
+    i_counts: PoissonCounts
     node_cap: int = NODE_CAP
     model: CourseModel | None = None
 
@@ -102,23 +143,66 @@ def tree_params(kernel: IntensityKernel, ic: InitialCondition, contact: ContactR
         kernel=kernel, ic=ic, contact=contact, horizon=horizon, s0=s0,
         mean_s_children=mean_s, mean_i_children=mean_i,
         generation=kernel.generation_density(),
-        s_cdf=_poisson_cdf_table(mean_s), i_cdf=_poisson_cdf_table(mean_i),
+        s_counts=PoissonCounts.of_mean(mean_s), i_counts=PoissonCounts.of_mean(mean_i),
         node_cap=node_cap, model=model,
     )
 
 
-def _ragged_slots(counts: np.ndarray) -> np.ndarray:
-    """[0..c0-1, 0..c1-1, ...] for nonnegative integer counts."""
-    total = int(counts.sum())
-    if total == 0:
-        return np.zeros(0, dtype=np.int64)
-    ends = np.cumsum(counts)
-    return np.arange(total, dtype=np.int64) - np.repeat(ends - counts, counts)
+def _ragged(counts: np.ndarray):
+    """(row, slot) of every item when row i owns counts[i] items: rows
+    0,..,0,1,..,1,... and slots 0..c0-1, 0..c1-1, ... (uint64, the counter
+    arithmetic's type)."""
+    rows = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
+    starts = (np.cumsum(counts) - counts).astype(np.uint64)
+    return rows, np.arange(rows.size, dtype=np.uint64) - starts[rows]
+
+
+# Per-node draw layout (see the module docstring); each helper makes only the
+# draws its name says, so that a draw the horizon cuts is never made.
+
+def _offspring_counts(p: TreeParams, keys: np.ndarray):
+    """K_S and K_I of each node (counters 0 and 1)."""
+    return (p.s_counts.draw(keyed_u01_vec(keys, np.uint64(0))),
+            p.i_counts.draw(keyed_u01_vec(keys, np.uint64(1))))
+
+
+def _subtree_edges(p: TreeParams, keys: np.ndarray, k_s: np.ndarray):
+    """(row, slot, key of the row, W) of every subtree child; W_j is drawn at
+    counter 2+2j."""
+    rows, slots = _ragged(k_s)
+    keys_rep = keys[rows]
+    w = p.generation.ppf_from_uniform(keyed_u01_vec(keys_rep, np.uint64(2) * slots + np.uint64(2)))
+    return rows, slots, keys_rep, w
+
+
+def _subtree_marks(keys_rep: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """Marks s_j of subtree children (counter 3+2j)."""
+    return keyed_u01_vec(keys_rep, np.uint64(2) * slots + np.uint64(3))
+
+
+def _leaf_edges(p: TreeParams, keys: np.ndarray, k_s: np.ndarray, k_i: np.ndarray):
+    """(row, key of the row, counter base, Wbar, Z) of every leaf edge; leaf m
+    draws Z_m and Wbar_m at base = 2+2K_S+3m and base+1."""
+    # few nodes own a leaf edge, so spread only over those that do
+    owners = np.flatnonzero(k_i > 0)
+    rows, slots = _ragged(k_i[owners])
+    rows = owners[rows]
+    keys_rep = keys[rows]
+    base = np.uint64(2) * k_s[rows].astype(np.uint64) + np.uint64(3) * slots + np.uint64(2)
+    w, z = joint_delay_age_from_uniforms(p.ic, keyed_u01_vec(keys_rep, base),
+                                         keyed_u01_vec(keys_rep, base + np.uint64(1)))
+    return rows, keys_rep, base, w, z
+
+
+def _leaf_marks(keys_rep: np.ndarray, base: np.ndarray) -> np.ndarray:
+    """Marks sbar_m of leaf edges (counter base+2)."""
+    return keyed_u01_vec(keys_rep, base + np.uint64(2))
 
 
 class _Level:
     """One generation of a chunk's forest, one row per node, with the leaf
-    edges of its nodes (owning row, value or inf if rejected, initial age)."""
+    edges of its nodes that offer a candidate (owning row, value, initial
+    age)."""
 
     __slots__ = ("key", "sample", "depth_len", "i_min", "parent_row", "edge_w", "edge_s",
                  "leaf_row", "leaf_val", "leaf_z")
@@ -139,7 +223,9 @@ def _expand_chunk(p: TreeParams, keys0: np.ndarray):
     """Forward expansion + bottom-up minimisation for one chunk of samples.
 
     Returns (sigma, levels, nodes_expanded, nodes_pruned); `levels[0]` has one
-    row per sample, and `_walk` recovers argmin paths from the levels.
+    row per sample, and `_walk` recovers argmin paths from the levels.  A
+    pruned node is a child cut at the horizon or a leaf edge that offers no
+    candidate.
     """
     n = keys0.size
     contact = p.contact
@@ -158,42 +244,32 @@ def _expand_chunk(p: TreeParams, keys0: np.ndarray):
                 f"depth {len(levels)}, {int(per_sample_nodes.sum())} nodes total); "
                 "edge lengths are too short relative to the horizon")
         levels.append(cur)
-        k_s = np.searchsorted(p.s_cdf, keyed_u01_vec(cur.key, np.uint64(0)), side="right")
-        k_i = np.searchsorted(p.i_cdf, keyed_u01_vec(cur.key, np.uint64(1)), side="right")
+        k_s, k_i = _offspring_counts(p, cur.key)
 
-        # leaf edges to initially infected individuals
-        rep = np.repeat(np.arange(cur.key.size, dtype=np.int64), k_i)
-        if rep.size:
-            slot = _ragged_slots(k_i)
-            base = (2 + 2 * k_s[rep] + 3 * slot).astype(np.uint64)
-            keys_rep = cur.key[rep]
-            u_age = keyed_u01_vec(keys_rep, base)
-            u_delay = keyed_u01_vec(keys_rep, base + np.uint64(1))
-            marks = keyed_u01_vec(keys_rep, base + np.uint64(2))
-            w, z = joint_delay_age_from_uniforms(p.ic, u_age, u_delay)
-            ok = (marks <= contact(w)) & (cur.depth_len[rep] + w <= p.horizon)
-            nodes_pruned += int(np.count_nonzero(~ok))
-            cur.leaf_row, cur.leaf_val, cur.leaf_z = rep, np.where(ok, w, np.inf), z
-            np.minimum.at(cur.i_min, rep, cur.leaf_val)
+        # leaf edges to initially infected individuals: marks only within H
+        if k_i.any():
+            rows, keys_rep, base, w, z = _leaf_edges(p, cur.key, k_s, k_i)
+            cut = np.flatnonzero(cur.depth_len[rows] + w <= p.horizon)
+            ok = cut[_leaf_marks(keys_rep[cut], base[cut]) <= contact(w[cut])]
+            nodes_pruned += rows.size - ok.size
+            cur.leaf_row, cur.leaf_val, cur.leaf_z = rows[ok], w[ok], z[ok]
+            np.minimum.at(cur.i_min, cur.leaf_row, cur.leaf_val)
 
-        # subtree children
-        rep = np.repeat(np.arange(cur.key.size, dtype=np.int64), k_s)
-        if rep.size == 0:
+        # subtree children: marks and keys only within H
+        rows, slots, keys_rep, w = _subtree_edges(p, cur.key, k_s)
+        if rows.size == 0:
             break
-        slot = _ragged_slots(k_s)
-        keys_rep = cur.key[rep]
-        w = p.generation.ppf_from_uniform(keyed_u01_vec(keys_rep, (2 + 2 * slot).astype(np.uint64)))
-        s = keyed_u01_vec(keys_rep, (3 + 2 * slot).astype(np.uint64))
-        depth_child = cur.depth_len[rep] + w
-        keep = depth_child <= p.horizon
-        nodes_pruned += int(np.count_nonzero(~keep))
+        depth_child = cur.depth_len[rows] + w
+        keep = np.flatnonzero(depth_child <= p.horizon)
+        nodes_pruned += rows.size - keep.size
+        rows, slots, keys_rep = rows[keep], slots[keep], keys_rep[keep]
         cur = _Level(
-            key=child_key_vec(keys_rep, slot.astype(np.uint64))[keep],
-            sample=cur.sample[rep[keep]],
+            key=child_key_vec(keys_rep, slots),
+            sample=cur.sample[rows],
             depth_len=depth_child[keep],
-            parent_row=rep[keep],
+            parent_row=rows,
             edge_w=w[keep],
-            edge_s=s[keep],
+            edge_s=_subtree_marks(keys_rep, slots),
         )
 
     # bottom-up: fold each level's sigma into its parents' minima
@@ -255,24 +331,31 @@ def _walk(contact: ContactRate, levels: list[_Level]):
         yield samples, times, ages
 
 
-def _batch_sigma(p: TreeParams, n_samples: int, seed: int, want_first_step: bool = False):
+def _expand_batch(p: TreeParams, n_samples: int, seed: int, want_first_step: bool = False):
     """sigma (and the first backward time) of samples 0..n_samples-1 of the
-    seed, censored at `p.horizon`, with the nodes expanded and pruned."""
+    seed, censored at `p.horizon`, with the nodes expanded and pruned and the
+    deepest level reached."""
     sigma = np.empty(n_samples)
     first = np.full(n_samples, np.nan) if want_first_step else None
-    expanded = pruned = 0
+    expanded = pruned = max_depth = 0
     for lo in range(0, n_samples, _CHUNK):
         hi = min(lo + _CHUNK, n_samples)
         keys = root_key_vec(seed, np.arange(lo, hi, dtype=np.uint64))
         sigma[lo:hi], levels, chunk_expanded, chunk_pruned = _expand_chunk(p, keys)
         expanded += chunk_expanded
         pruned += chunk_pruned
+        max_depth = max(max_depth, len(levels) - 1)
         if want_first_step:
             for samples, times, _ in _walk(p.contact, levels):
                 first[lo + samples] = times
                 break
         del levels  # free this chunk's forest before expanding the next
-    return sigma, first, expanded, pruned
+    return sigma, first, expanded, pruned, max_depth
+
+
+def _batch_sigma(p: TreeParams, n_samples: int, seed: int, want_first_step: bool = False):
+    """`_expand_batch` without the depth: (sigma, first, expanded, pruned)."""
+    return _expand_batch(p, n_samples, seed, want_first_step)[:4]
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +423,8 @@ def sample_geodesic(p: TreeParams, seed: int, index: int = 0,
 @dataclass(frozen=True)
 class DualCurve:
     """B estimated on a time grid; `nodes_expanded`/`nodes_pruned` count the
-    tree nodes of all samples, expanded up to the largest grid time."""
+    tree nodes of all samples, expanded up to the largest grid time, and
+    `max_depth` is the deepest generation any of them reached."""
 
     t: np.ndarray
     estimate: np.ndarray
@@ -348,6 +432,7 @@ class DualCurve:
     n_samples: int
     nodes_expanded: int
     nodes_pruned: int
+    max_depth: int
 
 
 def estimate_B(p: TreeParams, t_grid, n_samples: int, seed: int) -> DualCurve:
@@ -365,19 +450,20 @@ def estimate_B(p: TreeParams, t_grid, n_samples: int, seed: int) -> DualCurve:
         raise ValueError(f"curve grid t_grid must be finite, got {t_grid[i]} at index {i}")
     if t_grid.max() > p.horizon:
         raise ValueError("curve grid extends beyond the censoring horizon")
-    sigma, _, expanded, pruned = _batch_sigma(replace(p, horizon=float(t_grid.max())),
-                                              n_samples, seed)
+    sigma, _, expanded, pruned, depth = _expand_batch(replace(p, horizon=float(t_grid.max())),
+                                                      n_samples, seed)
     frac = (sigma[:, None] <= t_grid[None, :]).mean(axis=0)
     se = p.s0 * np.sqrt(frac * (1.0 - frac) / n_samples)
     return DualCurve(t=t_grid, estimate=p.s0 * frac, se=se, n_samples=n_samples,
-                     nodes_expanded=expanded, nodes_pruned=pruned)
+                     nodes_expanded=expanded, nodes_pruned=pruned, max_depth=depth)
 
 
 @dataclass(frozen=True)
 class FirstStepSample:
     """First backward times among samples conditioned on sigma in a window;
     `nodes_expanded`/`nodes_pruned` count the tree nodes of all n_samples,
-    expanded up to the end of the window."""
+    expanded up to the end of the window, and `max_depth` is the deepest
+    generation any of them reached."""
 
     window: tuple[float, float]
     values: np.ndarray
@@ -385,6 +471,7 @@ class FirstStepSample:
     n_samples: int
     nodes_expanded: int
     nodes_pruned: int
+    max_depth: int
 
     @property
     def n_conditioned(self) -> int:
@@ -406,29 +493,23 @@ def conditioned_first_step(p: TreeParams, t: float, delta: float,
     if t + delta <= 0:
         raise ValueError(f"window [{t}, {t + delta}] ends at or before 0, where no sigma "
                          "(always positive) can land")
-    sigma, first, expanded, pruned = _batch_sigma(replace(p, horizon=t + delta), n_samples,
-                                                  seed, want_first_step=True)
+    sigma, first, expanded, pruned, depth = _expand_batch(replace(p, horizon=t + delta),
+                                                          n_samples, seed, want_first_step=True)
     sel = (sigma >= t) & (sigma <= t + delta)
     if int(sel.sum()) < 200:
         raise RuntimeError(
             f"only {int(sel.sum())} samples landed in [{t}, {t + delta}]; "
             "increase n_samples")
     return FirstStepSample(window=(t, t + delta), values=first[sel], sigmas=sigma[sel],
-                           n_samples=n_samples, nodes_expanded=expanded, nodes_pruned=pruned)
+                           n_samples=n_samples, nodes_expanded=expanded, nodes_pruned=pruned,
+                           max_depth=depth)
 
 
 def sample_root_decorations(p: TreeParams, n_samples: int, seed: int):
     """Root-level offspring counts and edge decorations, for distributional
     diagnostics: (K_S, K_I, subtree edge lengths, leaf (delay, age) pairs)."""
     keys = root_key_vec(seed, np.arange(n_samples, dtype=np.uint64))
-    k_s = np.searchsorted(p.s_cdf, keyed_u01_vec(keys, np.uint64(0)), side="right")
-    k_i = np.searchsorted(p.i_cdf, keyed_u01_vec(keys, np.uint64(1)), side="right")
-    rep = np.repeat(np.arange(n_samples, dtype=np.int64), k_s)
-    slot = _ragged_slots(k_s)
-    w = p.generation.ppf_from_uniform(keyed_u01_vec(keys[rep], (2 + 2 * slot).astype(np.uint64)))
-    rep_i = np.repeat(np.arange(n_samples, dtype=np.int64), k_i)
-    slot_i = _ragged_slots(k_i)
-    base = (2 + 2 * k_s[rep_i] + 3 * slot_i).astype(np.uint64)
-    wbar, z = joint_delay_age_from_uniforms(
-        p.ic, keyed_u01_vec(keys[rep_i], base), keyed_u01_vec(keys[rep_i], base + np.uint64(1)))
+    k_s, k_i = _offspring_counts(p, keys)
+    w = _subtree_edges(p, keys, k_s)[3]
+    _, _, _, wbar, z = _leaf_edges(p, keys, k_s, k_i)
     return k_s, k_i, w, wbar, z

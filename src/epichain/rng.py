@@ -45,10 +45,10 @@ def make_rng(master_seed: int, *tags: object) -> np.random.Generator:
     return np.random.default_rng(derive_seed(master_seed, *tags))
 
 
-def mix64_vec(z: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer; bijective on 64-bit integers."""
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer, bijective on 64-bit integers; mixes the caller's
+    fresh uint64 array in place and returns it."""
     with np.errstate(over="ignore"):
-        z = np.asarray(z, dtype=np.uint64).copy()
         z ^= z >> np.uint64(30)
         z *= _M1
         z ^= z >> np.uint64(27)
@@ -61,20 +61,24 @@ def keyed_u01_vec(keys: np.ndarray, counters) -> np.ndarray:
     """Uniforms in [0,1) determined by (key, counter). 53-bit resolution."""
     with np.errstate(over="ignore"):
         c = (np.asarray(counters, dtype=np.uint64) + np.uint64(1)) * _GAMMA
-        bits = mix64_vec(np.asarray(keys, dtype=np.uint64) + c)
-    return (bits >> np.uint64(11)).astype(np.float64) * _INV_2_53
+        bits = _mix64(np.asarray(keys, dtype=np.uint64) + c)
+    bits >>= np.uint64(11)
+    # below 2**53, so the signed conversion (the faster one) is exact
+    u = bits.view(np.int64).astype(np.float64)
+    u *= _INV_2_53
+    return u
 
 
 def child_key_vec(keys: np.ndarray, slots) -> np.ndarray:
     """Keys of the nodes' slot-th children (slots 0-based)."""
     with np.errstate(over="ignore"):
         s = (np.asarray(slots, dtype=np.uint64) + np.uint64(1)) * _GAMMA
-        return mix64_vec((np.asarray(keys, dtype=np.uint64) ^ _KEY_TWEAK) + s)
+        return _mix64((np.asarray(keys, dtype=np.uint64) ^ _KEY_TWEAK) + s)
 
 
 def root_key_vec(seed: int, indices: np.ndarray) -> np.ndarray:
     """Keys of the tree roots at positions `indices` of a run seed's stream."""
     with np.errstate(over="ignore"):
-        base = mix64_vec(np.uint64(seed & _MASK))
+        base = _mix64(np.array(seed & _MASK, dtype=np.uint64))
         s = (np.asarray(indices, dtype=np.uint64) + np.uint64(1)) * _GAMMA
-        return mix64_vec(base + s)
+        return _mix64(base + s)

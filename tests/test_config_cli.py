@@ -1,6 +1,7 @@
 """Scenario configuration and the command-line entry point."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -171,6 +172,16 @@ class TestCli:
         header, rows = _read_csv(tmp_path / "tree.csv")
         assert header == ["t", "B_hat", "se"]
         assert len(rows) == 4
+
+    def test_tree_reports_work_on_stdout_only(self, tmp_path, capsys):
+        argv = ["tree", "--out", str(tmp_path), "--samples", "2000", "--points", "4",
+                "--horizon", "6.0"]
+        assert main(argv) == 0
+        first = (tmp_path / "tree.csv").read_bytes()
+        out = capsys.readouterr().out
+        assert re.search(r"nodes expanded \d+, pruned \d+, max depth \d+; \S+ nodes/s", out)
+        assert main(argv) == 0
+        assert (tmp_path / "tree.csv").read_bytes() == first
 
     def test_chain_modes(self, tmp_path):
         for mode, name in [("renewal", "chain_renewal.csv"),

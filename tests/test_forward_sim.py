@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from epichain import (
-    ContactRate, InfectionGraph, MarkovSEIR, brute_force_infection_times, compartment_curve,
-    compartment_fraction, derive_seed, historical_measure, initial_condition,
-    simulate,
+    ContactRate, InfectionGraph, MarkovSEIR, MarkovSIR, brute_force_infection_times,
+    compartment_curve, compartment_fraction, derive_seed, historical_measure,
+    initial_condition, simulate,
 )
 from epichain.courses import CourseBatch
 from epichain.forward_sim import age_compartment_measure, ancestral_path
@@ -84,6 +84,23 @@ class TestExactLaw:
                 oracle = brute_force_infection_times(out.graph, contact)
                 assert np.array_equal(out.sigma, oracle), f"instance {i} diverged"
             assert secondary >= 30
+
+    def test_rising_contact_matches_oracle(self):
+        # under a rising contact rate a lower infection time can turn an
+        # accepted contact into a rejected one, so a solver that only ever
+        # lowers times (Bellman-Ford) is wrong here; at beta = 3 and I0 = 0.5
+        # about one instance in twenty has that shape
+        model = MarkovSIR(3.0, 1.0, step=0.005, a_max=40.0)
+        ic = initial_condition(model.kernel, 0.5, age_rate=0.5)
+        rising = ContactRate((0.0, 2.0), (0.1, 1.0), "linear")
+        secondary = 0
+        for i in range(200):
+            out = simulate(model, 50, rising, ic, horizon=8.0,
+                           seed=derive_seed(407, "rising", i), record_graph=True)
+            secondary += int(np.sum(np.isfinite(out.sigma) & ~out.initial))
+            oracle = brute_force_infection_times(out.graph, rising)
+            assert np.array_equal(out.sigma, oracle), f"instance {i} diverged"
+        assert secondary >= 2000
 
     def test_record_graph_does_not_change_the_run(self, model, unit_contact, ic):
         step = ContactRate((0.0, 4.0, 8.0), (1.0, 0.3, 0.8), "step")

@@ -11,7 +11,7 @@ import pytest
 from epichain import (
     ContactRate, conditioned_first_step, estimate_B, sample_geodesic, tree_params,
 )
-from epichain.poisson_tree import _batch_sigma, sample_root_decorations
+from epichain.poisson_tree import PoissonCounts, _batch_sigma, sample_root_decorations
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +44,29 @@ class TestEstimateB:
     def test_rejects_empty_or_non_finite_grid(self, params, grid):
         with pytest.raises(ValueError, match="grid"):
             estimate_B(params, grid, 5_000, seed=1)
+
+    @pytest.mark.parametrize("contact, want", [
+        ("unit", ("0x1.06f7f65a41276p+12", 769, 435263, 214492)),
+        # a mark skipped or drawn twice moves sigma only where contact < 1
+        ("halved", ("0x1.10a1ab6f1f022p+9", 168, 435263, 214504)),
+    ])
+    def test_recorded_values_reproduced(self, kernel, ic, contact, want):
+        # recorded as float.hex when every drawn child got its mark and key
+        # before the horizon cut
+        rate = ContactRate.constant(1.0) if contact == "unit" else ContactRate(**HALVED)
+        p = tree_params(kernel, ic, rate, horizon=8.0)
+        sigma, _, expanded, pruned = _batch_sigma(p, 3_000, seed=871)
+        finite = sigma[np.isfinite(sigma)]
+        assert (float(np.sum(finite)).hex(), finite.size, expanded, pruned) == want
+
+    def test_max_depth_is_the_deepest_tree(self, kernel, ic, unit_contact):
+        p = tree_params(kernel, ic, unit_contact, horizon=5.0)
+        curve = estimate_B(p, [5.0], 1_000, seed=872)
+        depths = [sample_geodesic(p, seed=872, index=i).max_depth for i in range(1_000)]
+        assert curve.max_depth == max(depths)
+        # the same trees, censored at the same time
+        sample = conditioned_first_step(p, 1.0, 4.0, 3_000, seed=873)
+        assert sample.max_depth == estimate_B(p, [5.0], 3_000, seed=873).max_depth
 
     def test_node_cap_triggers(self, kernel, ic, unit_contact):
         tight = tree_params(kernel, ic, unit_contact, horizon=8.0, node_cap=2)
@@ -204,6 +227,18 @@ class TestCensoring:
         assert np.array_equal(curve.estimate, p.s0 * frac)
         assert np.array_equal(curve.se, p.s0 * np.sqrt(frac * (1.0 - frac) / 5_000))
         assert curve.nodes_expanded < expanded
+
+
+class TestPoissonCounts:
+    @pytest.mark.parametrize("mean", [0.0, 0.015, 1.485, 50.0])
+    def test_guide_table_equals_searchsorted(self, mean):
+        counts = PoissonCounts.of_mean(mean)
+        knots = counts.cdf[counts.cdf < 1.0]
+        u = np.concatenate(([0.0, np.nextafter(1.0, 0.0)], knots,
+                            np.nextafter(knots, 0.0), np.nextafter(knots, 1.0),
+                            np.random.default_rng(871).random(100_000)))
+        u = u[u < 1.0]  # keyed uniforms lie in [0, 1)
+        assert np.array_equal(counts.draw(u), np.searchsorted(counts.cdf, u, side="right"))
 
 
 class TestRootDecorations:
