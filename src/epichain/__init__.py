@@ -9,7 +9,6 @@ from .analysis import (
     histogram_from_samples,
     ks_distance,
     l1_histogram_distance,
-    lln_convergence_report,
 )
 from .backward_chain import (
     ChainBatch,
@@ -40,7 +39,6 @@ from .courses import (
     MarkovSIR,
     PoissonCourse,
     empirical_tau,
-    sample_palm_course,
 )
 from .densities import GridDensity
 from .forward_sim import (
@@ -89,14 +87,13 @@ __version__ = "0.1.0"
 __all__ = [
     "ComparisonReport", "Histogram", "histogram_from_density",
     "histogram_from_samples", "ks_distance", "l1_histogram_distance",
-    "lln_convergence_report",
     "ChainBatch", "MartingaleReport", "SurvivalReport", "h_row_sums",
     "martingale_diagnostic", "reweighted_first_steps", "sample_h_chains",
     "sample_h_first_steps", "sample_renewal_chains", "survival_representation_check",
     "ConfigError", "ScenarioConfig", "apply_overrides", "emit_config",
     "load_config", "parse_config", "reference_scenario",
     "CourseBatch", "CourseModel", "DiseaseCourse", "MarkovSEIR", "MarkovSIR",
-    "PoissonCourse", "empirical_tau", "sample_palm_course",
+    "PoissonCourse", "empirical_tau",
     "GridDensity",
     "HistoricalSummary", "SimulationOutput", "compartment_fraction",
     "historical_measure", "simulate",

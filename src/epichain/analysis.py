@@ -1,25 +1,16 @@
 """Statistical comparisons between the model's layers.
 
-Distances (L1 over shared bins, Kolmogorov-Smirnov), a uniform report type
-carrying value / threshold / Monte Carlo error, and the law-of-large-numbers
-convergence study that ties the particle system to the deterministic limit.
+Histograms, distances between them (L1 over shared bins) and between a
+sample and a CDF (Kolmogorov-Smirnov), and a uniform report type carrying
+value / threshold / Monte Carlo error.  The acceptance criteria build their
+checks from these.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .courses import CourseModel
-from .forward_sim import compartment_fraction, simulate
-from .kernels import ContactRate, InitialCondition
-from .limit_solver import LimitSolution, compartment_curve, solve_delay
-from .rng import derive_seed
-
-DEFAULT_TIME_POINTS = 64
-DEFAULT_AGE_BINS = 64
 
 
 @dataclass(frozen=True)
@@ -117,75 +108,3 @@ class ComparisonReport:
         se_part = f" se={self.se:.3g}" if self.se else ""
         return (f"[{status}] {self.name}: value={self.value:.6g} "
                 f"threshold={self.threshold:.6g}{se_part}{extra}")
-
-
-def combined_se(*ses: float) -> float:
-    """Standard error of a sum/difference of independent estimates."""
-    return math.sqrt(sum(float(s) ** 2 for s in ses))
-
-
-@dataclass(frozen=True)
-class ConvergenceLevel:
-    n_individuals: int
-    deviations: np.ndarray   # sup over the reporting grid, one per replica
-
-    @property
-    def mean_deviation(self) -> float:
-        return float(np.mean(self.deviations))
-
-    @property
-    def se(self) -> float:
-        d = self.deviations
-        return float(np.std(d, ddof=1) / math.sqrt(d.size)) if d.size > 1 else 0.0
-
-
-def lln_convergence_report(model: CourseModel, contact: ContactRate, ic: InitialCondition,
-                           horizon: float, sizes, replicas: int, seed: int, *,
-                           sol: LimitSolution | None = None, dt: float = 0.01,
-                           compartment: str | None = None,
-                           n_times: int = DEFAULT_TIME_POINTS,
-                           scenario_digest: str = "") -> list[ComparisonReport]:
-    """Simulate at each population size and report the sup-over-grid deviation
-    of a compartment fraction from the deterministic limit, plus the fitted
-    scaling exponent of deviation against size (close to -1/2 when the
-    particle system obeys the functional law of large numbers).
-
-    Returns one report per size (threshold is the previous size's mean, so
-    the pass flags encode monotone improvement) and a final report checking
-    the exponent lies in [-0.7, -0.3].
-    """
-    if compartment is None:
-        compartment = model.compartment_set.names[0]
-    if sol is None:
-        sol = solve_delay(model.kernel, contact, ic, horizon, dt)
-    times = np.linspace(0.0, horizon, n_times)
-    limit = np.interp(times, sol.t, compartment_curve(sol, model, compartment))
-
-    levels: list[ConvergenceLevel] = []
-    for n in sizes:
-        devs = np.empty(replicas)
-        for r in range(replicas):
-            run_seed = derive_seed(seed, "lln", int(n), r)
-            out = simulate(model, int(n), contact, ic, horizon, seed=run_seed)
-            frac = compartment_fraction(out, compartment, times)
-            devs[r] = float(np.max(np.abs(frac - limit)))
-        levels.append(ConvergenceLevel(n_individuals=int(n), deviations=devs))
-
-    reports: list[ComparisonReport] = []
-    prev = math.inf
-    for lev in levels:
-        reports.append(ComparisonReport(
-            name=f"lln sup deviation, N={lev.n_individuals}",
-            value=lev.mean_deviation, threshold=prev, se=lev.se,
-            n_samples=replicas, scenario_digest=scenario_digest,
-            detail=f"compartment {compartment}"))
-        prev = lev.mean_deviation
-
-    log_n = np.log([lev.n_individuals for lev in levels])
-    log_d = np.log([max(lev.mean_deviation, 1e-300) for lev in levels])
-    slope = float(np.polyfit(log_n, log_d, 1)[0]) if len(levels) > 1 else math.nan
-    reports.append(ComparisonReport(
-        name="lln scaling exponent offset from -1/2",
-        value=abs(slope + 0.5), threshold=0.2, n_samples=replicas * len(levels),
-        scenario_digest=scenario_digest, detail=f"fitted exponent {slope:.3f}"))
-    return reports

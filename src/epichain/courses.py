@@ -7,11 +7,17 @@ models sample i.i.d. courses, declare their mean intensity kernel, and expose
 the age-marginal occupation probabilities p(a, i) when known in closed form.
 Models draw courses in batches (`CourseModel.sample_courses`), stored flat as
 a `CourseBatch`; a `DiseaseCourse` is one row of a batch, built on request.
+
+`CourseModel.palm_courses` draws exact Palm courses: courses conditioned on
+a contact at a given age.  Every built-in model is a Cox process (Poisson
+contacts at a rate set by the life cycle), so by the Slivnyak-Mecke theorem
+its Palm law at age a is the life cycle reweighted by the rate at a, plus
+ordinary contacts, plus the atom at a.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import bisect
 import numpy as np
@@ -165,6 +171,27 @@ class CourseModel:
     def sample_course(self, rng: np.random.Generator) -> DiseaseCourse:
         return self.sample_courses(rng, 1).course(0)
 
+    def palm_courses(self, rng: np.random.Generator, ages) -> CourseBatch:
+        """One course per age, conditioned (in the Palm sense) on a contact at
+        that age: the atom sits exactly at the age, among the reduced-Palm
+        contacts of `_palm_cycle`."""
+        ages = np.atleast_1d(np.asarray(ages, dtype=float))
+        ok = np.isfinite(ages) & (ages >= 0.0) & (ages <= self.kernel.a_max)
+        ok[ok] = np.asarray(self.kernel.value(ages[ok])) > 0.0
+        if not ok.all():
+            raise ValueError(f"Palm course undefined at age {ages[~ok][0]}: an age must be "
+                             f"finite, in [0, {self.kernel.a_max}] and of positive intensity")
+        batch = self._palm_cycle(rng, ages)
+        owner = batch.owners()
+        below = np.bincount(owner[batch.atoms < ages[owner]], minlength=ages.size)
+        atoms = np.insert(batch.atoms, batch.offsets[:-1] + below, ages)
+        return replace(batch, offsets=batch.offsets + np.arange(ages.size + 1), atoms=atoms)
+
+    def _palm_cycle(self, rng: np.random.Generator, ages: np.ndarray) -> CourseBatch:
+        """Courses whose life cycle is reweighted by the contact rate at each
+        age, with their ordinary contacts."""
+        raise NotImplementedError
+
     def marginal_p(self, a, compartment: str) -> np.ndarray:
         """p(a, i) = P(course occupies compartment i at age a)."""
         raise NotImplementedError
@@ -182,7 +209,14 @@ class MarkovSIR(CourseModel):
         self.compartment_set = CompartmentSet(("I", "R"), (("I", "R"),))
 
     def sample_courses(self, rng: np.random.Generator, n: int) -> CourseBatch:
-        duration = rng.exponential(1.0 / self.gamma, n)
+        return self._courses(rng, rng.exponential(1.0 / self.gamma, n))
+
+    def _palm_cycle(self, rng: np.random.Generator, ages: np.ndarray) -> CourseBatch:
+        # infectious at a: D > a, and D - a ~ Exp(gamma) by memorylessness
+        return self._courses(rng, ages + rng.exponential(1.0 / self.gamma, ages.size))
+
+    def _courses(self, rng: np.random.Generator, duration: np.ndarray) -> CourseBatch:
+        n = duration.size
         offsets, atoms = _infectious_atoms(rng, np.zeros(n), duration, self.beta,
                                            self.kernel.a_max)
         entry = np.column_stack((np.zeros(n), duration))
@@ -211,8 +245,23 @@ class MarkovSEIR(CourseModel):
         self.compartment_set = CompartmentSet(("E", "I", "R"), (("E", "I"), ("I", "R")))
 
     def sample_courses(self, rng: np.random.Generator, n: int) -> CourseBatch:
-        latency = rng.exponential(1.0 / self.activation, n)
-        duration = rng.exponential(1.0 / self.recovery, n)
+        return self._courses(rng, rng.exponential(1.0 / self.activation, n), 0.0)
+
+    def _palm_cycle(self, rng: np.random.Generator, ages: np.ndarray) -> CourseBatch:
+        # infectious at a: L <= a < L + D.  Then L has density on [0, a]
+        # proportional to exp(-d l), d = activation - recovery: a truncated
+        # Exp(|d|), mirrored when d < 0; D - (a - L) ~ Exp(recovery).
+        d = self.activation - self.recovery
+        x = -np.log1p(rng.random(ages.size) * np.expm1(-abs(d) * ages)) / abs(d)
+        latency = x if d > 0 else ages - x
+        return self._courses(rng, latency, ages - latency)
+
+    def _courses(self, rng: np.random.Generator, latency: np.ndarray,
+                 lived: np.ndarray | float) -> CourseBatch:
+        """Courses of the given latencies whose infectious period is `lived`
+        plus an Exp(recovery) draw."""
+        n = latency.size
+        duration = lived + rng.exponential(1.0 / self.recovery, n)
         offsets, atoms = _infectious_atoms(rng, latency, duration, self.beta,
                                            self.kernel.a_max)
         entry = np.column_stack((np.zeros(n), latency, latency + duration))
@@ -255,55 +304,14 @@ class PoissonCourse(CourseModel):
             offsets, atoms = _offsets(owner, n), self._nu.ppf_from_uniform(u)
         return CourseBatch(offsets, atoms, np.zeros((n, 1)), (self._compartment,))
 
+    def _palm_cycle(self, rng: np.random.Generator, ages: np.ndarray) -> CourseBatch:
+        # a Poisson process is its own reduced Palm process
+        return self.sample_courses(rng, ages.size)
+
     def marginal_p(self, a, compartment: str) -> np.ndarray:
         if compartment != self._compartment:
             raise ValueError(f"unknown compartment {compartment!r}")
         return np.ones_like(np.asarray(a, dtype=float))
-
-
-def default_palm_window(model: CourseModel) -> float:
-    """Acceptance window for Palm sampling: 1% of the mean generation time."""
-    return 1e-2 * model.kernel.mean_generation_time()
-
-
-_PALM_COUNT_BOUND = 8  # acceptance cap; window counts above this are astronomically rare
-_PALM_BATCH = 4096     # proposals drawn per batch
-
-
-def sample_palm_course(model: CourseModel, age: float, rng: np.random.Generator,
-                       window: float | None = None, max_proposals: int = 1_000_000) -> DiseaseCourse:
-    """Sample a course conditioned (in the Palm sense) on a contact at `age`.
-
-    Poisson courses use the exact reduced-Palm property: condition-free
-    sampling plus a forced atom at `age`.  Other models use acceptance-
-    rejection: propose courses in batches, accept proportionally to the
-    number of atoms in a window of width `window` around `age` (bias
-    O(window), documented).
-    """
-    if float(np.asarray(model.kernel.value(age))) <= 0.0:
-        raise ValueError(f"Palm sampling undefined at age {age}: intensity is zero there")
-    if isinstance(model, PoissonCourse):
-        course = model.sample_course(rng)
-        atoms = np.sort(np.append(course.atoms, age))
-        return DiseaseCourse(atoms, course.entry_ages, course.compartments)
-    if window is None:
-        window = default_palm_window(model)
-    lo, hi = age - 0.5 * window, age + 0.5 * window
-    drawn = 0
-    while drawn < max_proposals:
-        size = min(_PALM_BATCH, max_proposals - drawn)
-        batch = model.sample_courses(rng, size)
-        inside = (batch.atoms >= lo) & (batch.atoms <= hi)
-        count = np.bincount(batch.owners()[inside], minlength=size)
-        # the first accepted of i.i.d. proposals, as if proposed one at a time
-        hit = np.flatnonzero(rng.random(size) * _PALM_COUNT_BOUND < count)
-        if hit.size:
-            return batch.course(int(hit[0]))
-        drawn += size
-    raise RuntimeError(
-        f"Palm sampling at age {age} found no acceptance in {max_proposals} proposals; "
-        "widen the window or check the intensity"
-    )
 
 
 @dataclass(frozen=True)

@@ -59,7 +59,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import stats
 
-from .courses import CourseModel, DiseaseCourse, sample_palm_course
+from .courses import CourseModel, DiseaseCourse
 from .densities import GridDensity
 from .kernels import ContactRate, InitialCondition, IntensityKernel, joint_delay_age_from_uniforms
 from .rng import child_key_vec, keyed_u01_vec, make_rng, root_key_vec
@@ -370,8 +370,10 @@ class GeodesicSample:
     `path_times` runs strictly downward from sigma to -terminal_age; entry i
     is the infection time of the i-th individual along the chain (the focal
     one first).  `path_courses`, when a course model is attached to the
-    params, holds the focal individual's ordinary course followed by
-    size-biased courses for everyone who transmitted along the path.
+    params, holds the focal individual's ordinary course followed by the
+    Palm course of everyone who transmitted along the path: course k + 1 is
+    conditioned on a contact at its transmission age, path_times[k] -
+    path_times[k + 1], and holds that age as an atom.
     """
 
     sigma: float
@@ -408,8 +410,9 @@ def sample_geodesic(p: TreeParams, seed: int, index: int = 0,
     if p.model is not None:
         if rng is None:
             rng = make_rng(seed, "geodesic-courses", index)
-        courses = (p.model.sample_course(rng),) + tuple(
-            sample_palm_course(p.model, age, rng) for _, age in steps)
+        focal = p.model.sample_course(rng)
+        palm = p.model.palm_courses(rng, [age for _, age in steps])
+        courses = (focal,) + tuple(palm.course(i) for i in range(palm.n))
 
     return GeodesicSample(float(sigma[0]), False, path_times, courses, float(-path_times[-1]),
                           expanded, pruned, max_depth)

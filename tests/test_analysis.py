@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 
 from epichain import (
     ComparisonReport, Histogram, histogram_from_density, histogram_from_samples,
-    ks_distance, l1_histogram_distance, lln_convergence_report, make_rng,
+    ks_distance, l1_histogram_distance, make_rng,
 )
-from epichain.analysis import combined_se
 
 
 class TestHistogram:
@@ -112,18 +111,3 @@ class TestComparisonReport:
     def test_negative_se_rejected(self):
         with pytest.raises(ValueError):
             ComparisonReport(name="x", value=0.0, threshold=1.0, se=-1.0)
-
-    def test_combined_se(self):
-        assert combined_se(3.0, 4.0) == pytest.approx(5.0)
-
-
-class TestLLNReport:
-    def test_scaling_report(self, model, unit_contact, ic, sol):
-        reports = lln_convergence_report(
-            model, unit_contact, ic, horizon=8.0, sizes=(400, 1600, 6400),
-            replicas=3, seed=902, sol=sol)
-        assert len(reports) == 4
-        # deviations shrink as the population grows
-        assert reports[2].value < reports[0].value
-        assert "exponent" in reports[-1].name
-        assert reports[-1].passed

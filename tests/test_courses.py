@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from epichain import MarkovSEIR, MarkovSIR, PoissonCourse, make_rng, sample_palm_course
-from epichain.courses import CompartmentSet, DiseaseCourse, default_palm_window, empirical_tau
+from epichain import MarkovSEIR, MarkovSIR, PoissonCourse, ks_distance, make_rng
+from epichain.courses import CompartmentSet, DiseaseCourse, empirical_tau
 
 
 class TestMarginals:
@@ -99,36 +99,96 @@ class TestCourseBatch:
         assert np.array_equal(one.entry_ages, row.entry_ages)
 
 
+SEIR_LATENCY_RATES = [(2.0, 1.0), (1.0, 1.5)]  # d = activation - recovery of both signs
+
+
+def _seir(activation, recovery):
+    return MarkovSEIR(2.0, activation, recovery, step=0.01, a_max=50.0)
+
+
+def _ks_band(n):
+    return 1.63 / math.sqrt(n)  # 99% K-S band
+
+
 class TestPalm:
-    def test_markov_palm_has_atom_in_window(self, model):
-        rng = make_rng(17, "palm")
-        age = 2.0
-        w = default_palm_window(model)
-        for _ in range(50):
-            course = sample_palm_course(model, age, rng)
-            inside = (course.atoms >= age - 0.5 * w) & (course.atoms <= age + 0.5 * w)
-            assert inside.any()
+    def test_palm_atom_sits_exactly_at_age(self, model, kernel):
+        ages = np.linspace(0.05, 12.0, 240)
+        models = [model, PoissonCourse(kernel)] + [_seir(*r) for r in SEIR_LATENCY_RATES]
+        for m in models:
+            batch = m.palm_courses(make_rng(17, "palm"), ages)
+            assert batch.n == ages.size
+            assert batch.offsets[0] == 0 and batch.offsets[-1] == batch.atoms.size
+            for i in range(batch.n):
+                course = batch.course(i)
+                course.validate(m)
+                assert ages[i] in course.atoms, type(m).__name__
 
     def test_poisson_palm_forces_exact_atom(self, kernel):
         m = PoissonCourse(kernel)
-        rng = make_rng(19, "palm-poisson")
-        course = sample_palm_course(m, 1.25, rng)
+        course = m.palm_courses(make_rng(19, "palm-poisson"), [1.25]).course(0)
         assert 1.25 in course.atoms
 
+    @pytest.mark.parametrize("age", [math.nan, math.inf, -1.0, 45.0])
+    def test_palm_rejects_bad_age(self, model, age):
+        with pytest.raises(ValueError, match=f"age {age}"):
+            model.palm_courses(make_rng(23, "palm-bad"), [1.0, age, 2.0])
+
     def test_palm_rejects_zero_intensity(self):
-        m = MarkovSEIR(2.0, 1.0, 1.5, step=0.01, a_max=50.0)
-        rng = make_rng(23, "palm-zero")
-        with pytest.raises(ValueError):
-            sample_palm_course(m, 0.0, rng)  # latent at age 0, intensity zero
+        m = _seir(1.0, 1.5)
+        with pytest.raises(ValueError, match="age 0.0"):
+            m.palm_courses(make_rng(23, "palm-zero"), [0.0])  # latent at age 0
 
     def test_palm_survivorship_bias(self, model):
         # courses transmitting at age 2 live past 2: conditioned durations
         # stochastically dominate the prior Exp(1)
-        rng = make_rng(29, "palm-bias")
-        durations = np.array([
-            sample_palm_course(model, 2.0, rng).entry_ages[1] for _ in range(300)])
-        assert np.all(durations >= 2.0 - default_palm_window(model))
+        durations = model.palm_courses(make_rng(29, "palm-bias"), np.full(300, 2.0)).entry_ages[:, 1]
+        assert np.all(durations >= 2.0)
         assert durations.mean() > 2.5
+
+    def test_sir_palm_duration_is_age_plus_exponential(self, model):
+        n = 20_000
+        excess = model.palm_courses(make_rng(31, "palm-ks"), np.full(n, 3.0)).entry_ages[:, 1] - 3.0
+        d = ks_distance(excess, lambda x: 1.0 - np.exp(-model.gamma * np.asarray(x)))
+        assert d < _ks_band(n)
+
+    @pytest.mark.parametrize("rates", SEIR_LATENCY_RATES)
+    def test_seir_palm_latency_law(self, rates):
+        m = _seir(*rates)
+        d, a, n = m.activation - m.recovery, 2.0, 20_000
+        entry = m.palm_courses(make_rng(37, "palm-seir", *rates), np.full(n, a)).entry_ages
+        latency = entry[:, 1]
+        assert np.all((latency >= 0.0) & (latency <= a))
+        exact_mean = 1.0 / d - a * math.exp(-d * a) / -math.expm1(-d * a)
+        se = latency.std(ddof=1) / math.sqrt(n)
+        assert abs(latency.mean() - exact_mean) < 4 * se
+        assert ks_distance(latency, lambda x: np.expm1(-d * np.asarray(x)) / math.expm1(-d * a)) \
+            < _ks_band(n)
+        excess = entry[:, 2] - a
+        assert ks_distance(excess, lambda x: 1.0 - np.exp(-m.recovery * np.asarray(x))) \
+            < _ks_band(n)
+
+    @pytest.mark.parametrize("which", ["sir", "seir"])
+    def test_palm_recovery_age_matches_windowed_plain_courses(self, model, which):
+        # Campbell: E[R N(w)] / E[N(w)] over plain courses, with N(w) the
+        # atoms in a window of width w around a and R the recovery age,
+        # tends to the Palm mean of R as w shrinks
+        m = model if which == "sir" else _seir(1.0, 1.5)
+        a = 2.0
+        palm = m.palm_courses(make_rng(41, "palm-mean", which), np.full(20_000, a))
+        recovery = palm.entry_ages[:, -1]
+        palm_mean = recovery.mean()
+        palm_var = recovery.var(ddof=1) / recovery.size
+        plain = m.sample_courses(make_rng(43, "plain", which), 400_000)
+        owner = plain.owners()
+        for w in (0.4, 0.2, 0.1):
+            inside = np.abs(plain.atoms - a) <= 0.5 * w
+            count = np.bincount(owner[inside], minlength=plain.n).astype(float)
+            r = plain.entry_ages[:, -1]
+            ratio = np.sum(r * count) / np.sum(count)
+            # delta-method variance of a ratio of means
+            resid = (r - ratio) * count
+            ratio_var = resid.var(ddof=1) * plain.n / np.sum(count) ** 2
+            assert abs(ratio - palm_mean) < 4 * math.sqrt(ratio_var + palm_var), w
 
 
 class TestValidation:

@@ -110,6 +110,16 @@ RECORDED_PATHS = {
 }
 
 
+def _assert_palm_decoration(decorated, bare):
+    """Course k + 1 holds its transmission age as an atom, and the decoration
+    leaves the path itself bitwise unchanged."""
+    assert bare.path_courses is None
+    assert np.array_equal(decorated.path_times, bare.path_times)
+    ages = decorated.path_times[:-1] - decorated.path_times[1:]
+    for age, course in zip(ages, decorated.path_courses[1:]):
+        assert np.min(np.abs(course.atoms - age)) <= 1e-12
+
+
 class TestGeodesicPaths:
     def test_path_structure(self, params):
         found = 0
@@ -138,7 +148,7 @@ class TestGeodesicPaths:
         with pytest.raises(ValueError, match="index"):
             sample_geodesic(params, seed=821, index=-1)
 
-    def test_decorated_courses(self, kernel, ic, unit_contact, model):
+    def test_decorated_courses(self, params, kernel, ic, unit_contact, model):
         p = tree_params(kernel, ic, unit_contact, horizon=8.0, model=model)
         for i in range(80):
             one = sample_geodesic(p, seed=823, index=i)
@@ -148,8 +158,20 @@ class TestGeodesicPaths:
             assert len(one.path_courses) == one.path_times.size
             for course in one.path_courses:
                 course.validate(model)
+            _assert_palm_decoration(one, sample_geodesic(params, seed=823, index=i))
             return
         pytest.fail("all 80 samples censored")
+
+    def test_old_initially_infected_ancestor_is_decorated(self, params, kernel, ic,
+                                                           unit_contact, model):
+        # the last ancestor transmits at age 13.7, where the intensity is
+        # 1.7e-6: Palm courses there must not depend on seeing such a contact
+        p = tree_params(kernel, ic, unit_contact, horizon=8.0, model=model)
+        one = sample_geodesic(p, seed=823, index=8462)
+        assert one.path_times[-2] - one.path_times[-1] > 13.0
+        for course in one.path_courses:
+            course.validate(model)
+        _assert_palm_decoration(one, sample_geodesic(params, seed=823, index=8462))
 
 
 class TestConditionedFirstStep:
