@@ -14,7 +14,6 @@ from .backward_chain import (
     ChainBatch,
     MartingaleReport,
     SurvivalReport,
-    h_row_sums,
     martingale_diagnostic,
     reweighted_first_steps,
     sample_h_chains,
@@ -69,7 +68,6 @@ from .limit_solver import (
     final_size_settled_contact,
     picard_delay,
     solve_delay,
-    solve_linearized,
 )
 from .poisson_tree import (
     DualCurve,
@@ -87,7 +85,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ComparisonReport", "Histogram", "histogram_from_density",
     "histogram_from_samples", "ks_distance", "l1_histogram_distance",
-    "ChainBatch", "MartingaleReport", "SurvivalReport", "h_row_sums",
+    "ChainBatch", "MartingaleReport", "SurvivalReport",
     "martingale_diagnostic", "reweighted_first_steps", "sample_h_chains",
     "sample_h_first_steps", "sample_renewal_chains", "survival_representation_check",
     "ConfigError", "ScenarioConfig", "apply_overrides", "emit_config",
@@ -103,7 +101,6 @@ __all__ = [
     "initial_condition", "malthusian_parameter",
     "LimitSolution", "PicardResult", "compartment_curve", "final_size",
     "final_size_settled_contact", "picard_delay", "solve_delay",
-    "solve_linearized",
     "DualCurve", "FirstStepSample", "TreeParams", "conditioned_first_step",
     "estimate_B", "sample_geodesic", "tree_params",
     "derive_seed", "make_rng",

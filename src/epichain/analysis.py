@@ -93,7 +93,6 @@ class ComparisonReport:
     threshold: float
     se: float = 0.0
     n_samples: int = 0
-    scenario_digest: str = ""
     detail: str = ""
     passed: bool = field(init=False)
 

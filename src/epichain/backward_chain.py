@@ -40,12 +40,13 @@ import numpy as np
 from .densities import GridDensity
 from .kernels import IntensityKernel, backward_density, malthusian_parameter
 from .limit_solver import LimitSolution
-from .rng import make_rng
+from .rng import check_count, make_rng
 
 _B_FLOOR = 1e-12
 _BLOCK = 100_000
 _ENVELOPE_WIDTH = 0.5  # width of the ancestor-time blocks of the b envelope
 _MAX_ROUNDS = 1_000    # rejection rounds before a conditioned step is declared stuck
+_MAX_STEPS = 500       # transitions before a conditioned chain is declared runaway
 
 
 @dataclass(frozen=True)
@@ -55,10 +56,6 @@ class ChainBatch:
     times: np.ndarray      # (n, max_len + 1); column 0 is the start state
     lengths: np.ndarray    # transitions per chain
     proposals: int = 0     # envelope draws behind the transitions (conditioned chains)
-
-    @property
-    def first_steps(self) -> np.ndarray:
-        return self.times[:, 1]
 
     @property
     def first_increments(self) -> np.ndarray:
@@ -99,6 +96,7 @@ def sample_renewal_chains(t: float, kernel: IntensityKernel, n_chains: int,
                           seed: int) -> ChainBatch:
     """n independent renewal paths R_0 = t > R_1 > ... > R_L <= 0 with jumps
     from r(a) = e^{-alpha a} tau(a); a start t <= 0 gives L = 0."""
+    n_chains = check_count("n_chains", n_chains, 1)
     r_density = backward_density(kernel, malthusian_parameter(kernel).alpha)
     R = _renewal_block(t, r_density, n_chains, 0, make_rng(seed, "renewal", t))
     lengths = np.count_nonzero(R > 0, axis=1)
@@ -151,6 +149,8 @@ class MartingaleReport:
 
 def martingale_diagnostic(t: float, sol: LimitSolution, n_samples: int, k_max: int,
                           seed: int) -> MartingaleReport:
+    n_samples = check_count("n_samples", n_samples, 1)
+    k_max = check_count("k_max", k_max, 1)
     alpha = malthusian_parameter(sol.kernel).alpha
     sums = np.zeros(k_max + 1)
     sq_sums = np.zeros(k_max + 1)
@@ -198,6 +198,7 @@ class SurvivalReport:
 
 def survival_representation_check(t: float, sol: LimitSolution, n_samples: int,
                                   seed: int) -> SurvivalReport:
+    n_samples = check_count("n_samples", n_samples, 1)
     alpha = malthusian_parameter(sol.kernel).alpha
     rate = sol.ic.age_rate
     if rate is None or abs(rate - alpha) > 1e-8 * max(1.0, abs(alpha)):
@@ -314,8 +315,7 @@ def _check_starts(starts, sol: LimitSolution, positive: bool) -> np.ndarray:
     return starts
 
 
-def _h_paths(starts: np.ndarray, sol: LimitSolution, rng: np.random.Generator,
-             max_steps: int = 500) -> ChainBatch:
+def _h_paths(starts: np.ndarray, sol: LimitSolution, rng: np.random.Generator) -> ChainBatch:
     envelope = _b_envelope(sol)
     n = starts.size
     columns = [starts.copy()]
@@ -325,8 +325,8 @@ def _h_paths(starts: np.ndarray, sol: LimitSolution, rng: np.random.Generator,
     proposals = 0
     while active.any():
         steps += 1
-        if steps > max_steps:
-            raise RuntimeError(f"conditioned chain exceeded {max_steps} steps")
+        if steps > _MAX_STEPS:
+            raise RuntimeError(f"conditioned chain exceeded {_MAX_STEPS} steps")
         nxt = np.full(n, np.nan)
         nxt[active], drawn = _h_transition(cur[active], sol, envelope, rng)
         proposals += drawn
@@ -341,6 +341,7 @@ def _h_paths(starts: np.ndarray, sol: LimitSolution, rng: np.random.Generator,
 def sample_h_chains(t: float, sol: LimitSolution, n_chains: int, seed: int) -> ChainBatch:
     """n independent conditioned paths from calendar time t; a start t <= 0
     gives L = 0.  `proposals` counts the envelope draws of all transitions."""
+    n_chains = check_count("n_chains", n_chains, 1)
     starts = _check_starts(np.full(n_chains, float(t)), sol, positive=False)
     return _h_paths(starts, sol, make_rng(seed, "h-chain", t))
 
@@ -351,26 +352,6 @@ def sample_h_first_steps(starts: np.ndarray, sol: LimitSolution, seed: int) -> n
     starts = _check_starts(starts, sol, positive=True)
     values, _ = _h_transition(starts, sol, _b_envelope(sol), make_rng(seed, "h-first"))
     return values
-
-
-def h_row_sums(sol: LimitSolution, state_indices) -> np.ndarray:
-    """Integral of the conditioned kernel Q(x, .) at solver grid states,
-    using the solver's own quadrature; equals 1 up to the stored renewal
-    residual."""
-    from .limit_solver import _force_grid
-
-    t = sol.t
-    dt = sol.dt
-    tau_vals, forcing = _force_grid(sol.kernel, sol.ic, t)
-    c_vals = sol.contact(t)
-    out = np.empty(len(state_indices))
-    for i, k in enumerate(state_indices):
-        k = int(k)
-        conv = dt * (float(np.dot(tau_vals[k:0:-1], sol.b[:k])) - 0.5 * tau_vals[k] * sol.b[0]) \
-            if k > 0 else 0.0
-        a_k = conv + 0.5 * dt * tau_vals[0] * sol.b[k] + forcing[k] if k > 0 else forcing[0]
-        out[i] = c_vals[k] * sol.S[k] * a_k / sol.b[k]
-    return out
 
 
 @dataclass(frozen=True)
@@ -391,6 +372,7 @@ def reweighted_first_steps(t: float, sol: LimitSolution, n_samples: int,
     """Sample killed renewal chains; keep survivors with weight
     b(R_L)e^{-alpha R_L} / (b(t)e^{-alpha t}).  Their weighted first-step
     histogram reproduces the conditioned chain's first step."""
+    n_samples = check_count("n_samples", n_samples, 1)
     alpha = malthusian_parameter(sol.kernel).alpha
     vals = []
     wts = []

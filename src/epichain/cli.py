@@ -27,7 +27,7 @@ from .config import (
 from .forward_sim import compartment_fraction, simulate
 from .limit_solver import solve_delay
 from .poisson_tree import NODE_CAP, estimate_B, tree_params
-from .rng import derive_seed, make_rng
+from .rng import check_count, derive_seed, make_rng
 
 REPORT_POINTS = 64
 
@@ -78,12 +78,14 @@ def cmd_solve(args) -> int:
     _write_csv(out, cfg.digest, ["t", "b", "B", "S"],
                zip(sol.t, sol.b, sol.B, sol.S))
     print(f"solve: wrote {out}")
-    print(f"  grid points {sol.t.size}, renewal residual {sol.renewal_residual:.3g}")
+    print(f"  grid points {sol.t.size}, renewal residual {sol.renewal_residual:.3g}, "
+          f"inner iterations max {sol.iterations_max}")
     print(f"  B(T)+I0 = {float(sol.B[-1]) + cfg.i0:.6f}")
     return 0
 
 
 def cmd_simulate(args) -> int:
+    check_count("--replicas", args.replicas, 1)
     cfg = _load(args)
     model = cfg.build_model()
     contact = cfg.build_contact()
@@ -186,8 +188,7 @@ def cmd_chain(args) -> int:
 
 
 def cmd_courses_dump(args) -> int:
-    if args.samples < 0:
-        raise ValueError(f"--samples must be nonnegative, got {args.samples}")
+    check_count("--samples", args.samples, 0)
     cfg = _load(args)
     model = cfg.build_model()
     rng = make_rng(derive_seed(cfg.seed, "courses"))
@@ -211,7 +212,11 @@ def cmd_validate(args) -> int:
     cfg = _load(args)
     wanted = None
     if args.criteria:
-        wanted = sorted({int(x) for x in args.criteria.split(",")})
+        try:
+            wanted = sorted({int(x) for x in args.criteria.split(",")})
+        except ValueError:
+            raise ValueError(f"--criteria must list criterion numbers separated by commas, "
+                             f"got {args.criteria!r}") from None
     results = run_all(criteria=wanted)
     records = [
         {"criterion": r.criterion, "name": r.name, "passed": r.passed,

@@ -57,10 +57,6 @@ class CompartmentSet:
         if seen != len(self.names):
             raise ValueError("compartment transitions contain a cycle")
 
-    def absorbing(self) -> tuple[str, ...]:
-        sources = {src for src, _ in self.transitions}
-        return tuple(n for n in self.names if n not in sources)
-
 
 @dataclass(frozen=True)
 class DiseaseCourse:
@@ -322,13 +318,6 @@ class EmpiricalIntensity:
     values: np.ndarray
     standard_errors: np.ndarray
     n_courses: int
-
-    def value(self, a) -> np.ndarray:
-        """Piecewise-constant evaluation, zero outside the binned range."""
-        a = np.asarray(a, dtype=float)
-        idx = np.clip(np.searchsorted(self.bin_edges, a, side="right") - 1, 0, self.values.size - 1)
-        inside = (a >= self.bin_edges[0]) & (a < self.bin_edges[-1])
-        return np.where(inside, self.values[idx], 0.0)
 
 
 def empirical_tau(model: CourseModel, n: int, rng: np.random.Generator,

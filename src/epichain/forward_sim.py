@@ -16,10 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .courses import CourseBatch, CourseModel, DiseaseCourse
+from .courses import CourseBatch, CourseModel
 from .infection_graph import InfectionGraph, first_passage
 from .kernels import ContactRate, InitialCondition
-from .rng import make_rng
+from .rng import check_count, make_rng
 
 
 @dataclass
@@ -76,7 +76,6 @@ class SimulationOutput:
 
 def simulate(model: CourseModel, n_individuals: int, contact: ContactRate,
              ic: InitialCondition, horizon: float, seed: int | None = None,
-             rng: np.random.Generator | None = None,
              record_graph: bool = False) -> SimulationOutput:
     """Run the epidemic among `n_individuals` up to `horizon`.
 
@@ -86,16 +85,11 @@ def simulate(model: CourseModel, n_individuals: int, contact: ContactRate,
     only decides whether it is returned as `out.graph` (the small-instance
     oracle cross-checks read it).
     """
-    if isinstance(n_individuals, bool) or not isinstance(n_individuals, (int, np.integer)):
-        raise ValueError(f"n_individuals must be an integer, got {n_individuals!r}")
-    if n_individuals <= 0:
-        raise ValueError(f"n_individuals must be positive, got {n_individuals}")
+    n = check_count("n_individuals", n_individuals, 1)
     if not float(horizon) >= 0.0:
         raise ValueError(f"horizon must be a nonnegative number, got {horizon!r}")
-    if rng is None:
-        rng = make_rng(0 if seed is None else seed, "forward-sim")
+    rng = make_rng(0 if seed is None else seed, "forward-sim")
 
-    n = int(n_individuals)
     initial = rng.random(n) < ic.i0
     init_ids = np.flatnonzero(initial)
     z = np.zeros(n)
@@ -117,75 +111,12 @@ def simulate(model: CourseModel, n_individuals: int, contact: ContactRate,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AgeCompartmentMeasure:
-    """Empirical joint (age, compartment) measure at a fixed time, per capita."""
-
-    time: float
-    bin_edges: np.ndarray
-    compartments: tuple[str, ...]
-    fractions: np.ndarray  # shape (bins, compartments); mass, not density
-
-
-def age_compartment_measure(out: SimulationOutput, t: float,
-                            age_bins: np.ndarray, model: CourseModel) -> AgeCompartmentMeasure:
-    """Bin infected individuals by age-of-infection and compartment at time t."""
-    if t < 0 or t > out.horizon:
-        raise ValueError("time outside the simulated range")
-    edges = np.asarray(age_bins, dtype=float)
-    comps = model.compartment_set.names
-    ids = np.flatnonzero(out.sigma <= t)
-    age = t - out.sigma[ids]
-    b = np.searchsorted(edges, age, side="right") - 1
-    inside = (b >= 0) & (b < edges.size - 1)
-    # the compartment entered last by `age` (DiseaseCourse.compartment_at)
-    j = np.maximum(np.sum(out.courses.entry_ages[ids] <= age[:, None], axis=1) - 1, 0)
-    comp_idx = np.array([comps.index(name) for name in out.courses.compartments])
-    counts = np.bincount(b[inside] * len(comps) + comp_idx[j[inside]],
-                         minlength=(edges.size - 1) * len(comps)).astype(float)
-    return AgeCompartmentMeasure(time=t, bin_edges=edges, compartments=comps,
-                                 fractions=counts.reshape(edges.size - 1, len(comps)) / out.n)
-
-
 def compartment_fraction(out: SimulationOutput, compartment: str, times) -> np.ndarray:
     """Fraction of the population occupying `compartment` at the given times."""
     starts, ends = out._compartment_spans(compartment)
     times = np.asarray(times, dtype=float)
     active = np.searchsorted(starts, times, side="right") - np.searchsorted(ends, times, side="right")
     return active / out.n
-
-
-@dataclass(frozen=True)
-class AncestralPath:
-    """Transmission chain traced backwards from one individual.
-
-    `times` decrease strictly from the individual's own infection time to the
-    (negative) infection time of the chain's initially infected root.
-    """
-
-    individuals: np.ndarray
-    times: np.ndarray
-    courses: tuple[DiseaseCourse, ...]
-    root_age: float
-
-    @property
-    def length(self) -> int:
-        return int(self.individuals.size)
-
-
-def ancestral_path(out: SimulationOutput, x: int) -> AncestralPath:
-    if not np.isfinite(out.sigma[x]):
-        raise ValueError(f"individual {x} was never infected; no ancestral path")
-    ids = [int(x)]
-    while out.infector[ids[-1]] >= 0:
-        ids.append(int(out.infector[ids[-1]]))
-    times = out.sigma[ids]
-    return AncestralPath(
-        individuals=np.asarray(ids, dtype=np.int64),
-        times=times,
-        courses=tuple(out.courses.course(i) for i in ids),
-        root_age=float(out.z[ids[-1]]),
-    )
 
 
 @dataclass(frozen=True)

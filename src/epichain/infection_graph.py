@@ -27,6 +27,8 @@ import numpy as np
 from .courses import CourseBatch
 from .kernels import ContactRate
 
+_MAX_CHAINS = 500_000  # chains the oracle enumerates before giving up on a population
+
 
 @dataclass(frozen=True)
 class InfectionGraph:
@@ -133,8 +135,7 @@ def first_passage(graph: InfectionGraph, contact: ContactRate) -> FirstPassage:
                         rounds=rounds)
 
 
-def brute_force_infection_times(graph: InfectionGraph, contact: ContactRate,
-                                max_chains: int = 500_000) -> np.ndarray:
+def brute_force_infection_times(graph: InfectionGraph, contact: ContactRate) -> np.ndarray:
     """Infection times from the decorated graph by explicit chain enumeration.
 
     Every simple chain out of an initially infected individual is generated
@@ -154,7 +155,7 @@ def brute_force_infection_times(graph: InfectionGraph, contact: ContactRate,
     chains: list[tuple[float, int, int, float]] = []
 
     def extend(chain_id: int, x: int, t: float, visited: frozenset[int]) -> None:
-        if len(chains) > max_chains:
+        if len(chains) > _MAX_CHAINS:
             raise RuntimeError("chain enumeration exceeded the cap; population too large")
         for length, u, mark in graph.out_edges(x):
             arrival = t + length

@@ -26,6 +26,9 @@ from .densities import GridDensity, cumulative_trapezoid
 
 DEFAULT_AGE_STEP = 0.01
 GENERATION_TIME_SPAN = 40.0  # grid reach, in units of the mean generation time
+_MALTHUS_BRACKET = (-5.0, 5.0)  # growth rates searched by the Malthusian bisection
+_MALTHUS_TOL = 1e-10
+_MALTHUS_MAX_ITER = 200
 
 
 # ---------------------------------------------------------------------------
@@ -154,9 +157,6 @@ class IntensityKernel:
             raise ValueError("generation density undefined for a zero kernel")
         return GridDensity(self.ages, self.table)
 
-    def mean_generation_time(self) -> float:
-        return self.generation_density().mean()
-
 
 class ExponentialKernel(IntensityKernel):
     """tau(a) = beta * exp(-gamma a): constant-rate contacts over an
@@ -218,10 +218,9 @@ class LatentExponentialKernel(IntensityKernel):
 
 class TabulatedKernel(IntensityKernel):
     """Kernel given by values on a uniform grid; linear interpolation between
-    grid points, zero beyond the grid unless an exponential tail is declared
-    (`tail_rate` r continues the last grid value as table[-1]*exp(-r(a-a_max)))."""
+    grid points, zero beyond the grid."""
 
-    def __init__(self, ages: np.ndarray, values: np.ndarray, tail_rate: float | None = None):
+    def __init__(self, ages: np.ndarray, values: np.ndarray):
         ages = np.asarray(ages, dtype=float)
         values = np.asarray(values, dtype=float)
         if ages.ndim != 1 or ages.size < 2 or ages.shape != values.shape:
@@ -231,35 +230,20 @@ class TabulatedKernel(IntensityKernel):
             raise ValueError("ages must form a uniform grid starting at 0")
         if np.any(values < 0) or not np.all(np.isfinite(values)):
             raise ValueError("intensity values must be finite and nonnegative")
-        if tail_rate is not None and tail_rate <= 0:
-            raise ValueError("tail_rate must be positive")
-        self.tail_rate = tail_rate
         self._ref_ages = ages
         self._ref_values = values
-        tail_mass = 0.0 if tail_rate is None else float(values[-1]) / tail_rate
-        self.r0 = float(np.trapezoid(values, ages)) + tail_mass
+        self.r0 = float(np.trapezoid(values, ages))
         self._init_grid(float(steps[0]), float(ages[-1]))
 
     def value(self, a) -> np.ndarray:
         a = np.asarray(a, dtype=float)
-        out = np.interp(a, self._ref_ages, self._ref_values, left=0.0, right=0.0)
-        if self.tail_rate is not None:
-            beyond = a > self._ref_ages[-1]
-            if np.any(beyond):
-                decay = np.exp(-self.tail_rate * np.minimum(a - self._ref_ages[-1], 7e2))
-                out = np.where(beyond, self._ref_values[-1] * decay, out)
-        return out
+        return np.interp(a, self._ref_ages, self._ref_values, left=0.0, right=0.0)
 
     def laplace(self, theta: float) -> float:
         integrand = np.exp(-theta * self._ref_ages) * self._ref_values
         if not np.all(np.isfinite(integrand)):
             return math.inf
-        total = float(np.trapezoid(integrand, self._ref_ages))
-        if self.tail_rate is not None:
-            if theta <= -self.tail_rate:
-                return math.inf
-            total += float(self._ref_values[-1]) * math.exp(-theta * self._ref_ages[-1]) / (theta + self.tail_rate)
-        return total
+        return float(np.trapezoid(integrand, self._ref_ages))
 
 
 # ---------------------------------------------------------------------------
@@ -272,41 +256,39 @@ class MalthusianSolve:
     alpha: float
     residual: float
     iterations: int
-    bracket: tuple[float, float]
 
 
-def malthusian_parameter(kernel: IntensityKernel, bracket: tuple[float, float] = (-5.0, 5.0),
-                         tol: float = 1e-10, max_iter: int = 200) -> MalthusianSolve:
+def malthusian_parameter(kernel: IntensityKernel) -> MalthusianSolve:
     """Solve integral(exp(-alpha a) tau(a) da) = 1 for alpha by bisection.
 
     The Laplace transform is decreasing in alpha, so a sign change of
-    laplace - 1 over the bracket pins the root.  Kernels whose transform
-    never reaches 1 inside the bracket (e.g. subcritical kernels with no
-    declared tail) raise rather than extrapolate.
+    laplace - 1 over the bracket [-5, 5] pins the root.  Kernels whose
+    transform never reaches 1 inside the bracket raise rather than
+    extrapolate.
     """
-    lo, hi = float(bracket[0]), float(bracket[1])
+    lo, hi = _MALTHUS_BRACKET
     f_lo = kernel.laplace(lo) - 1.0
     f_hi = kernel.laplace(hi) - 1.0
     if not (f_lo > 0.0 and f_hi < 0.0):
         raise ValueError(
-            f"no Malthusian parameter in bracket {bracket}: "
+            f"no Malthusian parameter in bracket {_MALTHUS_BRACKET}: "
             f"laplace({lo}) - 1 = {f_lo}, laplace({hi}) - 1 = {f_hi}"
         )
     it = 0
     mid = 0.5 * (lo + hi)
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MALTHUS_MAX_ITER + 1):
         mid = 0.5 * (lo + hi)
         f_mid = kernel.laplace(mid) - 1.0
         if f_mid > 0.0:
             lo = mid
         else:
             hi = mid
-        if hi - lo < tol and abs(f_mid) < tol:
+        if hi - lo < _MALTHUS_TOL and abs(f_mid) < _MALTHUS_TOL:
             break
     residual = abs(kernel.laplace(mid) - 1.0)
-    if residual > max(tol, 1e-9):
+    if residual > max(_MALTHUS_TOL, 1e-9):
         raise ValueError(f"Malthusian bisection stalled: residual {residual:g}")
-    return MalthusianSolve(alpha=mid, residual=residual, iterations=it, bracket=(float(bracket[0]), float(bracket[1])))
+    return MalthusianSolve(alpha=mid, residual=residual, iterations=it)
 
 
 def backward_density(kernel: IntensityKernel, alpha: float, tol: float = 1e-6) -> GridDensity:
@@ -358,9 +340,8 @@ class InitialCondition:
     i0, with age-of-infection drawn from `age_density` (g).
 
     Carries the derived shifted quantities used by every downstream layer:
-    tau_bar, its mass r0_bar, the normalized delay density nu_bar, and the
-    marginal needed to sample (delay, age) pairs from the joint law
-    G(w, z) = g(z) tau(w + z) / r0_bar.
+    tau_bar, its mass r0_bar, and the marginal needed to sample (delay, age)
+    pairs from the joint law G(w, z) = g(z) tau(w + z) / r0_bar.
     """
 
     i0: float
@@ -369,7 +350,6 @@ class InitialCondition:
     age_rate: float | None  # set when g is exponential with this rate
     tau_bar: TabulatedKernel = field(init=False)
     r0_bar: float = field(init=False)
-    nu_bar: GridDensity = field(init=False)
     z_marginal: GridDensity = field(init=False)
 
     def __post_init__(self) -> None:
@@ -380,7 +360,6 @@ class InitialCondition:
         object.__setattr__(self, "r0_bar", tb.r0)
         if tb.r0 <= 0:
             raise ValueError("shifted intensity has zero mass; no initial infectivity")
-        object.__setattr__(self, "nu_bar", GridDensity(tb.ages, tb.table))
         kern = self.kernel
         g_on_kernel_grid = np.interp(kern.ages, self.age_density.grid,
                                      self.age_density.values / self.age_density.total,

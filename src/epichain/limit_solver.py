@@ -28,13 +28,21 @@ discretization error itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .courses import CourseModel
 from .densities import cumulative_trapezoid
-from .kernels import ContactRate, InitialCondition, IntensityKernel
+from .kernels import ContactRate, InitialCondition, IntensityKernel, malthusian_parameter
+
+_INNER_TOL = 1e-14       # relative change that ends a marching step's fixed point
+_MAX_INNER = 100         # fixed-point iterations per marching step
+_RESIDUAL_TOL = 1e-8     # largest renewal residual a marched solution may keep
+_PICARD_TOL = 1e-13      # weighted and unweighted change that ends the Picard iteration
+_MAX_PICARD = 2_000
+_FINAL_SIZE_TOL = 1e-12  # change that ends the final-size fixed point
+_MAX_FINAL_SIZE = 10_000
 
 
 @dataclass(frozen=True)
@@ -118,8 +126,7 @@ def _force_grid(kernel: IntensityKernel, ic: InitialCondition, t: np.ndarray):
 
 
 def solve_delay(kernel: IntensityKernel, contact: ContactRate, ic: InitialCondition,
-                horizon: float, dt: float, *, inner_tol: float = 1e-14,
-                max_inner: int = 100, residual_tol: float = 1e-8) -> LimitSolution:
+                horizon: float, dt: float) -> LimitSolution:
     """March the renewal system forward on a uniform grid of step dt.
 
     Each step solves the scalar implicit equation in b(t_k) by fixed-point
@@ -150,11 +157,11 @@ def solve_delay(kernel: IntensityKernel, contact: ContactRate, ic: InitialCondit
         base_C = C[k - 1] + 0.5 * dt * c_vals[k - 1] * A[k - 1]
         bk = b[k - 1]
         converged = False
-        for it in range(1, max_inner + 1):
+        for it in range(1, _MAX_INNER + 1):
             A_k = partial + q * bk
             S_k = s0 * math.exp(-(base_C + c_half * A_k))
             new_bk = c_vals[k] * S_k * A_k
-            if abs(new_bk - bk) <= inner_tol * abs(new_bk):
+            if abs(new_bk - bk) <= _INNER_TOL * abs(new_bk):
                 bk = new_bk
                 converged = True
                 max_iters = max(max_iters, it)
@@ -170,8 +177,8 @@ def solve_delay(kernel: IntensityKernel, contact: ContactRate, ic: InitialCondit
     B = s0 - S
     # residual of the discrete renewal identity, relative to the incidence scale
     residual = float(np.max(np.abs(b - c_vals * S * A) / np.maximum(np.abs(b), 1e-300)))
-    if residual > residual_tol:
-        raise RuntimeError(f"renewal residual {residual:g} exceeds tolerance {residual_tol:g}")
+    if residual > _RESIDUAL_TOL:
+        raise RuntimeError(f"renewal residual {residual:g} exceeds tolerance {_RESIDUAL_TOL:g}")
     return LimitSolution(t=t, b=b, B=B, S=S, kernel=kernel, contact=contact, ic=ic,
                          renewal_residual=residual, iterations_max=max_iters)
 
@@ -181,38 +188,34 @@ class PicardResult:
     solution: LimitSolution
     iterations: int
     weighted_change: float
-    weight_rate: float
 
 
 def picard_delay(kernel: IntensityKernel, contact: ContactRate, ic: InitialCondition,
-                 horizon: float, dt: float, *, tol: float = 1e-13,
-                 max_iter: int = 2000, alpha: float | None = None) -> PicardResult:
+                 horizon: float, dt: float) -> PicardResult:
     """Solve the same grid system by global fixed-point iteration from b = 0.
 
     Convergence is tracked in the weighted sup metric
-    max_k exp(-rate * t_k) |delta b_k| with rate = max(alpha, 0) + 1, the
-    weight that makes the underlying map a contraction; iteration stops when
-    the unweighted change is also below tol.
+    max_k exp(-rate * t_k) |delta b_k| with rate = max(alpha, 0) + 1, alpha
+    the kernel's Malthusian parameter (0 when it has none), the weight that
+    makes the underlying map a contraction; iteration stops when the
+    unweighted change is also below the tolerance.
     """
     t = _time_grid(horizon, dt)
     n = t.size - 1
     tau_vals, forcing = _force_grid(kernel, ic, t)
     c_vals = np.asarray(contact(t), dtype=float)
     s0 = 1.0 - ic.i0
-    if alpha is None:
-        from .kernels import malthusian_parameter
-
-        try:
-            alpha = malthusian_parameter(kernel).alpha
-        except ValueError:
-            alpha = 0.0
+    try:
+        alpha = malthusian_parameter(kernel).alpha
+    except ValueError:
+        alpha = 0.0
     rate = max(alpha, 0.0) + 1.0
     weights = np.exp(-rate * t)
 
     b = np.zeros(n + 1)
     weighted_change = math.inf
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, _MAX_PICARD + 1):
         A = _trapezoid_convolution(tau_vals, b, dt) + forcing
         C = cumulative_trapezoid(t, c_vals * A)
         S = s0 * np.exp(-C)
@@ -221,10 +224,10 @@ def picard_delay(kernel: IntensityKernel, contact: ContactRate, ic: InitialCondi
         weighted_change = float(np.max(weights * diff))
         unweighted = float(np.max(diff))
         b = b_new
-        if weighted_change < tol and unweighted < tol:
+        if weighted_change < _PICARD_TOL and unweighted < _PICARD_TOL:
             break
     else:
-        raise RuntimeError(f"Picard iteration did not converge in {max_iter} steps")
+        raise RuntimeError(f"Picard iteration did not converge in {_MAX_PICARD} steps")
 
     A = _trapezoid_convolution(tau_vals, b, dt) + forcing
     C = cumulative_trapezoid(t, c_vals * A)
@@ -232,8 +235,7 @@ def picard_delay(kernel: IntensityKernel, contact: ContactRate, ic: InitialCondi
     residual = float(np.max(np.abs(b - c_vals * S * A) / np.maximum(np.abs(b), 1e-300)))
     sol = LimitSolution(t=t, b=b, B=s0 - S, S=S, kernel=kernel, contact=contact, ic=ic,
                         renewal_residual=residual)
-    return PicardResult(solution=sol, iterations=iterations,
-                        weighted_change=weighted_change, weight_rate=rate)
+    return PicardResult(solution=sol, iterations=iterations, weighted_change=weighted_change)
 
 
 def compartment_curve(sol: LimitSolution, model: CourseModel, compartment: str) -> np.ndarray:
@@ -270,28 +272,7 @@ def compartment_curve(sol: LimitSolution, model: CourseModel, compartment: str) 
     return conv + aged
 
 
-def solve_linearized(kernel: IntensityKernel, ic: InitialCondition, horizon: float,
-                     dt: float) -> LimitSolution:
-    """Early-epidemic linearization: S frozen at 1 and c at 1, so the
-    incidence solves the plain linear renewal equation.  When the initial age
-    density is the growth-rate exponential, the solution is exactly
-    I0 * alpha * exp(alpha t)."""
-    t = _time_grid(horizon, dt)
-    n = t.size - 1
-    tau_vals, forcing = _force_grid(kernel, ic, t)
-    b = np.zeros(n + 1)
-    b[0] = forcing[0]
-    q = 0.5 * dt * tau_vals[0]
-    for k in range(1, n + 1):
-        partial = dt * (np.dot(tau_vals[k:0:-1], b[:k]) - 0.5 * tau_vals[k] * b[0]) + forcing[k]
-        b[k] = partial / (1.0 - q)
-    B = cumulative_trapezoid(t, b)
-    return LimitSolution(t=t, b=b, B=B, S=np.ones(n + 1), kernel=kernel,
-                         contact=ContactRate.constant(1.0), ic=ic, renewal_residual=0.0)
-
-
-def final_size(r0_bar: float, r0: float, i0: float, c_const: float, *,
-               tol: float = 1e-12, max_iter: int = 10_000) -> float:
+def final_size(r0_bar: float, r0: float, i0: float, c_const: float) -> float:
     """Total infected fraction for a constant contact rate.
 
     Solves the scalar fixed point B = S0 (1 - exp(-c (R0 B + I0 R0_bar)))
@@ -302,16 +283,15 @@ def final_size(r0_bar: float, r0: float, i0: float, c_const: float, *,
     if not 0.0 < i0 < 1.0:
         raise ValueError("i0 must lie in (0, 1)")
     x = s0
-    for _ in range(max_iter):
+    for _ in range(_MAX_FINAL_SIZE):
         x_new = s0 * (1.0 - math.exp(-c_const * (r0 * x + i0 * r0_bar)))
-        if abs(x_new - x) < tol:
+        if abs(x_new - x) < _FINAL_SIZE_TOL:
             return x_new + i0
         x = x_new
-    raise RuntimeError(f"final size iteration did not converge in {max_iter} steps")
+    raise RuntimeError(f"final size iteration did not converge in {_MAX_FINAL_SIZE} steps")
 
 
-def final_size_settled_contact(sol: LimitSolution, *, tol: float = 1e-12,
-                               max_iter: int = 10_000) -> float:
+def final_size_settled_contact(sol: LimitSolution) -> float:
     """Final infected fraction when the contact rate is eventually constant.
 
     Generalizes the constant-rate fixed point: with c constant (= c*) after
@@ -354,10 +334,10 @@ def final_size_settled_contact(sol: LimitSolution, *, tol: float = 1e-12,
     B_tc = float(sol.B[k_c])
 
     x = s0
-    for _ in range(max_iter):
+    for _ in range(_MAX_FINAL_SIZE):
         exponent = X_hist + c_star * (carry + seeded_remainder + r0 * (x - B_tc))
         x_new = s0 * (1.0 - math.exp(-exponent))
-        if abs(x_new - x) < tol:
+        if abs(x_new - x) < _FINAL_SIZE_TOL:
             return x_new + ic.i0
         x = x_new
-    raise RuntimeError(f"final size iteration did not converge in {max_iter} steps")
+    raise RuntimeError(f"final size iteration did not converge in {_MAX_FINAL_SIZE} steps")

@@ -62,7 +62,7 @@ from scipy import stats
 from .courses import CourseModel, DiseaseCourse
 from .densities import GridDensity
 from .kernels import ContactRate, InitialCondition, IntensityKernel, joint_delay_age_from_uniforms
-from .rng import child_key_vec, keyed_u01_vec, make_rng, root_key_vec
+from .rng import check_count, child_key_vec, keyed_u01_vec, make_rng, root_key_vec
 
 _CHUNK = 2048
 # per-sample node guard against runaway trees (edges short relative to the
@@ -353,11 +353,6 @@ def _expand_batch(p: TreeParams, n_samples: int, seed: int, want_first_step: boo
     return sigma, first, expanded, pruned, max_depth
 
 
-def _batch_sigma(p: TreeParams, n_samples: int, seed: int, want_first_step: bool = False):
-    """`_expand_batch` without the depth: (sigma, first, expanded, pruned)."""
-    return _expand_batch(p, n_samples, seed, want_first_step)[:4]
-
-
 # ---------------------------------------------------------------------------
 # single samples with the full geodesic
 # ---------------------------------------------------------------------------
@@ -386,13 +381,12 @@ class GeodesicSample:
     max_depth: int
 
 
-def sample_geodesic(p: TreeParams, seed: int, index: int = 0,
-                    rng: np.random.Generator | None = None) -> GeodesicSample:
+def sample_geodesic(p: TreeParams, seed: int, index: int = 0) -> GeodesicSample:
     """Sample one tree, returning sigma and the realised ancestral path.
 
     `index` selects an independent sample within the seed's stream; it lines
-    up with position `index` of the batched samplers.  `rng` only feeds the
-    course decoration, never the tree itself.
+    up with position `index` of the batched samplers.  The course decoration
+    draws from its own stream of (seed, index), never from the tree's.
     """
     if index < 0:
         raise ValueError(f"sample index must be nonnegative, got {index}")
@@ -408,8 +402,7 @@ def sample_geodesic(p: TreeParams, seed: int, index: int = 0,
 
     courses = None
     if p.model is not None:
-        if rng is None:
-            rng = make_rng(seed, "geodesic-courses", index)
+        rng = make_rng(seed, "geodesic-courses", index)
         focal = p.model.sample_course(rng)
         palm = p.model.palm_courses(rng, [age for _, age in steps])
         courses = (focal,) + tuple(palm.course(i) for i in range(palm.n))
@@ -443,8 +436,7 @@ def estimate_B(p: TreeParams, t_grid, n_samples: int, seed: int) -> DualCurve:
 
     The trees are censored at max(t_grid), the latest time the curve reads.
     """
-    if n_samples < 1000:
-        raise ValueError("need at least 1000 samples for a stable curve")
+    n_samples = check_count("n_samples", n_samples, 1000)  # fewer give no stable curve
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     if t_grid.size == 0:
         raise ValueError("curve grid t_grid is empty")
@@ -486,6 +478,7 @@ def conditioned_first_step(p: TreeParams, t: float, delta: float,
     """Condition on sigma in [t, t+delta] and report each sample's first
     backward time (the infector's infection time, negative if the infector
     was initially infected).  The trees are censored at t + delta."""
+    n_samples = check_count("n_samples", n_samples, 1)
     for name, value in (("t", t), ("delta", delta)):
         if not math.isfinite(value):
             raise ValueError(f"window {name} must be finite, got {value}")
@@ -507,12 +500,3 @@ def conditioned_first_step(p: TreeParams, t: float, delta: float,
                            n_samples=n_samples, nodes_expanded=expanded, nodes_pruned=pruned,
                            max_depth=depth)
 
-
-def sample_root_decorations(p: TreeParams, n_samples: int, seed: int):
-    """Root-level offspring counts and edge decorations, for distributional
-    diagnostics: (K_S, K_I, subtree edge lengths, leaf (delay, age) pairs)."""
-    keys = root_key_vec(seed, np.arange(n_samples, dtype=np.uint64))
-    k_s, k_i = _offspring_counts(p, keys)
-    w = _subtree_edges(p, keys, k_s)[3]
-    _, _, _, wbar, z = _leaf_edges(p, keys, k_s, k_i)
-    return k_s, k_i, w, wbar, z

@@ -11,6 +11,9 @@ Two layers:
   randomness must be reproducible regardless of traversal order or of how
   many trees are expanded together.  The helpers act elementwise on uint64
   arrays, whose arithmetic wraps mod 2^64.
+
+`check_count` is the one check on the number of samples, chains or
+individuals a sampler is asked for.
 """
 
 from __future__ import annotations
@@ -43,6 +46,17 @@ def derive_seed(master_seed: int, *tags: object) -> int:
 def make_rng(master_seed: int, *tags: object) -> np.random.Generator:
     """A numpy Generator seeded from (master_seed, *tags)."""
     return np.random.default_rng(derive_seed(master_seed, *tags))
+
+
+def check_count(name: str, value, minimum: int) -> int:
+    """`value` as an int; a ValueError naming `name` when it is not an
+    integer, is a bool, or lies below `minimum`.  Every sampler checks its
+    sample counts with it."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {value}")
+    return int(value)
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:

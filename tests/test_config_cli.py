@@ -133,10 +133,12 @@ def _read_csv(path):
 
 
 class TestCli:
-    def test_solve_writes_curves(self, tmp_path):
+    def test_solve_writes_curves(self, tmp_path, capsys):
         rc = main(["solve", "--out", str(tmp_path),
                    "--set", "horizon=5.0", "--set", "n_individuals=1000"])
         assert rc == 0
+        out = capsys.readouterr().out
+        assert re.search(r"renewal residual \S+, inner iterations max [1-9]\d*\n", out)
         header, rows = _read_csv(tmp_path / "solve.csv")
         assert header == ["t", "b", "B", "S"]
         assert len(rows) == 1001
@@ -202,7 +204,27 @@ class TestCli:
     def test_courses_dump_rejects_negative_samples(self, tmp_path, capsys):
         rc = main(["courses-dump", "--out", str(tmp_path), "--samples", "-1"])
         assert rc == 1
-        assert "--samples must be nonnegative" in capsys.readouterr().err
+        assert "--samples must be at least 0, got -1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("replicas", ["0", "-2"])
+    def test_simulate_rejects_bad_replicas(self, tmp_path, capsys, replicas):
+        rc = main(["simulate", "--out", str(tmp_path), "--replicas", replicas,
+                   "--set", "n_individuals=500"])
+        assert rc == 1
+        assert f"error: --replicas must be at least 1, got {replicas}" in capsys.readouterr().err
+        assert not (tmp_path / "simulate.csv").exists()
+
+    def test_validate_rejects_bad_criteria(self, tmp_path, capsys):
+        rc = main(["validate", "--out", str(tmp_path), "--criteria", "2,x"])
+        assert rc == 1
+        assert "error: --criteria must list criterion numbers" in capsys.readouterr().err
+        assert not (tmp_path / "validation.json").exists()
+
+    def test_chain_survival_rejects_zero_samples(self, tmp_path, capsys):
+        rc = main(["chain", "--out", str(tmp_path), "--mode", "survival", "--samples", "0",
+                   "--set", "horizon=8.0"])
+        assert rc == 1
+        assert "error: n_samples must be at least 1, got 0" in capsys.readouterr().err
 
     def test_validate_subset(self, tmp_path, capsys):
         rc = main(["validate", "--out", str(tmp_path), "--criteria", "2"])

@@ -13,7 +13,6 @@ from epichain import (
     initial_condition, simulate,
 )
 from epichain.courses import CourseBatch
-from epichain.forward_sim import age_compartment_measure, ancestral_path
 from epichain.infection_graph import first_passage
 
 
@@ -170,23 +169,6 @@ class TestBookkeeping:
                  + compartment_fraction(run, "R", t))
         assert np.allclose(total, 1.0, atol=1e-12)
 
-    def test_age_compartment_measure(self, run, model):
-        meas = age_compartment_measure(run, 8.0, np.linspace(0.0, 30.0, 31), model)
-        # everyone infected by t=8 with age < 30 shows up in exactly one cell
-        assert meas.fractions.sum() == pytest.approx(run.infected_fraction(8.0), abs=1e-3)
-        assert meas.compartments == ("I", "R")
-
-    def test_ancestral_path(self, run):
-        secondary = np.flatnonzero(np.isfinite(run.sigma) & (run.infector >= 0))
-        path = ancestral_path(run, int(secondary[0]))
-        assert path.length >= 2
-        assert np.all(np.diff(path.times) < 0)
-        assert run.initial[path.individuals[-1]]
-        assert path.root_age == pytest.approx(-path.times[-1])
-        with pytest.raises(ValueError):
-            never = int(np.flatnonzero(~np.isfinite(run.sigma))[0])
-            ancestral_path(run, never)
-
     def test_historical_measure(self, run):
         hist = historical_measure(run, 8.0)
         assert np.all(hist.sigma <= 8.0)
@@ -214,18 +196,6 @@ class TestSummariesAgainstLoops:
                         for x in small.infected_ids if small.sigma[x] <= t) for t in times]
             assert np.array_equal(compartment_fraction(small, name, times),
                                   np.asarray(loop) / small.n), name
-
-    def test_age_compartment_measure(self, small, model):
-        edges = np.linspace(0.0, 30.0, 31)
-        counts = np.zeros((30, 2))
-        for x in small.infected_ids:
-            if small.sigma[x] <= 8.0:
-                age = 8.0 - small.sigma[x]
-                b = int(np.searchsorted(edges, age, side="right")) - 1
-                if 0 <= b < 30:
-                    counts[b, ("I", "R").index(small.courses.course(x).compartment_at(age))] += 1
-        meas = age_compartment_measure(small, 8.0, edges, model)
-        assert np.array_equal(meas.fractions, counts / small.n)
 
     def test_historical_chains(self, small):
         hist = historical_measure(small, 8.0)

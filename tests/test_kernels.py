@@ -27,7 +27,7 @@ class TestExponentialKernel:
         assert np.allclose(kernel.value(a), 1.5 * np.exp(-a), rtol=1e-12)
         assert kernel.r0 == pytest.approx(1.5, rel=1e-9)
         # grid quadrature, not closed form
-        assert kernel.mean_generation_time() == pytest.approx(1.0, abs=1e-4)
+        assert kernel.generation_density().mean() == pytest.approx(1.0, abs=1e-4)
 
     def test_laplace_matches_quadrature(self, kernel):
         for theta in (0.0, 0.5, 1.7):
@@ -89,7 +89,7 @@ class TestShiftedQuantities:
 
     def test_nu_bar_is_exponential(self, ic):
         u = np.linspace(0.0, 8.0, 60)
-        assert np.allclose(ic.nu_bar.pdf(u), np.exp(-u), atol=5e-4)
+        assert np.allclose(ic.tau_bar.generation_density().pdf(u), np.exp(-u), atol=5e-4)
 
     def test_z_marginal_is_exp_three_halves(self, ic):
         z = np.linspace(0.0, 6.0, 60)
@@ -123,6 +123,13 @@ class TestShiftedQuantities:
         w, z = joint_delay_age_from_uniforms(ic, np.full_like(u_w, 0.8), u_w)
         assert np.all(z == z[0])
         assert np.mean(w) == pytest.approx(1.0, abs=1e-2)
+
+    def test_joint_law_marginal_means(self, ic):
+        # G's z-marginal is Exp(3/2) and its delay marginal nu_bar = Exp(1)
+        u_age, u_delay = np.random.default_rng(841).random((2, 40_000))
+        w, z = joint_delay_age_from_uniforms(ic, u_age, u_delay)
+        assert abs(z.mean() - 2.0 / 3.0) < 4 * z.std(ddof=1) / math.sqrt(z.size)
+        assert abs(w.mean() - 1.0) < 4 * w.std(ddof=1) / math.sqrt(w.size)
 
 
 class TestContactRate:
@@ -164,15 +171,9 @@ class TestTabulatedKernel:
     def test_matches_table(self):
         ages = np.linspace(0.0, 5.0, 501)
         vals = 2.0 * np.exp(-1.3 * ages)
-        kern = TabulatedKernel(ages, vals, tail_rate=1.3)
-        assert kern.r0 == pytest.approx(2.0 / 1.3, rel=1e-4)
+        kern = TabulatedKernel(ages, vals)
+        assert kern.r0 == pytest.approx(2.0 / 1.3 * (1.0 - math.exp(-6.5)), rel=1e-4)
         assert float(kern.value(2.0)) == pytest.approx(2.0 * math.exp(-2.6), rel=1e-6)
-
-    def test_exponential_tail(self):
-        ages = np.linspace(0.0, 3.0, 31)
-        kern = TabulatedKernel(ages, np.ones(31), tail_rate=2.0)
-        assert float(kern.value(4.0)) == pytest.approx(math.exp(-2.0), rel=1e-9)
-        assert kern.r0 == pytest.approx(3.0 + 0.5, rel=1e-9)
 
     def test_zero_beyond_grid_without_tail(self):
         ages = np.linspace(0.0, 3.0, 31)

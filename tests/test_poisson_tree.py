@@ -11,7 +11,7 @@ import pytest
 from epichain import (
     ContactRate, conditioned_first_step, estimate_B, sample_geodesic, tree_params,
 )
-from epichain.poisson_tree import PoissonCounts, _batch_sigma, sample_root_decorations
+from epichain.poisson_tree import PoissonCounts, _expand_batch
 
 
 @pytest.fixture(scope="module")
@@ -55,7 +55,7 @@ class TestEstimateB:
         # before the horizon cut
         rate = ContactRate.constant(1.0) if contact == "unit" else ContactRate(**HALVED)
         p = tree_params(kernel, ic, rate, horizon=8.0)
-        sigma, _, expanded, pruned = _batch_sigma(p, 3_000, seed=871)
+        sigma, _, expanded, pruned, _ = _expand_batch(p, 3_000, seed=871)
         finite = sigma[np.isfinite(sigma)]
         assert (float(np.sum(finite)).hex(), finite.size, expanded, pruned) == want
 
@@ -79,7 +79,7 @@ class TestScalarBatchParity:
     estimators' draw for the same root."""
 
     def test_sigma_bitwise_equal(self, params):
-        batch, _, _, _ = _batch_sigma(params, 64, seed=811)
+        batch, _, _, _, _ = _expand_batch(params, 64, seed=811)
         for i in range(64):
             one = sample_geodesic(params, seed=811, index=i)
             if one.censored:
@@ -88,7 +88,7 @@ class TestScalarBatchParity:
                 assert one.sigma == batch[i]
 
     def test_first_step_matches_path(self, params):
-        _, first, _, _ = _batch_sigma(params, 64, seed=811, want_first_step=True)
+        _, first, _, _, _ = _expand_batch(params, 64, seed=811, want_first_step=True)
         for i in range(64):
             one = sample_geodesic(params, seed=811, index=i)
             if one.censored:
@@ -229,7 +229,7 @@ class TestCensoring:
         rate = ContactRate.constant(1.0) if contact == "unit" else ContactRate(**HALVED)
         p = tree_params(kernel, ic, rate, horizon=8.0)
         sample = conditioned_first_step(p, t, delta, n, seed=861)
-        sigma, first, expanded, pruned = _batch_sigma(p, n, seed=861, want_first_step=True)
+        sigma, first, expanded, pruned, _ = _expand_batch(p, n, seed=861, want_first_step=True)
         sel = (sigma >= t) & (sigma <= t + delta)
         assert np.array_equal(sample.sigmas, sigma[sel])
         assert np.array_equal(sample.values, first[sel])
@@ -244,7 +244,7 @@ class TestCensoring:
         p = tree_params(kernel, ic, rate, horizon=8.0)
         grid = np.array([1.0, 3.0, 6.0])
         curve = estimate_B(p, grid, 5_000, seed=862)
-        sigma, _, expanded, _ = _batch_sigma(p, 5_000, seed=862)
+        sigma, _, expanded, _, _ = _expand_batch(p, 5_000, seed=862)
         frac = (sigma[:, None] <= grid[None, :]).mean(axis=0)
         assert np.array_equal(curve.estimate, p.s0 * frac)
         assert np.array_equal(curve.se, p.s0 * np.sqrt(frac * (1.0 - frac) / 5_000))
@@ -262,15 +262,3 @@ class TestPoissonCounts:
         u = u[u < 1.0]  # keyed uniforms lie in [0, 1)
         assert np.array_equal(counts.draw(u), np.searchsorted(counts.cdf, u, side="right"))
 
-
-class TestRootDecorations:
-    def test_shapes_and_marginals(self, params):
-        k_s, k_i, w, wbar, z = sample_root_decorations(params, 40_000, seed=841)
-        assert w.size == k_s.sum()
-        assert z.size == wbar.size == k_i.sum()
-        # z-marginal of the joint law is Exp(3/2)
-        se = z.std(ddof=1) / math.sqrt(z.size)
-        assert abs(z.mean() - 2.0 / 3.0) < 4 * se
-        # delay edges follow nu_bar = Exp(1)
-        se_w = wbar.std(ddof=1) / math.sqrt(wbar.size)
-        assert abs(wbar.mean() - 1.0) < 4 * se_w

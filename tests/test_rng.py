@@ -1,12 +1,18 @@
-"""Keyed randomness: stable derivation, stream independence, and keyed draws
+"""Keyed randomness: stable derivation, stream independence, keyed draws
 that do not depend on which other keys share the batch (the property that
-lets one tree be expanded alone or inside a chunk with the same draws)."""
+lets one tree be expanded alone or inside a chunk with the same draws), and
+the one check on the sample counts every sampler is given."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epichain import derive_seed, make_rng
+from epichain import (
+    conditioned_first_step, derive_seed, estimate_B, make_rng, martingale_diagnostic,
+    reweighted_first_steps, sample_h_chains, sample_renewal_chains, simulate,
+    survival_representation_check, tree_params,
+)
 from epichain.rng import child_key_vec, keyed_u01_vec, root_key_vec
 
 
@@ -54,3 +60,40 @@ def test_counter_stream_looks_uniform():
     u = keyed_u01_vec(keys, np.uint64(3))
     assert abs(u.mean() - 0.5) < 0.01
     assert abs((u < 0.25).mean() - 0.25) < 0.01
+
+
+@pytest.fixture(scope="module")
+def samplers(model, kernel, ic, unit_contact, sol):
+    """Each sampler as (name of its count argument, call with that count)."""
+    params = tree_params(kernel, ic, unit_contact, horizon=8.0)
+    return {
+        "simulate": ("n_individuals",
+                     lambda n: simulate(model, n, unit_contact, ic, 5.0, seed=1)),
+        "sample_renewal_chains": ("n_chains",
+                                  lambda n: sample_renewal_chains(3.0, kernel, n, seed=1)),
+        "sample_h_chains": ("n_chains", lambda n: sample_h_chains(3.0, sol, n, seed=1)),
+        "martingale_diagnostic": ("n_samples",
+                                  lambda n: martingale_diagnostic(3.0, sol, n, 3, seed=1)),
+        "martingale_diagnostic.k_max": ("k_max",
+                                        lambda n: martingale_diagnostic(3.0, sol, 100, n, seed=1)),
+        "survival_representation_check": (
+            "n_samples", lambda n: survival_representation_check(3.0, sol, n, seed=1)),
+        "reweighted_first_steps": ("n_samples",
+                                   lambda n: reweighted_first_steps(3.0, sol, n, seed=1)),
+        "estimate_B": ("n_samples", lambda n: estimate_B(params, [2.0], n, seed=1)),
+        "conditioned_first_step": ("n_samples",
+                                   lambda n: conditioned_first_step(params, 4.0, 0.5, n, seed=1)),
+    }
+
+
+@pytest.mark.parametrize("entry", [
+    "simulate", "sample_renewal_chains", "sample_h_chains", "martingale_diagnostic",
+    "martingale_diagnostic.k_max", "survival_representation_check", "reweighted_first_steps",
+    "estimate_B", "conditioned_first_step",
+])
+@pytest.mark.parametrize("count", [100.0, np.float64(2000.0), True, 0, -1],
+                         ids=["float", "numpy-float", "bool", "zero", "negative"])
+def test_sample_counts_checked_by_every_sampler(samplers, entry, count):
+    name, call = samplers[entry]
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        call(count)
