@@ -112,6 +112,17 @@ class TestLinearized:
         exact = ic_small.i0 * alpha * np.exp(alpha * run.t)
         assert np.max(np.abs(run.b / exact - 1.0)) < 1e-4
 
+    def test_nonlinear_solution_approaches_linearized(self, kernel, unit_contact, alpha):
+        # the gap to the linearized incidence is the depletion 1 - S, of order I0 e^{alpha t}
+        def gap(i0):
+            ic_i0 = initial_condition(kernel, i0, age_rate=0.5)
+            full = solve_delay(kernel, unit_contact, ic_i0, 3.0, 0.005)
+            return np.max(np.abs(full.b / (i0 * alpha * np.exp(alpha * full.t)) - 1.0))
+
+        coarse, fine = gap(1e-4), gap(1e-8)
+        assert fine < 1e-4
+        assert fine < coarse / 10.0
+
 
 class TestFinalSize:
     def test_reference_value(self):
