@@ -33,7 +33,6 @@ from .config import (
 from .courses import (
     CourseBatch,
     CourseModel,
-    DiseaseCourse,
     MarkovSEIR,
     MarkovSIR,
     PoissonCourse,
@@ -90,8 +89,8 @@ __all__ = [
     "sample_h_first_steps", "sample_renewal_chains", "survival_representation_check",
     "ConfigError", "ScenarioConfig", "apply_overrides", "emit_config",
     "load_config", "parse_config", "reference_scenario",
-    "CourseBatch", "CourseModel", "DiseaseCourse", "MarkovSEIR", "MarkovSIR",
-    "PoissonCourse", "empirical_tau",
+    "CourseBatch", "CourseModel", "MarkovSEIR", "MarkovSIR", "PoissonCourse",
+    "empirical_tau",
     "GridDensity",
     "HistoricalSummary", "SimulationOutput", "compartment_fraction",
     "historical_measure", "simulate",

@@ -44,6 +44,7 @@ from .rng import derive_seed, make_rng
 MASTER_SEED = 20_240_901
 
 STEP_CONTACT = dict(knots=(0.0, 4.0, 8.0), levels=(1.0, 0.3, 0.8), kind="step")
+_SIM_TIMES = 64  # grid points of the simulated-vs-limit I-fraction comparison
 
 
 @dataclass(frozen=True)
@@ -140,13 +141,13 @@ class SharedReferences:
 
 
 def _sim_solve_deviation(shared: SharedReferences, contact: ContactRate, sol, horizon: float,
-                         n: int, replicas: int, tag: str, n_times: int = 64,
+                         n: int, replicas: int, tag: str,
                          window: tuple[float, float] | None = None):
     """Replica sup-deviations of the I fraction from the limit curve, final
     infected fractions, (optionally) first backward increments in a
     sigma-window, and the simulator's work counts, in one pass over the
     replicas."""
-    times = np.linspace(0.0, horizon, n_times)
+    times = np.linspace(0.0, horizon, _SIM_TIMES)
     limit = np.interp(times, sol.t, compartment_curve(sol, shared.model, "I"))
     devs, finals, increments = [], [], []
     contacts = accepted = infections = rounds = max_rounds = 0

@@ -91,7 +91,7 @@ def cmd_simulate(args) -> int:
     contact = cfg.build_contact()
     ic = cfg.build_ic(model.kernel)
     times = np.linspace(0.0, cfg.horizon, REPORT_POINTS)
-    names = model.compartment_set.names
+    names = model.compartments
 
     def one(r: int):
         out = simulate(model, cfg.n_individuals, contact, ic, cfg.horizon,
@@ -193,13 +193,11 @@ def cmd_courses_dump(args) -> int:
     model = cfg.build_model()
     rng = make_rng(derive_seed(cfg.seed, "courses"))
     batch = model.sample_courses(rng, args.samples)
+    atoms, offsets = batch.atoms.tolist(), batch.offsets.tolist()
     rows = []
-    for i in range(args.samples):
-        course = batch.course(i)
-        for j, name in enumerate(course.compartments):
-            rows.append([i, "entry", float(course.entry_ages[j]), name])
-        for a in course.atoms:
-            rows.append([i, "atom", float(a), ""])
+    for i, entry in enumerate(batch.entry_ages.tolist()):
+        rows += [[i, "entry", age, name] for age, name in zip(entry, batch.compartments)]
+        rows += [[i, "atom", age, ""] for age in atoms[offsets[i]:offsets[i + 1]]]
     out = _outdir(cfg) / "courses.csv"
     _write_csv(out, cfg.digest, ["course", "kind", "age", "compartment"], rows)
     print(f"courses-dump: wrote {out} ({args.samples} courses)")

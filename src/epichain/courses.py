@@ -1,12 +1,12 @@
 """Individual disease courses.
 
 A course bundles the two age-indexed ingredients attached to each individual:
-the point process of infectious-contact ages (atoms) and the life-cycle path
-through compartments, stored as (entry age, compartment) pairs.  Course
-models sample i.i.d. courses, declare their mean intensity kernel, and expose
-the age-marginal occupation probabilities p(a, i) when known in closed form.
-Models draw courses in batches (`CourseModel.sample_courses`), stored flat as
-a `CourseBatch`; a `DiseaseCourse` is one row of a batch, built on request.
+the point process of infectious-contact ages (atoms) and the life cycle, the
+ages at which it enters each compartment of its model's fixed sequence
+`compartments`.  Course models sample i.i.d. courses, declare their mean
+intensity kernel, and expose the age-marginal occupation probabilities
+p(a, i) when known in closed form.  Courses only ever exist in batches: a
+`CourseBatch` stores n courses flat, and one course is one of its rows.
 
 `CourseModel.palm_courses` draws exact Palm courses: courses conditioned on
 a contact at a given age.  Every built-in model is a Cox process (Poisson
@@ -19,79 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-import bisect
 import numpy as np
 
 from .kernels import ExponentialKernel, IntensityKernel, LatentExponentialKernel
-
-
-@dataclass(frozen=True)
-class CompartmentSet:
-    """Compartment names plus the allowed transitions, required acyclic."""
-
-    names: tuple[str, ...]
-    transitions: tuple[tuple[str, str], ...]
-
-    def __post_init__(self) -> None:
-        if len(set(self.names)) != len(self.names):
-            raise ValueError("duplicate compartment names")
-        known = set(self.names)
-        for src, dst in self.transitions:
-            if src not in known or dst not in known:
-                raise ValueError(f"transition {src}->{dst} uses unknown compartment")
-        # Kahn's algorithm; leftovers mean a cycle
-        out_edges: dict[str, list[str]] = {n: [] for n in self.names}
-        in_deg = {n: 0 for n in self.names}
-        for src, dst in self.transitions:
-            out_edges[src].append(dst)
-            in_deg[dst] += 1
-        queue = [n for n in self.names if in_deg[n] == 0]
-        seen = 0
-        while queue:
-            node = queue.pop()
-            seen += 1
-            for nxt in out_edges[node]:
-                in_deg[nxt] -= 1
-                if in_deg[nxt] == 0:
-                    queue.append(nxt)
-        if seen != len(self.names):
-            raise ValueError("compartment transitions contain a cycle")
-
-
-@dataclass(frozen=True)
-class DiseaseCourse:
-    """One sampled course: sorted contact ages and the compartment path."""
-
-    atoms: np.ndarray
-    entry_ages: np.ndarray
-    compartments: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "atoms", np.asarray(self.atoms, dtype=float))
-        object.__setattr__(self, "entry_ages", np.asarray(self.entry_ages, dtype=float))
-
-    def validate(self, model: "CourseModel") -> None:
-        if self.atoms.size and (np.any(np.diff(self.atoms) < 0) or self.atoms[0] < 0):
-            raise ValueError("atoms must be sorted and nonnegative")
-        if self.entry_ages.size == 0 or self.entry_ages[0] != 0.0:
-            raise ValueError("compartment path must start at age 0")
-        if np.any(np.diff(self.entry_ages) <= 0):
-            raise ValueError("compartment entry ages must be strictly increasing")
-        if len(self.compartments) != self.entry_ages.size:
-            raise ValueError("entry ages and compartments must align")
-        comp_set = model.compartment_set
-        allowed = set(comp_set.transitions)
-        for i, name in enumerate(self.compartments):
-            if name not in comp_set.names:
-                raise ValueError(f"unknown compartment {name!r}")
-            if i and (self.compartments[i - 1], name) not in allowed:
-                raise ValueError(f"transition {self.compartments[i-1]}->{name} not allowed")
-
-    def compartment_at(self, age: float) -> str:
-        idx = bisect.bisect_right(self.entry_ages, age) - 1
-        if idx < 0:
-            idx = 0
-        return self.compartments[idx]
 
 
 @dataclass(frozen=True)
@@ -113,10 +43,6 @@ class CourseBatch:
     def owners(self) -> np.ndarray:
         """The course index of every atom."""
         return np.repeat(np.arange(self.n), np.diff(self.offsets))
-
-    def course(self, i: int) -> DiseaseCourse:
-        return DiseaseCourse(self.atoms[self.offsets[i]:self.offsets[i + 1]],
-                             self.entry_ages[i], self.compartments)
 
 
 def _sorted_uniforms(rng: np.random.Generator, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -157,15 +83,12 @@ def _infectious_atoms(rng: np.random.Generator, start: np.ndarray, duration: np.
 class CourseModel:
     """Base class for course samplers."""
 
-    compartment_set: CompartmentSet
+    compartments: tuple[str, ...]
     kernel: IntensityKernel
 
     def sample_courses(self, rng: np.random.Generator, n: int) -> CourseBatch:
         """n independent courses."""
         raise NotImplementedError
-
-    def sample_course(self, rng: np.random.Generator) -> DiseaseCourse:
-        return self.sample_courses(rng, 1).course(0)
 
     def palm_courses(self, rng: np.random.Generator, ages) -> CourseBatch:
         """One course per age, conditioned (in the Palm sense) on a contact at
@@ -202,7 +125,7 @@ class MarkovSIR(CourseModel):
         self.beta = float(beta)
         self.gamma = float(gamma)
         self.kernel = ExponentialKernel(beta, gamma, step=step, a_max=a_max)
-        self.compartment_set = CompartmentSet(("I", "R"), (("I", "R"),))
+        self.compartments = ("I", "R")
 
     def sample_courses(self, rng: np.random.Generator, n: int) -> CourseBatch:
         return self._courses(rng, rng.exponential(1.0 / self.gamma, n))
@@ -216,7 +139,7 @@ class MarkovSIR(CourseModel):
         offsets, atoms = _infectious_atoms(rng, np.zeros(n), duration, self.beta,
                                            self.kernel.a_max)
         entry = np.column_stack((np.zeros(n), duration))
-        return CourseBatch(offsets, atoms, entry, ("I", "R"))
+        return CourseBatch(offsets, atoms, entry, self.compartments)
 
     def marginal_p(self, a, compartment: str) -> np.ndarray:
         a = np.asarray(a, dtype=float)
@@ -238,7 +161,7 @@ class MarkovSEIR(CourseModel):
         self.activation = float(activation)
         self.recovery = float(recovery)
         self.kernel = LatentExponentialKernel(beta, activation, recovery, step=step, a_max=a_max)
-        self.compartment_set = CompartmentSet(("E", "I", "R"), (("E", "I"), ("I", "R")))
+        self.compartments = ("E", "I", "R")
 
     def sample_courses(self, rng: np.random.Generator, n: int) -> CourseBatch:
         return self._courses(rng, rng.exponential(1.0 / self.activation, n), 0.0)
@@ -261,7 +184,7 @@ class MarkovSEIR(CourseModel):
         offsets, atoms = _infectious_atoms(rng, latency, duration, self.beta,
                                            self.kernel.a_max)
         entry = np.column_stack((np.zeros(n), latency, latency + duration))
-        return CourseBatch(offsets, atoms, entry, ("E", "I", "R"))
+        return CourseBatch(offsets, atoms, entry, self.compartments)
 
     def marginal_p(self, a, compartment: str) -> np.ndarray:
         a = np.asarray(a, dtype=float)
@@ -286,8 +209,7 @@ class PoissonCourse(CourseModel):
 
     def __init__(self, kernel: IntensityKernel, compartment: str = "I"):
         self.kernel = kernel
-        self.compartment_set = CompartmentSet((compartment,), ())
-        self._compartment = compartment
+        self.compartments = (compartment,)
         self._grid_mass = kernel.grid_mass
         self._nu = kernel.generation_density() if self._grid_mass > 0 else None
 
@@ -298,14 +220,14 @@ class PoissonCourse(CourseModel):
             # the tabulated quantile function is nondecreasing: sorted uniforms, sorted ages
             owner, u = _sorted_uniforms(rng, rng.poisson(self._grid_mass, n))
             offsets, atoms = _offsets(owner, n), self._nu.ppf_from_uniform(u)
-        return CourseBatch(offsets, atoms, np.zeros((n, 1)), (self._compartment,))
+        return CourseBatch(offsets, atoms, np.zeros((n, 1)), self.compartments)
 
     def _palm_cycle(self, rng: np.random.Generator, ages: np.ndarray) -> CourseBatch:
         # a Poisson process is its own reduced Palm process
         return self.sample_courses(rng, ages.size)
 
     def marginal_p(self, a, compartment: str) -> np.ndarray:
-        if compartment != self._compartment:
+        if compartment not in self.compartments:
             raise ValueError(f"unknown compartment {compartment!r}")
         return np.ones_like(np.asarray(a, dtype=float))
 
@@ -317,7 +239,6 @@ class EmpiricalIntensity:
     bin_edges: np.ndarray
     values: np.ndarray
     standard_errors: np.ndarray
-    n_courses: int
 
 
 def empirical_tau(model: CourseModel, n: int, rng: np.random.Generator,
@@ -345,4 +266,4 @@ def empirical_tau(model: CourseModel, n: int, rng: np.random.Generator,
     var_counts = np.maximum(sq / n - mean_counts**2, 0.0)
     values = mean_counts / width
     se = np.sqrt(var_counts / n) / width
-    return EmpiricalIntensity(bin_edges=grid, values=values, standard_errors=se, n_courses=n)
+    return EmpiricalIntensity(bin_edges=grid, values=values, standard_errors=se)

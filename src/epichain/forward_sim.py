@@ -12,7 +12,7 @@ only their contacts at ages beyond Z take effect.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .kernels import ContactRate, InitialCondition
 from .rng import check_count, make_rng
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimulationOutput:
     n: int
     horizon: float
@@ -34,8 +34,6 @@ class SimulationOutput:
     accepted: int                 # contacts of the infected in [0, horizon] passing c(t)
     rounds: int                   # frontier rounds of the infection-time solve
     graph: InfectionGraph | None = None
-    _starts: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
-    _ends: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
 
     @property
     def infected_ids(self) -> np.ndarray:
@@ -57,21 +55,6 @@ class SimulationOutput:
 
     def susceptible_fraction(self, times) -> np.ndarray:
         return 1.0 - self.infected_fraction(times)
-
-    def _compartment_spans(self, compartment: str):
-        if compartment not in self._starts:
-            names = self.courses.compartments
-            if compartment in names:
-                j = names.index(compartment)
-                ids = self.infected_ids
-                s, entry = self.sigma[ids], self.courses.entry_ages[ids]
-                starts = s + entry[:, j]
-                ends = s + entry[:, j + 1] if j + 1 < len(names) else np.full(ids.size, math.inf)
-            else:
-                starts = ends = np.empty(0)
-            self._starts[compartment] = np.sort(starts)
-            self._ends[compartment] = np.sort(ends)
-        return self._starts[compartment], self._ends[compartment]
 
 
 def simulate(model: CourseModel, n_individuals: int, contact: ContactRate,
@@ -113,7 +96,15 @@ def simulate(model: CourseModel, n_individuals: int, contact: ContactRate,
 
 def compartment_fraction(out: SimulationOutput, compartment: str, times) -> np.ndarray:
     """Fraction of the population occupying `compartment` at the given times."""
-    starts, ends = out._compartment_spans(compartment)
+    names = out.courses.compartments
+    if compartment in names:
+        j = names.index(compartment)
+        ids = out.infected_ids
+        s, entry = out.sigma[ids], out.courses.entry_ages[ids]
+        starts = np.sort(s + entry[:, j])
+        ends = np.sort(s + entry[:, j + 1]) if j + 1 < len(names) else np.full(ids.size, math.inf)
+    else:
+        starts = ends = np.empty(0)
     times = np.asarray(times, dtype=float)
     active = np.searchsorted(starts, times, side="right") - np.searchsorted(ends, times, side="right")
     return active / out.n

@@ -29,6 +29,7 @@ GENERATION_TIME_SPAN = 40.0  # grid reach, in units of the mean generation time
 _MALTHUS_BRACKET = (-5.0, 5.0)  # growth rates searched by the Malthusian bisection
 _MALTHUS_TOL = 1e-10
 _MALTHUS_MAX_ITER = 200
+_BACKWARD_DENSITY_TOL = 1e-6  # largest |L(alpha) - 1| a backward density may keep
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +292,7 @@ def malthusian_parameter(kernel: IntensityKernel) -> MalthusianSolve:
     return MalthusianSolve(alpha=mid, residual=residual, iterations=it)
 
 
-def backward_density(kernel: IntensityKernel, alpha: float, tol: float = 1e-6) -> GridDensity:
+def backward_density(kernel: IntensityKernel, alpha: float) -> GridDensity:
     """Density exp(-alpha a) tau(a) of backward generation intervals.
 
     `alpha` must be the kernel's growth rate: the defining property makes
@@ -299,7 +300,7 @@ def backward_density(kernel: IntensityKernel, alpha: float, tol: float = 1e-6) -
     transform before tabulating.
     """
     defect = abs(kernel.laplace(alpha) - 1.0)
-    if not defect <= tol:
+    if not defect <= _BACKWARD_DENSITY_TOL:
         raise ValueError(f"exp(-alpha a) tau(a) is not a probability density: defect {defect:g}")
     return GridDensity(kernel.ages, np.exp(-alpha * kernel.ages) * kernel.table)
 

@@ -328,9 +328,7 @@ def final_size_settled_contact(sol: LimitSolution) -> float:
         carry = float(np.trapezoid(sol.b[: k_c + 1] * remaining_kernel, t[: k_c + 1]))
     else:
         carry = 0.0
-    tb = ic.tau_bar
-    tb_cum = cumulative_trapezoid(tb.ages, tb.table)
-    seeded_remainder = ic.i0 * float(ic.r0_bar - np.interp(t_c, tb.ages, tb_cum))
+    seeded_remainder = ic.i0 * float(ic.r0_bar - ic.tau_bar.cumulative(t_c))
     B_tc = float(sol.B[k_c])
 
     x = s0

@@ -59,7 +59,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import stats
 
-from .courses import CourseModel, DiseaseCourse
+from .courses import CourseBatch, CourseModel
 from .densities import GridDensity
 from .kernels import ContactRate, InitialCondition, IntensityKernel, joint_delay_age_from_uniforms
 from .rng import check_count, child_key_vec, keyed_u01_vec, make_rng, root_key_vec
@@ -113,15 +113,12 @@ class PoissonCounts:
 
 @dataclass(frozen=True)
 class TreeParams:
-    """Frozen inputs of the dual tree: offspring means, densities, contact rate."""
+    """Frozen inputs of the dual tree: offspring laws, densities, contact rate."""
 
-    kernel: IntensityKernel
     ic: InitialCondition
     contact: ContactRate
     horizon: float
     s0: float
-    mean_s_children: float
-    mean_i_children: float
     generation: GridDensity
     s_counts: PoissonCounts
     i_counts: PoissonCounts
@@ -137,13 +134,11 @@ def tree_params(kernel: IntensityKernel, ic: InitialCondition, contact: ContactR
     if node_cap < 1:
         raise ValueError("node cap must be at least 1")
     s0 = 1.0 - ic.i0
-    mean_s = s0 * kernel.r0
-    mean_i = ic.i0 * ic.r0_bar
     return TreeParams(
-        kernel=kernel, ic=ic, contact=contact, horizon=horizon, s0=s0,
-        mean_s_children=mean_s, mean_i_children=mean_i,
+        ic=ic, contact=contact, horizon=horizon, s0=s0,
         generation=kernel.generation_density(),
-        s_counts=PoissonCounts.of_mean(mean_s), i_counts=PoissonCounts.of_mean(mean_i),
+        s_counts=PoissonCounts.of_mean(s0 * kernel.r0),
+        i_counts=PoissonCounts.of_mean(ic.i0 * ic.r0_bar),
         node_cap=node_cap, model=model,
     )
 
@@ -365,16 +360,16 @@ class GeodesicSample:
     `path_times` runs strictly downward from sigma to -terminal_age; entry i
     is the infection time of the i-th individual along the chain (the focal
     one first).  `path_courses`, when a course model is attached to the
-    params, holds the focal individual's ordinary course followed by the
-    Palm course of everyone who transmitted along the path: course k + 1 is
-    conditioned on a contact at its transmission age, path_times[k] -
-    path_times[k + 1], and holds that age as an atom.
+    params, is one batch with a row per individual of the path: row 0 is
+    the focal individual's ordinary course, and row k + 1 the Palm course of
+    the k-th transmitter, conditioned on a contact at its transmission age
+    path_times[k] - path_times[k + 1] and holding that age as an atom.
     """
 
     sigma: float
     censored: bool
     path_times: np.ndarray
-    path_courses: tuple[DiseaseCourse, ...] | None
+    path_courses: CourseBatch | None
     terminal_age: float | None
     nodes_expanded: int
     nodes_pruned: int
@@ -388,8 +383,7 @@ def sample_geodesic(p: TreeParams, seed: int, index: int = 0) -> GeodesicSample:
     up with position `index` of the batched samplers.  The course decoration
     draws from its own stream of (seed, index), never from the tree's.
     """
-    if index < 0:
-        raise ValueError(f"sample index must be nonnegative, got {index}")
+    index = check_count("index", index, 0)
     keys = root_key_vec(seed, np.array([index], dtype=np.uint64))
     sigma, levels, expanded, pruned = _expand_chunk(p, keys)
     max_depth = len(levels) - 1
@@ -403,9 +397,12 @@ def sample_geodesic(p: TreeParams, seed: int, index: int = 0) -> GeodesicSample:
     courses = None
     if p.model is not None:
         rng = make_rng(seed, "geodesic-courses", index)
-        focal = p.model.sample_course(rng)
+        focal = p.model.sample_courses(rng, 1)
         palm = p.model.palm_courses(rng, [age for _, age in steps])
-        courses = (focal,) + tuple(palm.course(i) for i in range(palm.n))
+        courses = CourseBatch(
+            np.concatenate((focal.offsets, focal.offsets[-1] + palm.offsets[1:])),
+            np.concatenate((focal.atoms, palm.atoms)),
+            np.concatenate((focal.entry_ages, palm.entry_ages)), focal.compartments)
 
     return GeodesicSample(float(sigma[0]), False, path_times, courses, float(-path_times[-1]),
                           expanded, pruned, max_depth)

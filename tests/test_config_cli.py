@@ -1,5 +1,6 @@
 """Scenario configuration and the command-line entry point."""
 
+import hashlib
 import json
 import re
 
@@ -200,6 +201,20 @@ class TestCli:
         header, rows = _read_csv(tmp_path / "courses.csv")
         assert header == ["course", "kind", "age", "compartment"]
         assert {r[0] for r in rows} == {str(i) for i in range(20)}
+
+    @pytest.mark.parametrize("overrides, lines, digest", [
+        ([], 686, "28f493f6d6077e8e4ec02f66caad2e31e25c32cb12edb237b00e8a953d4a22ac"),
+        (["--set", 'course={"family":"markov_seir","beta":2.0,"activation":1.0,'
+                   '"recovery":1.5}'],
+         884, "1f4e389fb25a644170db5e92b97ba07cbbe9c0a050a6dd5acb6a6f60e8c1beaf"),
+    ], ids=["sir", "seir"])
+    def test_courses_dump_recorded_bytes(self, tmp_path, overrides, lines, digest):
+        # recorded when the dump built an object per course: the bytes must not move
+        rc = main(["courses-dump", "--out", str(tmp_path), "--samples", "200"] + overrides)
+        assert rc == 0
+        data = (tmp_path / "courses.csv").read_bytes()
+        assert data.count(b"\n") == lines
+        assert hashlib.sha256(data).hexdigest() == digest
 
     def test_courses_dump_rejects_negative_samples(self, tmp_path, capsys):
         rc = main(["courses-dump", "--out", str(tmp_path), "--samples", "-1"])

@@ -1,13 +1,15 @@
 """Course models: occupation marginals in closed form, atom statistics
-against the declared kernel, Palm conditioning, course validation."""
+against the declared kernel, Palm conditioning, and the batch check the
+other tests validate courses with."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from epichain import MarkovSEIR, MarkovSIR, PoissonCourse, ks_distance, make_rng
-from epichain.courses import CompartmentSet, DiseaseCourse, empirical_tau
+from epichain.courses import CourseBatch, empirical_tau
 
 
 class TestMarginals:
@@ -35,34 +37,28 @@ class TestMarginals:
 
 
 class TestSampledCourses:
-    def test_sir_course_shape(self, model):
-        rng = make_rng(7, "course-shape")
-        for _ in range(200):
-            course = model.sample_course(rng)
-            course.validate(model)
-            assert course.compartments == ("I", "R")
-            # contacts only while infectious
-            assert np.all(course.atoms <= course.entry_ages[1] + 1e-12)
+    def test_sir_course_shape(self, model, check_courses):
+        batch = model.sample_courses(make_rng(7, "course-shape"), 200)
+        check_courses(batch, model)
+        assert batch.compartments == ("I", "R")
+        # contacts only while infectious
+        assert np.all(batch.atoms <= batch.entry_ages[batch.owners(), 1] + 1e-12)
 
     def test_sir_mean_atoms_is_r0(self, model):
-        rng = make_rng(11, "course-mean")
-        counts = np.array([model.sample_course(rng).atoms.size for _ in range(20_000)])
+        counts = np.diff(model.sample_courses(make_rng(11, "course-mean"), 20_000).offsets)
         se = counts.std(ddof=1) / math.sqrt(counts.size)
         assert abs(counts.mean() - 1.5) < 4 * se
 
-    def test_seir_atoms_after_latency(self):
+    def test_seir_atoms_after_latency(self, check_courses):
         m = MarkovSEIR(2.0, 1.0, 1.5, step=0.01, a_max=50.0)
-        rng = make_rng(3, "seir")
-        for _ in range(200):
-            course = m.sample_course(rng)
-            course.validate(m)
-            latency = course.entry_ages[1]
-            assert np.all(course.atoms >= latency - 1e-12)
+        batch = m.sample_courses(make_rng(3, "seir"), 200)
+        check_courses(batch, m)
+        latency = batch.entry_ages[batch.owners(), 1]
+        assert np.all(batch.atoms >= latency - 1e-12)
 
     def test_poisson_course_count(self, kernel):
         m = PoissonCourse(kernel)
-        rng = make_rng(5, "poisson-course")
-        counts = np.array([m.sample_course(rng).atoms.size for _ in range(20_000)])
+        counts = np.diff(m.sample_courses(make_rng(5, "poisson-course"), 20_000).offsets)
         se = counts.std(ddof=1) / math.sqrt(counts.size)
         assert abs(counts.mean() - kernel.grid_mass) < 4 * se
 
@@ -78,22 +74,23 @@ class TestSampledCourses:
 
 
 class TestCourseBatch:
-    def test_flat_courses_are_valid(self, model, kernel):
+    def test_flat_courses_are_valid(self, model, kernel, check_courses):
         seir = MarkovSEIR(2.0, 1.0, 1.5, step=0.01, a_max=50.0)
         for m in (model, seir, PoissonCourse(kernel)):
             batch = m.sample_courses(make_rng(37, "batch"), 500)
             assert batch.n == 500
-            assert batch.offsets[0] == 0 and batch.offsets[-1] == batch.atoms.size
-            assert np.all(np.diff(batch.offsets) >= 0)
-            assert batch.entry_ages.shape == (500, len(m.compartment_set.names))
-            for i in range(batch.n):
-                batch.course(i).validate(m)
+            check_courses(batch, m)
 
-    def test_one_course_is_a_one_row_batch(self, model):
-        one = model.sample_course(make_rng(41, "one"))
-        row = model.sample_courses(make_rng(41, "one"), 1).course(0)
-        assert np.array_equal(one.atoms, row.atoms)
-        assert np.array_equal(one.entry_ages, row.entry_ages)
+    def test_one_course_is_a_one_row_batch(self, model, kernel, check_courses):
+        # a single course has no type of its own: it is drawn as one row
+        seir = MarkovSEIR(2.0, 1.0, 1.5, step=0.01, a_max=50.0)
+        for m in (model, seir, PoissonCourse(kernel)):
+            one = m.sample_courses(make_rng(41, "one"), 1)
+            again = m.sample_courses(make_rng(41, "one"), 1)
+            assert one.n == 1 and one.offsets.shape == (2,)
+            check_courses(one, m)
+            assert np.array_equal(one.atoms, again.atoms)
+            assert np.array_equal(one.entry_ages, again.entry_ages)
 
 
 SEIR_LATENCY_RATES = [(2.0, 1.0), (1.0, 1.5)]  # d = activation - recovery of both signs
@@ -108,22 +105,21 @@ def _ks_band(n):
 
 
 class TestPalm:
-    def test_palm_atom_sits_exactly_at_age(self, model, kernel):
+    def test_palm_atom_sits_exactly_at_age(self, model, kernel, check_courses):
         ages = np.linspace(0.05, 12.0, 240)
         models = [model, PoissonCourse(kernel)] + [_seir(*r) for r in SEIR_LATENCY_RATES]
         for m in models:
             batch = m.palm_courses(make_rng(17, "palm"), ages)
             assert batch.n == ages.size
-            assert batch.offsets[0] == 0 and batch.offsets[-1] == batch.atoms.size
-            for i in range(batch.n):
-                course = batch.course(i)
-                course.validate(m)
-                assert ages[i] in course.atoms, type(m).__name__
+            check_courses(batch, m)
+            owner = batch.owners()
+            hits = np.bincount(owner[batch.atoms == ages[owner]], minlength=batch.n)
+            assert np.all(hits >= 1), type(m).__name__
 
     def test_poisson_palm_forces_exact_atom(self, kernel):
         m = PoissonCourse(kernel)
-        course = m.palm_courses(make_rng(19, "palm-poisson"), [1.25]).course(0)
-        assert 1.25 in course.atoms
+        batch = m.palm_courses(make_rng(19, "palm-poisson"), [1.25])
+        assert 1.25 in batch.atoms
 
     @pytest.mark.parametrize("age", [math.nan, math.inf, -1.0, 45.0])
     def test_palm_rejects_bad_age(self, model, age):
@@ -189,27 +185,18 @@ class TestPalm:
 
 
 class TestValidation:
-    def test_compartment_cycle_rejected(self):
-        with pytest.raises(ValueError):
-            CompartmentSet(("A", "B"), (("A", "B"), ("B", "A")))
-
-    def test_duplicate_names_rejected(self):
-        with pytest.raises(ValueError):
-            CompartmentSet(("A", "A"), ())
-
-    def test_bad_course_paths(self, model):
-        with pytest.raises(ValueError):
-            DiseaseCourse(np.array([1.0, 0.5]), np.array([0.0, 2.0]),
-                          ("I", "R")).validate(model)
-        with pytest.raises(ValueError):
-            DiseaseCourse(np.array([]), np.array([0.5, 2.0]),
-                          ("I", "R")).validate(model)
-        with pytest.raises(ValueError):
-            DiseaseCourse(np.array([]), np.array([0.0, 2.0]),
-                          ("R", "I")).validate(model)
-
-    def test_compartment_at(self):
-        course = DiseaseCourse(np.array([]), np.array([0.0, 1.0, 3.0]), ("E", "I", "R"))
-        assert course.compartment_at(0.5) == "E"
-        assert course.compartment_at(1.0) == "I"
-        assert course.compartment_at(10.0) == "R"
+    def test_bad_course_paths(self, model, check_courses):
+        # two SIR courses; atoms need only be sorted within a course
+        good = CourseBatch(np.array([0, 2, 3]), np.array([0.5, 1.0, 0.25]),
+                           np.array([[0.0, 2.0], [0.0, 1.0]]), ("I", "R"))
+        check_courses(good, model)
+        bad = {
+            "sorted within": dict(atoms=np.array([1.0, 0.5, 0.25])),
+            "nonnegative": dict(atoms=np.array([-0.5, 1.0, 0.25])),
+            "start at age 0": dict(entry_ages=np.array([[0.0, 2.0], [0.5, 1.0]])),
+            "strictly increasing": dict(entry_ages=np.array([[0.0, 2.0], [0.0, 0.0]])),
+            "the model's": dict(compartments=("R", "I")),
+        }
+        for message, change in bad.items():
+            with pytest.raises(AssertionError, match=message):
+                check_courses(replace(good, **change), model)

@@ -192,8 +192,10 @@ class TestSummariesAgainstLoops:
     def test_compartment_fraction(self, small):
         times = np.linspace(0.0, 12.0, 13)
         for name in ("I", "R"):
-            loop = [sum(small.courses.course(x).compartment_at(t - small.sigma[x]) == name
-                        for x in small.infected_ids if small.sigma[x] <= t) for t in times]
+            names, entry = small.courses.compartments, small.courses.entry_ages
+            loop = [sum(names[np.searchsorted(entry[x], t - small.sigma[x], side="right") - 1]
+                        == name for x in small.infected_ids if small.sigma[x] <= t)
+                    for t in times]
             assert np.array_equal(compartment_fraction(small, name, times),
                                   np.asarray(loop) / small.n), name
 

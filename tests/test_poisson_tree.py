@@ -3,6 +3,7 @@ structure and its agreement with the batched estimators, the conditioned
 first-step law, and the exactness of censoring each estimator at the latest
 time it reads."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -111,13 +112,15 @@ RECORDED_PATHS = {
 
 
 def _assert_palm_decoration(decorated, bare):
-    """Course k + 1 holds its transmission age as an atom, and the decoration
-    leaves the path itself bitwise unchanged."""
+    """Row k + 1 of the courses holds its transmission age as an atom, and
+    the decoration leaves the path itself bitwise unchanged."""
     assert bare.path_courses is None
     assert np.array_equal(decorated.path_times, bare.path_times)
     ages = decorated.path_times[:-1] - decorated.path_times[1:]
-    for age, course in zip(ages, decorated.path_courses[1:]):
-        assert np.min(np.abs(course.atoms - age)) <= 1e-12
+    courses = decorated.path_courses
+    for k, age in enumerate(ages):
+        row = courses.atoms[courses.offsets[k + 1]:courses.offsets[k + 2]]
+        assert np.min(np.abs(row - age)) <= 1e-12
 
 
 class TestGeodesicPaths:
@@ -144,34 +147,47 @@ class TestGeodesicPaths:
         counts = sample_geodesic(params, seed=821, index=34)
         assert (counts.nodes_expanded, counts.nodes_pruned, counts.max_depth) == (22, 7, 6)
 
-    def test_rejects_negative_index(self, params):
+    @pytest.mark.parametrize("index", [-1, 2.7, True, np.float64(2.0)],
+                             ids=["-1", "2.7", "True", "float64"])
+    def test_rejects_negative_index(self, params, index):
+        # a non-integer index must not quietly select tree int(index)
         with pytest.raises(ValueError, match="index"):
-            sample_geodesic(params, seed=821, index=-1)
+            sample_geodesic(params, seed=821, index=index)
 
-    def test_decorated_courses(self, params, kernel, ic, unit_contact, model):
+    def test_decorated_courses(self, params, kernel, ic, unit_contact, model, check_courses):
         p = tree_params(kernel, ic, unit_contact, horizon=8.0, model=model)
         for i in range(80):
             one = sample_geodesic(p, seed=823, index=i)
             if one.censored:
                 continue
             assert one.path_courses is not None
-            assert len(one.path_courses) == one.path_times.size
-            for course in one.path_courses:
-                course.validate(model)
+            assert one.path_courses.n == one.path_times.size
+            check_courses(one.path_courses, model)
             _assert_palm_decoration(one, sample_geodesic(params, seed=823, index=i))
             return
         pytest.fail("all 80 samples censored")
 
     def test_old_initially_infected_ancestor_is_decorated(self, params, kernel, ic,
-                                                           unit_contact, model):
+                                                           unit_contact, model, check_courses):
         # the last ancestor transmits at age 13.7, where the intensity is
         # 1.7e-6: Palm courses there must not depend on seeing such a contact
         p = tree_params(kernel, ic, unit_contact, horizon=8.0, model=model)
         one = sample_geodesic(p, seed=823, index=8462)
         assert one.path_times[-2] - one.path_times[-1] > 13.0
-        for course in one.path_courses:
-            course.validate(model)
+        check_courses(one.path_courses, model)
         _assert_palm_decoration(one, sample_geodesic(params, seed=823, index=8462))
+
+    def test_recorded_courses_reproduced(self, kernel, ic, unit_contact, model):
+        # recorded when each path course was its own object: the one batch
+        # must hold the same arrays, bit for bit
+        p = tree_params(kernel, ic, unit_contact, horizon=8.0, model=model)
+        courses = sample_geodesic(p, seed=823, index=8462).path_courses
+        assert courses.n == 12
+        assert courses.offsets.tolist() == [0, 2, 5, 8, 13, 14, 16, 17, 19, 21, 23, 24, 50]
+        assert hashlib.sha256(courses.atoms.tobytes()).hexdigest() == \
+            "6e20201e4d2631115507bcf4919b9c77b56bf5ff728f30985926f3fb118aaadd"
+        assert hashlib.sha256(np.ascontiguousarray(courses.entry_ages).tobytes()).hexdigest() == \
+            "ded7a34b6697520e31050b0bdee2b3aab604aa9cbb196c5687ea8822be71fae8"
 
 
 class TestConditionedFirstStep:
