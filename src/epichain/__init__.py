@@ -63,7 +63,6 @@ from .limit_solver import (
     LimitSolution,
     PicardResult,
     compartment_curve,
-    final_size,
     final_size_settled_contact,
     picard_delay,
     solve_delay,
@@ -98,8 +97,8 @@ __all__ = [
     "ContactRate", "ExponentialKernel", "InitialCondition", "IntensityKernel",
     "LatentExponentialKernel", "TabulatedKernel", "backward_density", "bar_tau",
     "initial_condition", "malthusian_parameter",
-    "LimitSolution", "PicardResult", "compartment_curve", "final_size",
-    "final_size_settled_contact", "picard_delay", "solve_delay",
+    "LimitSolution", "PicardResult", "compartment_curve", "final_size_settled_contact",
+    "picard_delay", "solve_delay",
     "DualCurve", "FirstStepSample", "TreeParams", "conditioned_first_step",
     "estimate_B", "sample_geodesic", "tree_params",
     "derive_seed", "make_rng",

@@ -36,7 +36,7 @@ from .kernels import (
     ContactRate, ExponentialKernel, backward_density, initial_condition, malthusian_parameter,
 )
 from .limit_solver import (
-    compartment_curve, final_size, final_size_settled_contact, picard_delay, solve_delay,
+    compartment_curve, final_size_settled_contact, picard_delay, solve_delay,
 )
 from .poisson_tree import conditioned_first_step, estimate_B, tree_params
 from .rng import derive_seed, make_rng
@@ -139,6 +139,13 @@ class SharedReferences:
         return self._get("sol_step80", lambda: solve_delay(
             self.kernel, self.step_contact, self.ic, 80.0, 0.005))
 
+    @property
+    def unit_contact_replicas(self):
+        """Criterion 3's 20 replicas at N = 5e4 under the unit contact rate, as
+        `_sim_solve_deviation` returns them; criterion 5 reads their finals."""
+        return self._get("unit_contact_replicas", lambda: _sim_solve_deviation(
+            self, self.contact, self.sol, 25.0, 50_000, 20, "c3"))
+
 
 def _sim_solve_deviation(shared: SharedReferences, contact: ContactRate, sol, horizon: float,
                          n: int, replicas: int, tag: str,
@@ -223,23 +230,12 @@ def criterion_2(shared: SharedReferences) -> CriterionResult:
     return CriterionResult(2, "marching agrees with Picard", checks, time.time() - t0)
 
 
-def criterion_3(shared: SharedReferences) -> CriterionResult:
-    """Functional LLN: the I-compartment fraction of N = 5e4 runs stays
-    within 0.02 of the limit curve in at least 18 of 20 replicas."""
-    t0 = time.time()
-    devs, finals, _, counts = _sim_solve_deviation(
-        shared, shared.contact, shared.sol, 25.0, 50_000, 20, "c3")
-    shared._cache["c3_finals"] = finals
-    failures = int(np.sum(devs > 0.02))
-    runtime = time.time() - t0
-    checks = (
-        ComparisonReport(name="replicas exceeding 0.02 sup-deviation", value=float(failures),
-                         threshold=2.0, n_samples=20,
-                         detail=f"max deviation {devs.max():.4f}, median {np.median(devs):.4f}; "
-                                f"{counts}"),
-        ComparisonReport(name="runtime (s)", value=runtime, threshold=120.0),
-    )
-    return CriterionResult(3, "LLN at N=50000", checks, runtime)
+def _lln_check(devs: np.ndarray, counts: str) -> ComparisonReport:
+    """At most 2 of 20 replicas stray more than 0.02 from the limit I curve."""
+    return ComparisonReport(name="replicas exceeding 0.02 sup-deviation",
+                            value=float(np.sum(devs > 0.02)), threshold=2.0, n_samples=20,
+                            detail=f"max deviation {devs.max():.4f}, median {np.median(devs):.4f}; "
+                                   f"{counts}")
 
 
 def _tree_nodes(result) -> str:
@@ -248,22 +244,56 @@ def _tree_nodes(result) -> str:
             f"pruned {result.nodes_pruned}, max depth {result.max_depth}")
 
 
-def criterion_4(shared: SharedReferences) -> CriterionResult:
-    """The dual tree's censored-root law reproduces cumulative incidence:
-    B_hat(t) within 3 SE of the solver's B at t in {2, 5, 10}."""
-    t0 = time.time()
-    params = tree_params(shared.kernel, shared.ic, shared.contact, horizon=10.0)
+def _tree_checks(shared: SharedReferences, contact: ContactRate, sol, tag: str):
+    """B_hat(t) from 1e5 dual trees within 3 SE of the solver's B at
+    t in {2, 5, 10}; returns the checks and the trees' work counts."""
+    params = tree_params(shared.kernel, shared.ic, contact, horizon=10.0)
     grid = np.array([2.0, 5.0, 10.0])
-    curve = estimate_B(params, grid, 100_000, seed=derive_seed(MASTER_SEED, "c4"))
-    b_sol = np.interp(grid, shared.sol.t, shared.sol.B)
-    runtime = time.time() - t0
+    curve = estimate_B(params, grid, 100_000, seed=derive_seed(MASTER_SEED, tag))
+    b_sol = np.interp(grid, sol.t, sol.B)
     checks = tuple(
         ComparisonReport(name=f"|B_hat - B| at t={t:g}", value=float(abs(curve.estimate[i] - b_sol[i])),
                          threshold=float(3.0 * curve.se[i]), se=float(curve.se[i]),
                          n_samples=curve.n_samples)
         for i, t in enumerate(grid)
-    ) + (ComparisonReport(name="runtime (s)", value=runtime, threshold=60.0,
-                          detail=_tree_nodes(curve)),)
+    )
+    return checks, _tree_nodes(curve)
+
+
+def _final_size_checks(finals: np.ndarray, sol) -> tuple[ComparisonReport, ...]:
+    """The simulated final infected fractions (within 3 SE) and the solver's
+    B(T) + I0 (within 1e-3) both land on the final-size fixed point."""
+    fp = final_size_settled_contact(sol)
+    mean = float(np.mean(finals))
+    se = float(np.std(finals, ddof=1) / math.sqrt(finals.size))
+    solver_total = float(sol.B[-1]) + sol.ic.i0
+    return (
+        ComparisonReport(name="|mean final fraction - fixed point|", value=abs(mean - fp),
+                         threshold=3.0 * se, se=se, n_samples=finals.size,
+                         detail=f"fixed point {fp:.5f}, simulated {mean:.5f}"),
+        ComparisonReport(name=f"|B({sol.t[-1]:g})+I0 - fixed point|", value=abs(solver_total - fp),
+                         threshold=1e-3),
+    )
+
+
+def criterion_3(shared: SharedReferences) -> CriterionResult:
+    """Functional LLN: the I-compartment fraction of N = 5e4 runs stays
+    within 0.02 of the limit curve in at least 18 of 20 replicas."""
+    t0 = time.time()
+    devs, _, _, counts = shared.unit_contact_replicas
+    runtime = time.time() - t0
+    checks = (_lln_check(devs, counts),
+              ComparisonReport(name="runtime (s)", value=runtime, threshold=120.0))
+    return CriterionResult(3, "LLN at N=50000", checks, runtime)
+
+
+def criterion_4(shared: SharedReferences) -> CriterionResult:
+    """The dual tree's censored-root law reproduces cumulative incidence:
+    B_hat(t) within 3 SE of the solver's B at t in {2, 5, 10}."""
+    t0 = time.time()
+    checks, nodes = _tree_checks(shared, shared.contact, shared.sol, "c4")
+    runtime = time.time() - t0
+    checks += (ComparisonReport(name="runtime (s)", value=runtime, threshold=60.0, detail=nodes),)
     return CriterionResult(4, "tree dual estimates B", checks, runtime)
 
 
@@ -271,22 +301,10 @@ def criterion_5(shared: SharedReferences) -> CriterionResult:
     """Final size: simulated final infected fraction and solver B(T) + I0
     both land on the scalar fixed point."""
     t0 = time.time()
-    if "c3_finals" not in shared._cache:
-        criterion_3(shared)
-    finals = shared._cache["c3_finals"]
-    fp = final_size(shared.ic.r0_bar, shared.kernel.r0, shared.ic.i0, 1.0)
-    mean = float(np.mean(finals))
-    se = float(np.std(finals, ddof=1) / math.sqrt(finals.size))
+    _, finals, _, _ = shared.unit_contact_replicas
     # dt = 1e-3 run (cached from criteria 1/2); the ~8.6e-4 gap that remains
     # is the epidemic's unsettled tail beyond T = 25, not quadrature error
-    solver_total = float(shared.sol_millistep.B[-1]) + shared.ic.i0
-    checks = (
-        ComparisonReport(name="|mean final fraction - fixed point|", value=abs(mean - fp),
-                         threshold=3.0 * se, se=se, n_samples=finals.size,
-                         detail=f"fixed point {fp:.5f}, simulated {mean:.5f}"),
-        ComparisonReport(name="|B(25)+I0 - fixed point|", value=abs(solver_total - fp),
-                         threshold=1e-3),
-    )
+    checks = _final_size_checks(finals, shared.sol_millistep)
     return CriterionResult(5, "final-size fixed point", checks, time.time() - t0)
 
 
@@ -451,38 +469,16 @@ def criterion_12(shared: SharedReferences) -> CriterionResult:
     devs, finals, _, counts = _sim_solve_deviation(
         shared, shared.step_contact, sol, 80.0, 50_000, 20, "c12")
     sim_runtime = time.time() - sim_start
-    failures = int(np.sum(devs > 0.02))
-
     tree_start = time.time()
-    params = tree_params(shared.kernel, shared.ic, shared.step_contact, horizon=10.0)
-    grid = np.array([2.0, 5.0, 10.0])
-    curve = estimate_B(params, grid, 100_000, seed=derive_seed(MASTER_SEED, "c12-tree"))
+    tree, nodes = _tree_checks(shared, shared.step_contact, sol, "c12-tree")
     tree_runtime = time.time() - tree_start
-    b_sol = np.interp(grid, sol.t, sol.B)
-
-    fp = final_size_settled_contact(sol)
-    mean = float(np.mean(finals))
-    se = float(np.std(finals, ddof=1) / math.sqrt(finals.size))
-    solver_total = float(sol.B[-1]) + shared.ic.i0
-
     checks = (
-        ComparisonReport(name="replicas exceeding 0.02 sup-deviation", value=float(failures),
-                         threshold=2.0, n_samples=20,
-                         detail=f"max deviation {devs.max():.4f}; {counts}"),
+        _lln_check(devs, counts),
         ComparisonReport(name="simulation runtime (s)", value=sim_runtime, threshold=120.0),
-    ) + tuple(
-        ComparisonReport(name=f"|B_hat - B| at t={t:g}", value=float(abs(curve.estimate[i] - b_sol[i])),
-                         threshold=float(3.0 * curve.se[i]), se=float(curve.se[i]),
-                         n_samples=curve.n_samples)
-        for i, t in enumerate(grid)
-    ) + (
+        *tree,
         ComparisonReport(name="tree runtime (s)", value=tree_runtime, threshold=60.0,
-                         detail=_tree_nodes(curve)),
-        ComparisonReport(name="|mean final fraction - fixed point|", value=abs(mean - fp),
-                         threshold=3.0 * se, se=se, n_samples=finals.size,
-                         detail=f"fixed point {fp:.5f}, simulated {mean:.5f}"),
-        ComparisonReport(name="|B(80)+I0 - fixed point|", value=abs(solver_total - fp),
-                         threshold=1e-3),
+                         detail=nodes),
+        *_final_size_checks(finals, sol),
     )
     return CriterionResult(12, "intervention contact rate", checks, time.time() - t0)
 

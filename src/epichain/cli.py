@@ -62,8 +62,8 @@ def _load(args) -> ScenarioConfig:
     return parse_config(raw)
 
 
-def _outdir(cfg: ScenarioConfig) -> Path:
-    path = Path(cfg.out_dir)
+def _outdir(out_dir: str) -> Path:
+    path = Path(out_dir)
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -74,7 +74,7 @@ def cmd_solve(args) -> int:
     contact = cfg.build_contact()
     ic = cfg.build_ic(kernel)
     sol = solve_delay(kernel, contact, ic, cfg.horizon, cfg.dt)
-    out = _outdir(cfg) / "solve.csv"
+    out = _outdir(cfg.out_dir) / "solve.csv"
     _write_csv(out, cfg.digest, ["t", "b", "B", "S"],
                zip(sol.t, sol.b, sol.B, sol.S))
     print(f"solve: wrote {out}")
@@ -105,7 +105,7 @@ def cmd_simulate(args) -> int:
     for r, (susc, fracs, _final) in enumerate(results):
         for j, t in enumerate(times):
             rows.append([r, t, susc[j]] + [f[j] for f in fracs])
-    out_path = _outdir(cfg) / "simulate.csv"
+    out_path = _outdir(cfg.out_dir) / "simulate.csv"
     _write_csv(out_path, cfg.digest, ["replica", "t", "susceptible"] + list(names), rows)
     finals = np.array([res[2] for res in results])
     print(f"simulate: wrote {out_path} ({args.replicas} replicas of N={cfg.n_individuals})")
@@ -124,7 +124,7 @@ def cmd_tree(args) -> int:
     t0 = time.perf_counter()
     curve = estimate_B(params, grid, args.samples, seed=derive_seed(cfg.seed, "tree"))
     elapsed = time.perf_counter() - t0
-    out = _outdir(cfg) / "tree.csv"
+    out = _outdir(cfg.out_dir) / "tree.csv"
     _write_csv(out, cfg.digest, ["t", "B_hat", "se"],
                zip(curve.t, curve.estimate, curve.se))
     print(f"tree: wrote {out} ({args.samples} samples, {args.points} grid points)")
@@ -143,7 +143,7 @@ def cmd_chain(args) -> int:
     ic = cfg.build_ic(kernel)
     sol = solve_delay(kernel, contact, ic, cfg.horizon, cfg.dt)
     t = args.t if args.t is not None else cfg.horizon / 2.0
-    outdir = _outdir(cfg)
+    outdir = _outdir(cfg.out_dir)
 
     if args.mode == "martingale":
         rep = martingale_diagnostic(t, sol, args.samples, args.k_max,
@@ -198,7 +198,7 @@ def cmd_courses_dump(args) -> int:
     for i, entry in enumerate(batch.entry_ages.tolist()):
         rows += [[i, "entry", age, name] for age, name in zip(entry, batch.compartments)]
         rows += [[i, "atom", age, ""] for age in atoms[offsets[i]:offsets[i + 1]]]
-    out = _outdir(cfg) / "courses.csv"
+    out = _outdir(cfg.out_dir) / "courses.csv"
     _write_csv(out, cfg.digest, ["course", "kind", "age", "compartment"], rows)
     print(f"courses-dump: wrote {out} ({args.samples} courses)")
     return 0
@@ -207,7 +207,6 @@ def cmd_courses_dump(args) -> int:
 def cmd_validate(args) -> int:
     from .acceptance import run_all
 
-    cfg = _load(args)
     wanted = None
     if args.criteria:
         try:
@@ -226,9 +225,9 @@ def cmd_validate(args) -> int:
     ]
     ok = all(r.passed for r in results)
     # the suite always runs the built-in benchmark scenario
-    payload = {"scenario_digest": reference_scenario().digest, "all_passed": ok,
-               "criteria": records}
-    out = _outdir(cfg) / "validation.json"
+    scenario = reference_scenario()
+    payload = {"scenario_digest": scenario.digest, "all_passed": ok, "criteria": records}
+    out = _outdir(args.out if args.out is not None else scenario.out_dir) / "validation.json"
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -282,8 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=100)
     p.set_defaults(func=cmd_courses_dump)
 
-    p = sub.add_parser("validate", help="run the acceptance suite")
-    common(p)
+    p = sub.add_parser("validate", help="run the acceptance suite on the built-in scenario")
+    p.add_argument("--out", help="output directory override")
     p.add_argument("--criteria", help="comma-separated subset, e.g. 1,2,6")
     p.set_defaults(func=cmd_validate)
 

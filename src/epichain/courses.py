@@ -22,6 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .kernels import ExponentialKernel, IntensityKernel, LatentExponentialKernel
+from .rng import check_count
 
 
 @dataclass(frozen=True)
@@ -248,8 +249,7 @@ def empirical_tau(model: CourseModel, n: int, rng: np.random.Generator,
     Per-bin standard errors come from the across-course variance of bin
     counts, so the result is directly comparable to the declared kernel.
     """
-    if n <= 1:
-        raise ValueError("need at least two courses")
+    n = check_count("n", n, 2)
     if grid is None:
         grid = np.linspace(0.0, model.kernel.a_max, 65)
     grid = np.asarray(grid, dtype=float)

@@ -310,29 +310,32 @@ def backward_density(kernel: IntensityKernel, alpha: float) -> GridDensity:
 # ---------------------------------------------------------------------------
 
 
+def shifted_age_sums(f, age_density: GridDensity, step: float, n: int) -> np.ndarray:
+    """Trapezoid sums sum''_i g_i f(a_i + j * step), j < n, over the
+    normalized initial age density g: times the step, E_g[f(Z + j * step)].
+    One sliding product over g's grid continued by n points, so g must be
+    tabulated on `step`."""
+    if abs(age_density.step - step) > 1e-12 * max(1.0, step):
+        raise ValueError(f"age density must be tabulated on the grid step {step:g}, "
+                         f"not {age_density.step:g}")
+    m = age_density.grid.size
+    f_ext = np.asarray(f(np.linspace(0.0, (n + m - 2) * step, n + m - 1)), dtype=float)
+    g_vals = age_density.values / age_density.total
+    sums = np.correlate(f_ext, g_vals, mode="valid")  # length n
+    sums -= 0.5 * g_vals[0] * f_ext[:n]
+    sums -= 0.5 * g_vals[-1] * f_ext[m - 1:]
+    return sums
+
+
 def bar_tau(kernel: IntensityKernel, age_density: GridDensity) -> TabulatedKernel:
     """Shifted intensity tau_bar(u) = integral g(a) tau(a + u) da.
 
-    Tabulated on the kernel's grid by a sliding trapezoid product; the kernel
-    is evaluated on the doubled grid so shifts up to a_max see true values
-    (closed-form kernels beyond a_max included).
+    Tabulated on the kernel's grid; the kernel is evaluated on the extended
+    grid so shifts up to a_max see true values (closed-form kernels beyond
+    a_max included).
     """
-    ages = kernel.ages
-    n = ages.size
-    da = kernel.step
-    g_grid = age_density.grid
-    if abs(age_density.step - da) > 1e-12 * max(1.0, da):
-        raise ValueError("age density must be tabulated on the kernel grid step")
-    m = g_grid.size
-    extended_ages = np.linspace(0.0, (n + m - 2) * da, n + m - 1)
-    tau_ext = np.asarray(kernel.value(extended_ages), dtype=float)
-    g_vals = age_density.values / age_density.total
-    # sliding dot: full_j = sum_i g_i tau(a_i + u_j), then trapezoid end corrections
-    full = np.correlate(tau_ext, g_vals, mode="valid")  # length n
-    full -= 0.5 * g_vals[0] * tau_ext[:n]
-    full -= 0.5 * g_vals[-1] * tau_ext[m - 1:]
-    values = np.maximum(full * da, 0.0)
-    return TabulatedKernel(ages, values)
+    sums = shifted_age_sums(kernel.value, age_density, kernel.step, kernel.ages.size)
+    return TabulatedKernel(kernel.ages, np.maximum(sums * kernel.step, 0.0))
 
 
 @dataclass(frozen=True)

@@ -11,18 +11,22 @@ bracketed force of infection.  The integrated form B(t) = S0 - S(t) is the
 cumulative incidence; the age profile follows by transport:
 n(t, a) = b(t - a) for a < t and I0 g(a - t) for a > t.
 
-Two solvers share one discretization (trapezoid everywhere, the same grid
-functional A):
+Every quantity has one code path.  `_GridSystem` holds tau, I0 tau_bar and
+c on the solver grid, the map b -> (A, S) and the renewal residual; both
+solvers and the final size share it:
 
 * `solve_delay` marches forward in time, closing each step with a scalar
   fixed point in b(t_k) (the implicit weight is the trapezoid endpoint).
 * `picard_delay` iterates the full map from b = 0, the constructive
   fixed-point route, with convergence tracked in an exponentially weighted
   sup metric.
+* `final_size_settled_contact` solves the final-size fixed point for a
+  contact rate that is constant after some time t_c >= 0.
 
-Because both solve the same grid equations, their fixed points agree to
-iteration tolerance, giving an internal cross-check far below the
-discretization error itself.
+Both solvers solve the same grid equations, so their fixed points agree to
+iteration tolerance, an internal cross-check far below the discretization
+error itself.  `compartment_curve` shares the convolution and, with
+tau_bar, the initial-age expectation E_g[f(Z + t)].
 """
 
 from __future__ import annotations
@@ -34,7 +38,9 @@ import numpy as np
 
 from .courses import CourseModel
 from .densities import cumulative_trapezoid
-from .kernels import ContactRate, InitialCondition, IntensityKernel, malthusian_parameter
+from .kernels import (
+    ContactRate, InitialCondition, IntensityKernel, malthusian_parameter, shifted_age_sums,
+)
 
 _INNER_TOL = 1e-14       # relative change that ends a marching step's fixed point
 _MAX_INNER = 100         # fixed-point iterations per marching step
@@ -87,15 +93,11 @@ class LimitSolution:
 
 
 def _trapezoid_convolution(tau_vals: np.ndarray, b: np.ndarray, dt: float) -> np.ndarray:
-    """Trapezoid prefix convolution dt * sum'' tau(t_k - t_j) b(t_j); FFT on
-    large grids, direct otherwise (identical up to roundoff)."""
-    n = b.size
-    if n > 4000:
-        from scipy.signal import fftconvolve
+    """Trapezoid prefix convolution dt * sum'' tau(t_k - t_j) b(t_j), by FFT."""
+    # imported here so that `import epichain` does not load scipy.signal
+    from scipy.signal import fftconvolve
 
-        conv = fftconvolve(tau_vals, b)[:n] * dt
-    else:
-        conv = np.convolve(tau_vals, b)[:n] * dt
+    conv = fftconvolve(tau_vals, b)[:b.size] * dt
     conv -= 0.5 * dt * (tau_vals * b[0] + tau_vals[0] * b)
     return conv
 
@@ -112,17 +114,43 @@ def _time_grid(horizon: float, dt: float) -> np.ndarray:
     return np.linspace(0.0, n * dt, n + 1)
 
 
-def _force_grid(kernel: IntensityKernel, ic: InitialCondition, t: np.ndarray):
-    """tau and I0*tau_bar evaluated on the solver grid."""
-    tau_vals = np.asarray(kernel.value(t), dtype=float)
+@dataclass(frozen=True)
+class _GridSystem:
+    """The renewal system on one solver grid: tau, the seeded force
+    I0 tau_bar and the contact rate c at the grid points."""
+
+    t: np.ndarray
+    dt: float
+    tau: np.ndarray
+    forcing: np.ndarray
+    c: np.ndarray
+    s0: float
+
+    def forward(self, b: np.ndarray):
+        """The map b -> (A, S): the force of infection A = tau * b + I0 tau_bar
+        and the susceptible fraction S = S0 exp(-integral c A)."""
+        A = _trapezoid_convolution(self.tau, b, self.dt) + self.forcing
+        return A, self.s0 * np.exp(-cumulative_trapezoid(self.t, self.c * A))
+
+    def residual(self, b: np.ndarray, A: np.ndarray, S: np.ndarray) -> float:
+        """Largest residual of b = c S A, relative to the incidence scale."""
+        return float(np.max(np.abs(b - self.c * S * A) / np.maximum(np.abs(b), 1e-300)))
+
+
+def _grid_system(kernel: IntensityKernel, contact: ContactRate, ic: InitialCondition,
+                 t: np.ndarray, dt: float) -> _GridSystem:
+    """The system on grid t; dt is the step as the caller holds it, which
+    t[1] - t[0] can miss in the last bit."""
     tb = ic.tau_bar
     ratio = tb.step / (t[1] - t[0])
     if abs(ratio - round(ratio)) > 1e-9 and abs(1.0 / ratio - round(1.0 / ratio)) > 1e-9:
         raise ValueError(
             f"time step {t[1]-t[0]:g} is not commensurate with the kernel grid step {tb.step:g}"
         )
-    forcing = ic.i0 * np.interp(t, tb.ages, tb.table, left=0.0, right=0.0)
-    return tau_vals, forcing
+    return _GridSystem(
+        t=t, dt=dt, tau=np.asarray(kernel.value(t), dtype=float),
+        forcing=ic.i0 * np.interp(t, tb.ages, tb.table, left=0.0, right=0.0),
+        c=np.asarray(contact(t), dtype=float), s0=1.0 - ic.i0)
 
 
 def solve_delay(kernel: IntensityKernel, contact: ContactRate, ic: InitialCondition,
@@ -134,11 +162,9 @@ def solve_delay(kernel: IntensityKernel, contact: ContactRate, ic: InitialCondit
     handful of iterations reaches machine accuracy).  Raises if a step fails
     to converge.
     """
-    t = _time_grid(horizon, dt)
+    grid = _grid_system(kernel, contact, ic, _time_grid(horizon, dt), dt)
+    t, tau_vals, forcing, c_vals, s0 = grid.t, grid.tau, grid.forcing, grid.c, grid.s0
     n = t.size - 1
-    tau_vals, forcing = _force_grid(kernel, ic, t)
-    c_vals = np.asarray(contact(t), dtype=float)
-    s0 = 1.0 - ic.i0
 
     b = np.zeros(n + 1)
     A = np.zeros(n + 1)   # force of infection (bracket)
@@ -148,7 +174,6 @@ def solve_delay(kernel: IntensityKernel, contact: ContactRate, ic: InitialCondit
     A[0] = forcing[0]
     b[0] = c_vals[0] * s0 * A[0]
     q = 0.5 * dt * tau_vals[0]  # implicit trapezoid weight on b[k]
-    # window beyond which tau vanishes (tabulated kernels); closed forms keep all
     max_iters = 0
     for k in range(1, n + 1):
         conv_known = dt * (np.dot(tau_vals[k:0:-1], b[:k]) - 0.5 * tau_vals[k] * b[0])
@@ -174,12 +199,10 @@ def solve_delay(kernel: IntensityKernel, contact: ContactRate, ic: InitialCondit
         C[k] = base_C + c_half * A[k]
         S[k] = s0 * math.exp(-C[k])
 
-    B = s0 - S
-    # residual of the discrete renewal identity, relative to the incidence scale
-    residual = float(np.max(np.abs(b - c_vals * S * A) / np.maximum(np.abs(b), 1e-300)))
+    residual = grid.residual(b, A, S)
     if residual > _RESIDUAL_TOL:
         raise RuntimeError(f"renewal residual {residual:g} exceeds tolerance {_RESIDUAL_TOL:g}")
-    return LimitSolution(t=t, b=b, B=B, S=S, kernel=kernel, contact=contact, ic=ic,
+    return LimitSolution(t=t, b=b, B=s0 - S, S=S, kernel=kernel, contact=contact, ic=ic,
                          renewal_residual=residual, iterations_max=max_iters)
 
 
@@ -200,141 +223,81 @@ def picard_delay(kernel: IntensityKernel, contact: ContactRate, ic: InitialCondi
     makes the underlying map a contraction; iteration stops when the
     unweighted change is also below the tolerance.
     """
-    t = _time_grid(horizon, dt)
-    n = t.size - 1
-    tau_vals, forcing = _force_grid(kernel, ic, t)
-    c_vals = np.asarray(contact(t), dtype=float)
-    s0 = 1.0 - ic.i0
+    grid = _grid_system(kernel, contact, ic, _time_grid(horizon, dt), dt)
     try:
         alpha = malthusian_parameter(kernel).alpha
     except ValueError:
         alpha = 0.0
-    rate = max(alpha, 0.0) + 1.0
-    weights = np.exp(-rate * t)
+    weights = np.exp(-(max(alpha, 0.0) + 1.0) * grid.t)
 
-    b = np.zeros(n + 1)
-    weighted_change = math.inf
-    iterations = 0
+    b = np.zeros(grid.t.size)
     for iterations in range(1, _MAX_PICARD + 1):
-        A = _trapezoid_convolution(tau_vals, b, dt) + forcing
-        C = cumulative_trapezoid(t, c_vals * A)
-        S = s0 * np.exp(-C)
-        b_new = c_vals * S * A
+        A, S = grid.forward(b)
+        b_new = grid.c * S * A
         diff = np.abs(b_new - b)
-        weighted_change = float(np.max(weights * diff))
-        unweighted = float(np.max(diff))
         b = b_new
-        if weighted_change < _PICARD_TOL and unweighted < _PICARD_TOL:
+        weighted_change = float(np.max(weights * diff))
+        if weighted_change < _PICARD_TOL and float(np.max(diff)) < _PICARD_TOL:
             break
     else:
         raise RuntimeError(f"Picard iteration did not converge in {_MAX_PICARD} steps")
 
-    A = _trapezoid_convolution(tau_vals, b, dt) + forcing
-    C = cumulative_trapezoid(t, c_vals * A)
-    S = s0 * np.exp(-C)
-    residual = float(np.max(np.abs(b - c_vals * S * A) / np.maximum(np.abs(b), 1e-300)))
-    sol = LimitSolution(t=t, b=b, B=s0 - S, S=S, kernel=kernel, contact=contact, ic=ic,
-                        renewal_residual=residual)
+    A, S = grid.forward(b)
+    sol = LimitSolution(t=grid.t, b=b, B=grid.s0 - S, S=S, kernel=kernel, contact=contact,
+                        ic=ic, renewal_residual=grid.residual(b, A, S))
     return PicardResult(solution=sol, iterations=iterations, weighted_change=weighted_change)
 
 
 def compartment_curve(sol: LimitSolution, model: CourseModel, compartment: str) -> np.ndarray:
     """Limit fraction in a compartment over the solution grid:
     integral n(t, a) p(a, i) da, split into the transported part (time-grid
-    convolution) and the aged initial part (age-grid quadrature)."""
-    t = sol.t
-    dt = sol.dt
-    n = t.size - 1
-    p_t = np.asarray(model.marginal_p(t, compartment), dtype=float)
-    conv = _trapezoid_convolution(p_t, sol.b, dt)
+    convolution) and the aged initial part I0 E_g[p(Z + t, i)].  The solver
+    step must equal the step of the initial age density."""
+    def p(ages):
+        return model.marginal_p(ages, compartment)
 
-    # aged initial part: I0 * E_g[ p(Z + t, i) ]; sliding product when the
-    # grids share a step, otherwise direct quadrature per time point
-    g = sol.ic.age_density
-    m = g.grid.size
-    da = g.step
-    if abs(da - dt) < 1e-12:
-        n_pts = n + 1
-        ext_ages = np.linspace(0.0, (n_pts + m - 2) * da, n_pts + m - 1)
-        p_ext = np.asarray(model.marginal_p(ext_ages, compartment), dtype=float)
-        g_vals = g.values / g.total
-        aged = np.correlate(p_ext, g_vals, mode="valid")
-        aged -= 0.5 * g_vals[0] * p_ext[:n_pts]
-        aged -= 0.5 * g_vals[-1] * p_ext[m - 1:]
-        aged *= da * sol.ic.i0
-    else:
-        z = g.grid
-        gw = g.values / g.total
-        aged = np.array([
-            sol.ic.i0 * np.trapezoid(gw * np.asarray(model.marginal_p(z + tk, compartment)), z)
-            for tk in t
-        ])
+    conv = _trapezoid_convolution(np.asarray(p(sol.t), dtype=float), sol.b, sol.dt)
+    aged = shifted_age_sums(p, sol.ic.age_density, sol.dt, sol.t.size)
+    aged *= sol.ic.age_density.step * sol.ic.i0
     return conv + aged
 
 
-def final_size(r0_bar: float, r0: float, i0: float, c_const: float) -> float:
-    """Total infected fraction for a constant contact rate.
-
-    Solves the scalar fixed point B = S0 (1 - exp(-c (R0 B + I0 R0_bar)))
-    by monotone iteration from B = S0 and returns B + I0 (everyone counted,
-    initial infections included).
-    """
-    s0 = 1.0 - i0
-    if not 0.0 < i0 < 1.0:
-        raise ValueError("i0 must lie in (0, 1)")
-    x = s0
-    for _ in range(_MAX_FINAL_SIZE):
-        x_new = s0 * (1.0 - math.exp(-c_const * (r0 * x + i0 * r0_bar)))
-        if abs(x_new - x) < _FINAL_SIZE_TOL:
-            return x_new + i0
-        x = x_new
-    raise RuntimeError(f"final size iteration did not converge in {_MAX_FINAL_SIZE} steps")
-
-
 def final_size_settled_contact(sol: LimitSolution) -> float:
-    """Final infected fraction when the contact rate is eventually constant.
+    """Total infected fraction, initial infections included, when the contact
+    rate is constant (= c*) after time t_c (t_c = 0 for a constant rate).
 
-    Generalizes the constant-rate fixed point: with c constant (= c*) after
-    time t_c, the limiting exponent splits into the solved history on
+    Solves the scalar fixed point B = S0 (1 - exp(-X)) by monotone iteration
+    from B = S0.  The limiting exponent X splits into the solved history on
     [0, t_c] plus c* times the remaining force, which depends on the unknown
-    total only through R0 (B_inf - B(t_c)).  Reduces exactly to the
-    constant-rate formula when t_c = 0.
+    total only through R0 (B_inf - B(t_c)); at t_c = 0 it is
+    c (R0 B + I0 R0_bar).
     """
-    contact = sol.contact
-    t_c = contact.settles_at
-    c_star = contact.terminal_value
-    if t_c > float(sol.t[-1]):
+    t, kernel, ic, contact = sol.t, sol.kernel, sol.ic, sol.contact
+    t_c, c_star = contact.settles_at, contact.terminal_value
+    if t_c > float(t[-1]):
         raise ValueError("contact rate settles beyond the solved horizon")
-    t = sol.t
-    dt = sol.dt
-    kernel = sol.kernel
-    ic = sol.ic
-    s0 = sol.s0
-    k_c = int(round(t_c / dt))
-    if abs(k_c * dt - t_c) > 1e-9 * max(1.0, t_c):
+    k_c = int(round(t_c / sol.dt))
+    if abs(k_c * sol.dt - t_c) > 1e-9 * max(1.0, t_c):
         raise ValueError("contact settling time must sit on the solver grid")
 
-    tau_vals, forcing = _force_grid(kernel, ic, t)
-    c_vals = np.asarray(contact(t), dtype=float)
-    A = _trapezoid_convolution(tau_vals, sol.b, dt) + forcing
-    X_hist = float(cumulative_trapezoid(t[: k_c + 1], (c_vals * A)[: k_c + 1])[-1]) if k_c else 0.0
-
-    # force still to be delivered after t_c by infections before t_c:
-    # integral_0^{t_c} b(a) (R0 - cumulative_tau(t_c - a)) da, plus the
-    # seeded remainder I0 (r0_bar - cumulative_tau_bar(t_c)).
+    # history on [0, t_c] and the force still to be delivered after t_c by
+    # infections before t_c: integral_0^{t_c} b(a) (R0 - cumulative_tau(t_c - a)) da,
+    # plus the seeded remainder I0 (r0_bar - cumulative_tau_bar(t_c)).
     r0 = kernel.r0
+    X_hist = carry = 0.0
     if k_c:
+        grid = _grid_system(kernel, contact, ic, t, sol.dt)
+        A, _ = grid.forward(sol.b)
+        X_hist = float(cumulative_trapezoid(t[: k_c + 1], (grid.c * A)[: k_c + 1])[-1])
         remaining_kernel = r0 - np.asarray(kernel.cumulative(t_c - t[: k_c + 1]), dtype=float)
         carry = float(np.trapezoid(sol.b[: k_c + 1] * remaining_kernel, t[: k_c + 1]))
-    else:
-        carry = 0.0
     seeded_remainder = ic.i0 * float(ic.r0_bar - ic.tau_bar.cumulative(t_c))
     B_tc = float(sol.B[k_c])
 
-    x = s0
+    x = sol.s0
     for _ in range(_MAX_FINAL_SIZE):
         exponent = X_hist + c_star * (carry + seeded_remainder + r0 * (x - B_tc))
-        x_new = s0 * (1.0 - math.exp(-exponent))
+        x_new = sol.s0 * (1.0 - math.exp(-exponent))
         if abs(x_new - x) < _FINAL_SIZE_TOL:
             return x_new + ic.i0
         x = x_new

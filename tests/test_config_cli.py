@@ -235,6 +235,14 @@ class TestCli:
         assert "error: --criteria must list criterion numbers" in capsys.readouterr().err
         assert not (tmp_path / "validation.json").exists()
 
+    def test_validate_rejects_scenario_options(self, tmp_path, capsys):
+        # the suite always runs the built-in scenario, so it takes no seed
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--out", str(tmp_path), "--criteria", "2", "--seed", "5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+        assert not (tmp_path / "validation.json").exists()
+
     def test_chain_survival_rejects_zero_samples(self, tmp_path, capsys):
         rc = main(["chain", "--out", str(tmp_path), "--mode", "survival", "--samples", "0",
                    "--set", "horizon=8.0"])

@@ -7,6 +7,7 @@ quantities, checked against closed forms for tau(a) = 1.5 e^{-a}:
     z-marginal g(z)(R0 - integral_0^z tau) / r0_bar = Exp(3/2)
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epichain import (
-    ContactRate, ExponentialKernel, LatentExponentialKernel, TabulatedKernel,
+    ContactRate, ExponentialKernel, GridDensity, LatentExponentialKernel, TabulatedKernel,
     backward_density, bar_tau, initial_condition, malthusian_parameter,
 )
 from epichain.kernels import joint_delay_age_from_uniforms
@@ -84,6 +85,10 @@ class TestShiftedQuantities:
         u = np.linspace(0.0, 8.0, 60)
         assert np.allclose(ic.tau_bar.value(u), 0.5 * np.exp(-u), atol=2e-4)
 
+    def test_tau_bar_recorded_table(self, ic):
+        assert hashlib.sha256(ic.tau_bar.table.tobytes()).hexdigest() == \
+            "2313fa2ae14c15f21761049967845d91499378a4ebdd368d14353fc8ffa084b1"
+
     def test_r0_bar(self, ic):
         assert ic.r0_bar == pytest.approx(0.5, abs=2e-4)
 
@@ -102,12 +107,16 @@ class TestShiftedQuantities:
     def test_bar_tau_against_quadrature(self, kernel):
         # non-exponential g: uniform ages on [0, 2]
         grid = np.linspace(0.0, 2.0, 401)
-        from epichain import GridDensity
         g = GridDensity(grid, np.ones_like(grid))
         tb = bar_tau(kernel, g)
         for u in (0.0, 0.7, 2.3):
             oracle = np.trapezoid(0.5 * 1.5 * np.exp(-(grid + u)), grid)
             assert float(tb.value(u)) == pytest.approx(oracle, rel=1e-4)
+
+    def test_bar_tau_rejects_age_step_off_kernel_grid(self, kernel):
+        grid = np.linspace(0.0, 2.0, 201)
+        with pytest.raises(ValueError, match=r"grid step 0\.005, not 0\.01"):
+            bar_tau(kernel, GridDensity(grid, np.ones_like(grid)))
 
     def test_joint_sampler_marginals(self, ic):
         # stratified uniforms: empirical z-law must match Exp(3/2)

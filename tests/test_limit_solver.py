@@ -7,6 +7,7 @@ equilibrium initial ages, the incidence approaches the closed form
 b(t) = I0 alpha e^{alpha t} of the linearized system.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -16,9 +17,15 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from epichain import (
-    ContactRate, ExponentialKernel, MarkovSIR, compartment_curve, final_size,
-    final_size_settled_contact, initial_condition, picard_delay, solve_delay,
+    ContactRate, ExponentialKernel, MarkovSIR, compartment_curve, final_size_settled_contact,
+    initial_condition, picard_delay, solve_delay,
 )
+
+STEP_CONTACT = ContactRate((0.0, 4.0, 8.0), (1.0, 0.3, 0.8), "step")
+
+
+def _sha(values) -> str:
+    return hashlib.sha256(np.ascontiguousarray(values, dtype=float).tobytes()).hexdigest()
 
 
 def _sir_ode(sol):
@@ -98,10 +105,15 @@ class TestPicard:
         assert res.weighted_change < 1e-12
 
     def test_step_contact_agreement(self, kernel, ic):
-        c = ContactRate((0.0, 4.0, 8.0), (1.0, 0.3, 0.8), "step")
-        march = solve_delay(kernel, c, ic, 12.0, 0.01)
-        pic = picard_delay(kernel, c, ic, 12.0, 0.01).solution
+        march = solve_delay(kernel, STEP_CONTACT, ic, 12.0, 0.01)
+        pic = picard_delay(kernel, STEP_CONTACT, ic, 12.0, 0.01).solution
         assert np.max(np.abs(march.b - pic.b)) < 1e-10
+
+    def test_step_contact_recorded_values(self, kernel, ic):
+        res = picard_delay(kernel, STEP_CONTACT, ic, 80.0, 0.005)
+        assert res.iterations == 131
+        assert _sha(res.solution.b) == \
+            "95ccc434242a740d0c8e94cdf892cd43395562065b1c781aa13ea50754fcac59"
 
 
 class TestLinearized:
@@ -125,30 +137,39 @@ class TestLinearized:
 
 
 class TestFinalSize:
-    def test_reference_value(self):
-        assert final_size(0.5, 1.5, 0.01, 1.0) == pytest.approx(0.58287, abs=1e-5)
+    def test_reference_value(self, sol):
+        # recorded bits: at t_c = 0 the exponent is the closed form c (R0 B + I0 R0_bar)
+        fp = final_size_settled_contact(sol)
+        assert fp.hex() == "0x1.2a6da5706ae26p-1"
+        assert fp == pytest.approx(0.58287, abs=1e-5)
 
-    def test_fixed_point_equation(self):
-        x = final_size(0.5, 1.5, 0.01, 1.0)
-        lhs = x - 0.01
-        rhs = 0.99 * (1.0 - math.exp(-(1.5 * lhs + 0.01 * 0.5)))
-        assert lhs == pytest.approx(rhs, abs=1e-10)
+    def test_fixed_point_equation(self, sol):
+        ic, r0 = sol.ic, sol.kernel.r0
+        x = final_size_settled_contact(sol) - ic.i0
+        assert x == pytest.approx(sol.s0 * (1.0 - math.exp(-(r0 * x + ic.i0 * ic.r0_bar))),
+                                  abs=1e-10)
 
     def test_solver_reaches_fixed_point(self, sol):
-        fp = final_size(sol.ic.r0_bar, sol.kernel.r0, sol.ic.i0, 1.0)
+        fp = final_size_settled_contact(sol)
         assert float(sol.B[-1]) + sol.ic.i0 == pytest.approx(fp, abs=1.5e-3)
 
-    def test_settled_contact_matches_scalar_on_constant(self, sol):
-        fp = final_size(sol.ic.r0_bar, sol.kernel.r0, sol.ic.i0, 1.0)
-        assert final_size_settled_contact(sol) == pytest.approx(fp, abs=2e-3)
+    def test_step_contact_recorded_value(self, kernel, ic):
+        # T = 80: the suppressed second wave has settled
+        step80 = solve_delay(kernel, STEP_CONTACT, ic, 80.0, 0.005)
+        fp = final_size_settled_contact(step80)
+        assert fp.hex() == "0x1.0f1c029a2eadap-2"
+        assert float(step80.B[-1]) + step80.ic.i0 == pytest.approx(fp, abs=1e-3)
 
     def test_subcritical_outbreak_small(self):
-        total = final_size(0.3, 0.8, 0.001, 1.0)
+        kern = ExponentialKernel(0.8, 1.0, step=0.01, a_max=30.0)  # R0 = 0.8
+        ic_sub = initial_condition(kern, 0.001, age_rate=0.5)
+        total = final_size_settled_contact(
+            solve_delay(kern, ContactRate.constant(1.0), ic_sub, 10.0, 0.01))
         assert 0.001 < total < 0.01
 
-    def test_rejects_bad_i0(self):
-        with pytest.raises(ValueError):
-            final_size(0.5, 1.5, 0.0, 1.0)
+    def test_rejects_bad_i0(self, kernel):
+        with pytest.raises(ValueError, match="initial infection probability"):
+            initial_condition(kernel, 0.0, age_rate=0.5)
 
 
 class TestCompartmentCurve:
@@ -167,6 +188,17 @@ class TestCompartmentCurve:
         j_ode = _sir_ode(sol)[1]
         frac_i = compartment_curve(sol, model, "I")
         assert np.max(np.abs(frac_i - j_ode)) < 1e-4
+
+    def test_recorded_values(self, sol, model):
+        assert _sha(compartment_curve(sol, model, "I")) == \
+            "53f040d5a4d751a9f783ae265032519959da2371e05325c567df43b6b931bd7c"
+        assert _sha(compartment_curve(sol, model, "R")) == \
+            "99e7246dce2eda807e8100b1712d74cb57bd0e6dab80b3786cb71f6ce5b08705"
+
+    def test_rejects_step_off_age_grid(self, kernel, unit_contact, ic, model):
+        coarse = solve_delay(kernel, unit_contact, ic, 5.0, 0.01)
+        with pytest.raises(ValueError, match=r"grid step 0\.01, not 0\.005"):
+            compartment_curve(coarse, model, "I")
 
 
 @given(

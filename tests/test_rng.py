@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epichain import (
-    conditioned_first_step, derive_seed, estimate_B, make_rng, martingale_diagnostic,
-    reweighted_first_steps, sample_h_chains, sample_renewal_chains, simulate,
-    survival_representation_check, tree_params,
+    conditioned_first_step, derive_seed, empirical_tau, estimate_B, make_rng,
+    martingale_diagnostic, reweighted_first_steps, sample_h_chains, sample_renewal_chains,
+    simulate, survival_representation_check, tree_params,
 )
 from epichain.rng import child_key_vec, keyed_u01_vec, root_key_vec
 
@@ -83,13 +83,14 @@ def samplers(model, kernel, ic, unit_contact, sol):
         "estimate_B": ("n_samples", lambda n: estimate_B(params, [2.0], n, seed=1)),
         "conditioned_first_step": ("n_samples",
                                    lambda n: conditioned_first_step(params, 4.0, 0.5, n, seed=1)),
+        "empirical_tau": ("n", lambda n: empirical_tau(model, n, make_rng(1, "empirical-tau"))),
     }
 
 
 @pytest.mark.parametrize("entry", [
     "simulate", "sample_renewal_chains", "sample_h_chains", "martingale_diagnostic",
     "martingale_diagnostic.k_max", "survival_representation_check", "reweighted_first_steps",
-    "estimate_B", "conditioned_first_step",
+    "estimate_B", "conditioned_first_step", "empirical_tau",
 ])
 @pytest.mark.parametrize("count", [100.0, np.float64(2000.0), True, 0, -1],
                          ids=["float", "numpy-float", "bool", "zero", "negative"])
