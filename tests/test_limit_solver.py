@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 from epichain import (
     ContactRate, ExponentialKernel, MarkovSIR, compartment_curve, final_size_settled_contact,
@@ -152,6 +153,13 @@ class TestFinalSize:
     def test_solver_reaches_fixed_point(self, sol):
         fp = final_size_settled_contact(sol)
         assert float(sol.B[-1]) + sol.ic.i0 == pytest.approx(fp, abs=1.5e-3)
+
+    def test_settled_contact_matches_scalar_on_constant(self, sol):
+        # scalar closed form for constant c = 1: x - I0 = (1 - I0)(1 - e^{-(R0 (x - I0) + I0 R0_bar)})
+        i0, r0, r0_bar = sol.ic.i0, sol.kernel.r0, sol.ic.r0_bar
+        fp = brentq(lambda x: x - i0 - (1.0 - i0) * (1.0 - math.exp(-(r0 * (x - i0) + i0 * r0_bar))),
+                    i0 + 1e-9, 1.0)
+        assert final_size_settled_contact(sol) == pytest.approx(fp, abs=2e-3)
 
     def test_step_contact_recorded_value(self, kernel, ic):
         # T = 80: the suppressed second wave has settled
