@@ -362,10 +362,6 @@ class ReweightedFirstSteps:
     weights: np.ndarray  # terminal h-value over the starting h-value
     n_samples: int
 
-    @property
-    def n_survivors(self) -> int:
-        return int(self.values.size)
-
 
 def reweighted_first_steps(t: float, sol: LimitSolution, n_samples: int,
                            seed: int) -> ReweightedFirstSteps:

@@ -89,6 +89,10 @@ class CourseModel:
 
     def sample_courses(self, rng: np.random.Generator, n: int) -> CourseBatch:
         """n independent courses."""
+        return self._sample(rng, check_count("n", n, 0))
+
+    def _sample(self, rng: np.random.Generator, n: int) -> CourseBatch:
+        """`sample_courses` for a checked count."""
         raise NotImplementedError
 
     def palm_courses(self, rng: np.random.Generator, ages) -> CourseBatch:
@@ -128,7 +132,7 @@ class MarkovSIR(CourseModel):
         self.kernel = ExponentialKernel(beta, gamma, step=step, a_max=a_max)
         self.compartments = ("I", "R")
 
-    def sample_courses(self, rng: np.random.Generator, n: int) -> CourseBatch:
+    def _sample(self, rng: np.random.Generator, n: int) -> CourseBatch:
         return self._courses(rng, rng.exponential(1.0 / self.gamma, n))
 
     def _palm_cycle(self, rng: np.random.Generator, ages: np.ndarray) -> CourseBatch:
@@ -164,7 +168,7 @@ class MarkovSEIR(CourseModel):
         self.kernel = LatentExponentialKernel(beta, activation, recovery, step=step, a_max=a_max)
         self.compartments = ("E", "I", "R")
 
-    def sample_courses(self, rng: np.random.Generator, n: int) -> CourseBatch:
+    def _sample(self, rng: np.random.Generator, n: int) -> CourseBatch:
         return self._courses(rng, rng.exponential(1.0 / self.activation, n), 0.0)
 
     def _palm_cycle(self, rng: np.random.Generator, ages: np.ndarray) -> CourseBatch:
@@ -214,7 +218,7 @@ class PoissonCourse(CourseModel):
         self._grid_mass = kernel.grid_mass
         self._nu = kernel.generation_density() if self._grid_mass > 0 else None
 
-    def sample_courses(self, rng: np.random.Generator, n: int) -> CourseBatch:
+    def _sample(self, rng: np.random.Generator, n: int) -> CourseBatch:
         if self._nu is None:
             offsets, atoms = np.zeros(n + 1, dtype=np.int64), np.empty(0)
         else:
@@ -225,7 +229,7 @@ class PoissonCourse(CourseModel):
 
     def _palm_cycle(self, rng: np.random.Generator, ages: np.ndarray) -> CourseBatch:
         # a Poisson process is its own reduced Palm process
-        return self.sample_courses(rng, ages.size)
+        return self._sample(rng, ages.size)
 
     def marginal_p(self, a, compartment: str) -> np.ndarray:
         if compartment not in self.compartments:

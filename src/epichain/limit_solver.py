@@ -11,12 +11,20 @@ bracketed force of infection.  The integrated form B(t) = S0 - S(t) is the
 cumulative incidence; the age profile follows by transport:
 n(t, a) = b(t - a) for a < t and I0 g(a - t) for a > t.
 
-Every quantity has one code path.  `_GridSystem` holds tau, I0 tau_bar and
-c on the solver grid, the map b -> (A, S) and the renewal residual; both
-solvers and the final size share it:
+Every quantity has one code path.  `_GridSystem` holds tau, its real FFT
+(computed once), I0 tau_bar and c on the solver grid, the map b -> (A, S)
+and the renewal residual; both solvers and the final size share it.
+`_convolve` (cached spectrum times the FFT of b, transformed back) is the
+package's one FFT convolution:
 
 * `solve_delay` marches forward in time, closing each step with a scalar
   fixed point in b(t_k) (the implicit weight is the trapezoid endpoint).
+  The history sum runs in blocks of `_BLOCK` steps: one FFT convolution at
+  each block start gives the history from before the block, and a dot
+  product of at most `_BLOCK` terms the part inside it, so a step costs
+  O(_BLOCK) plus an O(n log n / _BLOCK) share of the FFTs (the fast
+  convolution of Hairer, Lubich and Schlichte, SIAM J. Sci. Stat. Comput. 6
+  (1985) 532-541, with blocks of fixed size).
 * `picard_delay` iterates the full map from b = 0, the constructive
   fixed-point route, with convergence tracked in an exponentially weighted
   sup metric.
@@ -42,6 +50,7 @@ from .kernels import (
     ContactRate, InitialCondition, IntensityKernel, malthusian_parameter, shifted_age_sums,
 )
 
+_BLOCK = 1024            # marching steps per block of the history sum
 _INNER_TOL = 1e-14       # relative change that ends a marching step's fixed point
 _MAX_INNER = 100         # fixed-point iterations per marching step
 _RESIDUAL_TOL = 1e-8     # largest renewal residual a marched solution may keep
@@ -92,13 +101,32 @@ class LimitSolution:
         return np.where(x >= 0, np.interp(x, self.t, self.S), 1.0 - self.ic.i0)
 
 
-def _trapezoid_convolution(tau_vals: np.ndarray, b: np.ndarray, dt: float) -> np.ndarray:
-    """Trapezoid prefix convolution dt * sum'' tau(t_k - t_j) b(t_j), by FFT."""
-    # imported here so that `import epichain` does not load scipy.signal
-    from scipy.signal import fftconvolve
+def _spectrum(f: np.ndarray) -> np.ndarray:
+    """Real FFT of the table f, at the length `fftconvolve` picks for the
+    convolution of f with an array of f's size."""
+    from scipy import fft  # imported here so that `import epichain` does not load scipy
 
-    conv = fftconvolve(tau_vals, b)[:b.size] * dt
-    conv -= 0.5 * dt * (tau_vals * b[0] + tau_vals[0] * b)
+    return fft.rfft(f, fft.next_fast_len(2 * f.size - 1, True))
+
+
+def _convolve(spectrum: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """First b.size terms of the linear convolution f * b, f the table of b's
+    size whose `_spectrum` is given: the package's one FFT convolution, equal
+    bit for bit to `fftconvolve(f, b)[:b.size]`."""
+    from scipy import fft
+
+    size = fft.next_fast_len(2 * b.size - 1, True)
+    # the ufunc, not `*`: numpy may write a large product of `*` into the
+    # temporary rfft(b), and that product rounds differently from fftconvolve's
+    return fft.irfft(np.multiply(spectrum, fft.rfft(b, size)), size)[:b.size]
+
+
+def _trapezoid_convolution(f: np.ndarray, spectrum: np.ndarray, b: np.ndarray,
+                           dt: float) -> np.ndarray:
+    """Trapezoid prefix convolution dt * sum'' f(t_k - t_j) b(t_j), f given
+    with its `_spectrum`."""
+    conv = _convolve(spectrum, b) * dt
+    conv -= 0.5 * dt * (f * b[0] + f[0] * b)
     return conv
 
 
@@ -116,12 +144,13 @@ def _time_grid(horizon: float, dt: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _GridSystem:
-    """The renewal system on one solver grid: tau, the seeded force
-    I0 tau_bar and the contact rate c at the grid points."""
+    """The renewal system on one solver grid: tau and its `_spectrum`, the
+    seeded force I0 tau_bar and the contact rate c at the grid points."""
 
     t: np.ndarray
     dt: float
     tau: np.ndarray
+    tau_spectrum: np.ndarray
     forcing: np.ndarray
     c: np.ndarray
     s0: float
@@ -129,7 +158,7 @@ class _GridSystem:
     def forward(self, b: np.ndarray):
         """The map b -> (A, S): the force of infection A = tau * b + I0 tau_bar
         and the susceptible fraction S = S0 exp(-integral c A)."""
-        A = _trapezoid_convolution(self.tau, b, self.dt) + self.forcing
+        A = _trapezoid_convolution(self.tau, self.tau_spectrum, b, self.dt) + self.forcing
         return A, self.s0 * np.exp(-cumulative_trapezoid(self.t, self.c * A))
 
     def residual(self, b: np.ndarray, A: np.ndarray, S: np.ndarray) -> float:
@@ -147,8 +176,9 @@ def _grid_system(kernel: IntensityKernel, contact: ContactRate, ic: InitialCondi
         raise ValueError(
             f"time step {t[1]-t[0]:g} is not commensurate with the kernel grid step {tb.step:g}"
         )
+    tau = np.asarray(kernel.value(t), dtype=float)
     return _GridSystem(
-        t=t, dt=dt, tau=np.asarray(kernel.value(t), dtype=float),
+        t=t, dt=float(dt), tau=tau, tau_spectrum=_spectrum(tau),
         forcing=ic.i0 * np.interp(t, tb.ages, tb.table, left=0.0, right=0.0),
         c=np.asarray(contact(t), dtype=float), s0=1.0 - ic.i0)
 
@@ -158,46 +188,56 @@ def solve_delay(kernel: IntensityKernel, contact: ContactRate, ic: InitialCondit
     """March the renewal system forward on a uniform grid of step dt.
 
     Each step solves the scalar implicit equation in b(t_k) by fixed-point
-    iteration (the coupling through the trapezoid endpoint is O(dt), so a
-    handful of iterations reaches machine accuracy).  Raises if a step fails
-    to converge.
+    iteration on Python floats (the coupling through the trapezoid endpoint
+    is O(dt), so a handful of iterations reaches machine accuracy).  Raises
+    if a step fails to converge.
+
+    The history sum dt * sum_{j<k} tau(t_k - t_j) b(t_j) is blocked: at the
+    start of each block of `_BLOCK` steps one FFT convolution with the grid's
+    cached tau spectrum gives the terms from before the block for every step
+    of it, and a dot product covers the steps already solved inside it.  A
+    step thus costs at most `_BLOCK` multiply-adds plus its share of one
+    O(n log n) FFT per block.
     """
     grid = _grid_system(kernel, contact, ic, _time_grid(horizon, dt), dt)
-    t, tau_vals, forcing, c_vals, s0 = grid.t, grid.tau, grid.forcing, grid.c, grid.s0
+    t, dt, s0 = grid.t, grid.dt, grid.s0
     n = t.size - 1
+    forcing, c_vals = grid.forcing.tolist(), grid.c.tolist()
+    tau_reversed = grid.tau[::-1].copy()  # tau(t_m) at n - m: contiguous in-block slices
 
     b = np.zeros(n + 1)
-    A = np.zeros(n + 1)   # force of infection (bracket)
-    C = np.zeros(n + 1)   # accumulated contact-weighted force
-    S = np.full(n + 1, s0)
-
-    A[0] = forcing[0]
-    b[0] = c_vals[0] * s0 * A[0]
-    q = 0.5 * dt * tau_vals[0]  # implicit trapezoid weight on b[k]
+    A = np.empty(n + 1)  # force of infection (bracket)
+    S = np.empty(n + 1)
+    A_k = forcing[0]
+    b_k = c_vals[0] * s0 * A_k
+    b[0], A[0], S[0] = b_k, A_k, s0
+    C = 0.0  # accumulated contact-weighted force
+    q = 0.5 * dt * float(grid.tau[0])  # implicit trapezoid weight on b[k]
     max_iters = 0
-    for k in range(1, n + 1):
-        conv_known = dt * (np.dot(tau_vals[k:0:-1], b[:k]) - 0.5 * tau_vals[k] * b[0])
-        partial = conv_known + forcing[k]
-        c_half = 0.5 * dt * c_vals[k]
-        base_C = C[k - 1] + 0.5 * dt * c_vals[k - 1] * A[k - 1]
-        bk = b[k - 1]
-        converged = False
-        for it in range(1, _MAX_INNER + 1):
-            A_k = partial + q * bk
-            S_k = s0 * math.exp(-(base_C + c_half * A_k))
-            new_bk = c_vals[k] * S_k * A_k
-            if abs(new_bk - bk) <= _INNER_TOL * abs(new_bk):
-                bk = new_bk
-                converged = True
-                max_iters = max(max_iters, it)
-                break
-            bk = new_bk
-        if not converged:
-            raise RuntimeError(f"per-step solve failed to converge at step {k} (t = {t[k]:g})")
-        b[k] = bk
-        A[k] = partial + q * bk
-        C[k] = base_C + c_half * A[k]
-        S[k] = s0 * math.exp(-C[k])
+    for first in range(1, n + 1, _BLOCK):
+        stop = min(first + _BLOCK, n + 1)
+        # b is still zero from `first` on, so this is the history from before
+        # the block, less the trapezoid half weight on b[0]
+        before = (_convolve(grid.tau_spectrum, b)[first:stop]
+                  - 0.5 * b[0] * grid.tau[first:stop]).tolist()
+        for k in range(first, stop):
+            inside = float(np.dot(tau_reversed[n - k + first:n], b[first:k]))
+            partial = dt * (before[k - first] + inside) + forcing[k]
+            c_half = 0.5 * dt * c_vals[k]
+            base_C = C + 0.5 * dt * c_vals[k - 1] * A_k
+            for it in range(1, _MAX_INNER + 1):
+                A_k = partial + q * b_k
+                new_b = c_vals[k] * (s0 * math.exp(-(base_C + c_half * A_k))) * A_k
+                converged = abs(new_b - b_k) <= _INNER_TOL * abs(new_b)
+                b_k = new_b
+                if converged:
+                    break
+            else:
+                raise RuntimeError(f"per-step solve failed to converge at step {k} (t = {t[k]:g})")
+            max_iters = max(max_iters, it)
+            A_k = partial + q * b_k
+            C = base_C + c_half * A_k
+            b[k], A[k], S[k] = b_k, A_k, s0 * math.exp(-C)
 
     residual = grid.residual(b, A, S)
     if residual > _RESIDUAL_TOL:
@@ -256,7 +296,8 @@ def compartment_curve(sol: LimitSolution, model: CourseModel, compartment: str) 
     def p(ages):
         return model.marginal_p(ages, compartment)
 
-    conv = _trapezoid_convolution(np.asarray(p(sol.t), dtype=float), sol.b, sol.dt)
+    p_vals = np.asarray(p(sol.t), dtype=float)
+    conv = _trapezoid_convolution(p_vals, _spectrum(p_vals), sol.b, sol.dt)
     aged = shifted_age_sums(p, sol.ic.age_density, sol.dt, sol.t.size)
     aged *= sol.ic.age_density.step * sol.ic.i0
     return conv + aged

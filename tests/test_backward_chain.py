@@ -87,7 +87,7 @@ class TestRecordedValues:
 
     def test_reweighted_first_steps(self, sol):
         rew = reweighted_first_steps(5.0, sol, 1_000, seed=92)
-        assert rew.n_survivors == 647
+        assert rew.values.size == 647
         assert [float(v).hex() for v in rew.values[:3]] == [
             "0x1.1d1a2e49837b7p+1", "0x1.fb214a9baee86p+1", "0x1.f3e2dd1fb933dp+1"]
         assert [float(v).hex() for v in rew.weights[:3]] == [
@@ -243,7 +243,7 @@ class TestHTransition:
 class TestHTransformIdentities:
     def test_reweighted_survivors_match_h_law(self, sol):
         rew = reweighted_first_steps(5.0, sol, 30_000, seed=87)
-        assert rew.n_survivors > 10_000
+        assert rew.values.size > 10_000
         # terminal-h martingale: E[weight 1{survive}] = 1, killed chains
         # contributing zero (survivor weights alone are nearly constant here)
         mean_w = float(rew.weights.sum()) / rew.n_samples

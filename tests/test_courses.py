@@ -92,6 +92,15 @@ class TestCourseBatch:
             assert np.array_equal(one.atoms, again.atoms)
             assert np.array_equal(one.entry_ages, again.entry_ages)
 
+    @pytest.mark.parametrize("which", ["MarkovSIR", "MarkovSEIR", "PoissonCourse"])
+    @pytest.mark.parametrize("count", [100.0, True, -1], ids=["float", "bool", "negative"])
+    def test_count_checked_by_every_model(self, model, kernel, which, count):
+        m = {"MarkovSIR": model, "MarkovSEIR": _seir(2.0, 1.0),
+             "PoissonCourse": PoissonCourse(kernel)}[which]
+        assert m.sample_courses(make_rng(47, "count"), 0).n == 0
+        with pytest.raises(ValueError, match="^n must be "):
+            m.sample_courses(make_rng(47, "count"), count)
+
 
 SEIR_LATENCY_RATES = [(2.0, 1.0), (1.0, 1.5)]  # d = activation - recovery of both signs
 

@@ -16,11 +16,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
+from scipy.signal import fftconvolve
 
 from epichain import (
     ContactRate, ExponentialKernel, MarkovSIR, compartment_curve, final_size_settled_contact,
     initial_condition, picard_delay, solve_delay,
 )
+from epichain.limit_solver import _BLOCK, _convolve, _grid_system, _time_grid
 
 STEP_CONTACT = ContactRate((0.0, 4.0, 8.0), (1.0, 0.3, 0.8), "step")
 
@@ -117,6 +119,37 @@ class TestPicard:
             "95ccc434242a740d0c8e94cdf892cd43395562065b1c781aa13ea50754fcac59"
 
 
+class TestBlockedHistory:
+    """solve_delay sums the history in blocks of _BLOCK steps: one FFT per
+    block start, a dot product inside the block."""
+
+    # (steps, largest inner iteration count the full-history dot needed)
+    @pytest.mark.parametrize("n, iterations_max", [
+        (_BLOCK - 1, 6), (_BLOCK, 6), (_BLOCK + 1, 6), (2 * _BLOCK + 1, 7),
+    ])
+    def test_block_boundaries(self, kernel, ic, n, iterations_max):
+        assert _BLOCK == 1024  # the iteration counts were recorded at these step counts
+        dt = 0.005
+        march = solve_delay(kernel, STEP_CONTACT, ic, n * dt, dt)
+        pic = picard_delay(kernel, STEP_CONTACT, ic, n * dt, dt).solution
+        assert march.t.size == n + 1
+        assert np.max(np.abs(march.b - pic.b)) < 1e-12
+        assert march.renewal_residual < 1e-12
+        # solve_delay's own residual reads the march's A and S, so it cannot see a
+        # wrong history sum; the global map b -> (A, S) recomputes them from b
+        grid = _grid_system(kernel, STEP_CONTACT, ic, march.t, dt)
+        assert grid.residual(march.b, *grid.forward(march.b)) < 1e-12
+        assert march.iterations_max == iterations_max
+
+    # 25001 points put the spectra past numpy's 256 KiB threshold for reusing a temporary
+    @pytest.mark.parametrize("horizon, dt", [(80.0, 0.005), (25.0, 0.001)])
+    def test_cached_spectrum_matches_fftconvolve(self, kernel, ic, horizon, dt):
+        grid = _grid_system(kernel, STEP_CONTACT, ic, _time_grid(horizon, dt), dt)
+        b = solve_delay(kernel, STEP_CONTACT, ic, horizon, dt).b
+        assert np.array_equal(_convolve(grid.tau_spectrum, b),
+                              fftconvolve(grid.tau, b)[:b.size])
+
+
 class TestLinearized:
     def test_equilibrium_closed_form(self, kernel, unit_contact, alpha):
         # 1 - S stays below 2e-7 up to T = 5, so b follows the linear renewal equation
@@ -199,9 +232,9 @@ class TestCompartmentCurve:
 
     def test_recorded_values(self, sol, model):
         assert _sha(compartment_curve(sol, model, "I")) == \
-            "53f040d5a4d751a9f783ae265032519959da2371e05325c567df43b6b931bd7c"
+            "50cdfa5674e682a9998c6e2533a8f6f8f098d331667886d91f8e4e7d38ff3169"
         assert _sha(compartment_curve(sol, model, "R")) == \
-            "99e7246dce2eda807e8100b1712d74cb57bd0e6dab80b3786cb71f6ce5b08705"
+            "a36c3cbfd3eb31071e8eac240e7e63d2b80c3aa8b4e9ecdb5d96a5cbf66d0bb8"
 
     def test_rejects_step_off_age_grid(self, kernel, unit_contact, ic, model):
         coarse = solve_delay(kernel, unit_contact, ic, 5.0, 0.01)
