@@ -15,9 +15,14 @@ chain, M_k = h(R_{k and L}) 1{not yet killed} is a martingale, and the
 survival probability of the killed chain represents b itself when the
 initial age density is the equilibrium exponential.  Each of those
 statements has a sampler or diagnostic here; together they cross-check the
-solver and the tree sampler.  Every sampler is batched: chains advance one
-column at a time across all rows, and paths come back as a NaN-padded
-`ChainBatch`.  alpha is always the kernel's Malthusian parameter.
+solver and the tree sampler.  alpha is always the kernel's Malthusian
+parameter.
+
+Every chain runs on one batched walk, `_walk`: a chain moves while it is
+alive and above 0, and a killed chain stops at its first failed check.
+Draws are made only for moving chains, and the walk holds only the current
+states, so memory is O(n) for n chains.  Paths come back as a NaN-padded
+`ChainBatch`; the diagnostics read the states as the walk goes.
 
 A conditioned step from x draws the jump v = x - y from the density
 proportional to q(v) b(x - v) on [0, a_max], where q is tau's cell-constant
@@ -33,17 +38,15 @@ through its table, so every kernel takes the same path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .densities import GridDensity
 from .kernels import IntensityKernel, backward_density, malthusian_parameter
 from .limit_solver import LimitSolution
 from .rng import check_count, make_rng
 
 _B_FLOOR = 1e-12
-_BLOCK = 100_000
 _ENVELOPE_WIDTH = 0.5  # width of the ancestor-time blocks of the b envelope
 _MAX_ROUNDS = 1_000    # rejection rounds before a conditioned step is declared stuck
 _MAX_STEPS = 500       # transitions before a conditioned chain is declared runaway
@@ -72,24 +75,48 @@ class ChainBatch:
         return self.times[np.arange(self.times.shape[0]), self.lengths]
 
 
+def _walk(states, step, rng: np.random.Generator, survival=None):
+    """Advance one chain from each start state; yield (x, alive) first for
+    the starts and then after each transition, x holding each chain's state
+    R_{k and L} and alive whether it has passed every check so far.
+
+    A chain moves while it is alive and above 0.  With `survival`, a moving
+    chain at x first passes a check with probability survival(x); a chain
+    that fails it dies and stops where it is.  The passers move to step(x).
+    Draws are made only for moving chains, and the walk ends once no chain
+    moves.  Both arrays are updated in place: copy what must outlive a
+    transition."""
+    x = np.array(states, dtype=float)
+    alive = np.ones(x.size, dtype=bool)
+    moving = np.flatnonzero(x > 0)
+    yield x, alive
+    while moving.size:
+        if survival is not None:
+            passed = rng.random(moving.size) <= survival(x[moving])
+            alive[moving[~passed]] = False
+            moving = moving[passed]
+        x[moving] = step(x[moving])
+        moving = moving[x[moving] > 0]
+        yield x, alive
+
+
+def _paths(walk) -> ChainBatch:
+    """The states of a walk without killing as a NaN-padded `ChainBatch`."""
+    times = np.column_stack([x.copy() for x, _ in walk])
+    lengths = np.count_nonzero(times > 0, axis=1)
+    times[np.arange(times.shape[1]) > lengths[:, None]] = np.nan
+    return ChainBatch(times=times, lengths=lengths)
+
+
 # ---------------------------------------------------------------------------
 # renewal chain with killing
 # ---------------------------------------------------------------------------
 
 
-def _renewal_block(t: float, r_density: GridDensity, n: int, k_min: int,
-                   rng: np.random.Generator) -> np.ndarray:
-    """(n, cols) matrix of renewal states, frozen at the first value <= 0.
-
-    Guarantees at least k_min+1 columns and that every row has crossed zero.
-    """
-    cols = [np.full(n, float(t))]
-    cur = cols[0]
-    while (cur > 0).any() or len(cols) <= k_min:
-        jump = r_density.ppf_from_uniform(rng.random(n))
-        cur = np.where(cur > 0, cur - jump, cur)
-        cols.append(cur)
-    return np.column_stack(cols)
+def _renewal_step(kernel: IntensityKernel, alpha: float, rng: np.random.Generator):
+    """The renewal transition x -> x - a, a drawn from r(a) = e^{-alpha a} tau(a)."""
+    r_density = backward_density(kernel, alpha)
+    return lambda x: x - r_density.ppf_from_uniform(rng.random(x.size))
 
 
 def sample_renewal_chains(t: float, kernel: IntensityKernel, n_chains: int,
@@ -97,34 +124,16 @@ def sample_renewal_chains(t: float, kernel: IntensityKernel, n_chains: int,
     """n independent renewal paths R_0 = t > R_1 > ... > R_L <= 0 with jumps
     from r(a) = e^{-alpha a} tau(a); a start t <= 0 gives L = 0."""
     n_chains = check_count("n_chains", n_chains, 1)
-    r_density = backward_density(kernel, malthusian_parameter(kernel).alpha)
-    R = _renewal_block(t, r_density, n_chains, 0, make_rng(seed, "renewal", t))
-    lengths = np.count_nonzero(R > 0, axis=1)
-    past_end = np.arange(R.shape[1])[None, :] > lengths[:, None]
-    return ChainBatch(times=np.where(past_end, np.nan, R), lengths=lengths)
+    rng = make_rng(seed, "renewal", t)
+    step = _renewal_step(kernel, malthusian_parameter(kernel).alpha, rng)
+    return _paths(_walk(np.full(n_chains, float(t)), step, rng))
 
 
-def _killing_failures(R: np.ndarray, sol: LimitSolution,
-                      rng: np.random.Generator) -> np.ndarray:
-    """Cumulative failed-check counts, same shape as R.
-
-    Column k counts failures among the checks at states R_0..R_k; a check at
-    a positive state x fails with probability 1 - S(x)c(x), and entries at
-    nonpositive states never fail.
-    """
-    ell = sol.S_at(R) * sol.contact(R)
-    fail = (R > 0) & (rng.random(R.shape) > ell)
-    return np.cumsum(fail, axis=1)
-
-
-def _killed_blocks(t: float, sol: LimitSolution, alpha: float, n_samples: int,
-                   k_min: int, rng: np.random.Generator):
-    """Killed renewal chains from t, in blocks of at most `_BLOCK` rows:
-    yields (R, fails) from `_renewal_block` and `_killing_failures`."""
-    r_density = backward_density(sol.kernel, alpha)
-    for lo in range(0, n_samples, _BLOCK):
-        R = _renewal_block(t, r_density, min(_BLOCK, n_samples - lo), k_min, rng)
-        yield R, _killing_failures(R, sol, rng)
+def _killed_walk(t: float, sol: LimitSolution, alpha: float, n: int, rng: np.random.Generator):
+    """`_walk` of n renewal chains from t, each killed at a positive state x
+    with probability 1 - S(x)c(x)."""
+    return _walk(np.full(n, float(t)), _renewal_step(sol.kernel, alpha, rng), rng,
+                 lambda x: sol.S_at(x) * sol.contact(x))
 
 
 @dataclass(frozen=True)
@@ -154,14 +163,13 @@ def martingale_diagnostic(t: float, sol: LimitSolution, n_samples: int, k_max: i
     alpha = malthusian_parameter(sol.kernel).alpha
     sums = np.zeros(k_max + 1)
     sq_sums = np.zeros(k_max + 1)
-    for R, fails in _killed_blocks(t, sol, alpha, n_samples, k_max,
-                                   make_rng(seed, "martingale", t)):
-        for k in range(k_max + 1):
-            x = R[:, k]
-            alive = np.ones(x.size, dtype=bool) if k == 0 else fails[:, k - 1] == 0
-            m = np.where(alive, sol.b_at(x) * np.exp(-alpha * x), 0.0)
-            sums[k] += m.sum()
-            sq_sums[k] += (m * m).sum()
+    walk = _killed_walk(t, sol, alpha, n_samples, make_rng(seed, "martingale", t))
+    x = alive = None
+    for k in range(k_max + 1):
+        x, alive = next(walk, (x, alive))  # a settled walk keeps its last state
+        m = np.where(alive, sol.b_at(x) * np.exp(-alpha * x), 0.0)
+        sums[k] = m.sum()
+        sq_sums[k] = (m * m).sum()
     mean = sums / n_samples
     var = np.maximum(sq_sums / n_samples - mean ** 2, 0.0)
     se = np.sqrt(var / n_samples)
@@ -203,10 +211,9 @@ def survival_representation_check(t: float, sol: LimitSolution, n_samples: int,
     rate = sol.ic.age_rate
     if rate is None or abs(rate - alpha) > 1e-8 * max(1.0, abs(alpha)):
         raise ValueError("representation requires equilibrium g (exponential with the Malthusian rate)")
-    survived = 0
-    for _, fails in _killed_blocks(t, sol, alpha, n_samples, 0, make_rng(seed, "survival", t)):
-        survived += int((fails[:, -1] == 0).sum())
-    p = survived / n_samples
+    for _, alive in _killed_walk(t, sol, alpha, n_samples, make_rng(seed, "survival", t)):
+        pass
+    p = int(alive.sum()) / n_samples
     se_p = math.sqrt(p * (1.0 - p) / n_samples)
     scale = sol.ic.i0 * alpha * math.exp(alpha * t)
     b_sol = float(sol.b_at(t))
@@ -246,10 +253,11 @@ def _b_envelope(sol: LimitSolution) -> tuple[np.ndarray, np.ndarray]:
     return edges, bmax
 
 
-def _h_transition(x: np.ndarray, sol: LimitSolution, envelope: tuple[np.ndarray, np.ndarray],
-                  rng: np.random.Generator) -> tuple[np.ndarray, int]:
-    """One conditioned step y = x - v from each positive state x, and the
-    number of envelope proposals it took.
+class _HTransition:
+    """The conditioned step y = x - v from each positive state x, as a
+    `_walk` step: it builds the envelope of b once, counts the envelope
+    proposals of all its calls in `proposals`, and declares a chain runaway
+    past `_MAX_STEPS` calls.
 
     v is drawn exactly from the density proportional to q(v) b(x - v) on
     [0, a_max], q being the cell-constant density of the kernel's trapezoid
@@ -258,42 +266,52 @@ def _h_transition(x: np.ndarray, sol: LimitSolution, envelope: tuple[np.ndarray,
     (x - y_{k+1}, x - y_k], v inside it by inverting the kernel's
     cumulative table, and the proposal is accepted when u bmax_k <= b(x - v).
     Rejected rows redraw in the next round."""
-    if x.size == 0:
-        return x.copy(), 0
-    kern = sol.kernel
-    edges, bmax = envelope
-    # only blocks meeting [min x - a_max, max x] can carry mass
-    lo = max(int(np.searchsorted(edges, x.min() - kern.a_max, side="right")) - 1, 0)
-    hi = int(np.searchsorted(edges, x.max(), side="left"))
-    edges, bmax = edges[lo:hi + 1], bmax[lo:hi]
-    c_edge = kern.cumulative(x[:, None] - edges[None, :])
-    weights = np.cumsum((c_edge[:, :-1] - c_edge[:, 1:]) * bmax, axis=1)
-    total = weights[:, -1]
-    dead = total <= 0.0
-    if dead.any():
-        bad = float(x[dead][0])
+
+    def __init__(self, sol: LimitSolution, rng: np.random.Generator):
+        self.sol, self.rng = sol, rng
+        self.edges, self.bmax = _b_envelope(sol)
+        self.calls = 0
+        self.proposals = 0
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        self.calls += 1
+        if self.calls > _MAX_STEPS:
+            raise RuntimeError(f"conditioned chain exceeded {_MAX_STEPS} steps")
+        if x.size == 0:
+            return x.copy()
+        sol, kern = self.sol, self.sol.kernel
+        # only blocks meeting [min x - a_max, max x] can carry mass
+        lo = max(int(np.searchsorted(self.edges, x.min() - kern.a_max, side="right")) - 1, 0)
+        hi = int(np.searchsorted(self.edges, x.max(), side="left"))
+        edges, bmax = self.edges[lo:hi + 1], self.bmax[lo:hi]
+        c_edge = kern.cumulative(x[:, None] - edges[None, :])
+        weights = np.cumsum((c_edge[:, :-1] - c_edge[:, 1:]) * bmax, axis=1)
+        total = weights[:, -1]
+        dead = total <= 0.0
+        if dead.any():
+            bad = float(x[dead][0])
+            raise RuntimeError(
+                f"conditioned chain stuck at x={bad:g}: integral tau(v) b(x - v) dv vanishes "
+                f"although b(x)={float(sol.b_at(bad)):g} > 0, so no ancestor time is assignable")
+        out = np.empty_like(x)
+        pending = np.arange(x.size)
+        for _ in range(_MAX_ROUNDS):
+            self.proposals += pending.size
+            u = self.rng.random((3, pending.size))
+            # 1 - u lies in (0, 1], so the chosen block always has positive weight
+            k = np.count_nonzero(weights[pending] < ((1.0 - u[0]) * total[pending])[:, None],
+                                 axis=1)
+            c_lo = c_edge[pending, k + 1]
+            v = kern.inverse_cumulative(c_lo + u[1] * (c_edge[pending, k] - c_lo))
+            y = x[pending] - v
+            accept = u[2] * bmax[k] <= sol.b_at(y)
+            out[pending[accept]] = y[accept]
+            pending = pending[~accept]
+            if pending.size == 0:
+                return out
         raise RuntimeError(
-            f"conditioned chain stuck at x={bad:g}: integral tau(v) b(x - v) dv vanishes "
-            f"although b(x)={float(sol.b_at(bad)):g} > 0, so no ancestor time is assignable")
-    out = np.empty_like(x)
-    pending = np.arange(x.size)
-    proposals = 0
-    for _ in range(_MAX_ROUNDS):
-        proposals += pending.size
-        u = rng.random((3, pending.size))
-        # 1 - u lies in (0, 1], so the chosen block always has positive weight
-        k = np.count_nonzero(weights[pending] < ((1.0 - u[0]) * total[pending])[:, None], axis=1)
-        c_lo = c_edge[pending, k + 1]
-        v = kern.inverse_cumulative(c_lo + u[1] * (c_edge[pending, k] - c_lo))
-        y = x[pending] - v
-        accept = u[2] * bmax[k] <= sol.b_at(y)
-        out[pending[accept]] = y[accept]
-        pending = pending[~accept]
-        if pending.size == 0:
-            return out, proposals
-    raise RuntimeError(
-        f"conditioned chain step from x={float(x[pending[0]]):g} rejected {_MAX_ROUNDS} "
-        "envelope proposals in a row: the envelope of b is far above b there")
+            f"conditioned chain step from x={float(x[pending[0]]):g} rejected {_MAX_ROUNDS} "
+            "envelope proposals in a row: the envelope of b is far above b there")
 
 
 def _check_starts(starts, sol: LimitSolution, positive: bool) -> np.ndarray:
@@ -315,43 +333,21 @@ def _check_starts(starts, sol: LimitSolution, positive: bool) -> np.ndarray:
     return starts
 
 
-def _h_paths(starts: np.ndarray, sol: LimitSolution, rng: np.random.Generator) -> ChainBatch:
-    envelope = _b_envelope(sol)
-    n = starts.size
-    columns = [starts.copy()]
-    cur = starts.copy()
-    active = cur > 0
-    steps = 0
-    proposals = 0
-    while active.any():
-        steps += 1
-        if steps > _MAX_STEPS:
-            raise RuntimeError(f"conditioned chain exceeded {_MAX_STEPS} steps")
-        nxt = np.full(n, np.nan)
-        nxt[active], drawn = _h_transition(cur[active], sol, envelope, rng)
-        proposals += drawn
-        columns.append(nxt)
-        cur = nxt
-        active = np.where(np.isnan(cur), False, cur > 0)
-    times = np.column_stack(columns)
-    lengths = np.sum(~np.isnan(times), axis=1) - 1
-    return ChainBatch(times=times, lengths=lengths, proposals=proposals)
-
-
 def sample_h_chains(t: float, sol: LimitSolution, n_chains: int, seed: int) -> ChainBatch:
     """n independent conditioned paths from calendar time t; a start t <= 0
     gives L = 0.  `proposals` counts the envelope draws of all transitions."""
     n_chains = check_count("n_chains", n_chains, 1)
     starts = _check_starts(np.full(n_chains, float(t)), sol, positive=False)
-    return _h_paths(starts, sol, make_rng(seed, "h-chain", t))
+    rng = make_rng(seed, "h-chain", t)
+    step = _HTransition(sol, rng)
+    return replace(_paths(_walk(starts, step, rng)), proposals=step.proposals)
 
 
 def sample_h_first_steps(starts: np.ndarray, sol: LimitSolution, seed: int) -> np.ndarray:
     """One conditioned transition from each (possibly distinct) start state;
     every start must be positive."""
     starts = _check_starts(starts, sol, positive=True)
-    values, _ = _h_transition(starts, sol, _b_envelope(sol), make_rng(seed, "h-first"))
-    return values
+    return _HTransition(sol, make_rng(seed, "h-first"))(starts)
 
 
 @dataclass(frozen=True)
@@ -370,14 +366,12 @@ def reweighted_first_steps(t: float, sol: LimitSolution, n_samples: int,
     histogram reproduces the conditioned chain's first step."""
     n_samples = check_count("n_samples", n_samples, 1)
     alpha = malthusian_parameter(sol.kernel).alpha
-    vals = []
-    wts = []
     h_start = float(sol.b_at(t)) * math.exp(-alpha * t)
-    for R, fails in _killed_blocks(t, sol, alpha, n_samples, 1, make_rng(seed, "reweighted", t)):
-        keep = fails[:, -1] == 0
-        term_idx = np.argmax(R <= 0, axis=1)
-        term = R[np.arange(R.shape[0]), term_idx]
-        vals.append(R[keep, 1])
-        wts.append(sol.b_at(term[keep]) * np.exp(-alpha * term[keep]) / h_start)
-    return ReweightedFirstSteps(values=np.concatenate(vals), weights=np.concatenate(wts),
+    walk = _killed_walk(t, sol, alpha, n_samples, make_rng(seed, "reweighted", t))
+    x, alive = next(walk)
+    first = next(walk, (x, alive))[0].copy()  # R_1; a start t <= 0 is its own R_1
+    for x, alive in walk:
+        pass
+    weights = sol.b_at(x[alive]) * np.exp(-alpha * x[alive]) / h_start
+    return ReweightedFirstSteps(values=first[alive], weights=weights,
                                 n_samples=n_samples)

@@ -190,7 +190,8 @@ def solve_delay(kernel: IntensityKernel, contact: ContactRate, ic: InitialCondit
     Each step solves the scalar implicit equation in b(t_k) by fixed-point
     iteration on Python floats (the coupling through the trapezoid endpoint
     is O(dt), so a handful of iterations reaches machine accuracy).  Raises
-    if a step fails to converge.
+    if a step fails to converge, or if the marched b leaves a renewal
+    residual above `_RESIDUAL_TOL` under the global map b -> (A, S).
 
     The history sum dt * sum_{j<k} tau(t_k - t_j) b(t_j) is blocked: at the
     start of each block of `_BLOCK` steps one FFT convolution with the grid's
@@ -206,11 +207,10 @@ def solve_delay(kernel: IntensityKernel, contact: ContactRate, ic: InitialCondit
     tau_reversed = grid.tau[::-1].copy()  # tau(t_m) at n - m: contiguous in-block slices
 
     b = np.zeros(n + 1)
-    A = np.empty(n + 1)  # force of infection (bracket)
     S = np.empty(n + 1)
-    A_k = forcing[0]
+    A_k = forcing[0]  # force of infection (bracket) at the current step
     b_k = c_vals[0] * s0 * A_k
-    b[0], A[0], S[0] = b_k, A_k, s0
+    b[0], S[0] = b_k, s0
     C = 0.0  # accumulated contact-weighted force
     q = 0.5 * dt * float(grid.tau[0])  # implicit trapezoid weight on b[k]
     max_iters = 0
@@ -237,9 +237,9 @@ def solve_delay(kernel: IntensityKernel, contact: ContactRate, ic: InitialCondit
             max_iters = max(max_iters, it)
             A_k = partial + q * b_k
             C = base_C + c_half * A_k
-            b[k], A[k], S[k] = b_k, A_k, s0 * math.exp(-C)
+            b[k], S[k] = b_k, s0 * math.exp(-C)
 
-    residual = grid.residual(b, A, S)
+    residual = grid.residual(b, *grid.forward(b))
     if residual > _RESIDUAL_TOL:
         raise RuntimeError(f"renewal residual {residual:g} exceeds tolerance {_RESIDUAL_TOL:g}")
     return LimitSolution(t=t, b=b, B=s0 - S, S=S, kernel=kernel, contact=contact, ic=ic,

@@ -8,15 +8,13 @@ import numpy as np
 import pytest
 
 from epichain import (
-    GridDensity, MarkovSEIR, backward_density, histogram_from_samples,
+    GridDensity, MarkovSEIR, histogram_from_samples,
     initial_condition, l1_histogram_distance, ks_distance, make_rng, martingale_diagnostic,
     reweighted_first_steps, sample_h_chains, sample_h_first_steps,
     sample_renewal_chains, solve_delay, survival_representation_check,
 )
 from epichain import backward_chain
-from epichain.backward_chain import (
-    _b_envelope, _h_transition, _killing_failures, _renewal_block,
-)
+from epichain.backward_chain import _HTransition, _b_envelope, _killed_walk, _walk
 
 
 class TestRenewalChain:
@@ -44,18 +42,67 @@ class TestRenewalChain:
         assert np.array_equal(batch.lengths, np.zeros(5))
         assert np.array_equal(batch.terminals, np.full(5, -0.3))
 
-    def test_killing_flags(self, kernel, alpha, sol):
-        rng = make_rng(75, "killing")
-        R = _renewal_block(10.0, backward_density(kernel, alpha), 2_000, 3, rng)
-        fails = _killing_failures(R, sol, rng)
-        assert fails.shape == R.shape
-        steps = np.diff(fails, axis=1, prepend=0)
-        # cumulative counts of 0/1 failures, none at a nonpositive state
-        assert np.all((steps == 0) | (steps == 1))
-        assert np.all(steps[R <= 0] == 0)
+
+class TestWalk:
+    """The one walk behind every chain: checks and draws only for moving chains."""
+
+    @staticmethod
+    def _transitions(walk):
+        """(x, alive) after every transition, copied."""
+        return [(x.copy(), alive.copy()) for x, alive in walk]
+
+    def test_checks_and_steps_only_at_positive_states(self, sol, alpha):
+        seen = []
+
+        def survival(x):
+            seen.append(x.copy())
+            return sol.S_at(x) * sol.contact(x)
+
+        rng = make_rng(75, "walk")
+        jump = backward_chain._renewal_step(sol.kernel, alpha, rng)
+
+        def step(x):
+            seen.append(x.copy())
+            return jump(x)
+
+        self._transitions(_walk(np.tile([10.0, 0.0, -0.4, 3.0], 50), step, rng, survival))
+        assert len(seen) > 2 and np.all(np.concatenate(seen) > 0)
+
+    def test_nonpositive_start_is_never_killed_and_draws_nothing(self):
+        rng = make_rng(76, "walk")
+        before = rng.bit_generator.state
+        steps = self._transitions(_walk(np.array([0.0, -2.0]), lambda x: x - 1.0, rng,
+                                        lambda x: np.zeros(x.size)))
+        assert len(steps) == 1  # the starts only
+        assert np.array_equal(steps[0][0], [0.0, -2.0]) and steps[0][1].all()
+        assert rng.bit_generator.state == before
+
+    def test_dead_chain_keeps_state_and_stays_dead(self, sol, alpha):
+        steps = self._transitions(_killed_walk(10.0, sol, alpha, 2_000, make_rng(77, "walk")))
+        for (x0, alive0), (x1, alive1) in zip(steps, steps[1:]):
+            assert not np.any(alive1 & ~alive0)
+            assert np.array_equal(x1[~alive0], x0[~alive0])
+            # a chain that moves goes down; a chain killed this transition stays
+            assert np.all(x1[alive1 & (x0 > 0)] < x0[alive1 & (x0 > 0)])
+            assert np.array_equal(x1[alive0 & ~alive1], x0[alive0 & ~alive1])
         # S < 1 after t = 0, so both outcomes occur
-        survived = fails[:, -1] == 0
+        survived = steps[-1][1]
         assert survived.any() and not survived.all()
+        # a survivor ends at its first state <= 0, a killed chain above 0
+        assert np.all(steps[-1][0][survived] <= 0) and np.all(steps[-1][0][~survived] > 0)
+
+    def test_settled_walk_draws_nothing(self, sol, alpha):
+        rng = make_rng(78, "walk")
+        for x, alive in _killed_walk(4.0, sol, alpha, 500, rng):
+            at_yield = rng.bit_generator.state
+        # the last transition settled every chain, so ending the walk drew nothing
+        assert np.all((x <= 0) | ~alive)
+        assert rng.bit_generator.state == at_yield
+
+    def test_martingale_from_nonpositive_start(self, sol):
+        rep = martingale_diagnostic(-0.5, sol, 300, k_max=4, seed=79)
+        assert rep.mean == pytest.approx(np.full(5, rep.reference), rel=1e-12)
+        assert np.all(rep.se == 0.0)
 
 
 class TestMartingale:
@@ -79,21 +126,21 @@ class TestRecordedValues:
     def test_martingale(self, sol):
         rep = martingale_diagnostic(5.0, sol, 1_000, k_max=3, seed=91)
         assert [float(v).hex() for v in rep.mean] == [
-            "0x1.b27b1a295d34cp-9", "0x1.b011ba2032381p-9",
-            "0x1.b0b69e1808c68p-9", "0x1.a9c98a2fed1c7p-9"]
+            "0x1.b27b1a295d34cp-9", "0x1.b0ca9e6261875p-9",
+            "0x1.b5c0966bc9f14p-9", "0x1.b512f12859652p-9"]
         assert [float(v).hex() for v in rep.se] == [
-            "0x0.0p+0", "0x1.3c76f5b51717dp-15",
-            "0x1.a2e87d4d52387p-15", "0x1.ecef41e5822cbp-15"]
+            "0x0.0p+0", "0x1.36d56dabbf60ap-15",
+            "0x1.975f52e2035fbp-15", "0x1.d9b232b0235a5p-15"]
 
     def test_reweighted_first_steps(self, sol):
         rew = reweighted_first_steps(5.0, sol, 1_000, seed=92)
-        assert rew.values.size == 647
+        assert rew.values.size == 696
         assert [float(v).hex() for v in rew.values[:3]] == [
-            "0x1.1d1a2e49837b7p+1", "0x1.fb214a9baee86p+1", "0x1.f3e2dd1fb933dp+1"]
+            "0x1.2bdfc1a082e1bp+2", "0x1.d6877f5c586bcp+1", "0x1.37fa930235ddbp+2"]
         assert [float(v).hex() for v in rew.weights[:3]] == [
-            "0x1.8224da2043152p+0", "0x1.8224da203b388p+0", "0x1.8224da1fece98p+0"]
-        assert float(rew.values.sum()).hex() == "0x1.5c4f7957c8884p+11"
-        assert float(rew.weights.sum()).hex() == "0x1.e7f591a39dc27p+9"
+            "0x1.8224da1d95ceap+0", "0x1.8224da2008befp+0", "0x1.8224da203a254p+0"]
+        assert float(rew.values.sum()).hex() == "0x1.729d2ef55853dp+11"
+        assert float(rew.weights.sum()).hex() == "0x1.06750c41d6aacp+10"
 
 
 class TestSurvivalRepresentation:
@@ -166,6 +213,11 @@ class TestConditionedChain:
         assert np.array_equal(first, sample_h_first_steps(starts, sol, seed=4))
         assert not np.array_equal(first, sample_h_first_steps(starts, sol, seed=5))
 
+    def test_runaway_guard(self, sol, monkeypatch):
+        monkeypatch.setattr(backward_chain, "_MAX_STEPS", 2)
+        with pytest.raises(RuntimeError, match="conditioned chain exceeded 2 steps"):
+            sample_h_chains(6.0, sol, 50, seed=7)
+
     def test_proposals_per_transition(self, sol):
         batch = sample_h_chains(6.0, sol, 2_000, seed=6)
         transitions = int(batch.lengths.sum())
@@ -230,14 +282,15 @@ class TestHTransition:
         assert np.max(np.abs(emp - p) / np.sqrt(p * (1.0 - p) / n)) < 4.5
 
     def test_zero_envelope_mass_names_x(self, sol):
-        edges, bmax = _b_envelope(sol)
         with pytest.raises(RuntimeError, match="stuck at x=5"):
-            _h_transition(np.array([5.0]), sol, (edges, np.zeros_like(bmax)), make_rng(7))
+            step = _HTransition(sol, make_rng(7))
+            step.bmax = np.zeros_like(step.bmax)
+            step(np.array([5.0]))
 
     def test_rejection_cap_names_x(self, sol, monkeypatch):
         monkeypatch.setattr(backward_chain, "_MAX_ROUNDS", 0)
         with pytest.raises(RuntimeError, match="from x=5"):
-            _h_transition(np.array([5.0]), sol, _b_envelope(sol), make_rng(8))
+            _HTransition(sol, make_rng(8))(np.array([5.0]))
 
 
 class TestHTransformIdentities:

@@ -135,11 +135,23 @@ class TestBlockedHistory:
         assert march.t.size == n + 1
         assert np.max(np.abs(march.b - pic.b)) < 1e-12
         assert march.renewal_residual < 1e-12
-        # solve_delay's own residual reads the march's A and S, so it cannot see a
-        # wrong history sum; the global map b -> (A, S) recomputes them from b
         grid = _grid_system(kernel, STEP_CONTACT, ic, march.t, dt)
-        assert grid.residual(march.b, *grid.forward(march.b)) < 1e-12
+        assert march.renewal_residual == grid.residual(march.b, *grid.forward(march.b))
         assert march.iterations_max == iterations_max
+
+    @pytest.mark.parametrize("contact, horizon, dt", [
+        ("unit", 25.0, 0.005), ("unit", 25.0, 0.001), ("unit", 25.0, 0.0025),
+        ("step", 80.0, 0.005),
+    ])
+    def test_residual_is_that_of_the_global_map(self, kernel, ic, unit_contact,
+                                                contact, horizon, dt):
+        # the march's own A and S would hide a wrong history sum; the global
+        # map b -> (A, S) recomputes both from b
+        contact = unit_contact if contact == "unit" else STEP_CONTACT
+        march = solve_delay(kernel, contact, ic, horizon, dt)
+        grid = _grid_system(kernel, contact, ic, march.t, dt)
+        assert march.renewal_residual == grid.residual(march.b, *grid.forward(march.b))
+        assert march.renewal_residual < 1e-12
 
     # 25001 points put the spectra past numpy's 256 KiB threshold for reusing a temporary
     @pytest.mark.parametrize("horizon, dt", [(80.0, 0.005), (25.0, 0.001)])
