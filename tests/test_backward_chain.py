@@ -99,6 +99,12 @@ class TestWalk:
         assert np.all((x <= 0) | ~alive)
         assert rng.bit_generator.state == at_yield
 
+    def test_reweighted_first_step_is_not_the_terminal_state(self, sol):
+        # the walk updates its state in place; a survivor ends at a state <= 0,
+        # so first steps above 0 show that R_1 was kept apart from R_L
+        rew = reweighted_first_steps(5.0, sol, 500, seed=80)
+        assert np.all(rew.values < 5.0) and np.any(rew.values > 0)
+
     def test_martingale_from_nonpositive_start(self, sol):
         rep = martingale_diagnostic(-0.5, sol, 300, k_max=4, seed=79)
         assert rep.mean == pytest.approx(np.full(5, rep.reference), rel=1e-12)

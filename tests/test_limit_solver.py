@@ -135,13 +135,13 @@ class TestBlockedHistory:
         assert march.t.size == n + 1
         assert np.max(np.abs(march.b - pic.b)) < 1e-12
         assert march.renewal_residual < 1e-12
-        grid = _grid_system(kernel, STEP_CONTACT, ic, march.t, dt)
-        assert march.renewal_residual == grid.residual(march.b, *grid.forward(march.b))
         assert march.iterations_max == iterations_max
 
+    # at T = 100 b has decayed to 3e-15 of its peak, so a residual taken
+    # pointwise would read the FFT's rounding as a failure
     @pytest.mark.parametrize("contact, horizon, dt", [
         ("unit", 25.0, 0.005), ("unit", 25.0, 0.001), ("unit", 25.0, 0.0025),
-        ("step", 80.0, 0.005),
+        ("unit", 100.0, 0.005), ("step", 80.0, 0.005),
     ])
     def test_residual_is_that_of_the_global_map(self, kernel, ic, unit_contact,
                                                 contact, horizon, dt):
@@ -271,4 +271,8 @@ def test_solver_invariants(beta, gamma, i0):
     assert np.all(np.diff(run.S) <= 1e-15)
     assert np.all(run.S > 0)
     assert run.renewal_residual < 1e-9
+    # the reported residual is relative to max|b|, so check the tail pointwise
+    grid = _grid_system(kern, ContactRate.constant(0.9), ic, run.t, 0.02)
+    A, S = grid.forward(run.b)
+    assert np.max(np.abs(run.b - grid.c * S * A) / run.b) < 1e-9
     assert np.array_equal(run.B, run.s0 - run.S)
