@@ -1,16 +1,16 @@
 """The acceptance suite: twelve numbered checks tying the layers together.
 
-Reference scenario throughout: MarkovSIR(beta=1.5, gamma=1), so
-tau(a) = 1.5 e^{-a}, R0 = 1.5, alpha = 1/2; initial ages g = Exp(1/2);
-I0 = 0.01; c == 1; T = 25.  Criterion 12 swaps in a piecewise-constant
-contact rate.  Each criterion reports one or more ComparisonReports plus a
-runtime, and the suite is deterministic: every random input derives from one
-master seed.
-
-Monte Carlo criteria compare against the solver at a grid step fine enough
-that the quadrature bias sits well inside the statistical band (dt = 0.002
-for the chain criteria, dt = 0.005 elsewhere; criterion 1 runs at dt = 1e-3
-as specified).
+Every reference is built from `reference_scenario()`: MarkovSIR(beta=1.5,
+gamma=1), so tau(a) = 1.5 e^{-a}, R0 = 1.5, alpha = 1/2; initial ages
+g = Exp(1/2); I0 = 0.01; c == 1; T = 25; dt = 0.005.  Its variants are
+`reference_scenario(dt=1e-3)` for criteria 1, 2 and 5,
+`reference_scenario(age_step=0.002, dt=0.002)` for the chain criteria 8 and 9
+(a grid fine enough that the quadrature bias sits well inside their
+statistical bands), `reference_scenario(i0=1e-3, horizon=3.0)` for criterion
+10's near-linear regime, and criterion 12's piecewise-constant contact rate
+at T = 80.  Each criterion reports one or more ComparisonReports plus a
+runtime, and the suite is deterministic: every random input derives from the
+scenario's master seed.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -28,22 +29,18 @@ from .analysis import (
 from .backward_chain import (
     martingale_diagnostic, sample_h_chains, sample_h_first_steps, survival_representation_check,
 )
-from .courses import MarkovSIR
+from .config import reference_scenario
+from .courses import CourseModel
 from .densities import cumulative_trapezoid
 from .forward_sim import compartment_fraction, simulate
 from .infection_graph import brute_force_infection_times
-from .kernels import (
-    ContactRate, ExponentialKernel, backward_density, initial_condition, malthusian_parameter,
-)
-from .limit_solver import (
-    compartment_curve, final_size_settled_contact, picard_delay, solve_delay,
-)
+from .kernels import ContactRate, backward_density, malthusian_parameter
+from .limit_solver import compartment_curve, final_size_settled_contact, picard_delay
 from .poisson_tree import conditioned_first_step, estimate_B, tree_params
 from .rng import derive_seed, make_rng
 
-MASTER_SEED = 20_240_901
+MASTER_SEED = reference_scenario().seed
 
-STEP_CONTACT = dict(knots=(0.0, 4.0, 8.0), levels=(1.0, 0.3, 0.8), kind="step")
 _SIM_TIMES = 64  # grid points of the simulated-vs-limit I-fraction comparison
 
 
@@ -76,75 +73,67 @@ class CriterionResult:
 
 
 class SharedReferences:
-    """Lazily built objects reused across criteria (solver runs dominate)."""
+    """Objects reused across criteria (solver runs dominate), each built on
+    first use from the reference scenario or a variant of it."""
 
-    def __init__(self) -> None:
-        self._cache: dict[str, object] = {}
+    scenario = reference_scenario()
+    # criterion 12's intervention c = 1 / 0.3 / 0.8: the suppressed second
+    # wave settles late, and the final-size comparison needs b(T) ~ 0
+    step_scenario = reference_scenario(
+        contact={"kind": "step", "knots": [0.0, 4.0, 8.0], "levels": [1.0, 0.3, 0.8]},
+        horizon=80.0)
 
-    def _get(self, key: str, build):
-        if key not in self._cache:
-            self._cache[key] = build()
-        return self._cache[key]
-
-    @property
-    def model(self) -> MarkovSIR:
-        return self._get("model", lambda: MarkovSIR(1.5, 1.0, step=0.005, a_max=40.0))
+    @cached_property
+    def model(self) -> CourseModel:
+        return self.scenario.build_model()
 
     @property
     def kernel(self):
         return self.model.kernel
 
-    @property
+    @cached_property
     def ic(self):
-        return self._get("ic", lambda: initial_condition(self.kernel, 0.01, age_rate=0.5))
+        return self.scenario.build_ic(self.kernel)
 
-    @property
+    @cached_property
     def contact(self) -> ContactRate:
-        return self._get("contact", lambda: ContactRate.constant(1.0))
+        return self.scenario.build_contact()
 
-    @property
+    @cached_property
     def step_contact(self) -> ContactRate:
-        return self._get("step_contact", lambda: ContactRate(**STEP_CONTACT))
+        return self.step_scenario.build_contact()
 
-    @property
+    @cached_property
     def alpha(self) -> float:
-        return self._get("alpha", lambda: malthusian_parameter(self.kernel).alpha)
+        return malthusian_parameter(self.kernel).alpha
 
-    @property
+    @cached_property
     def sol(self):
         """General-purpose reference solution, dt = 0.005."""
-        return self._get("sol", lambda: solve_delay(
-            self.kernel, self.contact, self.ic, 25.0, 0.005))
+        return self.scenario.solve()
 
-    @property
+    @cached_property
     def sol_millistep(self):
         """Criterion 1/2 solution at dt = 1e-3."""
-        return self._get("sol_millistep", lambda: solve_delay(
-            self.kernel, self.contact, self.ic, 25.0, 1e-3))
+        return reference_scenario(dt=1e-3).solve()
 
-    @property
+    @cached_property
     def sol_fine(self):
         """Chain-criteria solution: dt = 0.002 keeps quadrature bias well
         inside the 3-SE bands at 1e6 samples."""
-        def build():
-            kern = ExponentialKernel(1.5, 1.0, step=0.002, a_max=40.0)
-            ic = initial_condition(kern, 0.01, age_rate=0.5)
-            return solve_delay(kern, self.contact, ic, 25.0, 0.002)
-        return self._get("sol_fine", build)
+        return reference_scenario(age_step=0.002, dt=0.002).solve()
 
-    @property
+    @cached_property
     def sol_step80(self):
-        """Step-contact run extended to T = 80: the suppressed second wave
-        settles late, and the final-size comparison needs b(T) ~ 0."""
-        return self._get("sol_step80", lambda: solve_delay(
-            self.kernel, self.step_contact, self.ic, 80.0, 0.005))
+        """Step-contact run extended to T = 80."""
+        return self.step_scenario.solve()
 
-    @property
+    @cached_property
     def unit_contact_replicas(self):
         """Criterion 3's 20 replicas at N = 5e4 under the unit contact rate, as
         `_sim_solve_deviation` returns them; criterion 5 reads their finals."""
-        return self._get("unit_contact_replicas", lambda: _sim_solve_deviation(
-            self, self.contact, self.sol, 25.0, 50_000, 20, "c3"))
+        return _sim_solve_deviation(self, self.contact, self.sol, self.scenario.horizon,
+                                    50_000, 20, "c3")
 
 
 def _sim_solve_deviation(shared: SharedReferences, contact: ContactRate, sol, horizon: float,
@@ -223,7 +212,8 @@ def criterion_2(shared: SharedReferences) -> CriterionResult:
     must agree far below discretization error."""
     t0 = time.time()
     march = shared.sol_millistep
-    pic = picard_delay(march.kernel, march.contact, march.ic, 25.0, 1e-3).solution
+    pic = picard_delay(march.kernel, march.contact, march.ic, float(march.t[-1]),
+                       march.dt).solution
     sup = float(np.max(np.abs(march.b - pic.b)))
     checks = (ComparisonReport(name="sup |b_marching - b_picard|", value=sup,
                                threshold=1e-6, n_samples=march.t.size),)
@@ -416,12 +406,10 @@ def criterion_10(shared: SharedReferences) -> CriterionResult:
     """Near-linear regime: conditioned-chain increments are exactly backward
     generation times, density e^{-au} tau(u)."""
     t0 = time.time()
-    kern = shared.kernel
-    ic_small = initial_condition(kern, 1e-3, age_rate=0.5)
-    sol_small = solve_delay(kern, shared.contact, ic_small, 3.0, 0.005)
+    sol_small = reference_scenario(i0=1e-3, horizon=3.0).solve()
     batch = sample_h_chains(3.0, sol_small, 15_000, seed=derive_seed(MASTER_SEED, "c10"))
     inc = batch.increments
-    r_density = backward_density(kern, shared.alpha)
+    r_density = backward_density(shared.kernel, shared.alpha)
     edges = np.linspace(0.0, 8.0, 65)
     emp = histogram_from_samples(inc, edges)
     exact = histogram_from_density(r_density.pdf, edges)
@@ -467,7 +455,7 @@ def criterion_12(shared: SharedReferences) -> CriterionResult:
     sol = shared.sol_step80
     sim_start = time.time()
     devs, finals, _, counts = _sim_solve_deviation(
-        shared, shared.step_contact, sol, 80.0, 50_000, 20, "c12")
+        shared, shared.step_contact, sol, shared.step_scenario.horizon, 50_000, 20, "c12")
     sim_runtime = time.time() - sim_start
     tree_start = time.time()
     tree, nodes = _tree_checks(shared, shared.step_contact, sol, "c12-tree")

@@ -124,6 +124,8 @@ def sample_renewal_chains(t: float, kernel: IntensityKernel, n_chains: int,
     """n independent renewal paths R_0 = t > R_1 > ... > R_L <= 0 with jumps
     from r(a) = e^{-alpha a} tau(a); a start t <= 0 gives L = 0."""
     n_chains = check_count("n_chains", n_chains, 1)
+    if not math.isfinite(t):
+        raise ValueError(f"chain start {t:g} is not finite")
     rng = make_rng(seed, "renewal", t)
     step = _renewal_step(kernel, malthusian_parameter(kernel).alpha, rng)
     return _paths(_walk(np.full(n_chains, float(t)), step, rng))
@@ -131,8 +133,9 @@ def sample_renewal_chains(t: float, kernel: IntensityKernel, n_chains: int,
 
 def _killed_walk(t: float, sol: LimitSolution, alpha: float, n: int, rng: np.random.Generator):
     """`_walk` of n renewal chains from t, each killed at a positive state x
-    with probability 1 - S(x)c(x)."""
-    return _walk(np.full(n, float(t)), _renewal_step(sol.kernel, alpha, rng), rng,
+    with probability 1 - S(x)c(x); t must pass `_check_starts`."""
+    starts = _check_starts(np.full(n, float(t)), sol, positive=False)
+    return _walk(starts, _renewal_step(sol.kernel, alpha, rng), rng,
                  lambda x: sol.S_at(x) * sol.contact(x))
 
 
@@ -150,10 +153,15 @@ class MartingaleReport:
 
     @property
     def max_deviation_in_se(self) -> float:
-        """Worst |mean - reference| / SE over k >= 1 (M_0 is deterministic,
-        so its SE is zero and the ratio is meaningless there)."""
+        """Worst |mean - reference| / SE over k >= 1.  A step with SE 0 is
+        deterministic (so is M_0, which is left out): it counts 0 when its
+        mean is the reference up to rounding, and inf otherwise."""
         dev = np.abs(self.mean[1:] - self.reference)
-        return float(np.max(dev / np.maximum(self.se[1:], 1e-300)))
+        se = self.se[1:]
+        exact = dev <= 1e-12 * abs(self.reference)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(se > 0, dev / se, np.where(exact, 0.0, np.inf))
+        return float(np.max(ratio))
 
 
 def martingale_diagnostic(t: float, sol: LimitSolution, n_samples: int, k_max: int,
@@ -207,6 +215,9 @@ class SurvivalReport:
 def survival_representation_check(t: float, sol: LimitSolution, n_samples: int,
                                   seed: int) -> SurvivalReport:
     n_samples = check_count("n_samples", n_samples, 1)
+    if t <= 0:
+        raise ValueError(f"chain start {t:g} is not positive: the survival representation "
+                         "is stated for t > 0")
     alpha = malthusian_parameter(sol.kernel).alpha
     rate = sol.ic.age_rate
     if rate is None or abs(rate - alpha) > 1e-8 * max(1.0, abs(alpha)):

@@ -25,7 +25,6 @@ from .config import (
     reference_scenario,
 )
 from .forward_sim import compartment_fraction, simulate
-from .limit_solver import solve_delay
 from .poisson_tree import NODE_CAP, estimate_B, tree_params
 from .rng import check_count, derive_seed, make_rng
 
@@ -70,10 +69,7 @@ def _outdir(out_dir: str) -> Path:
 
 def cmd_solve(args) -> int:
     cfg = _load(args)
-    kernel = cfg.build_model().kernel
-    contact = cfg.build_contact()
-    ic = cfg.build_ic(kernel)
-    sol = solve_delay(kernel, contact, ic, cfg.horizon, cfg.dt)
+    sol = cfg.solve()
     out = _outdir(cfg.out_dir) / "solve.csv"
     _write_csv(out, cfg.digest, ["t", "b", "B", "S"],
                zip(sol.t, sol.b, sol.B, sol.S))
@@ -138,10 +134,7 @@ def cmd_tree(args) -> int:
 
 def cmd_chain(args) -> int:
     cfg = _load(args)
-    kernel = cfg.build_model().kernel
-    contact = cfg.build_contact()
-    ic = cfg.build_ic(kernel)
-    sol = solve_delay(kernel, contact, ic, cfg.horizon, cfg.dt)
+    sol = cfg.solve()
     t = args.t if args.t is not None else cfg.horizon / 2.0
     outdir = _outdir(cfg.out_dir)
 
@@ -175,7 +168,7 @@ def cmd_chain(args) -> int:
         batch = sample_h_chains(t, sol, args.samples,
                                 seed=derive_seed(cfg.seed, "chain", "hchain"))
     else:
-        batch = sample_renewal_chains(t, kernel, args.samples,
+        batch = sample_renewal_chains(t, sol.kernel, args.samples,
                                       seed=derive_seed(cfg.seed, "chain", "renewal"))
     rows = []
     for i in range(batch.times.shape[0]):
@@ -205,7 +198,7 @@ def cmd_courses_dump(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    from .acceptance import run_all
+    from .acceptance import SharedReferences, run_all
 
     wanted = None
     if args.criteria:
@@ -224,8 +217,7 @@ def cmd_validate(args) -> int:
         for r in results
     ]
     ok = all(r.passed for r in results)
-    # the suite always runs the built-in benchmark scenario
-    scenario = reference_scenario()
+    scenario = SharedReferences.scenario
     payload = {"scenario_digest": scenario.digest, "all_passed": ok, "criteria": records}
     out = _outdir(args.out if args.out is not None else scenario.out_dir) / "validation.json"
     with open(out, "w", encoding="utf-8") as fh:

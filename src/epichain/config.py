@@ -2,9 +2,11 @@
 
 A scenario pins everything a run needs: the course model, the contact rate,
 the seeded fraction and its age density, population size, horizon, grid
-steps, and the master seed.  Loading is strict (unknown keys are errors, all
-problems are reported at once) and the canonical digest is invariant under
-key reordering, so artifacts stamped with it are comparable across reruns.
+steps, and the master seed; `ScenarioConfig.solve` is the one path from a
+scenario to its limit solution.  Loading is strict (unknown keys are errors,
+all problems are reported at once) and the canonical digest is invariant
+under key reordering, so artifacts stamped with it are comparable across
+reruns.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from .courses import CourseModel, MarkovSEIR, MarkovSIR
 from .kernels import (
     ContactRate, InitialCondition, IntensityKernel, initial_condition, malthusian_parameter,
 )
+from .limit_solver import LimitSolution, solve_delay
 
 _COURSE_KEYS = {
     "markov_sir": {"beta", "gamma"},
@@ -85,6 +88,12 @@ class ScenarioConfig:
         rate = (self.initial_age["rate"] if fam == "exponential"
                 else malthusian_parameter(kernel).alpha)
         return initial_condition(kernel, self.i0, age_rate=rate)
+
+    def solve(self) -> LimitSolution:
+        """The limit system of this scenario solved on [0, horizon] at step dt."""
+        kernel = self.build_model().kernel
+        return solve_delay(kernel, self.build_contact(), self.build_ic(kernel),
+                           self.horizon, self.dt)
 
 
 def _is_number(v) -> bool:

@@ -1,7 +1,10 @@
 """Tabulated densities on uniform grids.
 
 All continuous sampling in the package flows through precomputed inverse-CDF
-tables: O(1) per draw, exact to the trapezoid quadrature order of the grid.
+tables: O(1) per draw, linear between 4096 equally spaced quantiles of the
+trapezoid CDF.  The top bucket is linear from q(1 - 1/4096) out to the first
+grid point where the CDF rounds to 1, so it puts mass far out in the tail
+that the grid CDF does not have.
 """
 
 from __future__ import annotations

@@ -56,6 +56,9 @@ class ContactRate:
             raise ValueError(f"unknown contact rate kind {self.kind!r}")
         if knots.ndim != 1 or knots.shape != levels.shape or knots.size == 0:
             raise ValueError("knots and levels must be matching 1-D arrays")
+        for name, values in (("knots", knots), ("levels", levels)):
+            if not np.all(np.isfinite(values)):
+                raise ValueError(f"contact rate {name} must be finite, got {values.tolist()}")
         if knots[0] != 0.0:
             raise ValueError("first knot must be at t = 0")
         if np.any(np.diff(knots) <= 0):

@@ -9,7 +9,10 @@ module-scoped cache, so the criteria run in order 1..12 exactly as the
 
 import pytest
 
-from epichain.acceptance import SharedReferences, run_all
+import numpy as np
+
+from epichain.acceptance import MASTER_SEED, SharedReferences, run_all
+from epichain.config import reference_scenario
 
 _NAMES = {
     1: "solver-matches-sir-ode",
@@ -30,6 +33,13 @@ _NAMES = {
 @pytest.fixture(scope="module")
 def shared():
     return SharedReferences()
+
+
+def test_suite_runs_reference_scenario(shared):
+    # the digest `epichain validate` stamps is the scenario the suite solves
+    assert SharedReferences.scenario.digest == reference_scenario().digest
+    assert MASTER_SEED == reference_scenario().seed
+    assert np.array_equal(shared.sol.b, reference_scenario().solve().b)
 
 
 @pytest.mark.parametrize("criterion", sorted(_NAMES),

@@ -14,7 +14,16 @@ from epichain import (
     sample_renewal_chains, solve_delay, survival_representation_check,
 )
 from epichain import backward_chain
-from epichain.backward_chain import _HTransition, _b_envelope, _killed_walk, _walk
+from epichain.backward_chain import (
+    MartingaleReport, _HTransition, _b_envelope, _killed_walk, _walk,
+)
+
+# every entry point that walks killed renewal chains from a start t
+_KILLED_CHAINS = {
+    "martingale": lambda t, sol: martingale_diagnostic(t, sol, 100, 3, seed=1),
+    "survival": lambda t, sol: survival_representation_check(t, sol, 100, seed=1),
+    "reweighted": lambda t, sol: reweighted_first_steps(t, sol, 100, seed=1),
+}
 
 
 class TestRenewalChain:
@@ -41,6 +50,13 @@ class TestRenewalChain:
         batch = sample_renewal_chains(-0.3, kernel, 5, seed=74)
         assert np.array_equal(batch.lengths, np.zeros(5))
         assert np.array_equal(batch.terminals, np.full(5, -0.3))
+
+    @pytest.mark.parametrize("start, named", [
+        (math.inf, "inf"), (-math.inf, "-inf"), (math.nan, "nan"),
+    ])
+    def test_rejects_non_finite_start(self, kernel, start, named):
+        with pytest.raises(ValueError, match=f"start {named} is not finite"):
+            sample_renewal_chains(start, kernel, 4, seed=1)
 
 
 class TestWalk:
@@ -110,6 +126,15 @@ class TestWalk:
         assert rep.mean == pytest.approx(np.full(5, rep.reference), rel=1e-12)
         assert np.all(rep.se == 0.0)
 
+    @pytest.mark.parametrize("start, named", [
+        (math.inf, "inf"), (math.nan, "nan"), (30.0, "30"), (-60.0, "-60"),
+    ])
+    @pytest.mark.parametrize("entry", sorted(_KILLED_CHAINS))
+    def test_killed_chains_reject_bad_start(self, sol, entry, start, named):
+        # T = 25 here: 30 lies past the horizon and b(-60) is below the floor
+        with pytest.raises(ValueError, match=f"start {named} "):
+            _KILLED_CHAINS[entry](start, sol)
+
 
 class TestMartingale:
     def test_means_match_reference(self, sol):
@@ -123,6 +148,17 @@ class TestMartingale:
         # b(5) e^{-5/2} for the benchmark scenario
         rep = martingale_diagnostic(5.0, sol, 2_000, k_max=2, seed=78)
         assert rep.reference == pytest.approx(0.003315, abs=5e-6)
+
+    @pytest.mark.parametrize("t", [0.0, -0.5])
+    def test_deterministic_steps_deviate_zero_se(self, sol, t):
+        # from t <= 0 every M_k is the reference, up to rounding in the mean
+        rep = martingale_diagnostic(t, sol, 1000, 3, seed=1)
+        assert rep.max_deviation_in_se == 0.0
+
+    def test_deterministic_step_off_reference_is_infinitely_far(self):
+        rep = MartingaleReport(t=1.0, k=np.arange(2), mean=np.array([1.0, 0.5]),
+                               se=np.zeros(2), reference=1.0, n_samples=10)
+        assert rep.max_deviation_in_se == math.inf
 
 
 class TestRecordedValues:
@@ -162,6 +198,11 @@ class TestSurvivalRepresentation:
         sol_off = solve_delay(kernel, unit_contact, ic_off, 6.0, 0.005)
         with pytest.raises(ValueError):
             survival_representation_check(3.0, sol_off, 1_000, seed=80)
+
+    @pytest.mark.parametrize("t", [0.0, -1.0])
+    def test_rejects_nonpositive_start(self, sol, t):
+        with pytest.raises(ValueError, match="stated for t > 0"):
+            survival_representation_check(t, sol, 1_000, seed=1)
 
 
 class TestConditionedChain:

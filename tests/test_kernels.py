@@ -169,6 +169,16 @@ class TestContactRate:
         with pytest.raises(ValueError):
             ContactRate((0.0, 2.0, 1.0), (1.0, 0.5, 0.7), "step")
 
+    @pytest.mark.parametrize("knots, levels, named", [
+        ((0.0, math.nan), (1.0, 1.0), "knots"),
+        ((0.0, math.inf), (1.0, 0.5), "knots"),
+        ((0.0, 1.0), (1.0, math.nan), "levels"),
+        ((0.0, 1.0), (1.0, math.inf), "levels"),
+    ])
+    def test_rejects_non_finite(self, knots, levels, named):
+        with pytest.raises(ValueError, match=f"contact rate {named} must be finite"):
+            ContactRate(knots, levels, "step")
+
     @given(st.floats(0.0, 100.0))
     @settings(max_examples=50, deadline=None)
     def test_values_stay_in_band(self, t):
