@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .analysis import (
     ComparisonReport, histogram_from_density, histogram_from_samples, l1_histogram_distance,
@@ -184,6 +183,8 @@ def _b_weighted_starts(sol, lo: float, hi: float, n: int, seed: int) -> np.ndarr
 def criterion_1(shared: SharedReferences) -> CriterionResult:
     """Exponential tau reduces the limit system to the classical SIR ODE;
     S(t) from the marching solver must match the ODE to 1e-3 at dt = 1e-3."""
+    from scipy.integrate import solve_ivp  # here, so that `import epichain` does not load scipy
+
     t0 = time.time()
     solve_start = time.time()
     sol = shared.sol_millistep

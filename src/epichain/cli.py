@@ -118,7 +118,11 @@ def cmd_tree(args) -> int:
     params = tree_params(kernel, ic, contact, cfg.horizon, node_cap=args.node_cap)
     grid = np.linspace(0.0, cfg.horizon, args.points)
     t0 = time.perf_counter()
-    curve = estimate_B(params, grid, args.samples, seed=derive_seed(cfg.seed, "tree"))
+    try:
+        curve = estimate_B(params, grid, args.samples, seed=derive_seed(cfg.seed, "tree"))
+    except RuntimeError as exc:  # the node cap: a supercritical tree outgrew the horizon
+        raise RuntimeError(f"{exc}; rerun with a shorter --horizon (the built-in scenario "
+                           "runs at --horizon 10) or a larger --node-cap") from None
     elapsed = time.perf_counter() - t0
     out = _outdir(cfg.out_dir) / "tree.csv"
     _write_csv(out, cfg.digest, ["t", "B_hat", "se"],

@@ -57,7 +57,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import stats
 
 from .courses import CourseBatch, CourseModel
 from .densities import GridDensity
@@ -95,8 +94,10 @@ class PoissonCounts:
     def of_mean(cls, lam: float) -> "PoissonCounts":
         if lam < 0:
             raise ValueError("Poisson mean must be nonnegative")
+        from scipy.special import pdtr  # the Poisson CDF; scipy loads at first use
+
         k_max = int(lam + 40.0 * math.sqrt(lam + 1.0) + 40.0)
-        cdf = stats.poisson.cdf(np.arange(k_max), lam)
+        cdf = pdtr(np.arange(k_max), lam)
         edges = np.arange(_GUIDE_SIZE + 1) / _GUIDE_SIZE
         below = np.searchsorted(cdf, edges[:-1], side="right")   # knots <= j/G
         inside = np.searchsorted(cdf, edges[1:], side="left") - below  # in (j/G, (j+1)/G)

@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
 
-from epichain import (
-    ContactRate, MarkovSIR, initial_condition, malthusian_parameter, solve_delay,
-)
+from epichain import malthusian_parameter, reference_scenario
 
 
 @pytest.fixture(scope="session")
-def model():
-    return MarkovSIR(1.5, 1.0, step=0.005, a_max=40.0)
+def scenario():
+    """The built-in reference scenario every fixture below is built from."""
+    return reference_scenario()
+
+
+@pytest.fixture(scope="session")
+def model(scenario):
+    return scenario.build_model()
 
 
 @pytest.fixture(scope="session")
@@ -17,13 +21,13 @@ def kernel(model):
 
 
 @pytest.fixture(scope="session")
-def ic(kernel):
-    return initial_condition(kernel, 0.01, age_rate=0.5)
+def ic(scenario, kernel):
+    return scenario.build_ic(kernel)
 
 
 @pytest.fixture(scope="session")
-def unit_contact():
-    return ContactRate.constant(1.0)
+def unit_contact(scenario):
+    return scenario.build_contact()
 
 
 @pytest.fixture(scope="session")
@@ -32,9 +36,9 @@ def alpha(kernel):
 
 
 @pytest.fixture(scope="session")
-def sol(kernel, unit_contact, ic):
-    """Reference limit solution: tau = 1.5 e^{-a}, g = Exp(1/2), I0 = 0.01."""
-    return solve_delay(kernel, unit_contact, ic, 25.0, 0.005)
+def sol(scenario):
+    """Reference limit solution: tau = 1.5 e^{-a}, g = Exp(1/2), I0 = 0.01, T = 25."""
+    return scenario.solve()
 
 
 def _check_courses(batch, model):

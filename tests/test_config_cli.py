@@ -186,6 +186,18 @@ class TestCli:
         assert main(argv) == 0
         assert (tmp_path / "tree.csv").read_bytes() == first
 
+    def test_tree_past_node_cap_names_remedies(self, tmp_path, capsys):
+        # at the built-in horizon of 25 the supercritical tree outgrows the node
+        # cap; a lower cap reaches the same error without the ~2.5 GiB the
+        # default cap builds first
+        rc = main(["tree", "--samples", "2000", "--node-cap", "1000", "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: node cap 1000 exceeded")
+        assert "--horizon" in err and "--node-cap" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "tree.csv").exists()
+
     def test_chain_modes(self, tmp_path):
         for mode, name in [("renewal", "chain_renewal.csv"),
                            ("martingale", "chain_martingale.csv")]:

@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from epichain import (
     ContactRate, conditioned_first_step, estimate_B, sample_geodesic, tree_params,
@@ -277,4 +278,12 @@ class TestPoissonCounts:
                             np.random.default_rng(871).random(100_000)))
         u = u[u < 1.0]  # keyed uniforms lie in [0, 1)
         assert np.array_equal(counts.draw(u), np.searchsorted(counts.cdf, u, side="right"))
+
+    def test_cdf_is_scipy_poisson_cdf_bit_for_bit(self, kernel, ic):
+        # the tables are built from scipy.special.pdtr so that the package need
+        # not import scipy.stats; every K_S and K_I draw rests on this equality
+        reference = [(1.0 - ic.i0) * kernel.r0, ic.i0 * ic.r0_bar]
+        for mean in np.concatenate((np.arange(3001) * 0.01, reference, [1e-6, 123.4])):
+            cdf = PoissonCounts.of_mean(mean).cdf
+            assert cdf.tobytes() == stats.poisson.cdf(np.arange(cdf.size), mean).tobytes(), mean
 
