@@ -8,9 +8,9 @@ g = Exp(1/2); I0 = 0.01; c == 1; T = 25; dt = 0.005.  Its variants are
 (a grid fine enough that the quadrature bias sits well inside their
 statistical bands), `reference_scenario(i0=1e-3, horizon=3.0)` for criterion
 10's near-linear regime, and criterion 12's piecewise-constant contact rate
-at T = 80.  Each criterion reports one or more ComparisonReports plus a
-runtime, and the suite is deterministic: every random input derives from the
-scenario's master seed.
+at T = 80.  Each criterion returns its name and one or more
+ComparisonReports, `run_all` times it, and the suite is deterministic: every
+random input derives from the scenario's master seed.
 """
 
 from __future__ import annotations
@@ -41,6 +41,8 @@ from .rng import derive_seed, make_rng
 MASTER_SEED = reference_scenario().seed
 
 _SIM_TIMES = 64  # grid points of the simulated-vs-limit I-fraction comparison
+
+Outcome = tuple[str, tuple[ComparisonReport, ...]]  # a criterion's name and checks
 
 
 @dataclass(frozen=True)
@@ -180,12 +182,11 @@ def _b_weighted_starts(sol, lo: float, hi: float, n: int, seed: int) -> np.ndarr
     return np.interp(u, cum, grid)
 
 
-def criterion_1(shared: SharedReferences) -> CriterionResult:
+def criterion_1(shared: SharedReferences) -> Outcome:
     """Exponential tau reduces the limit system to the classical SIR ODE;
     S(t) from the marching solver must match the ODE to 1e-3 at dt = 1e-3."""
     from scipy.integrate import solve_ivp  # here, so that `import epichain` does not load scipy
 
-    t0 = time.time()
     solve_start = time.time()
     sol = shared.sol_millistep
     solve_time = time.time() - solve_start
@@ -205,20 +206,19 @@ def criterion_1(shared: SharedReferences) -> CriterionResult:
                          n_samples=sol.t.size),
         ComparisonReport(name="solver runtime (s)", value=solve_time, threshold=10.0),
     )
-    return CriterionResult(1, "solver matches SIR ODE", checks, time.time() - t0)
+    return "solver matches SIR ODE", checks
 
 
-def criterion_2(shared: SharedReferences) -> CriterionResult:
+def criterion_2(shared: SharedReferences) -> Outcome:
     """Marching and Picard solve the same grid equations; their fixed points
     must agree far below discretization error."""
-    t0 = time.time()
     march = shared.sol_millistep
     pic = picard_delay(march.kernel, march.contact, march.ic, float(march.t[-1]),
                        march.dt).solution
     sup = float(np.max(np.abs(march.b - pic.b)))
     checks = (ComparisonReport(name="sup |b_marching - b_picard|", value=sup,
                                threshold=1e-6, n_samples=march.t.size),)
-    return CriterionResult(2, "marching agrees with Picard", checks, time.time() - t0)
+    return "marching agrees with Picard", checks
 
 
 def _lln_check(devs: np.ndarray, counts: str) -> ComparisonReport:
@@ -267,7 +267,7 @@ def _final_size_checks(finals: np.ndarray, sol) -> tuple[ComparisonReport, ...]:
     )
 
 
-def criterion_3(shared: SharedReferences) -> CriterionResult:
+def criterion_3(shared: SharedReferences) -> Outcome:
     """Functional LLN: the I-compartment fraction of N = 5e4 runs stays
     within 0.02 of the limit curve in at least 18 of 20 replicas."""
     t0 = time.time()
@@ -275,35 +275,33 @@ def criterion_3(shared: SharedReferences) -> CriterionResult:
     runtime = time.time() - t0
     checks = (_lln_check(devs, counts),
               ComparisonReport(name="runtime (s)", value=runtime, threshold=120.0))
-    return CriterionResult(3, "LLN at N=50000", checks, runtime)
+    return "LLN at N=50000", checks
 
 
-def criterion_4(shared: SharedReferences) -> CriterionResult:
+def criterion_4(shared: SharedReferences) -> Outcome:
     """The dual tree's censored-root law reproduces cumulative incidence:
     B_hat(t) within 3 SE of the solver's B at t in {2, 5, 10}."""
     t0 = time.time()
     checks, nodes = _tree_checks(shared, shared.contact, shared.sol, "c4")
     runtime = time.time() - t0
     checks += (ComparisonReport(name="runtime (s)", value=runtime, threshold=60.0, detail=nodes),)
-    return CriterionResult(4, "tree dual estimates B", checks, runtime)
+    return "tree dual estimates B", checks
 
 
-def criterion_5(shared: SharedReferences) -> CriterionResult:
+def criterion_5(shared: SharedReferences) -> Outcome:
     """Final size: simulated final infected fraction and solver B(T) + I0
     both land on the scalar fixed point."""
-    t0 = time.time()
     _, finals, _, _ = shared.unit_contact_replicas
     # dt = 1e-3 run (cached from criteria 1/2); the ~8.6e-4 gap that remains
     # is the epidemic's unsettled tail beyond T = 25, not quadrature error
     checks = _final_size_checks(finals, shared.sol_millistep)
-    return CriterionResult(5, "final-size fixed point", checks, time.time() - t0)
+    return "final-size fixed point", checks
 
 
-def criterion_6(shared: SharedReferences) -> CriterionResult:
+def criterion_6(shared: SharedReferences) -> Outcome:
     """Small populations, exact law: the simulator's infection times equal
     brute-force evaluation of the geodesic recursion on the decorated graph,
     bit for bit, on 100 seeded instances."""
-    t0 = time.time()
     mismatched = 0
     total = 0
     for i in range(100):
@@ -316,14 +314,13 @@ def criterion_6(shared: SharedReferences) -> CriterionResult:
             mismatched += 1
     checks = (ComparisonReport(name="instances with any sigma mismatch", value=float(mismatched),
                                threshold=0.0, n_samples=total),)
-    return CriterionResult(6, "geodesic recursion exactness", checks, time.time() - t0)
+    return "geodesic recursion exactness", checks
 
 
-def criterion_7(shared: SharedReferences) -> CriterionResult:
+def criterion_7(shared: SharedReferences) -> Outcome:
     """Conditioned on infection near t = 5, the infector's infection time
     drawn from the tree matches the spinal density, and the h-chain's first
     transition reproduces the same histogram."""
-    t0 = time.time()
     sol = shared.sol
     t_lo, delta = 5.0, 0.25
     params = tree_params(shared.kernel, shared.ic, shared.contact, horizon=10.0)
@@ -365,13 +362,12 @@ def criterion_7(shared: SharedReferences) -> CriterionResult:
         ComparisonReport(name="L1(tree, h-chain)", value=l1_h, threshold=0.05,
                          n_samples=sample.n_conditioned),
     )
-    return CriterionResult(7, "spinal first-step law", checks, time.time() - t0)
+    return "spinal first-step law", checks
 
 
-def criterion_8(shared: SharedReferences) -> CriterionResult:
+def criterion_8(shared: SharedReferences) -> Outcome:
     """h(R_{k and L}) on the not-yet-killed event is a martingale: per-step
     means over 1e6 killed-renewal chains stay within 3 SE of b(t)e^{-at}."""
-    t0 = time.time()
     rep = martingale_diagnostic(5.0, shared.sol_fine, 1_000_000, k_max=10,
                                 seed=derive_seed(MASTER_SEED, "c8"))
     checks = [
@@ -383,13 +379,12 @@ def criterion_8(shared: SharedReferences) -> CriterionResult:
         checks.append(ComparisonReport(
             name=f"|mean M_{k} - reference|", value=float(abs(rep.mean[k] - rep.reference)),
             threshold=float(3.0 * rep.se[k]), se=float(rep.se[k]), n_samples=rep.n_samples))
-    return CriterionResult(8, "killed-chain martingale", tuple(checks), time.time() - t0)
+    return "killed-chain martingale", tuple(checks)
 
 
-def criterion_9(shared: SharedReferences) -> CriterionResult:
+def criterion_9(shared: SharedReferences) -> Outcome:
     """Survival representation b(t) = I0 a e^{at} P(never killed) for the
     equilibrium age density, with the unit-normalized discrepancy reported."""
-    t0 = time.time()
     checks = []
     for t in (2.0, 5.0, 8.0):
         rep = survival_representation_check(t, shared.sol_fine, 1_000_000,
@@ -400,13 +395,12 @@ def criterion_9(shared: SharedReferences) -> CriterionResult:
             se=rep.se, n_samples=rep.n_samples,
             detail=(f"unit-normalized estimate {rep.unit_estimate:.4f} exceeds b "
                     f"by factor {rep.discrepancy_ratio:.1f} (the 1/I0 normalization)")))
-    return CriterionResult(9, "survival representation", tuple(checks), time.time() - t0)
+    return "survival representation", tuple(checks)
 
 
-def criterion_10(shared: SharedReferences) -> CriterionResult:
+def criterion_10(shared: SharedReferences) -> Outcome:
     """Near-linear regime: conditioned-chain increments are exactly backward
     generation times, density e^{-au} tau(u)."""
-    t0 = time.time()
     sol_small = reference_scenario(i0=1e-3, horizon=3.0).solve()
     batch = sample_h_chains(3.0, sol_small, 15_000, seed=derive_seed(MASTER_SEED, "c10"))
     inc = batch.increments
@@ -421,13 +415,12 @@ def criterion_10(shared: SharedReferences) -> CriterionResult:
                                detail=(f"{transitions} transitions: "
                                        f"{batch.proposals / transitions:.4f} envelope "
                                        "proposals per transition")),)
-    return CriterionResult(10, "backward generation times", checks, time.time() - t0)
+    return "backward generation times", checks
 
 
-def criterion_11(shared: SharedReferences) -> CriterionResult:
+def criterion_11(shared: SharedReferences) -> Outcome:
     """Historical process: first backward increments of simulated chains
     infected during a time window match the conditioned chain's law."""
-    t0 = time.time()
     lo, hi = 4.0, 6.0
     _, _, inc_sim, counts = _sim_solve_deviation(
         shared, shared.contact, shared.sol, hi + 0.5, 50_000, 12, "c11",
@@ -443,16 +436,15 @@ def criterion_11(shared: SharedReferences) -> CriterionResult:
                                threshold=0.05, n_samples=int(inc_sim.size),
                                detail=f"window [{lo:g}, {hi:g}], {inc_sim.size} sim chains; "
                                       f"{counts}"),)
-    return CriterionResult(11, "historical first increments", checks, time.time() - t0)
+    return "historical first increments", checks
 
 
-def criterion_12(shared: SharedReferences) -> CriterionResult:
+def criterion_12(shared: SharedReferences) -> Outcome:
     """Criteria 3-5 under the intervention contact rate c = 1 / 0.3 / 0.8.
 
     The suppressed second wave settles long after t = 25, so the run extends
     to T = 80 where b(T) is negligible; the fixed-point value itself is
     horizon-independent (the solved history enters only through [0, 8])."""
-    t0 = time.time()
     sol = shared.sol_step80
     sim_start = time.time()
     devs, finals, _, counts = _sim_solve_deviation(
@@ -469,7 +461,7 @@ def criterion_12(shared: SharedReferences) -> CriterionResult:
                          detail=nodes),
         *_final_size_checks(finals, sol),
     )
-    return CriterionResult(12, "intervention contact rate", checks, time.time() - t0)
+    return "intervention contact rate", checks
 
 
 _CRITERIA = {
@@ -488,4 +480,9 @@ def run_all(criteria: list[int] | None = None,
         raise ValueError(f"unknown criteria: {unknown}")
     if shared is None:
         shared = SharedReferences()
-    return [_CRITERIA[k](shared) for k in wanted]
+    results = []
+    for k in wanted:
+        start = time.time()
+        name, checks = _CRITERIA[k](shared)
+        results.append(CriterionResult(k, name, checks, time.time() - start))
+    return results

@@ -1,9 +1,8 @@
 """Statistical comparisons between the model's layers.
 
-Histograms, distances between them (L1 over shared bins) and between a
-sample and a CDF (Kolmogorov-Smirnov), and a uniform report type carrying
-value / threshold / Monte Carlo error.  The acceptance criteria build their
-checks from these.
+Histograms, the L1 distance between two of them over shared bins, and a
+uniform report type carrying value / threshold / Monte Carlo error.  The
+acceptance criteria build their checks from these.
 """
 
 from __future__ import annotations
@@ -34,10 +33,6 @@ class Histogram:
     @property
     def widths(self) -> np.ndarray:
         return np.diff(self.edges)
-
-    @property
-    def mass(self) -> float:
-        return float(np.sum(self.density * self.widths))
 
 
 def histogram_from_samples(samples: np.ndarray, edges: np.ndarray,
@@ -70,18 +65,6 @@ def l1_histogram_distance(h1: Histogram, h2: Histogram) -> float:
     if h1.edges.shape != h2.edges.shape or not np.allclose(h1.edges, h2.edges, rtol=0.0, atol=1e-12):
         raise ValueError("histograms are binned on different grids")
     return float(np.sum(np.abs(h1.density - h2.density) * h1.widths))
-
-
-def ks_distance(samples: np.ndarray, cdf) -> float:
-    """sup_x |empirical CDF - cdf(x)|, evaluated at the jump points."""
-    samples = np.sort(np.asarray(samples, dtype=float))
-    n = samples.size
-    if n == 0:
-        raise ValueError("need at least one sample")
-    f = np.asarray(cdf(samples), dtype=float)
-    upper = np.arange(1, n + 1) / n - f
-    lower = f - np.arange(0, n) / n
-    return float(max(np.max(upper), np.max(lower)))
 
 
 @dataclass(frozen=True)

@@ -374,7 +374,13 @@ def reweighted_first_steps(t: float, sol: LimitSolution, n_samples: int,
                            seed: int) -> ReweightedFirstSteps:
     """Sample killed renewal chains; keep survivors with weight
     b(R_L)e^{-alpha R_L} / (b(t)e^{-alpha t}).  Their weighted first-step
-    histogram reproduces the conditioned chain's first step."""
+    histogram reproduces the conditioned chain's first step.
+
+    This is the paper's claim that the killed renewal chain reweighted by
+    its terminal h-value is the Doob h-transformed chain.  No acceptance
+    criterion covers it (criteria 8 and 9 check the martingale and the
+    survival probability, not the reweighted law); the unit tests compare
+    the weighted histogram with `sample_h_first_steps`."""
     n_samples = check_count("n_samples", n_samples, 1)
     alpha = malthusian_parameter(sol.kernel).alpha
     h_start = float(sol.b_at(t)) * math.exp(-alpha * t)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -111,6 +112,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_tree(args) -> int:
+    check_count("--points", args.points, 1)
     cfg = _load(args)
     kernel = cfg.build_model().kernel
     contact = cfg.build_contact()
@@ -138,8 +140,13 @@ def cmd_tree(args) -> int:
 
 def cmd_chain(args) -> int:
     cfg = _load(args)
-    sol = cfg.solve()
     t = args.t if args.t is not None else cfg.horizon / 2.0
+    # the renewal sampler reads no b and checks only that t is finite, but
+    # its time and memory grow linearly in t; the other samplers reject a
+    # start past the horizon themselves
+    if args.mode == "renewal" and cfg.horizon < t < math.inf:
+        raise ValueError(f"chain start {t:g} lies past the solver horizon T={cfg.horizon:g}")
+    sol = cfg.solve()
     outdir = _outdir(cfg.out_dir)
 
     if args.mode == "martingale":

@@ -249,11 +249,6 @@ def load_config(path: str) -> ScenarioConfig:
     return parse_config(raw)
 
 
-def emit_config(config: ScenarioConfig) -> str:
-    """Canonical text form; load(emit(config)) == config."""
-    return json.dumps(config.to_dict(), sort_keys=True, indent=2) + "\n"
-
-
 def apply_overrides(raw: dict, overrides: list[str]) -> dict:
     """Apply `--set dotted.key=value` pairs to the raw mapping (strict paths).
 

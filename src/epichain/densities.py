@@ -36,7 +36,6 @@ class GridDensity:
     grid: np.ndarray
     values: np.ndarray
     total: float = field(init=False)
-    _cdf: np.ndarray = field(init=False, repr=False)
     _quantiles: np.ndarray = field(init=False, repr=False)
     _quantile_steps: np.ndarray = field(init=False, repr=False)
 
@@ -61,7 +60,6 @@ class GridDensity:
         object.__setattr__(self, "total", total)
         cdf = raw_cdf / total
         cdf[-1] = 1.0
-        object.__setattr__(self, "_cdf", cdf)
         # quantile table: keep only strictly increasing CDF knots so that
         # flat (zero-density) stretches do not confuse the interpolation
         keep = np.concatenate(([True], np.diff(cdf) > 0.0))
@@ -77,9 +75,6 @@ class GridDensity:
     def pdf(self, x) -> np.ndarray:
         """Normalized density, linear interpolation, 0 outside the grid."""
         return np.interp(x, self.grid, self.values, left=0.0, right=0.0) / self.total
-
-    def cdf(self, x) -> np.ndarray:
-        return np.interp(x, self.grid, self._cdf, left=0.0, right=1.0)
 
     def mean(self) -> float:
         return float(np.trapezoid(self.grid * self.values, self.grid) / self.total)

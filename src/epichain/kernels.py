@@ -243,12 +243,6 @@ class TabulatedKernel(IntensityKernel):
         a = np.asarray(a, dtype=float)
         return np.interp(a, self._ref_ages, self._ref_values, left=0.0, right=0.0)
 
-    def laplace(self, theta: float) -> float:
-        integrand = np.exp(-theta * self._ref_ages) * self._ref_values
-        if not np.all(np.isfinite(integrand)):
-            return math.inf
-        return float(np.trapezoid(integrand, self._ref_ages))
-
 
 # ---------------------------------------------------------------------------
 # growth rate

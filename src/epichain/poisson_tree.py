@@ -383,6 +383,13 @@ def sample_geodesic(p: TreeParams, seed: int, index: int = 0) -> GeodesicSample:
     `index` selects an independent sample within the seed's stream; it lines
     up with position `index` of the batched samplers.  The course decoration
     draws from its own stream of (seed, index), never from the tree's.
+
+    With a course model in `p.model`, the path is decorated with the marks
+    along the spine of the paper's marked tree: each transmitter on the
+    geodesic carries a course in the Palm sense, conditioned on a contact at
+    its transmission age.  No acceptance criterion reads these courses; the
+    unit tests check that every spine course holds its transmission age and
+    that the decoration leaves the path bitwise unchanged.
     """
     index = check_count("index", index, 0)
     keys = root_key_vec(seed, np.array([index], dtype=np.uint64))

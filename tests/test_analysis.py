@@ -1,30 +1,28 @@
 """Histogram metrics and comparison reports, checked against hand-computed
 distances: uniform vs triangular(2x) on [0, 1] has L1 distance exactly 1/2."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epichain import (
-    ComparisonReport, Histogram, histogram_from_density, histogram_from_samples,
-    ks_distance, l1_histogram_distance, make_rng,
+    ComparisonReport, histogram_from_density, histogram_from_samples, l1_histogram_distance,
 )
+from epichain.analysis import Histogram
 
 
 class TestHistogram:
     def test_density_normalized(self):
         h = histogram_from_samples(np.array([0.1, 0.4, 0.6, 0.9]), np.linspace(0, 1, 5))
-        assert h.mass == pytest.approx(1.0)
+        assert np.sum(h.density * h.widths) == pytest.approx(1.0)
         assert np.all(h.density >= 0)
 
     def test_out_of_range_mass_counted(self):
         samples = np.array([0.5, 0.5, 3.0, -1.0])
         h = histogram_from_samples(samples, np.linspace(0, 1, 3))
         # half the weight fell outside, so in-range mass is 1/2
-        assert h.mass == pytest.approx(0.5)
+        assert np.sum(h.density * h.widths) == pytest.approx(0.5)
 
     def test_weights(self):
         samples = np.array([0.25, 0.75])
@@ -80,21 +78,6 @@ class TestL1Distance:
         assert 0.0 <= d <= 2.0 + 1e-12
         assert d == l1_histogram_distance(h2, h1)
         assert l1_histogram_distance(h1, h1) == 0.0
-
-
-class TestKS:
-    def test_uniform_sample(self):
-        u = make_rng(5, "ks").random(100_000)
-        d = ks_distance(u, lambda x: np.clip(np.asarray(x), 0.0, 1.0))
-        assert d < 1.63 / math.sqrt(100_000)  # 99% K-S band
-
-    def test_point_mass_at_median(self):
-        d = ks_distance(np.full(1000, 0.5), lambda x: np.clip(np.asarray(x), 0.0, 1.0))
-        assert d == pytest.approx(0.5)
-
-    def test_total_mismatch(self):
-        d = ks_distance(np.full(100, 10.0), lambda x: np.clip(np.asarray(x), 0.0, 1.0))
-        assert d == pytest.approx(1.0)
 
 
 class TestComparisonReport:

@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epichain import (
-    ConfigError, ContactRate, MarkovSIR, apply_overrides, emit_config,
-    load_config, parse_config, reference_scenario,
+    ConfigError, ContactRate, MarkovSIR, apply_overrides, load_config, parse_config,
+    reference_scenario,
 )
 from epichain.cli import main
 
@@ -27,12 +27,12 @@ class TestScenarioConfig:
     def test_round_trip(self, tmp_path):
         cfg = reference_scenario(horizon=10.0)
         path = tmp_path / "scenario.json"
-        path.write_text(emit_config(cfg))
+        path.write_text(json.dumps(cfg.to_dict(), sort_keys=True, indent=2))
         assert load_config(str(path)) == cfg
 
     def test_digest_ignores_key_order_and_out_dir(self):
         cfg = reference_scenario()
-        reordered = json.loads(emit_config(cfg))
+        reordered = cfg.to_dict()
         reordered["course"] = dict(reversed(list(reordered["course"].items())))
         reordered["out_dir"] = "elsewhere"
         assert parse_config(reordered).digest == cfg.digest
@@ -59,7 +59,7 @@ class TestScenarioConfig:
         assert ic.age_rate == pytest.approx(0.5, abs=1e-8)
 
     def test_all_errors_collected(self):
-        raw = json.loads(emit_config(reference_scenario()))
+        raw = reference_scenario().to_dict()
         raw["i0"] = 1.5
         raw["contact"]["levels"] = [1.2]
         raw["bogus"] = 1
@@ -72,13 +72,13 @@ class TestScenarioConfig:
         assert "bogus" in joined
 
     def test_incommensurate_steps_rejected(self):
-        raw = json.loads(emit_config(reference_scenario()))
+        raw = reference_scenario().to_dict()
         raw["dt"] = 0.003
         with pytest.raises(ConfigError):
             parse_config(raw)
 
     def test_apply_overrides(self):
-        raw = json.loads(emit_config(reference_scenario()))
+        raw = reference_scenario().to_dict()
         out = apply_overrides(raw, ["course.beta=2.0", "n_individuals=1000",
                                     "initial_age.family=exponential"])
         assert out["course"]["beta"] == 2.0
@@ -86,19 +86,19 @@ class TestScenarioConfig:
         assert out["initial_age"]["family"] == "exponential"
 
     def test_overrides_reject_unknown_paths(self):
-        raw = json.loads(emit_config(reference_scenario()))
+        raw = reference_scenario().to_dict()
         with pytest.raises(ConfigError):
             apply_overrides(raw, ["course.nonsense=1"])
 
     def test_mistyped_knot_is_a_config_error(self):
-        raw = apply_overrides(json.loads(emit_config(reference_scenario())),
+        raw = apply_overrides(reference_scenario().to_dict(),
                               ['contact.knots=[0,"x"]', "contact.levels=[1,0.5]"])
         with pytest.raises(ConfigError, match="knots must be finite numbers"):
             parse_config(raw)
 
     @pytest.mark.parametrize("horizon", [float("inf"), 10**400, True])
     def test_non_finite_horizon_is_a_config_error(self, horizon):
-        raw = json.loads(emit_config(reference_scenario()))
+        raw = reference_scenario().to_dict()
         raw["horizon"] = horizon
         with pytest.raises(ConfigError, match="horizon must be a positive number"):
             parse_config(raw)
@@ -115,7 +115,7 @@ _JSON_VALUES = st.one_of(_JSON_SCALARS, st.lists(_JSON_SCALARS, max_size=3),
        levels=st.one_of(_JSON_VALUES, st.lists(_JSON_VALUES, max_size=4)))
 @settings(max_examples=200, deadline=None)
 def test_malformed_contact_raises_only_config_error(knots, levels):
-    raw = json.loads(emit_config(reference_scenario()))
+    raw = reference_scenario().to_dict()
     raw["contact"]["knots"] = knots
     raw["contact"]["levels"] = levels
     try:
@@ -241,6 +241,20 @@ class TestCli:
         assert f"error: --replicas must be at least 1, got {replicas}" in capsys.readouterr().err
         assert not (tmp_path / "simulate.csv").exists()
 
+    def test_tree_rejects_bad_points(self, tmp_path, capsys):
+        rc = main(["tree", "--out", str(tmp_path), "--samples", "2000", "--points", "-1"])
+        assert rc == 1
+        assert "error: --points must be at least 1, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "tree.csv").exists()
+
+    def test_renewal_chain_rejects_start_past_horizon(self, tmp_path, capsys):
+        # renewal time and memory grow linearly in t: from 1e308 it would never end
+        rc = main(["chain", "--out", str(tmp_path), "--mode", "renewal", "--t", "1e308"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error: chain start 1e+308 lies past the solver horizon T=25" in err
+        assert not (tmp_path / "chain_renewal.csv").exists()
+
     def test_validate_rejects_bad_criteria(self, tmp_path, capsys):
         rc = main(["validate", "--out", str(tmp_path), "--criteria", "2,x"])
         assert rc == 1
@@ -280,7 +294,7 @@ class TestCli:
 
     def test_bad_config_reports_every_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
-        raw = json.loads(emit_config(reference_scenario()))
+        raw = reference_scenario().to_dict()
         raw["i0"] = -1
         raw["horizon"] = -5
         bad.write_text(json.dumps(raw))

@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 
 from epichain import (
-    ContactRate, InfectionGraph, MarkovSEIR, MarkovSIR, brute_force_infection_times,
+    ContactRate, MarkovSEIR, MarkovSIR, brute_force_infection_times,
     compartment_curve, compartment_fraction, derive_seed, historical_measure,
     initial_condition, simulate,
 )
 from epichain.courses import CourseBatch
-from epichain.infection_graph import first_passage
+from epichain.infection_graph import InfectionGraph, first_passage
 
 
 def _graph(initial, offsets, atoms, targets, marks, horizon=10.0) -> InfectionGraph:

@@ -9,11 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epichain import (
-    conditioned_first_step, derive_seed, empirical_tau, estimate_B, make_rng,
-    martingale_diagnostic, reweighted_first_steps, sample_h_chains, sample_renewal_chains,
+    conditioned_first_step, derive_seed, estimate_B, make_rng,
+    martingale_diagnostic, sample_h_chains, sample_renewal_chains,
     simulate, survival_representation_check, tree_params,
 )
+from epichain.backward_chain import reweighted_first_steps
 from epichain.rng import child_key_vec, keyed_u01_vec, root_key_vec
+from helpers import empirical_tau
 
 
 def test_derive_seed_stable_and_tag_sensitive():
