@@ -87,6 +87,3 @@ class GridDensity:
         q *= self._quantile_steps[idx]
         q += self._quantiles[idx]
         return q
-
-    def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
-        return self.ppf_from_uniform(rng.random(size))

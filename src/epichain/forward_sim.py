@@ -76,7 +76,7 @@ def simulate(model: CourseModel, n_individuals: int, contact: ContactRate,
     initial = rng.random(n) < ic.i0
     init_ids = np.flatnonzero(initial)
     z = np.zeros(n)
-    z[init_ids] = ic.sample_initial_age(rng, init_ids.size)
+    z[init_ids] = ic.age_density.ppf_from_uniform(rng.random(init_ids.size))
     courses = model.sample_courses(rng, n)
     targets = rng.integers(0, n, courses.atoms.size)
     marks = rng.random(courses.atoms.size)

@@ -137,10 +137,6 @@ class IntensityKernel:
         """integral of tau over [0, a], tabulated (flat beyond the grid)."""
         return np.interp(a, self.ages, self._cum, left=0.0, right=float(self._cum[-1]))
 
-    @property
-    def cumulative_table(self) -> np.ndarray:
-        return self._cum
-
     def inverse_cumulative(self, c) -> np.ndarray:
         """The age a with cumulative(a) = c, for c in [0, grid_mass): the
         inverse of the piecewise-linear trapezoid table, i.e. the quantile
@@ -374,9 +370,6 @@ class InitialCondition:
             return np.where(a >= 0, self.age_rate * np.exp(-self.age_rate * np.minimum(a, 7e2)), 0.0)
         return self.age_density.pdf(a)
 
-    def sample_initial_age(self, rng: np.random.Generator, size: int | None = None):
-        return self.age_density.sample(rng, size)
-
 
 def exponential_age_density(rate: float, step: float, a_max: float) -> GridDensity:
     n = int(round(a_max / step))
@@ -405,10 +398,8 @@ def joint_delay_age_from_uniforms(ic: InitialCondition, u_age, u_delay):
     """
     kern = ic.kernel
     z = ic.z_marginal.ppf_from_uniform(np.asarray(u_age, dtype=float))
-    cum = kern.cumulative_table
-    c_end = cum[-1]
-    c_z = np.interp(z, kern.ages, cum)
-    target = c_z + np.asarray(u_delay, dtype=float) * (c_end - c_z)
+    c_z = kern.cumulative(z)
+    target = c_z + np.asarray(u_delay, dtype=float) * (kern.grid_mass - c_z)
     w = np.maximum(kern.inverse_cumulative(target) - z, 0.0)
     return w, z
 
