@@ -112,7 +112,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_tree(args) -> int:
-    check_count("--points", args.points, 1)
+    check_count("--points", args.points, 2)  # one point is t = 0 alone, where no tree grows
     cfg = _load(args)
     kernel = cfg.build_model().kernel
     contact = cfg.build_contact()
@@ -141,12 +141,12 @@ def cmd_tree(args) -> int:
 def cmd_chain(args) -> int:
     cfg = _load(args)
     t = args.t if args.t is not None else cfg.horizon / 2.0
-    # the renewal sampler reads no b and checks only that t is finite, but
-    # its time and memory grow linearly in t; the other samplers reject a
-    # start past the horizon themselves
+    # the renewal sampler reads only the kernel, so it needs no solve; it
+    # checks only that t is finite, but its time and memory grow linearly in
+    # t; the other samplers reject a start past the horizon themselves
     if args.mode == "renewal" and cfg.horizon < t < math.inf:
         raise ValueError(f"chain start {t:g} lies past the solver horizon T={cfg.horizon:g}")
-    sol = cfg.solve()
+    sol = None if args.mode == "renewal" else cfg.solve()
     outdir = _outdir(cfg.out_dir)
 
     if args.mode == "martingale":
@@ -179,7 +179,7 @@ def cmd_chain(args) -> int:
         batch = sample_h_chains(t, sol, args.samples,
                                 seed=derive_seed(cfg.seed, "chain", "hchain"))
     else:
-        batch = sample_renewal_chains(t, sol.kernel, args.samples,
+        batch = sample_renewal_chains(t, cfg.build_model().kernel, args.samples,
                                       seed=derive_seed(cfg.seed, "chain", "renewal"))
     rows = []
     for i in range(batch.times.shape[0]):

@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epichain import (
-    ConfigError, ContactRate, MarkovSIR, apply_overrides, load_config, parse_config,
-    reference_scenario,
+    ConfigError, ContactRate, MarkovSIR, ScenarioConfig, apply_overrides, derive_seed,
+    load_config, parse_config, reference_scenario, sample_renewal_chains,
 )
 from epichain.cli import main
 
@@ -207,6 +207,23 @@ class TestCli:
             assert rc == 0, mode
             assert (tmp_path / name).exists()
 
+    def test_renewal_chain_skips_the_solve(self, tmp_path, monkeypatch):
+        # the renewal sampler reads only the kernel
+        def no_solve(self):
+            raise AssertionError("renewal chains must not solve the limit system")
+
+        monkeypatch.setattr(ScenarioConfig, "solve", no_solve)
+        rc = main(["chain", "--out", str(tmp_path), "--mode", "renewal",
+                   "--samples", "300", "--t", "4.0"])
+        assert rc == 0
+        _, rows = _read_csv(tmp_path / "chain_renewal.csv")
+        cfg = reference_scenario()
+        batch = sample_renewal_chains(4.0, cfg.build_model().kernel, 300,
+                                      seed=derive_seed(cfg.seed, "chain", "renewal"))
+        want = [(i, k, float(batch.times[i, k]))
+                for i in range(300) for k in range(batch.lengths[i] + 1)]
+        assert [(int(i), int(k), float(x)) for i, k, x in rows] == want
+
     def test_courses_dump(self, tmp_path):
         rc = main(["courses-dump", "--out", str(tmp_path), "--samples", "20"])
         assert rc == 0
@@ -244,7 +261,16 @@ class TestCli:
     def test_tree_rejects_bad_points(self, tmp_path, capsys):
         rc = main(["tree", "--out", str(tmp_path), "--samples", "2000", "--points", "-1"])
         assert rc == 1
-        assert "error: --points must be at least 1, got -1" in capsys.readouterr().err
+        assert "error: --points must be at least 2, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "tree.csv").exists()
+
+    def test_tree_rejects_a_single_point(self, tmp_path, capsys):
+        # one point is t = 0 alone: no tree grows, yet B_hat(T) would print as 0
+        rc = main(["tree", "--out", str(tmp_path), "--samples", "2000", "--points", "1"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error: --points must be at least 2, got 1" in err
+        assert "Traceback" not in err
         assert not (tmp_path / "tree.csv").exists()
 
     def test_renewal_chain_rejects_start_past_horizon(self, tmp_path, capsys):
