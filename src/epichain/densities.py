@@ -1,10 +1,9 @@
-"""Tabulated densities on uniform grids.
-
-All continuous sampling in the package flows through precomputed inverse-CDF
-tables: O(1) per draw, linear between 4096 equally spaced quantiles of the
-trapezoid CDF.  The top bucket is linear from q(1 - 1/4096) out to the first
-grid point where the CDF rounds to 1, so it puts mass far out in the tail
-that the grid CDF does not have.
+"""Tabulated densities on uniform grids, and `GuideTable`, the one inversion
+behind every draw from a tabulated law: the dual tree's Poisson counts, the
+kernel's `inverse_cumulative` and `GridDensity.ppf_from_uniform`.  Its index
+is exactly `searchsorted` on the table and its inverse that of the table's
+linear interpolant, so draws follow the cell-constant law of the trapezoid
+CDF out to its last cell of positive mass.
 """
 
 from __future__ import annotations
@@ -13,7 +12,62 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-QUANTILE_TABLE_SIZE = 4096
+# buckets of every guide table; the guide's int32 entries take 256 KiB
+GUIDE_BUCKETS = 1 << 16
+
+
+class GuideTable:
+    """A nondecreasing table `cum` with an O(1) index lookup (a guide table,
+    Chen and Asau, 1974) and, on the uniform grid `grid`, its inverse.
+
+    The value c falls into bucket min(max(c * scale, 0), G - 1), truncated,
+    with scale = G / cum[-1]; the knots are bucketed by the same expression.
+    That map is monotone in c, so every c in a bucket that holds no knot has
+    one index, the number of knots in earlier buckets, which the guide
+    stores.  A bucket that holds a knot stores -1, and its values go through
+    `searchsorted`.  The index is therefore exact at every scale of `cum`.
+    """
+
+    def __init__(self, cum: np.ndarray, grid: np.ndarray | None = None):
+        self.cum = cum
+        self.grid = grid
+        self.step = None if grid is None else float(grid[1] - grid[0])
+        self._scale = GUIDE_BUCKETS / cum[-1] if cum[-1] > 0 else 0.0
+        counts = np.bincount(self._bucket(cum), minlength=GUIDE_BUCKETS)
+        self._guide = np.where(counts > 0, -1, np.cumsum(counts) - counts).astype(np.int32)
+        self._width = np.maximum(np.diff(cum), 1e-300)
+
+    def _bucket(self, c: np.ndarray) -> np.ndarray:
+        b = c * self._scale
+        np.fmax(b, 0.0, out=b)
+        np.fmin(b, GUIDE_BUCKETS - 1, out=b)
+        return b.astype(np.intp)
+
+    def index(self, c) -> np.ndarray:
+        """`np.searchsorted(cum, c, side="right")`: the number of knots <= c."""
+        c = np.asarray(c, dtype=float)
+        flat = c.reshape(-1)
+        k = self._bucket(flat)
+        k[:] = self._guide.take(k)
+        fix = np.flatnonzero(k < 0)
+        if fix.size:
+            k[fix] = np.searchsorted(self.cum, flat[fix], side="right")
+        return k.reshape(c.shape)
+
+    def inverse(self, c) -> np.ndarray:
+        """The x with cum(x) = c on the linear interpolant of the table: in
+        the cell j that holds c, grid[j] + (c - cum[j]) / width[j] * step."""
+        c = np.asarray(c, dtype=float)
+        flat = c.reshape(-1)
+        j = self.index(flat)
+        j -= 1
+        np.clip(j, 0, self.cum.size - 2, out=j)
+        x = self.cum.take(j)
+        np.subtract(flat, x, out=x)
+        x /= self._width.take(j)
+        x *= self.step
+        x += self.grid.take(j)
+        return x.reshape(c.shape)
 
 
 def cumulative_trapezoid(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -29,15 +83,14 @@ class GridDensity:
     """A probability density tabulated on a uniform grid [0, a_max].
 
     `values` need not be normalized; `total` records the raw grid integral and
-    the sampling tables are built from the normalized version.  Mass beyond
-    the grid is discarded (callers choose a_max so that it is negligible).
+    draws invert the normalized trapezoid CDF.  Mass beyond the grid is
+    discarded (callers choose a_max so that it is negligible).
     """
 
     grid: np.ndarray
     values: np.ndarray
     total: float = field(init=False)
-    _quantiles: np.ndarray = field(init=False, repr=False)
-    _quantile_steps: np.ndarray = field(init=False, repr=False)
+    _cdf: GuideTable = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         grid = np.asarray(self.grid, dtype=float)
@@ -60,13 +113,7 @@ class GridDensity:
         object.__setattr__(self, "total", total)
         cdf = raw_cdf / total
         cdf[-1] = 1.0
-        # quantile table: keep only strictly increasing CDF knots so that
-        # flat (zero-density) stretches do not confuse the interpolation
-        keep = np.concatenate(([True], np.diff(cdf) > 0.0))
-        u_nodes = np.linspace(0.0, 1.0, QUANTILE_TABLE_SIZE + 1)
-        quant = np.interp(u_nodes, cdf[keep], grid[keep])
-        object.__setattr__(self, "_quantiles", quant)
-        object.__setattr__(self, "_quantile_steps", np.diff(quant))
+        object.__setattr__(self, "_cdf", GuideTable(cdf, grid))
 
     @property
     def step(self) -> float:
@@ -80,10 +127,5 @@ class GridDensity:
         return float(np.trapezoid(self.grid * self.values, self.grid) / self.total)
 
     def ppf_from_uniform(self, u: np.ndarray) -> np.ndarray:
-        """Map uniforms in [0,1) through the tabulated inverse CDF."""
-        q = np.asarray(u, dtype=float) * QUANTILE_TABLE_SIZE
-        idx = np.minimum(q.astype(np.int64), QUANTILE_TABLE_SIZE - 1)
-        q -= idx
-        q *= self._quantile_steps[idx]
-        q += self._quantiles[idx]
-        return q
+        """Map uniforms in [0,1) through the inverse of the trapezoid CDF."""
+        return self._cdf.inverse(u)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .densities import GridDensity, cumulative_trapezoid
+from .densities import GridDensity, GuideTable, cumulative_trapezoid
 
 DEFAULT_AGE_STEP = 0.01
 GENERATION_TIME_SPAN = 40.0  # grid reach, in units of the mean generation time
@@ -116,6 +116,7 @@ class IntensityKernel:
         if np.any(self.table < 0) or not np.all(np.isfinite(self.table)):
             raise ValueError("intensity values must be finite and nonnegative")
         self._cum = cumulative_trapezoid(self.ages, self.table)
+        self._cum_table = GuideTable(self._cum, self.ages)
 
     @property
     def step(self) -> float:
@@ -141,10 +142,7 @@ class IntensityKernel:
         """The age a with cumulative(a) = c, for c in [0, grid_mass): the
         inverse of the piecewise-linear trapezoid table, i.e. the quantile
         map of tau's cell-constant density."""
-        cum = self._cum
-        j = np.clip(np.searchsorted(cum, c, side="right") - 1, 0, cum.size - 2)
-        denom = np.maximum(cum[j + 1] - cum[j], 1e-300)
-        return self.ages[j] + (c - cum[j]) / denom * self.step
+        return self._cum_table.inverse(c)
 
     @property
     def grid_mass(self) -> float:

@@ -46,9 +46,10 @@ No draw that the horizon cuts is ever made.  An edge's length comes first;
 only a subtree child with depth + W <= H gets its mark and its key, and only
 a leaf edge with depth + Wbar <= H gets its mark.  Since a draw depends only
 on (key, counter), skipping the others leaves the layout above, and every
-draw that is made, as it would be if all were made.  K_S and K_I come from
-guide tables (`PoissonCounts`) that return exactly the index of
-`searchsorted` on the Poisson CDF.
+draw that is made, as it would be if all were made.  K_S and K_I invert the
+Poisson CDF through the same guide table (`densities.GuideTable`) as every
+edge length W and initial age Z, which returns exactly the index of
+`searchsorted` on that CDF.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .courses import CourseBatch, CourseModel
-from .densities import GridDensity
+from .densities import GridDensity, GuideTable
 from .kernels import ContactRate, InitialCondition, IntensityKernel, joint_delay_age_from_uniforms
 from .rng import check_count, child_key_vec, keyed_u01_vec, make_rng, root_key_vec
 
@@ -70,46 +71,15 @@ _CHUNK = 2048
 NODE_CAP = 150_000
 
 
-# buckets of the Poisson guide tables; a power of two, so that u * _GUIDE_SIZE
-# is exact for the 53-bit keyed uniforms and its floor names u's bucket
-_GUIDE_SIZE = 4096
+def poisson_counts(lam: float) -> GuideTable:
+    """Poisson(lam) draws by inversion: the table's `cum` holds P(K <= k) for
+    k = 0..len-1, and its `index` of a uniform u is the count K."""
+    if lam < 0:
+        raise ValueError("Poisson mean must be nonnegative")
+    from scipy.special import pdtr  # the Poisson CDF; scipy loads at first use
 
-
-@dataclass(frozen=True)
-class PoissonCounts:
-    """Poisson(mean) draws by inversion: `cdf` holds P(K <= k) for
-    k = 0..len-1, and the count of a uniform u is
-    `np.searchsorted(cdf, u, side="right")`.
-
-    A guide table (Chen and Asau, 1974) returns that index in O(1): bucket j
-    covers [j/G, (j+1)/G), and `guide[j]` holds the count of every u in it,
-    or -1 where a knot lies inside the bucket.  Only the uniforms that land
-    in such a bucket go through `searchsorted`.
-    """
-
-    cdf: np.ndarray
-    guide: np.ndarray
-
-    @classmethod
-    def of_mean(cls, lam: float) -> "PoissonCounts":
-        if lam < 0:
-            raise ValueError("Poisson mean must be nonnegative")
-        from scipy.special import pdtr  # the Poisson CDF; scipy loads at first use
-
-        k_max = int(lam + 40.0 * math.sqrt(lam + 1.0) + 40.0)
-        cdf = pdtr(np.arange(k_max), lam)
-        edges = np.arange(_GUIDE_SIZE + 1) / _GUIDE_SIZE
-        below = np.searchsorted(cdf, edges[:-1], side="right")   # knots <= j/G
-        inside = np.searchsorted(cdf, edges[1:], side="left") - below  # in (j/G, (j+1)/G)
-        return cls(cdf=cdf, guide=np.where(inside > 0, -1, below))
-
-    def draw(self, u: np.ndarray) -> np.ndarray:
-        """The counts of uniforms u in [0, 1)."""
-        k = self.guide[(u * _GUIDE_SIZE).astype(np.intp)]
-        fix = np.flatnonzero(k < 0)
-        if fix.size:
-            k[fix] = np.searchsorted(self.cdf, u[fix], side="right")
-        return k
+    k_max = int(lam + 40.0 * math.sqrt(lam + 1.0) + 40.0)
+    return GuideTable(pdtr(np.arange(k_max), lam))
 
 
 @dataclass(frozen=True)
@@ -121,8 +91,8 @@ class TreeParams:
     horizon: float
     s0: float
     generation: GridDensity
-    s_counts: PoissonCounts
-    i_counts: PoissonCounts
+    s_counts: GuideTable
+    i_counts: GuideTable
     node_cap: int = NODE_CAP
     model: CourseModel | None = None
 
@@ -138,8 +108,8 @@ def tree_params(kernel: IntensityKernel, ic: InitialCondition, contact: ContactR
     return TreeParams(
         ic=ic, contact=contact, horizon=horizon, s0=s0,
         generation=kernel.generation_density(),
-        s_counts=PoissonCounts.of_mean(s0 * kernel.r0),
-        i_counts=PoissonCounts.of_mean(ic.i0 * ic.r0_bar),
+        s_counts=poisson_counts(s0 * kernel.r0),
+        i_counts=poisson_counts(ic.i0 * ic.r0_bar),
         node_cap=node_cap, model=model,
     )
 
@@ -158,8 +128,8 @@ def _ragged(counts: np.ndarray):
 
 def _offspring_counts(p: TreeParams, keys: np.ndarray):
     """K_S and K_I of each node (counters 0 and 1)."""
-    return (p.s_counts.draw(keyed_u01_vec(keys, np.uint64(0))),
-            p.i_counts.draw(keyed_u01_vec(keys, np.uint64(1))))
+    return (p.s_counts.index(keyed_u01_vec(keys, np.uint64(0))),
+            p.i_counts.index(keyed_u01_vec(keys, np.uint64(1))))
 
 
 def _subtree_edges(p: TreeParams, keys: np.ndarray, k_s: np.ndarray):

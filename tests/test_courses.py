@@ -127,6 +127,20 @@ class TestPalm:
             hits = np.bincount(owner[batch.atoms == ages[owner]], minlength=batch.n)
             assert np.all(hits >= 1), type(m).__name__
 
+    @pytest.mark.parametrize("which", ["sir", "seir"])
+    def test_palm_at_a_nearly_dead_age(self, model, which, check_courses):
+        # at age 13.7 the reference intensity is 1.7e-6: the conditioning
+        # atom must still be exact and the course infectious at that age
+        m = model if which == "sir" else _seir(1.0, 1.5)
+        age = 13.7
+        batch = m.palm_courses(make_rng(47, "palm-old", which), np.full(200, age))
+        check_courses(batch, m)
+        owner = batch.owners()
+        assert np.array_equal(np.unique(owner[batch.atoms == age]), np.arange(batch.n))
+        infectious = m.compartments.index("I")
+        assert np.all(batch.entry_ages[:, infectious] <= age)
+        assert np.all(batch.entry_ages[:, infectious + 1] > age)
+
     def test_poisson_palm_forces_exact_atom(self, kernel):
         m = PoissonCourse(kernel)
         batch = m.palm_courses(make_rng(19, "palm-poisson"), [1.25])

@@ -13,7 +13,7 @@ from scipy import stats
 from epichain import (
     ContactRate, conditioned_first_step, estimate_B, sample_geodesic, tree_params,
 )
-from epichain.poisson_tree import PoissonCounts, _expand_batch
+from epichain.poisson_tree import _expand_batch, poisson_counts
 
 
 @pytest.fixture(scope="module")
@@ -48,13 +48,14 @@ class TestEstimateB:
             estimate_B(params, grid, 5_000, seed=1)
 
     @pytest.mark.parametrize("contact, want", [
-        ("unit", ("0x1.06f7f65a41276p+12", 769, 435263, 214492)),
+        ("unit", ("0x1.06f7f3561c736p+12", 769, 435265, 214491)),
         # a mark skipped or drawn twice moves sigma only where contact < 1
-        ("halved", ("0x1.10a1ab6f1f022p+9", 168, 435263, 214504)),
+        ("halved", ("0x1.10a1a9760f990p+9", 168, 435265, 214503)),
     ])
     def test_recorded_values_reproduced(self, kernel, ic, contact, want):
         # recorded as float.hex when every drawn child got its mark and key
-        # before the horizon cut
+        # before the horizon cut; re-recorded when W and Z came to invert the
+        # trapezoid CDF exactly instead of a 4096-quantile table
         rate = ContactRate.constant(1.0) if contact == "unit" else ContactRate(**HALVED)
         p = tree_params(kernel, ic, rate, horizon=8.0)
         sigma, _, expanded, pruned, _ = _expand_batch(p, 3_000, seed=871)
@@ -100,13 +101,14 @@ class TestScalarBatchParity:
 
 
 # (index, path_times as float.hex) of seed 821 at horizon 8, recorded when
-# geodesics came from a separate recursive sampler
+# geodesics came from a separate recursive sampler, and re-recorded when W and
+# Z came to invert the trapezoid CDF exactly
 RECORDED_PATHS = {
     16: ["0x1.f8d0d368ad6f6p+1", "0x1.bb0705312b954p+1", "0x1.9220e412446dap+1",
          "0x1.00cabeeb0d8aep+1", "0x1.11d1fa9efce75p+0", "-0x1.91e854b40aa79p-5"],
-    34: ["0x1.c6871998259dbp+2", "0x1.c019650ced02ap+2", "0x1.13f91d0181771p+2",
-         "0x1.f93b658220cffp+0", "0x1.8339f10973366p-3", "-0x1.6f3b2431cfd1ep-3"],
-    36: ["0x1.633d89fcdf82ep+1", "0x1.9ec39971ad63dp+0", "0x1.6a15243ec7770p+0",
+    34: ["0x1.c68713f6044dfp+2", "0x1.c0195f6acbb2ep+2", "0x1.13f919d790b27p+2",
+         "0x1.f93b58da5dbd9p+0", "0x1.8339f10973366p-3", "-0x1.6f3b2431cfd1ep-3"],
+    36: ["0x1.633d83d49926ep+1", "0x1.9ec397136c61cp+0", "0x1.6a1521e08674fp+0",
          "0x1.0c9dd1de091aep+0", "0x1.d65abd51d3864p-1", "0x1.d6b87866be278p-2",
          "-0x1.0e66420cb7c5dp-1"],
 }
@@ -170,25 +172,27 @@ class TestGeodesicPaths:
 
     def test_old_initially_infected_ancestor_is_decorated(self, params, kernel, ic,
                                                            unit_contact, model, check_courses):
-        # the last ancestor transmits at age 13.7, where the intensity is
-        # 1.7e-6: Palm courses there must not depend on seeing such a contact
+        # the oldest transmission by an initially infected ancestor among the
+        # first 1e6 roots of seed 823: age 9.90, where the intensity is 7.6e-5
+        # (TestPalm covers Palm courses at older ages directly)
         p = tree_params(kernel, ic, unit_contact, horizon=8.0, model=model)
-        one = sample_geodesic(p, seed=823, index=8462)
-        assert one.path_times[-2] - one.path_times[-1] > 13.0
+        one = sample_geodesic(p, seed=823, index=434241)
+        assert one.path_times[-2] - one.path_times[-1] > 9.89
         check_courses(one.path_courses, model)
-        _assert_palm_decoration(one, sample_geodesic(params, seed=823, index=8462))
+        _assert_palm_decoration(one, sample_geodesic(params, seed=823, index=434241))
 
     def test_recorded_courses_reproduced(self, kernel, ic, unit_contact, model):
         # recorded when each path course was its own object: the one batch
-        # must hold the same arrays, bit for bit
+        # must hold the same arrays, bit for bit (re-recorded when W and Z
+        # came to invert the trapezoid CDF exactly)
         p = tree_params(kernel, ic, unit_contact, horizon=8.0, model=model)
         courses = sample_geodesic(p, seed=823, index=8462).path_courses
         assert courses.n == 12
-        assert courses.offsets.tolist() == [0, 2, 5, 8, 13, 14, 16, 17, 19, 21, 23, 24, 50]
+        assert courses.offsets.tolist() == [0, 2, 5, 8, 13, 14, 16, 17, 19, 21, 23, 24, 42]
         assert hashlib.sha256(courses.atoms.tobytes()).hexdigest() == \
-            "6e20201e4d2631115507bcf4919b9c77b56bf5ff728f30985926f3fb118aaadd"
+            "12070e628f99cd3c68758d441f6f67fb7ba9c93ceb50f413bdcb44ded771ed51"
         assert hashlib.sha256(np.ascontiguousarray(courses.entry_ages).tobytes()).hexdigest() == \
-            "ded7a34b6697520e31050b0bdee2b3aab604aa9cbb196c5687ea8822be71fae8"
+            "3f320119258c192a3e78292a31760e6d32784c4f7cf7ff086cc1ce18750547d8"
 
 
 class TestConditionedFirstStep:
@@ -217,15 +221,16 @@ class TestConditionedFirstStep:
             conditioned_first_step(params, t, delta, 2_000, seed=833)
 
     def test_recorded_values_reproduced(self, params):
-        # recorded as float.hex when every tree was expanded to the horizon
+        # recorded as float.hex when every tree was expanded to the horizon;
+        # re-recorded when W and Z came to invert the trapezoid CDF exactly
         sample = conditioned_first_step(params, 2.0, 3.0, 4_000, seed=851)
         assert sample.n_conditioned == 301
         assert [x.hex() for x in sample.values[:3]] == [
-            "0x1.0cfd42a7bca86p+2", "0x1.fd771d0b3f624p+0", "0x1.98221f5e84dd0p+1"]
+            "0x1.0cfd421d73c0fp+2", "0x1.fd771b9497937p+0", "0x1.98221f5e84dcfp+1"]
         assert [x.hex() for x in sample.sigmas[:3]] == [
-            "0x1.2a666ce33a4a1p+2", "0x1.a742ca6e95d16p+1", "0x1.1d4d4d4520a60p+2"]
-        assert float(np.sum(sample.values)).hex() == "0x1.c504e15f81912p+9"
-        assert float(np.sum(sample.sigmas)).hex() == "0x1.1b9c68d5a9a3ep+10"
+            "0x1.2a666c58f162ap+2", "0x1.a742c9b341ea0p+1", "0x1.1d4d4d4520a60p+2"]
+        assert float(np.sum(sample.values)).hex() == "0x1.c504dfd21d026p+9"
+        assert float(np.sum(sample.sigmas)).hex() == "0x1.1b9c675ecc606p+10"
 
 
 # contact halved from t = 3, so that windows past 3 see marks rejected
@@ -271,19 +276,19 @@ class TestCensoring:
 class TestPoissonCounts:
     @pytest.mark.parametrize("mean", [0.0, 0.015, 1.485, 50.0])
     def test_guide_table_equals_searchsorted(self, mean):
-        counts = PoissonCounts.of_mean(mean)
-        knots = counts.cdf[counts.cdf < 1.0]
+        counts = poisson_counts(mean)
+        knots = counts.cum[counts.cum < 1.0]
         u = np.concatenate(([0.0, np.nextafter(1.0, 0.0)], knots,
                             np.nextafter(knots, 0.0), np.nextafter(knots, 1.0),
                             np.random.default_rng(871).random(100_000)))
         u = u[u < 1.0]  # keyed uniforms lie in [0, 1)
-        assert np.array_equal(counts.draw(u), np.searchsorted(counts.cdf, u, side="right"))
+        assert np.array_equal(counts.index(u), np.searchsorted(counts.cum, u, side="right"))
 
     def test_cdf_is_scipy_poisson_cdf_bit_for_bit(self, kernel, ic):
         # the tables are built from scipy.special.pdtr so that the package need
         # not import scipy.stats; every K_S and K_I draw rests on this equality
         reference = [(1.0 - ic.i0) * kernel.r0, ic.i0 * ic.r0_bar]
         for mean in np.concatenate((np.arange(3001) * 0.01, reference, [1e-6, 123.4])):
-            cdf = PoissonCounts.of_mean(mean).cdf
+            cdf = poisson_counts(mean).cum
             assert cdf.tobytes() == stats.poisson.cdf(np.arange(cdf.size), mean).tobytes(), mean
 
