@@ -1,18 +1,15 @@
-"""Tabulated densities on uniform grids, and `GuideTable`, the one inversion
-behind every draw from a tabulated law: the dual tree's Poisson counts, the
-kernel's `inverse_cumulative` and `GridDensity.ppf_from_uniform`.  Its index
-is exactly `searchsorted` on the table and its inverse that of the table's
-linear interpolant, so draws follow the cell-constant law of the trapezoid
-CDF out to its last cell of positive mass.
-"""
+"""Tabulated densities on uniform grids, and `GuideTable`, the one exact
+inversion behind every tabulated draw: the dual tree's Poisson counts,
+`IntensityKernel.inverse_cumulative` and `GridDensity.ppf_from_uniform`, which
+so follow the cell law of the trapezoid CDF out to its last cell of mass."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-# buckets of every guide table; the guide's int32 entries take 256 KiB
 GUIDE_BUCKETS = 1 << 16
 
 
@@ -20,53 +17,52 @@ class GuideTable:
     """A nondecreasing table `cum` with an O(1) index lookup (a guide table,
     Chen and Asau, 1974) and, on the uniform grid `grid`, its inverse.
 
-    The value c falls into bucket min(max(c * scale, 0), G - 1), truncated,
-    with scale = G / cum[-1]; the knots are bucketed by the same expression.
-    That map is monotone in c, so every c in a bucket that holds no knot has
-    one index, the number of knots in earlier buckets, which the guide
-    stores.  A bucket that holds a knot stores -1, and its values go through
-    `searchsorted`.  The index is therefore exact at every scale of `cum`.
+    c and the knots fall into bucket max(trunc(min(c * G / cum[-1], G - 1)), 0).
+    The map is monotone, so a bucket without knots stores the one index of all
+    its c; a bucket with a knot stores -1 and sends its c to `searchsorted`.
+    The index is thus exact at every scale of `cum`.
     """
 
     def __init__(self, cum: np.ndarray, grid: np.ndarray | None = None):
         self.cum = cum
-        self.grid = grid
-        self.step = None if grid is None else float(grid[1] - grid[0])
         self._scale = GUIDE_BUCKETS / cum[-1] if cum[-1] > 0 else 0.0
-        counts = np.bincount(self._bucket(cum), minlength=GUIDE_BUCKETS)
-        self._guide = np.where(counts > 0, -1, np.cumsum(counts) - counts).astype(np.int32)
-        self._width = np.maximum(np.diff(cum), 1e-300)
-
-    def _bucket(self, c: np.ndarray) -> np.ndarray:
-        b = c * self._scale
-        np.fmax(b, 0.0, out=b)
+        b = cum * self._scale
         np.fmin(b, GUIDE_BUCKETS - 1, out=b)
-        return b.astype(np.intp)
+        counts = np.bincount(np.maximum(b.astype(np.intp), 0), minlength=GUIDE_BUCKETS)
+        self._guide = np.where(counts > 0, -1, np.cumsum(counts) - counts).astype(np.int32)
+        if grid is not None:
+            # cell j = k - 1 of each index k, clipped to the table
+            j = np.clip(np.arange(cum.size + 1) - 1, 0, cum.size - 2)
+            self._lo, self._x0, self.step = cum[j], grid[j], float(grid[1] - grid[0])
+            self._width = np.maximum(cum[j + 1] - cum[j], 1e-300)
 
-    def index(self, c) -> np.ndarray:
-        """`np.searchsorted(cum, c, side="right")`: the number of knots <= c."""
-        c = np.asarray(c, dtype=float)
-        flat = c.reshape(-1)
-        k = self._bucket(flat)
-        k[:] = self._guide.take(k)
+    def _lookup(self, c: np.ndarray):
+        """The index of each c of a flat array, and a spare float buffer."""
+        b = c * self._scale
+        # fmin sends NaN to the last bucket, which always holds cum[-1], so
+        # NaN goes through searchsorted as it would without the guide
+        np.fmin(b, GUIDE_BUCKETS - 1, out=b)
+        k = b.astype(np.intp)
+        k[:] = self._guide.take(k, mode="clip")  # clip: negative buckets to 0
         fix = np.flatnonzero(k < 0)
         if fix.size:
-            k[fix] = np.searchsorted(self.cum, flat[fix], side="right")
-        return k.reshape(c.shape)
+            k[fix] = np.searchsorted(self.cum, c[fix], side="right")
+        return k, b
+
+    def index(self, c: np.ndarray) -> np.ndarray:
+        """`np.searchsorted(cum, c, side="right")` for a 1-D array c."""
+        return self._lookup(c)[0]
 
     def inverse(self, c) -> np.ndarray:
         """The x with cum(x) = c on the linear interpolant of the table: in
         the cell j that holds c, grid[j] + (c - cum[j]) / width[j] * step."""
         c = np.asarray(c, dtype=float)
         flat = c.reshape(-1)
-        j = self.index(flat)
-        j -= 1
-        np.clip(j, 0, self.cum.size - 2, out=j)
-        x = self.cum.take(j)
-        np.subtract(flat, x, out=x)
-        x /= self._width.take(j)
+        k, buf = self._lookup(flat)
+        x = np.subtract(flat, self._lo.take(k, out=buf, mode="clip"))
+        x /= self._width.take(k, out=buf, mode="clip")
         x *= self.step
-        x += self.grid.take(j)
+        x += self._x0.take(k, out=buf, mode="clip")
         return x.reshape(c.shape)
 
 
@@ -90,7 +86,6 @@ class GridDensity:
     grid: np.ndarray
     values: np.ndarray
     total: float = field(init=False)
-    _cdf: GuideTable = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         grid = np.asarray(self.grid, dtype=float)
@@ -104,16 +99,18 @@ class GridDensity:
             raise ValueError("grid must be uniform")
         if np.any(values < 0):
             raise ValueError("density values must be nonnegative")
-        raw_cdf = cumulative_trapezoid(grid, values)
-        total = float(raw_cdf[-1])
+        total = float(cumulative_trapezoid(grid, values)[-1])
         if not np.isfinite(total) or total <= 0.0:
             raise ValueError("density must have positive finite mass on the grid")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "total", total)
-        cdf = raw_cdf / total
+
+    @cached_property
+    def _cdf(self) -> GuideTable:  # built at the first draw
+        cdf = cumulative_trapezoid(self.grid, self.values) / self.total
         cdf[-1] = 1.0
-        object.__setattr__(self, "_cdf", GuideTable(cdf, grid))
+        return GuideTable(cdf, self.grid)
 
     @property
     def step(self) -> float:

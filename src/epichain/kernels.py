@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -116,7 +117,6 @@ class IntensityKernel:
         if np.any(self.table < 0) or not np.all(np.isfinite(self.table)):
             raise ValueError("intensity values must be finite and nonnegative")
         self._cum = cumulative_trapezoid(self.ages, self.table)
-        self._cum_table = GuideTable(self._cum, self.ages)
 
     @property
     def step(self) -> float:
@@ -137,6 +137,10 @@ class IntensityKernel:
     def cumulative(self, a) -> np.ndarray:
         """integral of tau over [0, a], tabulated (flat beyond the grid)."""
         return np.interp(a, self.ages, self._cum, left=0.0, right=float(self._cum[-1]))
+
+    @cached_property
+    def _cum_table(self) -> GuideTable:  # built at the first inversion
+        return GuideTable(self._cum, self.ages)
 
     def inverse_cumulative(self, c) -> np.ndarray:
         """The age a with cumulative(a) = c, for c in [0, grid_mass): the

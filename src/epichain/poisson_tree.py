@@ -47,9 +47,8 @@ only a subtree child with depth + W <= H gets its mark and its key, and only
 a leaf edge with depth + Wbar <= H gets its mark.  Since a draw depends only
 on (key, counter), skipping the others leaves the layout above, and every
 draw that is made, as it would be if all were made.  K_S and K_I invert the
-Poisson CDF through the same guide table (`densities.GuideTable`) as every
-edge length W and initial age Z, which returns exactly the index of
-`searchsorted` on that CDF.
+Poisson CDF through `densities.GuideTable`, as every W and Z inverts its own
+CDF; its index is exactly that of `searchsorted` on the CDF.
 """
 
 from __future__ import annotations
