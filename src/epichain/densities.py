@@ -1,7 +1,7 @@
 """Tabulated densities on uniform grids, and `GuideTable`, the one exact
-inversion behind every tabulated draw: the dual tree's Poisson counts,
-`IntensityKernel.inverse_cumulative` and `GridDensity.ppf_from_uniform`, which
-so follow the cell law of the trapezoid CDF out to its last cell of mass."""
+inversion behind every tabulated draw (the dual tree's Poisson counts,
+`IntensityKernel.inverse_cumulative`, `GridDensity.ppf_from_uniform`): draws
+follow the cell law of the trapezoid CDF out to its last cell of mass."""
 
 from __future__ import annotations
 

@@ -167,7 +167,7 @@ class TestRecordedValues:
     """Recorded float.hex values: the killed-chain diagnostics must keep
     their random stream and arithmetic, so they reproduce these bitwise.
     Re-recorded when the backward jumps came to invert the trapezoid CDF
-    exactly instead of a 4096-quantile table."""
+    exactly."""
 
     def test_martingale(self, sol):
         rep = martingale_diagnostic(5.0, sol, 1_000, k_max=3, seed=91)

@@ -55,7 +55,7 @@ class TestEstimateB:
     def test_recorded_values_reproduced(self, kernel, ic, contact, want):
         # recorded as float.hex when every drawn child got its mark and key
         # before the horizon cut; re-recorded when W and Z came to invert the
-        # trapezoid CDF exactly instead of a 4096-quantile table
+        # trapezoid CDF exactly
         rate = ContactRate.constant(1.0) if contact == "unit" else ContactRate(**HALVED)
         p = tree_params(kernel, ic, rate, horizon=8.0)
         sigma, _, expanded, pruned, _ = _expand_batch(p, 3_000, seed=871)
