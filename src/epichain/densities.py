@@ -17,18 +17,18 @@ class GuideTable:
     """A nondecreasing table `cum` with an O(1) index lookup (a guide table,
     Chen and Asau, 1974) and, on the uniform grid `grid`, its inverse.
 
-    c and the knots fall into bucket max(trunc(min(c * G / cum[-1], G - 1)), 0).
-    The map is monotone, so a bucket without knots stores the one index of all
-    its c; a bucket with a knot stores -1 and sends its c to `searchsorted`.
-    The index is thus exact at every scale of `cum`.
+    c and the knots fall into bucket trunc(c * G / cum[-1]) clipped to
+    [0, G - 1], a map monotone in c (for |c| * G / cum[-1] < 2^63), so a bucket
+    without knots stores the one index of all its c; a bucket with a knot
+    stores -1 and sends its c to `searchsorted`.  The index is thus exact at
+    every scale of `cum`.
     """
 
     def __init__(self, cum: np.ndarray, grid: np.ndarray | None = None):
         self.cum = cum
         self._scale = GUIDE_BUCKETS / cum[-1] if cum[-1] > 0 else 0.0
-        b = cum * self._scale
-        np.fmin(b, GUIDE_BUCKETS - 1, out=b)
-        counts = np.bincount(np.maximum(b.astype(np.intp), 0), minlength=GUIDE_BUCKETS)
+        knots = np.clip((cum * self._scale).astype(np.intp), 0, GUIDE_BUCKETS - 1)
+        counts = np.bincount(knots, minlength=GUIDE_BUCKETS)
         self._guide = np.where(counts > 0, -1, np.cumsum(counts) - counts).astype(np.int32)
         if grid is not None:
             # cell j = k - 1 of each index k, clipped to the table
@@ -39,11 +39,8 @@ class GuideTable:
     def _lookup(self, c: np.ndarray):
         """The index of each c of a flat array, and a spare float buffer."""
         b = c * self._scale
-        # fmin sends NaN to the last bucket, which always holds cum[-1], so
-        # NaN goes through searchsorted as it would without the guide
-        np.fmin(b, GUIDE_BUCKETS - 1, out=b)
         k = b.astype(np.intp)
-        k[:] = self._guide.take(k, mode="clip")  # clip: negative buckets to 0
+        k[:] = self._guide.take(k, mode="clip")  # clipped as the knots' buckets
         fix = np.flatnonzero(k < 0)
         if fix.size:
             k[fix] = np.searchsorted(self.cum, c[fix], side="right")
