@@ -232,7 +232,8 @@ def _lln_check(devs: np.ndarray, counts: str) -> ComparisonReport:
 def _tree_nodes(result) -> str:
     """The work counts of an `estimate_B` or `conditioned_first_step` run."""
     return (f"{result.n_samples} trees: nodes expanded {result.nodes_expanded}, "
-            f"pruned {result.nodes_pruned}, max depth {result.max_depth}")
+            f"pruned {result.nodes_pruned}, max depth {result.max_depth}, "
+            f"{result.chunks} chunks of at most {result.max_chunk_nodes} nodes")
 
 
 def _tree_checks(shared: SharedReferences, contact: ContactRate, sol, tag: str):

@@ -41,7 +41,7 @@ class GuideTable:
         b = c * self._scale
         k = b.astype(np.intp)
         k[:] = self._guide.take(k, mode="clip")  # clipped as the knots' buckets
-        fix = np.flatnonzero(k < 0)
+        fix = (k < 0).nonzero()[0]
         if fix.size:
             k[fix] = np.searchsorted(self.cum, c[fix], side="right")
         return k, b

@@ -61,13 +61,13 @@ def check_count(name: str, value, minimum: int) -> int:
 
 def _mix64(z: np.ndarray) -> np.ndarray:
     """splitmix64 finalizer, bijective on 64-bit integers; mixes the caller's
-    fresh uint64 array in place and returns it."""
-    with np.errstate(over="ignore"):
-        z ^= z >> np.uint64(30)
-        z *= _M1
-        z ^= z >> np.uint64(27)
-        z *= _M2
-        z ^= z >> np.uint64(31)
+    fresh uint64 array in place and returns it.  Callers silence the overflow
+    warnings of 0-d input (`np.errstate(over="ignore")`)."""
+    z ^= z >> np.uint64(30)
+    z *= _M1
+    z ^= z >> np.uint64(27)
+    z *= _M2
+    z ^= z >> np.uint64(31)
     return z
 
 

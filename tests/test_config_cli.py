@@ -3,6 +3,7 @@
 import hashlib
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -188,8 +189,8 @@ class TestCli:
 
     def test_tree_past_node_cap_names_remedies(self, tmp_path, capsys):
         # at the built-in horizon of 25 the supercritical tree outgrows the node
-        # cap; a lower cap reaches the same error without the ~2.5 GiB the
-        # default cap builds first
+        # cap; a lower cap reaches the same error in fewer nodes (the default
+        # cap's run is test_tree_past_default_node_cap_stays_small)
         rc = main(["tree", "--samples", "2000", "--node-cap", "1000", "--out", str(tmp_path)])
         assert rc == 1
         err = capsys.readouterr().err
@@ -197,6 +198,23 @@ class TestCli:
         assert "--horizon" in err and "--node-cap" in err
         assert "Traceback" not in err
         assert not (tmp_path / "tree.csv").exists()
+
+    def test_tree_past_default_node_cap_stays_small(self, tmp_path, capsys):
+        # the cap trips in the first chunk of a few hundred samples, before the
+        # runaway level's keys are drawn: about 250 MiB traced, where 2048-sample
+        # chunks of 56-byte nodes traced 2.27 GiB before the same error
+        tracemalloc.start()
+        try:
+            rc = main(["tree", "--samples", "2000", "--out", str(tmp_path)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: node cap 150000 exceeded")
+        assert "Traceback" not in err
+        assert not (tmp_path / "tree.csv").exists()
+        assert peak < 512 * 2**20
 
     def test_chain_modes(self, tmp_path):
         for mode, name in [("renewal", "chain_renewal.csv"),

@@ -5,6 +5,7 @@ time it reads."""
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from scipy import stats
 from epichain import (
     ContactRate, conditioned_first_step, estimate_B, sample_geodesic, tree_params,
 )
+from epichain import poisson_tree
 from epichain.poisson_tree import _expand_batch, poisson_counts
 
 
@@ -58,9 +60,10 @@ class TestEstimateB:
         # trapezoid CDF exactly
         rate = ContactRate.constant(1.0) if contact == "unit" else ContactRate(**HALVED)
         p = tree_params(kernel, ic, rate, horizon=8.0)
-        sigma, _, expanded, pruned, _ = _expand_batch(p, 3_000, seed=871)
+        sigma, _, work = _expand_batch(p, 3_000, seed=871)
         finite = sigma[np.isfinite(sigma)]
-        assert (float(np.sum(finite)).hex(), finite.size, expanded, pruned) == want
+        assert (float(np.sum(finite)).hex(), finite.size, work["nodes_expanded"],
+                work["nodes_pruned"]) == want
 
     def test_max_depth_is_the_deepest_tree(self, kernel, ic, unit_contact):
         p = tree_params(kernel, ic, unit_contact, horizon=5.0)
@@ -76,13 +79,57 @@ class TestEstimateB:
         with pytest.raises(RuntimeError):
             estimate_B(tight, [2.0], 2_000, seed=3)
 
+    @pytest.mark.parametrize("cap", [1.5, 0, True, "100"])
+    def test_rejects_bad_node_cap(self, kernel, ic, unit_contact, cap):
+        with pytest.raises(ValueError, match="node_cap"):
+            tree_params(kernel, ic, unit_contact, horizon=8.0, node_cap=cap)
+
+    def test_rejects_grid_that_is_not_1d(self, params):
+        with pytest.raises(ValueError, match="t_grid must be 1-D"):
+            estimate_B(params, [[1.0, 2.0]], 5_000, seed=1)
+
+    @pytest.mark.parametrize("contact", ["unit", "halved"])
+    def test_memory_stays_within_a_chunk(self, kernel, ic, contact):
+        # node-budget chunks of 20-28-byte nodes: about 8-10 MiB traced, where
+        # 2048-sample chunks of 56-byte nodes traced 45-49 MiB
+        rate = ContactRate.constant(1.0) if contact == "unit" else ContactRate(**HALVED)
+        p = tree_params(kernel, ic, rate, horizon=10.0)
+        tracemalloc.start()
+        try:
+            curve = estimate_B(p, [2.0, 5.0, 10.0], 10_000, seed=874)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert curve.chunks > 1
+        assert peak < 20 * 2**20
+
+
+class TestChunking:
+    """Chunk sizes never change a draw: every output of a batch is the same
+    at the default node budget and at one so small that a chunk holds a few
+    samples."""
+
+    @pytest.mark.parametrize("contact", ["unit", "halved"])
+    def test_outputs_do_not_depend_on_the_budget(self, kernel, ic, contact, monkeypatch):
+        rate = ContactRate.constant(1.0) if contact == "unit" else ContactRate(**HALVED)
+        p = tree_params(kernel, ic, rate, horizon=8.0)
+        sigma, first, work = _expand_batch(p, 3_000, seed=881, want_first_step=True)
+        monkeypatch.setattr(poisson_tree, "_NODE_BUDGET", 3_000)
+        small_sigma, small_first, small = _expand_batch(p, 3_000, seed=881, want_first_step=True)
+        assert np.array_equal(small_sigma, sigma)
+        assert np.array_equal(small_first, first, equal_nan=True)
+        for key in ("nodes_expanded", "nodes_pruned", "max_depth"):
+            assert small[key] == work[key], key
+        assert work["chunks"] < 10 < 100 < small["chunks"]
+        assert small["max_chunk_nodes"] < work["max_chunk_nodes"]
+
 
 class TestScalarBatchParity:
     """A geodesic drawn for (seed, index) agrees bitwise with the batched
     estimators' draw for the same root."""
 
     def test_sigma_bitwise_equal(self, params):
-        batch, _, _, _, _ = _expand_batch(params, 64, seed=811)
+        batch, _, _ = _expand_batch(params, 64, seed=811)
         for i in range(64):
             one = sample_geodesic(params, seed=811, index=i)
             if one.censored:
@@ -91,7 +138,7 @@ class TestScalarBatchParity:
                 assert one.sigma == batch[i]
 
     def test_first_step_matches_path(self, params):
-        _, first, _, _, _ = _expand_batch(params, 64, seed=811, want_first_step=True)
+        _, first, _ = _expand_batch(params, 64, seed=811, want_first_step=True)
         for i in range(64):
             one = sample_geodesic(params, seed=811, index=i)
             if one.censored:
@@ -150,8 +197,8 @@ class TestGeodesicPaths:
         counts = sample_geodesic(params, seed=821, index=34)
         assert (counts.nodes_expanded, counts.nodes_pruned, counts.max_depth) == (22, 7, 6)
 
-    @pytest.mark.parametrize("index", [-1, 2.7, True, np.float64(2.0)],
-                             ids=["-1", "2.7", "True", "float64"])
+    @pytest.mark.parametrize("index", [-1, 2.7, True, np.float64(2.0), 2**64],
+                             ids=["-1", "2.7", "True", "float64", "2**64"])
     def test_rejects_negative_index(self, params, index):
         # a non-integer index must not quietly select tree int(index)
         with pytest.raises(ValueError, match="index"):
@@ -251,14 +298,15 @@ class TestCensoring:
         rate = ContactRate.constant(1.0) if contact == "unit" else ContactRate(**HALVED)
         p = tree_params(kernel, ic, rate, horizon=8.0)
         sample = conditioned_first_step(p, t, delta, n, seed=861)
-        sigma, first, expanded, pruned, _ = _expand_batch(p, n, seed=861, want_first_step=True)
+        sigma, first, work = _expand_batch(p, n, seed=861, want_first_step=True)
         sel = (sigma >= t) & (sigma <= t + delta)
         assert np.array_equal(sample.sigmas, sigma[sel])
         assert np.array_equal(sample.values, first[sel])
         if t + delta < p.horizon:
-            assert sample.nodes_expanded < expanded
+            assert sample.nodes_expanded < work["nodes_expanded"]
         else:
-            assert (sample.nodes_expanded, sample.nodes_pruned) == (expanded, pruned)
+            assert (sample.nodes_expanded, sample.nodes_pruned) == \
+                (work["nodes_expanded"], work["nodes_pruned"])
 
     @pytest.mark.parametrize("contact", ["unit", "halved"])
     def test_estimate_B_matches_full_horizon(self, kernel, ic, contact):
@@ -266,11 +314,11 @@ class TestCensoring:
         p = tree_params(kernel, ic, rate, horizon=8.0)
         grid = np.array([1.0, 3.0, 6.0])
         curve = estimate_B(p, grid, 5_000, seed=862)
-        sigma, _, expanded, _, _ = _expand_batch(p, 5_000, seed=862)
+        sigma, _, work = _expand_batch(p, 5_000, seed=862)
         frac = (sigma[:, None] <= grid[None, :]).mean(axis=0)
         assert np.array_equal(curve.estimate, p.s0 * frac)
         assert np.array_equal(curve.se, p.s0 * np.sqrt(frac * (1.0 - frac) / 5_000))
-        assert curve.nodes_expanded < expanded
+        assert curve.nodes_expanded < work["nodes_expanded"]
 
 
 class TestPoissonCounts:
