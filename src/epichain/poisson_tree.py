@@ -60,9 +60,9 @@ only a subtree child with depth + W <= H gets its mark and its key, and only
 a leaf edge with depth + Wbar <= H gets its mark (marks only where c < 1
 somewhere).  Since a draw depends only on (key, counter), skipping the others
 leaves the layout above, and every draw that is made, as it would be if all
-were made.  K_S and K_I invert the
-Poisson CDF through `densities.GuideTable`, as every W and Z inverts its own
-CDF; its index is exactly that of `searchsorted` on the CDF.
+were made.  K_S and K_I invert the Poisson CDF through `densities.GuideTable`,
+as every W and Z inverts its own CDF; its index is exactly that of
+`searchsorted` on the CDF.
 """
 
 from __future__ import annotations

@@ -120,7 +120,7 @@ class TestChunking:
         assert np.array_equal(small_first, first, equal_nan=True)
         for key in ("nodes_expanded", "nodes_pruned", "max_depth"):
             assert small[key] == work[key], key
-        assert work["chunks"] < 10 < 100 < small["chunks"]
+        assert work["chunks"] < 10 and small["chunks"] > 100  # a few samples a chunk
         assert small["max_chunk_nodes"] < work["max_chunk_nodes"]
 
 
