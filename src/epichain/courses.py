@@ -127,9 +127,8 @@ class MarkovSIR(CourseModel):
 
     def __init__(self, beta: float, gamma: float, step: float = 0.01,
                  a_max: float | None = None):
-        self.beta = float(beta)
-        self.gamma = float(gamma)
         self.kernel = ExponentialKernel(beta, gamma, step=step, a_max=a_max)
+        self.beta, self.gamma = self.kernel.beta, self.kernel.gamma
         self.compartments = ("I", "R")
 
     def _sample(self, rng: np.random.Generator, n: int) -> CourseBatch:
@@ -162,10 +161,9 @@ class MarkovSEIR(CourseModel):
 
     def __init__(self, beta: float, activation: float, recovery: float,
                  step: float = 0.01, a_max: float | None = None):
-        self.beta = float(beta)
-        self.activation = float(activation)
-        self.recovery = float(recovery)
         self.kernel = LatentExponentialKernel(beta, activation, recovery, step=step, a_max=a_max)
+        self.beta, self.activation, self.recovery = (
+            self.kernel.beta, self.kernel.activation, self.kernel.recovery)
         self.compartments = ("E", "I", "R")
 
     def _sample(self, rng: np.random.Generator, n: int) -> CourseBatch:

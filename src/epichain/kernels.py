@@ -18,6 +18,7 @@ uniform age grid, which is what the quadrature-based solvers consume.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -31,6 +32,20 @@ _MALTHUS_BRACKET = (-5.0, 5.0)  # growth rates searched by the Malthusian bisect
 _MALTHUS_TOL = 1e-10
 _MALTHUS_MAX_ITER = 200
 _BACKWARD_DENSITY_TOL = 1e-6  # largest |L(alpha) - 1| a backward density may keep
+
+
+def _check_real(name: str, value, *, positive: bool) -> float:
+    """`value` as a float; a ValueError naming `name` when it is a bool, not
+    a real number, not finite, or negative (or zero, when `positive`).  The
+    kernel and initial-condition constructors check their parameters with it
+    before any array is built."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    value = float(value)
+    if not math.isfinite(value) or value < 0.0 or (positive and value == 0.0):
+        raise ValueError(f"{name} must be finite and {'positive' if positive else 'nonnegative'}, "
+                         f"got {value}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -107,8 +122,8 @@ class IntensityKernel:
     r0: float
 
     def _init_grid(self, step: float, a_max: float) -> None:
-        if step <= 0:
-            raise ValueError("age step must be positive")
+        step = _check_real("step", step, positive=True)
+        a_max = _check_real("a_max", a_max, positive=True)
         if a_max <= step:
             raise ValueError("a_max must exceed the age step")
         n = int(round(a_max / step))
@@ -166,13 +181,11 @@ class ExponentialKernel(IntensityKernel):
 
     def __init__(self, beta: float, gamma: float, step: float = DEFAULT_AGE_STEP,
                  a_max: float | None = None):
-        if beta < 0 or gamma <= 0:
-            raise ValueError("require beta >= 0 and gamma > 0")
-        self.beta = float(beta)
-        self.gamma = float(gamma)
+        self.beta = _check_real("beta", beta, positive=False)
+        self.gamma = _check_real("gamma", gamma, positive=True)
         self.r0 = self.beta / self.gamma
         if a_max is None:
-            a_max = GENERATION_TIME_SPAN / gamma
+            a_max = GENERATION_TIME_SPAN / self.gamma
         self._init_grid(step, a_max)
 
     def value(self, a) -> np.ndarray:
@@ -192,16 +205,14 @@ class LatentExponentialKernel(IntensityKernel):
 
     def __init__(self, beta: float, activation: float, recovery: float,
                  step: float = DEFAULT_AGE_STEP, a_max: float | None = None):
-        if beta < 0 or activation <= 0 or recovery <= 0:
-            raise ValueError("require beta >= 0, activation > 0, recovery > 0")
-        if activation == recovery:
+        self.beta = _check_real("beta", beta, positive=False)
+        self.activation = _check_real("activation", activation, positive=True)
+        self.recovery = _check_real("recovery", recovery, positive=True)
+        if self.activation == self.recovery:
             raise ValueError("equal activation and recovery rates are not supported")
-        self.beta = float(beta)
-        self.activation = float(activation)
-        self.recovery = float(recovery)
         self.r0 = self.beta / self.recovery
         if a_max is None:
-            a_max = GENERATION_TIME_SPAN * (1.0 / activation + 1.0 / recovery)
+            a_max = GENERATION_TIME_SPAN * (1.0 / self.activation + 1.0 / self.recovery)
         self._init_grid(step, a_max)
 
     def value(self, a) -> np.ndarray:
@@ -353,7 +364,8 @@ class InitialCondition:
 
     def __post_init__(self) -> None:
         if not 0.0 < self.i0 < 1.0:
-            raise ValueError("initial infection probability must lie in (0, 1)")
+            raise ValueError("initial infection probability i0 must lie in (0, 1), "
+                             f"got {self.i0!r}")
         tb = bar_tau(self.kernel, self.age_density)
         object.__setattr__(self, "tau_bar", tb)
         object.__setattr__(self, "r0_bar", tb.r0)
@@ -386,6 +398,7 @@ def initial_condition(kernel: IntensityKernel, i0: float, *, age_rate: float | N
     if (age_rate is None) == (age_density is None):
         raise ValueError("give exactly one of age_rate or age_density")
     if age_rate is not None:
+        age_rate = _check_real("age_rate", age_rate, positive=True)
         age_density = exponential_age_density(age_rate, kernel.step, kernel.a_max)
     return InitialCondition(i0=i0, age_density=age_density, kernel=kernel, age_rate=age_rate)
 

@@ -14,11 +14,12 @@ s <= c(candidate), the candidate value being the calendar time of that
 transmission.  B(t) = (1-I0) P(sigma <= t) solves the same delay equation as
 the macroscopic cumulative incidence, which is what `estimate_B` exploits.
 
-One sampler serves every question.  It expands a chunk of trees a
-generation at a time and folds the minima back up; when a question needs the
-chain behind sigma (the first backward step, or the whole geodesic), a
-top-down walk then follows each node's argmin edge from the root to the
-initially infected individual at the end of the chain.
+One driver over an array of root indices serves every sampler.  It expands
+a chunk of trees a generation at a time and folds the minima back up; given
+a sigma window, a top-down walk then follows each windowed tree's argmin
+edges from the root to the initially infected individual at the end of its
+chain.  `estimate_B` reads only sigma, `conditioned_first_step` the paths'
+first step, and `sample_geodesic` is the one-index case.
 
 Memory is bounded by a node budget.  A finished level keeps only what the
 fold and the walk read: each node's minimum i_min, the length W and mark s of
@@ -285,84 +286,109 @@ def _first_per_owner(idx: np.ndarray, owner: np.ndarray) -> np.ndarray:
     return idx[first]
 
 
-def _walk(contact: ContactRate, levels: list[_Level]):
-    """Follow every finite sample's argmin edges down from its root.
+def _walk(contact: ContactRate, levels: list[_Level], rows: np.ndarray):
+    """Follow the argmin edges down from the roots `rows` (ascending) of a
+    chunk until every path has ended.
 
-    Yields one (samples, times, ages) triple of arrays per generation: the
-    infection time of each sample's next individual up the chain (-Z once it
-    is an initially infected individual, which ends that sample's path) and
-    the age at which that individual transmitted.  A tie goes to a leaf
-    edge, then to the lowest slot, the order of the per-node draws.  `rows`
-    (ascending) are the paths' nodes in the current level, and `owners` the
-    samples they belong to.
+    Returns (times, ages), row i for root rows[i], NaN past its path's end:
+    times[i, k] is the infection time of the k-th individual up the chain
+    (sigma first, -Z last, where an initially infected individual ends it),
+    and ages[i, k] the age at which individual k + 1 transmitted to k.  A tie
+    goes to a leaf edge, then to the lowest slot, the order of the per-node
+    draws.  `rows` are the paths' nodes in the current level, and `owners`
+    the paths they belong to.
     """
-    rows = owners = np.flatnonzero(np.isfinite(levels[0].i_min))
-    for k, lev in enumerate(levels):
-        if rows.size == 0:
-            return
+    times = np.full((rows.size, len(levels) + 1), np.nan)
+    ages = np.full((rows.size, len(levels)), np.nan)
+    times[:, 0] = levels[0].i_min[rows]
+    owners, depth = np.arange(rows.size), 0
+    while rows.size:
+        lev = levels[depth]
         on_path = np.zeros(lev.i_min.size, dtype=bool)
         on_path[rows] = True
         hit = on_path[lev.leaf_row] & (lev.leaf_val == lev.i_min[lev.leaf_row])
         leaf = _first_per_owner(np.flatnonzero(hit), lev.leaf_row)
         ended = lev.leaf_row[leaf]
         on_path[ended] = False
-        samples = owners[np.searchsorted(rows, ended)]
-        times = -lev.leaf_z[leaf]
-        ages = lev.leaf_val[leaf] + lev.leaf_z[leaf]
-        if k + 1 < len(levels):
-            child = levels[k + 1]
-            sel = np.flatnonzero(on_path[child.parent_row])
-            cand = _candidates(contact, child, sel)
-            nxt = _first_per_owner(sel[cand == lev.i_min[child.parent_row[sel]]],
-                                   child.parent_row)
-            owners = owners[np.searchsorted(rows, child.parent_row[nxt])]
-            rows = nxt
-            samples = np.concatenate((samples, owners))
-            times = np.concatenate((times, child.i_min[rows]))
-            ages = np.concatenate((ages, child.edge_w[rows]))
-        yield samples, times, ages
+        paths = owners[np.searchsorted(rows, ended)]
+        times[paths, depth + 1] = -lev.leaf_z[leaf]
+        ages[paths, depth] = lev.leaf_val[leaf] + lev.leaf_z[leaf]
+        depth += 1
+        if depth == len(levels):
+            break
+        child = levels[depth]
+        sel = np.flatnonzero(on_path[child.parent_row])
+        cand = _candidates(contact, child, sel)
+        nxt = _first_per_owner(sel[cand == lev.i_min[child.parent_row[sel]]], child.parent_row)
+        owners = owners[np.searchsorted(rows, child.parent_row[nxt])]
+        rows = nxt
+        times[owners, depth] = child.i_min[rows]
+        ages[owners, depth - 1] = child.edge_w[rows]
+    return times[:, :depth + 1], ages[:, :depth]
 
 
-def _expand_batch(p: TreeParams, n_samples: int, seed: int, want_first_step: bool = False):
-    """sigma (and the first backward time) of samples 0..n_samples-1 of the
-    seed, censored at `p.horizon`, with the work done: nodes expanded and
-    pruned, the deepest level reached, the number of chunks and the most
-    nodes in one chunk (the fields `DualCurve` and `FirstStepSample` report).
+def _stack(blocks) -> np.ndarray:
+    """The chunks' path matrices one under the other, NaN-padded to the widest."""
+    if len(blocks) == 1:
+        return blocks[0]
+    width = max(b.shape[1] for b in blocks)
+    return np.concatenate([np.pad(b, ((0, 0), (0, width - b.shape[1])), constant_values=np.nan)
+                           for b in blocks])
 
-    Chunks are sized by `_NODE_BUDGET` (see the module docstring); since a
-    draw depends only on its node's key, the sizes never change an output.
+
+@dataclass(frozen=True)
+class TreeWork:
+    """The work behind a tree result: nodes expanded and pruned over all its
+    samples, the deepest generation any of them reached, and the number of
+    chunks they ran in, with the most nodes in one chunk."""
+
+    nodes_expanded: int
+    nodes_pruned: int
+    max_depth: int
+    chunks: int
+    max_chunk_nodes: int
+
+
+def _expand_batch(p: TreeParams, indices: np.ndarray, seed: int, window=None):
+    """(sigma, times, ages, work) of the trees at positions `indices` of the
+    seed's stream, censored at `p.horizon`, with a sigma per index.
+
+    Given a sigma `window` (lo, hi), times and ages hold the paths (see
+    `_walk`) of the trees whose sigma lies in [lo, hi], in index order and
+    NaN-padded to the longest; without one they are None.  Chunks are sized
+    by `_NODE_BUDGET` (see the module docstring); since a draw depends only
+    on its node's key, the sizes never change an output.
     """
-    sigma = np.empty(n_samples)
-    first = np.full(n_samples, np.nan) if want_first_step else None
-    work = dict(nodes_expanded=0, nodes_pruned=0, max_depth=0, chunks=0, max_chunk_nodes=0)
+    sigma = np.empty(indices.size)
+    nodes, pruned, max_depth, paths = [], 0, 0, []
     lo, size = 0, max(1, _NODE_BUDGET // 1000)  # until measured, guess 1000 nodes per sample
-    while lo < n_samples:
-        hi = min(lo + size, n_samples)
-        keys = root_key_vec(seed, np.arange(lo, hi, dtype=np.uint64))
-        levels, expanded, pruned = _expand_chunk(p, keys)
+    while lo < indices.size:
+        hi = min(lo + size, indices.size)
+        levels, expanded, cut = _expand_chunk(p, root_key_vec(seed, indices[lo:hi]))
         sigma[lo:hi] = levels[0].i_min
-        work["nodes_expanded"] += expanded
-        work["nodes_pruned"] += pruned
-        work["max_depth"] = max(work["max_depth"], len(levels) - 1)
-        work["chunks"] += 1
-        work["max_chunk_nodes"] = max(work["max_chunk_nodes"], expanded)
-        if want_first_step:
-            for samples, times, _ in _walk(p.contact, levels):
-                first[lo + samples] = times
-                break
+        nodes.append(expanded)
+        pruned += cut
+        max_depth = max(max_depth, len(levels) - 1)
+        if window is not None:
+            walked = (sigma[lo:hi] >= window[0]) & (sigma[lo:hi] <= window[1])
+            paths.append(_walk(p.contact, levels, np.flatnonzero(walked)))
         del levels  # free this chunk's forest before expanding the next
         lo = hi
-        size = max(1, round(_NODE_BUDGET * lo / work["nodes_expanded"]))
-    return sigma, first, work
+        size = max(1, round(_NODE_BUDGET * lo / sum(nodes)))
+    work = TreeWork(sum(nodes), pruned, max_depth, len(nodes), max(nodes))
+    if window is None:
+        return sigma, None, None, work
+    times, ages = zip(*paths)
+    return sigma, _stack(times), _stack(ages), work
 
 
 # ---------------------------------------------------------------------------
-# single samples with the full geodesic
+# the samplers: one geodesic, the B curve, conditioned first steps
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class GeodesicSample:
+class GeodesicSample(TreeWork):
     """One sampled infection time with its decorated ancestral path.
 
     `path_times` runs strictly downward from sigma to -terminal_age; entry i
@@ -379,9 +405,6 @@ class GeodesicSample:
     path_times: np.ndarray
     path_courses: CourseBatch | None
     terminal_age: float | None
-    nodes_expanded: int
-    nodes_pruned: int
-    max_depth: int
 
 
 def sample_geodesic(p: TreeParams, seed: int, index: int = 0) -> GeodesicSample:
@@ -401,52 +424,38 @@ def sample_geodesic(p: TreeParams, seed: int, index: int = 0) -> GeodesicSample:
     index = check_count("index", index, 0)
     if index >= 2 ** 64:
         raise ValueError(f"index must be below 2**64, got {index}")
-    keys = root_key_vec(seed, np.array([index], dtype=np.uint64))
-    levels, expanded, pruned = _expand_chunk(p, keys)
-    sigma = levels[0].i_min
-    max_depth = len(levels) - 1
-    if not sigma[0] <= p.horizon:
-        return GeodesicSample(math.inf, True, np.zeros(0), None, None,
-                              expanded, pruned, max_depth)
-
-    steps = [(times[0], ages[0]) for _, times, ages in _walk(p.contact, levels)]
-    path_times = np.array([sigma[0]] + [t for t, _ in steps])
+    _, times, ages, work = _expand_batch(p, np.array([index], dtype=np.uint64), seed,
+                                         window=(-math.inf, p.horizon))
+    if times.shape[0] == 0:
+        return GeodesicSample(**vars(work), sigma=math.inf, censored=True,
+                              path_times=np.zeros(0), path_courses=None, terminal_age=None)
+    # one path, so its row is as wide as the path: no NaN padding
+    path_times = times[0]
 
     courses = None
     if p.model is not None:
         rng = make_rng(seed, "geodesic-courses", index)
         focal = p.model.sample_courses(rng, 1)
-        palm = p.model.palm_courses(rng, [age for _, age in steps])
+        palm = p.model.palm_courses(rng, ages[0])
         courses = CourseBatch(
             np.concatenate((focal.offsets, focal.offsets[-1] + palm.offsets[1:])),
             np.concatenate((focal.atoms, palm.atoms)),
             np.concatenate((focal.entry_ages, palm.entry_ages)), focal.compartments)
 
-    return GeodesicSample(float(sigma[0]), False, path_times, courses, float(-path_times[-1]),
-                          expanded, pruned, max_depth)
-
-
-# ---------------------------------------------------------------------------
-# estimators
-# ---------------------------------------------------------------------------
+    return GeodesicSample(**vars(work), sigma=float(path_times[0]), censored=False,
+                          path_times=path_times, path_courses=courses,
+                          terminal_age=float(-path_times[-1]))
 
 
 @dataclass(frozen=True)
-class DualCurve:
-    """B estimated on a time grid; `nodes_expanded`/`nodes_pruned` count the
-    tree nodes of all samples, expanded up to the largest grid time,
-    `max_depth` is the deepest generation any of them reached, and the
-    samples ran in `chunks` chunks of at most `max_chunk_nodes` nodes."""
+class DualCurve(TreeWork):
+    """B estimated on a time grid, from trees expanded up to the largest
+    grid time."""
 
     t: np.ndarray
     estimate: np.ndarray
     se: np.ndarray
     n_samples: int
-    nodes_expanded: int
-    nodes_pruned: int
-    max_depth: int
-    chunks: int
-    max_chunk_nodes: int
 
 
 def estimate_B(p: TreeParams, t_grid, n_samples: int, seed: int) -> DualCurve:
@@ -465,29 +474,22 @@ def estimate_B(p: TreeParams, t_grid, n_samples: int, seed: int) -> DualCurve:
         raise ValueError(f"curve grid t_grid must be finite, got {t_grid[i]} at index {i}")
     if t_grid.max() > p.horizon:
         raise ValueError("curve grid extends beyond the censoring horizon")
-    sigma, _, work = _expand_batch(replace(p, horizon=float(t_grid.max())), n_samples, seed)
-    frac = (sigma[:, None] <= t_grid[None, :]).mean(axis=0)
+    sigma, _, _, work = _expand_batch(replace(p, horizon=float(t_grid.max())),
+                                      np.arange(n_samples), seed)
+    frac = np.searchsorted(np.sort(sigma), t_grid, side="right") / n_samples
     se = p.s0 * np.sqrt(frac * (1.0 - frac) / n_samples)
-    return DualCurve(t=t_grid, estimate=p.s0 * frac, se=se, n_samples=n_samples, **work)
+    return DualCurve(**vars(work), t=t_grid, estimate=p.s0 * frac, se=se, n_samples=n_samples)
 
 
 @dataclass(frozen=True)
-class FirstStepSample:
-    """First backward times among samples conditioned on sigma in a window;
-    `nodes_expanded`/`nodes_pruned` count the tree nodes of all n_samples,
-    expanded up to the end of the window, `max_depth` is the deepest
-    generation any of them reached, and the samples ran in `chunks` chunks
-    of at most `max_chunk_nodes` nodes."""
+class FirstStepSample(TreeWork):
+    """First backward times among samples conditioned on sigma in a window,
+    from trees expanded up to the end of the window."""
 
     window: tuple[float, float]
     values: np.ndarray
     sigmas: np.ndarray
     n_samples: int
-    nodes_expanded: int
-    nodes_pruned: int
-    max_depth: int
-    chunks: int
-    max_chunk_nodes: int
 
     @property
     def n_conditioned(self) -> int:
@@ -510,13 +512,10 @@ def conditioned_first_step(p: TreeParams, t: float, delta: float,
     if t + delta <= 0:
         raise ValueError(f"window [{t}, {t + delta}] ends at or before 0, where no sigma "
                          "(always positive) can land")
-    sigma, first, work = _expand_batch(replace(p, horizon=t + delta), n_samples, seed,
-                                       want_first_step=True)
-    sel = (sigma >= t) & (sigma <= t + delta)
-    if int(sel.sum()) < 200:
-        raise RuntimeError(
-            f"only {int(sel.sum())} samples landed in [{t}, {t + delta}]; "
-            "increase n_samples")
-    return FirstStepSample(window=(t, t + delta), values=first[sel], sigmas=sigma[sel],
-                           n_samples=n_samples, **work)
-
+    _, times, _, work = _expand_batch(replace(p, horizon=t + delta), np.arange(n_samples), seed,
+                                      window=(t, t + delta))
+    if times.shape[0] < 200:
+        raise RuntimeError(f"only {times.shape[0]} samples landed in [{t}, {t + delta}]; "
+                           "increase n_samples")
+    return FirstStepSample(**vars(work), window=(t, t + delta), values=times[:, 1].copy(),
+                           sigmas=times[:, 0].copy(), n_samples=n_samples)

@@ -13,7 +13,7 @@ Two layers:
   arrays, whose arithmetic wraps mod 2^64.
 
 `check_count` is the one check on the number of samples, chains or
-individuals a sampler is asked for.
+individuals a sampler is asked for, and on the master seed of every stream.
 """
 
 from __future__ import annotations
@@ -33,10 +33,11 @@ _INV_2_53 = 2.0 ** -53
 def derive_seed(master_seed: int, *tags: object) -> int:
     """Derive a 64-bit child seed from a master seed and a tag tuple.
 
-    Stable across processes and platforms (SHA-256 based).
+    Stable across processes and platforms (SHA-256 based).  The master seed
+    must be a nonnegative integer.
     """
     h = hashlib.sha256()
-    h.update(str(int(master_seed)).encode())
+    h.update(str(check_count("seed", master_seed, 0)).encode())
     for tag in tags:
         h.update(b"\x1f")
         h.update(repr(tag).encode())
@@ -51,7 +52,7 @@ def make_rng(master_seed: int, *tags: object) -> np.random.Generator:
 def check_count(name: str, value, minimum: int) -> int:
     """`value` as an int; a ValueError naming `name` when it is not an
     integer, is a bool, or lies below `minimum`.  Every sampler checks its
-    sample counts with it."""
+    sample counts with it, and every stream its master seed."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
@@ -91,7 +92,9 @@ def child_key_vec(keys: np.ndarray, slots) -> np.ndarray:
 
 
 def root_key_vec(seed: int, indices: np.ndarray) -> np.ndarray:
-    """Keys of the tree roots at positions `indices` of a run seed's stream."""
+    """Keys of the tree roots at positions `indices` of a run seed's stream
+    (a nonnegative integer)."""
+    seed = check_count("seed", seed, 0)
     with np.errstate(over="ignore"):
         base = _mix64(np.array(seed & _MASK, dtype=np.uint64))
         s = (np.asarray(indices, dtype=np.uint64) + np.uint64(1)) * _GAMMA

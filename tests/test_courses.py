@@ -212,6 +212,18 @@ class TestPalm:
 
 
 class TestValidation:
+    @pytest.mark.parametrize("build, named", [
+        (lambda v: MarkovSIR(1.5, v), "gamma"),
+        (lambda v: MarkovSIR(v, 1.0), "beta"),
+        (lambda v: MarkovSEIR(1.5, v, 1.0), "activation"),
+        (lambda v: MarkovSEIR(1.5, 2.0, v), "recovery"),
+        (lambda v: MarkovSIR(1.5, 1.0, a_max=v), "a_max"),
+    ])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0, True, "x"], ids=repr)
+    def test_models_name_the_bad_parameter(self, build, named, value):
+        with pytest.raises(ValueError, match=f"^{named} must be "):
+            build(value)
+
     def test_bad_course_paths(self, model, check_courses):
         # two SIR courses; atoms need only be sorted within a course
         good = CourseBatch(np.array([0, 2, 3]), np.array([0.5, 1.0, 0.25]),

@@ -47,6 +47,30 @@ class TestExponentialKernel:
         assert nu.mean() == pytest.approx(1.0, abs=2e-3)
 
 
+# values no rate, age step or grid reach may take; a rate of 0 is only
+# allowed for beta
+BAD_REALS = [math.nan, math.inf, -math.inf, -1.0, True, "1.5"]
+
+
+@pytest.mark.parametrize("build, named, zero_ok", [
+    (lambda v: ExponentialKernel(v, 1.0), "beta", True),
+    (lambda v: ExponentialKernel(1.5, v), "gamma", False),
+    (lambda v: ExponentialKernel(1.5, 1.0, step=v), "step", False),
+    (lambda v: ExponentialKernel(1.5, 1.0, a_max=v), "a_max", False),
+    (lambda v: LatentExponentialKernel(v, 2.0, 1.0), "beta", True),
+    (lambda v: LatentExponentialKernel(1.5, v, 1.0), "activation", False),
+    (lambda v: LatentExponentialKernel(1.5, 2.0, v), "recovery", False),
+    (lambda v: LatentExponentialKernel(1.5, 2.0, 1.0, step=v), "step", False),
+])
+@pytest.mark.parametrize("value", BAD_REALS + [0.0], ids=repr)
+def test_closed_form_kernels_name_the_bad_parameter(build, named, zero_ok, value):
+    if value == 0.0 and zero_ok:
+        assert build(value).r0 == 0.0
+        return
+    with pytest.raises(ValueError, match=f"^{named} must be "):
+        build(value)
+
+
 class TestMalthusian:
     def test_reference_alpha_is_half(self, alpha):
         assert alpha == pytest.approx(0.5, abs=1e-8)
@@ -90,6 +114,11 @@ class TestShiftedQuantities:
     def test_tau_bar_recorded_table(self, ic):
         assert hashlib.sha256(ic.tau_bar.table.tobytes()).hexdigest() == \
             "2313fa2ae14c15f21761049967845d91499378a4ebdd368d14353fc8ffa084b1"
+
+    @pytest.mark.parametrize("rate", BAD_REALS + [0.0], ids=repr)
+    def test_initial_condition_names_a_bad_age_rate(self, kernel, rate):
+        with pytest.raises(ValueError, match="^age_rate must be "):
+            initial_condition(kernel, 0.01, age_rate=rate)
 
     def test_r0_bar(self, ic):
         assert ic.r0_bar == pytest.approx(0.5, abs=2e-4)

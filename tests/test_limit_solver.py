@@ -221,8 +221,9 @@ class TestFinalSize:
         assert 0.001 < total < 0.01
 
     def test_rejects_bad_i0(self, kernel):
-        with pytest.raises(ValueError, match="initial infection probability"):
-            initial_condition(kernel, 0.0, age_rate=0.5)
+        for i0 in (0.0, 1.0, math.nan, True):
+            with pytest.raises(ValueError, match=rf"probability i0 must lie in \(0, 1\), got {i0!r}"):
+                initial_condition(kernel, i0, age_rate=0.5)
 
 
 class TestCompartmentCurve:

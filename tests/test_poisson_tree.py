@@ -18,6 +18,11 @@ from epichain import poisson_tree
 from epichain.poisson_tree import _expand_batch, poisson_counts
 
 
+def _indices(n):
+    """The roots 0..n-1 of a seed's stream, as the batched samplers take them."""
+    return np.arange(n, dtype=np.uint64)
+
+
 @pytest.fixture(scope="module")
 def params(kernel, ic, unit_contact):
     return tree_params(kernel, ic, unit_contact, horizon=8.0)
@@ -60,10 +65,10 @@ class TestEstimateB:
         # trapezoid CDF exactly
         rate = ContactRate.constant(1.0) if contact == "unit" else ContactRate(**HALVED)
         p = tree_params(kernel, ic, rate, horizon=8.0)
-        sigma, _, work = _expand_batch(p, 3_000, seed=871)
+        sigma, _, _, work = _expand_batch(p, _indices(3_000), seed=871)
         finite = sigma[np.isfinite(sigma)]
-        assert (float(np.sum(finite)).hex(), finite.size, work["nodes_expanded"],
-                work["nodes_pruned"]) == want
+        assert (float(np.sum(finite)).hex(), finite.size, work.nodes_expanded,
+                work.nodes_pruned) == want
 
     def test_max_depth_is_the_deepest_tree(self, kernel, ic, unit_contact):
         p = tree_params(kernel, ic, unit_contact, horizon=5.0)
@@ -103,6 +108,18 @@ class TestEstimateB:
         assert curve.chunks > 1
         assert peak < 20 * 2**20
 
+    def test_memory_does_not_grow_with_the_grid(self, kernel, ic, unit_contact):
+        # sigma is sorted once and counted at each grid time, where an
+        # n_samples x 2000 matrix of comparisons traced 19.3 MiB
+        p = tree_params(kernel, ic, unit_contact, horizon=10.0)
+        tracemalloc.start()
+        try:
+            estimate_B(p, np.linspace(0.0, 10.0, 2000), 10_000, seed=874)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
+
 
 class TestChunking:
     """Chunk sizes never change a draw: every output of a batch is the same
@@ -113,15 +130,19 @@ class TestChunking:
     def test_outputs_do_not_depend_on_the_budget(self, kernel, ic, contact, monkeypatch):
         rate = ContactRate.constant(1.0) if contact == "unit" else ContactRate(**HALVED)
         p = tree_params(kernel, ic, rate, horizon=8.0)
-        sigma, first, work = _expand_batch(p, 3_000, seed=881, want_first_step=True)
+        window = (2.0, 5.0)
+        sigma, times, ages, work = _expand_batch(p, _indices(3_000), seed=881, window=window)
         monkeypatch.setattr(poisson_tree, "_NODE_BUDGET", 3_000)
-        small_sigma, small_first, small = _expand_batch(p, 3_000, seed=881, want_first_step=True)
+        small_sigma, small_times, small_ages, small = _expand_batch(p, _indices(3_000), seed=881,
+                                                                    window=window)
         assert np.array_equal(small_sigma, sigma)
-        assert np.array_equal(small_first, first, equal_nan=True)
+        assert times.shape[0] > 50
+        assert np.array_equal(small_times, times, equal_nan=True)
+        assert np.array_equal(small_ages, ages, equal_nan=True)
         for key in ("nodes_expanded", "nodes_pruned", "max_depth"):
-            assert small[key] == work[key], key
-        assert work["chunks"] < 10 and small["chunks"] > 100  # a few samples a chunk
-        assert small["max_chunk_nodes"] < work["max_chunk_nodes"]
+            assert getattr(small, key) == getattr(work, key), key
+        assert work.chunks < 10 and small.chunks > 100  # a few samples a chunk
+        assert small.max_chunk_nodes < work.max_chunk_nodes
 
 
 class TestScalarBatchParity:
@@ -129,7 +150,7 @@ class TestScalarBatchParity:
     estimators' draw for the same root."""
 
     def test_sigma_bitwise_equal(self, params):
-        batch, _, _ = _expand_batch(params, 64, seed=811)
+        batch, _, _, _ = _expand_batch(params, _indices(64), seed=811)
         for i in range(64):
             one = sample_geodesic(params, seed=811, index=i)
             if one.censored:
@@ -138,13 +159,23 @@ class TestScalarBatchParity:
                 assert one.sigma == batch[i]
 
     def test_first_step_matches_path(self, params):
-        _, first, _ = _expand_batch(params, 64, seed=811, want_first_step=True)
+        # the windowed batch's row for index i is the geodesic's whole path,
+        # so its column 1 is the first step
+        sigma, times, ages, _ = _expand_batch(params, _indices(64), seed=811,
+                                              window=(-math.inf, params.horizon))
+        rows = np.cumsum(np.isfinite(sigma)) - 1  # index i's row among the windowed paths
+        assert times.shape[0] == rows[-1] + 1 > 10
         for i in range(64):
             one = sample_geodesic(params, seed=811, index=i)
             if one.censored:
-                assert math.isnan(first[i])
-            else:
-                assert one.path_times[1] == first[i]
+                assert math.isinf(sigma[i])
+                continue
+            row, length = times[rows[i]], one.path_times.size
+            assert one.path_times[1] == row[1]
+            assert np.array_equal(row[:length], one.path_times)
+            assert np.all(np.isnan(row[length:]))
+            assert np.all(np.isfinite(ages[rows[i], :length - 1]))
+            assert np.all(np.isnan(ages[rows[i], length - 1:]))
 
 
 # (index, path_times as float.hex) of seed 821 at horizon 8, recorded when
@@ -298,15 +329,15 @@ class TestCensoring:
         rate = ContactRate.constant(1.0) if contact == "unit" else ContactRate(**HALVED)
         p = tree_params(kernel, ic, rate, horizon=8.0)
         sample = conditioned_first_step(p, t, delta, n, seed=861)
-        sigma, first, work = _expand_batch(p, n, seed=861, want_first_step=True)
+        sigma, times, _, work = _expand_batch(p, _indices(n), seed=861, window=(t, t + delta))
         sel = (sigma >= t) & (sigma <= t + delta)
         assert np.array_equal(sample.sigmas, sigma[sel])
-        assert np.array_equal(sample.values, first[sel])
+        assert np.array_equal(sample.values, times[:, 1])
         if t + delta < p.horizon:
-            assert sample.nodes_expanded < work["nodes_expanded"]
+            assert sample.nodes_expanded < work.nodes_expanded
         else:
             assert (sample.nodes_expanded, sample.nodes_pruned) == \
-                (work["nodes_expanded"], work["nodes_pruned"])
+                (work.nodes_expanded, work.nodes_pruned)
 
     @pytest.mark.parametrize("contact", ["unit", "halved"])
     def test_estimate_B_matches_full_horizon(self, kernel, ic, contact):
@@ -314,11 +345,11 @@ class TestCensoring:
         p = tree_params(kernel, ic, rate, horizon=8.0)
         grid = np.array([1.0, 3.0, 6.0])
         curve = estimate_B(p, grid, 5_000, seed=862)
-        sigma, _, work = _expand_batch(p, 5_000, seed=862)
+        sigma, _, _, work = _expand_batch(p, _indices(5_000), seed=862)
         frac = (sigma[:, None] <= grid[None, :]).mean(axis=0)
         assert np.array_equal(curve.estimate, p.s0 * frac)
         assert np.array_equal(curve.se, p.s0 * np.sqrt(frac * (1.0 - frac) / 5_000))
-        assert curve.nodes_expanded < work["nodes_expanded"]
+        assert curve.nodes_expanded < work.nodes_expanded
 
 
 class TestPoissonCounts:

@@ -100,3 +100,29 @@ def test_sample_counts_checked_by_every_sampler(samplers, entry, count):
     name, call = samplers[entry]
     with pytest.raises(ValueError, match=f"^{name} must be "):
         call(count)
+
+
+@pytest.fixture(scope="module")
+def seeded(kernel, ic, unit_contact, sol):
+    """Each entry that takes a master seed, called with a given seed."""
+    params = tree_params(kernel, ic, unit_contact, horizon=8.0)
+    return {
+        "derive_seed": lambda seed: derive_seed(seed, "x"),
+        "estimate_B": lambda seed: estimate_B(params, [2.0], 1_000, seed=seed),
+        "sample_h_chains": lambda seed: sample_h_chains(3.0, sol, 10, seed=seed),
+    }
+
+
+@pytest.mark.parametrize("entry", ["derive_seed", "estimate_B", "sample_h_chains"])
+@pytest.mark.parametrize("seed", [1.5, np.float64(2.0), True, -1, "7"],
+                         ids=["float", "numpy-float", "bool", "negative", "str"])
+def test_seed_checked_by_every_stream(seeded, entry, seed):
+    # a non-integer seed must not quietly act as seed int(seed)
+    with pytest.raises(ValueError, match="^seed must be "):
+        seeded[entry](seed)
+
+
+def test_numpy_integer_seed_is_the_same_stream():
+    assert derive_seed(np.int64(123), "x", 1) == derive_seed(123, "x", 1)
+    indices = np.arange(5, dtype=np.uint64)
+    assert np.array_equal(root_key_vec(np.uint64(123), indices), root_key_vec(123, indices))
