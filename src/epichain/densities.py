@@ -1,7 +1,16 @@
-"""Tabulated densities on uniform grids, and `GuideTable`, the one exact
-inversion behind every tabulated draw (the dual tree's Poisson counts,
-`IntensityKernel.inverse_cumulative`, `GridDensity.ppf_from_uniform`): draws
-follow the cell law of the trapezoid CDF out to its last cell of mass."""
+"""Tabulated densities on uniform grids, and the two exact lookups in such
+tables.
+
+`GuideTable` is the one inversion behind every tabulated draw (the dual
+tree's Poisson counts, `IntensityKernel.inverse_cumulative`,
+`GridDensity.ppf_from_uniform`): draws follow the cell law of the trapezoid
+CDF out to its last cell of mass.
+
+`UniformInterp` is `np.interp` on a uniform grid, bit for bit, with the cell
+index found by arithmetic instead of a binary search: the limit solution's
+`b_at` and `S_at` read their tables through it.  A floor index off by one
+next to a knot is corrected by one step against the knots, and the value
+comes from `np.interp`'s own slope formula and end cases."""
 
 from __future__ import annotations
 
@@ -11,6 +20,7 @@ from functools import cached_property
 import numpy as np
 
 GUIDE_BUCKETS = 1 << 16
+_INTERP_BLOCK = 1 << 14  # points a `UniformInterp` block holds: its temporaries stay in cache
 
 
 class GuideTable:
@@ -61,6 +71,64 @@ class GuideTable:
         x *= self.step
         x += self._x0.take(k, out=buf, mode="clip")
         return x.reshape(c.shape)
+
+
+class UniformInterp:
+    """`np.interp(x, xp, fp)` for knots xp on a uniform grid and a finite
+    table fp, bit for bit, in O(1) per point.
+
+    x is clipped to [xp[0], xp[-1]], which gives `np.interp`'s end values
+    fp[0] and fp[-1] (a NaN stays NaN).  Its cell j is the floor of
+    (x - xp[0]) / step, moved by one step where a knot says otherwise
+    (every knot lies within half a step of its place on the ideal grid, so
+    the floor is off by at most one).  Then, as in `np.interp`, the value is
+    fp[j] on a knot and slope[j] * (x - xp[j]) + fp[j] in between, with
+    slope[j] = (fp[j+1] - fp[j]) / (xp[j+1] - xp[j]).  Every gather clips
+    its index to the table, so x = xp[-1] may reach j = n, which reads the
+    last knot and so lands on it.
+    """
+
+    def __init__(self, xp: np.ndarray, fp: np.ndarray):
+        xp, fp = np.asarray(xp, dtype=float), np.asarray(fp, dtype=float)
+        if xp.ndim != 1 or xp.size < 2 or xp.shape != fp.shape:
+            raise ValueError("knots and table must be 1-D of one size, at least two")
+        if not (np.all(np.isfinite(xp)) and np.all(np.isfinite(fp))):
+            raise ValueError("knots and table must be finite")
+        self._lo, self._hi = float(xp[0]), float(xp[-1])
+        self._last = float(xp.size - 1)
+        step = (self._hi - self._lo) / self._last
+        if not step > 0 or np.any(np.abs(xp - (self._lo + np.arange(xp.size) * step))
+                                  >= 0.5 * step):
+            raise ValueError("knots must lie within half a step of a uniform grid, increasing")
+        self._inv_step = 1.0 / step
+        self._xp, self._fp = xp, fp
+        self._slope = (fp[1:] - fp[:-1]) / (xp[1:] - xp[:-1])
+
+    def __call__(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        flat = x.reshape(-1)
+        y = np.empty(flat.size)
+        for lo in range(0, flat.size, _INTERP_BLOCK):
+            self._block(flat[lo:lo + _INTERP_BLOCK], y[lo:lo + _INTERP_BLOCK])
+        return y.reshape(x.shape)
+
+    def _block(self, x: np.ndarray, y: np.ndarray) -> None:
+        x = np.maximum(x, self._lo)
+        np.minimum(x, self._hi, out=x)
+        buf = x - self._lo
+        buf *= self._inv_step
+        np.fmin(buf, self._last, out=buf)  # NaN -> the last cell, where it stays NaN
+        j = buf.astype(np.intp)
+        # "clip" also gathers straight into `buf`
+        j -= self._xp.take(j, out=buf, mode="clip") > x
+        j += self._xp.take(j + 1, out=buf, mode="clip") <= x
+        d = np.subtract(x, self._xp.take(j, out=buf, mode="clip"), out=buf)
+        on_knot = d == 0.0
+        self._slope.take(j, out=y, mode="clip")
+        y *= d
+        fj = self._fp.take(j, out=buf, mode="clip")
+        y += fj
+        np.copyto(y, fj, where=on_knot)  # on a knot, fp[j] itself (a -0.0 stays -0.0)
 
 
 def cumulative_trapezoid(x: np.ndarray, y: np.ndarray) -> np.ndarray:

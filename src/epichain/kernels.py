@@ -34,15 +34,22 @@ _MALTHUS_MAX_ITER = 200
 _BACKWARD_DENSITY_TOL = 1e-6  # largest |L(alpha) - 1| a backward density may keep
 
 
-def _check_real(name: str, value, *, positive: bool) -> float:
+def _check_real(name: str, value, *, positive: bool | None) -> float:
     """`value` as a float; a ValueError naming `name` when it is a bool, not
-    a real number, not finite, or negative (or zero, when `positive`).  The
-    kernel and initial-condition constructors check their parameters with it
-    before any array is built."""
+    a real number, not finite, or negative (or zero, when `positive`); with
+    `positive` None, any finite sign passes.  The kernel and
+    initial-condition constructors check their parameters with it before any
+    array is built, and the dual tree its horizon and window."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
-    value = float(value)
-    if not math.isfinite(value) or value < 0.0 or (positive and value == 0.0):
+    try:
+        value = float(value)
+    except OverflowError:  # an int beyond the float range
+        value = math.inf if value > 0 else -math.inf
+    if positive is None:
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    elif not math.isfinite(value) or value < 0.0 or (positive and value == 0.0):
         raise ValueError(f"{name} must be finite and {'positive' if positive else 'nonnegative'}, "
                          f"got {value}")
     return value

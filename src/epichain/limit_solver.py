@@ -41,11 +41,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .courses import CourseModel
-from .densities import cumulative_trapezoid
+from .densities import UniformInterp, cumulative_trapezoid
 from .kernels import (
     ContactRate, InitialCondition, IntensityKernel, malthusian_parameter, shifted_age_sums,
 )
@@ -87,18 +88,36 @@ class LimitSolution:
     def s0(self) -> float:
         return 1.0 - self.ic.i0
 
+    @cached_property
+    def _b_table(self) -> UniformInterp:  # built at the first lookup
+        return UniformInterp(self.t, self.b)
+
+    @cached_property
+    def _S_table(self) -> UniformInterp:
+        return UniformInterp(self.t, self.S)
+
     def b_at(self, x) -> np.ndarray:
         """Incidence extended to negative times by the initial age density:
-        b(x) = I0 g(-x) for x < 0, linear interpolation on the grid for
-        x in [0, T]."""
+        b(x) = I0 g(-x) for x < 0 (and NaN), linear interpolation on the
+        grid for x in [0, T] (held at b(T) beyond).  Each branch is
+        evaluated on its own x only."""
         x = np.asarray(x, dtype=float)
-        pos = np.interp(x, self.t, self.b)
-        neg = self.ic.i0 * self.ic.g_pdf(np.maximum(-x, 0.0))
-        return np.where(x >= 0, pos, neg)
+        pos = x >= 0
+        if pos.all():
+            return self._b_table(x)
+        out = np.empty(x.shape)
+        out[pos] = self._b_table(x[pos])
+        neg = ~pos
+        out[neg] = self.ic.i0 * self.ic.g_pdf(np.maximum(-x[neg], 0.0))
+        return out
 
     def S_at(self, x) -> np.ndarray:
+        """Susceptible fraction: S0 = 1 - I0 for x < 0 (and NaN), linear
+        interpolation on the grid for x in [0, T] (held at S(T) beyond)."""
         x = np.asarray(x, dtype=float)
-        return np.where(x >= 0, np.interp(x, self.t, self.S), 1.0 - self.ic.i0)
+        out = self._S_table(x)
+        out[~(x >= 0)] = 1.0 - self.ic.i0
+        return out
 
 
 def _spectrum(f: np.ndarray) -> np.ndarray:

@@ -54,7 +54,11 @@ Per-node draw layout (counter -> use):
     0 -> number of subtree children K_S       1 -> number of leaf edges K_I
     2+2j, 3+2j -> edge length W_j and mark s_j of subtree child j
     2+2K_S+3m, +1, +2 -> initial age Z_m, delay Wbar_m, mark sbar_m of leaf m
-Subtree child j's key is child_key_vec(parent_key, j).
+Subtree child j's key is child_key_vec(parent_key, j).  A draw at counter c
+hashes the key plus the offset (c + 1) * gamma mod 2^64; the offsets of K_S,
+K_I and every subtree slot's W, s and key are tabled once
+(`rng.counter_offsets`), so a level's draws cost one gather each and no
+counter arithmetic.
 
 No draw that the horizon cuts is ever made.  An edge's length comes first;
 only a subtree child with depth + W <= H gets its mark and its key, and only
@@ -63,20 +67,34 @@ somewhere).  Since a draw depends only on (key, counter), skipping the others
 leaves the layout above, and every draw that is made, as it would be if all
 were made.  K_S and K_I invert the Poisson CDF through `densities.GuideTable`,
 as every W and Z inverts its own CDF; its index is exactly that of
-`searchsorted` on the CDF.
+`searchsorted` on the CDF.  K_I is 0 for every node whose uniform lies below
+P(K_I = 0), most of them; only the others (the leaf owners) are looked up.
+
+A level records its leaf owners (row, key, depth, K_S, K_I) as it is
+expanded.  Once the whole chunk is expanded, all of its leaf edges are drawn
+in one pass, their Z, Wbar and marks at the counters above, and each level
+gets the ones that offer a candidate, in row order; the bottom-up fold takes
+each level's leaf minima before it folds the level into its parents.  The
+draws and the levels are those of a per-level pass, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
 from .courses import CourseBatch, CourseModel
 from .densities import GridDensity, GuideTable
-from .kernels import ContactRate, InitialCondition, IntensityKernel, joint_delay_age_from_uniforms
-from .rng import check_count, child_key_vec, keyed_u01_vec, make_rng, root_key_vec
+from .kernels import (
+    ContactRate, InitialCondition, IntensityKernel, _check_real, joint_delay_age_from_uniforms,
+)
+from .rng import (
+    check_count, child_keys, counter_offsets, keyed_bits, keyed_u01_vec, make_rng, root_key_vec,
+    u01_from_bits,
+)
 
 # nodes a chunk of samples aims at (see the module docstring); more nodes
 # per chunk save per-call overhead but grow peak memory linearly
@@ -116,8 +134,7 @@ class TreeParams:
 def tree_params(kernel: IntensityKernel, ic: InitialCondition, contact: ContactRate,
                 horizon: float, node_cap: int = NODE_CAP,
                 model: CourseModel | None = None) -> TreeParams:
-    if not math.isfinite(horizon) or horizon <= 0:
-        raise ValueError("finite positive censoring horizon required")
+    horizon = _check_real("horizon", horizon, positive=True)
     node_cap = check_count("node_cap", node_cap, 1)
     s0 = 1.0 - ic.i0
     return TreeParams(
@@ -131,56 +148,27 @@ def tree_params(kernel: IntensityKernel, ic: InitialCondition, contact: ContactR
 
 def _ragged(counts: np.ndarray):
     """(row, slot) of every item when row i owns counts[i] items: rows
-    0,..,0,1,..,1,... and slots 0..c0-1, 0..c1-1, ... (uint64, the counter
-    arithmetic's type)."""
-    rows = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
-    starts = (np.cumsum(counts) - counts).astype(np.uint64)
-    return rows, np.arange(rows.size, dtype=np.uint64) - starts[rows]
+    0,..,0,1,..,1,... and slots 0..c0-1, 0..c1-1, ..."""
+    rows = np.repeat(np.arange(counts.size), counts)
+    slots = np.arange(rows.size)
+    slots -= (np.cumsum(counts) - counts).take(rows)
+    return rows, slots
 
 
-# Per-node draw layout (see the module docstring); each helper makes only the
-# draws its name says, so that a draw the horizon cuts is never made.
+# Per-node draw layout and its offset tables: see the module docstring.
 
-_COUNT_COUNTERS = np.array([[0], [1]], dtype=np.uint64)
-
-
-def _offspring_counts(p: TreeParams, keys: np.ndarray):
-    """K_S and K_I of each node (counters 0 and 1, drawn in one pass)."""
-    u = keyed_u01_vec(keys, _COUNT_COUNTERS)
-    return p.s_counts.index(u[0]), p.i_counts.index(u[1])
+_KS_OFFSET, _KI_OFFSET = counter_offsets([0, 1])
 
 
-def _subtree_edges(p: TreeParams, keys: np.ndarray, k_s: np.ndarray):
-    """(row, slot, key of the row, W) of every subtree child; W_j is drawn at
-    counter 2+2j."""
-    rows, slots = _ragged(k_s)
-    keys_rep = keys[rows]
-    w = p.generation.ppf_from_uniform(keyed_u01_vec(keys_rep, np.uint64(2) * slots + np.uint64(2)))
-    return rows, slots, keys_rep, w
-
-
-def _subtree_marks(keys_rep: np.ndarray, slots: np.ndarray) -> np.ndarray:
-    """Marks s_j of subtree children (counter 3+2j)."""
-    return keyed_u01_vec(keys_rep, np.uint64(2) * slots + np.uint64(3))
-
-
-def _leaf_edges(p: TreeParams, keys: np.ndarray, k_s: np.ndarray, k_i: np.ndarray):
-    """(row, key of the row, counter base, Wbar, Z) of every leaf edge; leaf m
-    draws Z_m and Wbar_m at base = 2+2K_S+3m and base+1."""
-    # few nodes own a leaf edge, so spread only over those that do
-    owners = (k_i > 0).nonzero()[0]
-    rows, slots = _ragged(k_i[owners])
-    rows = owners[rows]
-    keys_rep = keys[rows]
-    base = np.uint64(2) * k_s[rows].astype(np.uint64) + np.uint64(3) * slots + np.uint64(2)
-    w, z = joint_delay_age_from_uniforms(p.ic, keyed_u01_vec(keys_rep, base),
-                                         keyed_u01_vec(keys_rep, base + np.uint64(1)))
-    return rows, keys_rep, base, w, z
-
-
-def _leaf_marks(keys_rep: np.ndarray, base: np.ndarray) -> np.ndarray:
-    """Marks sbar_m of leaf edges (counter base+2)."""
-    return keyed_u01_vec(keys_rep, base + np.uint64(2))
+@lru_cache(maxsize=None)
+def _slot_offsets(slots: int):
+    """The offsets of subtree slots j = 0..slots-1: the draws W_j (counter
+    2+2j) and s_j (3+2j), and child j's key."""
+    j = np.arange(slots)
+    tables = counter_offsets(2 * j + 2), counter_offsets(2 * j + 3), counter_offsets(j)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 _NO_ROWS, _NO_VALUES = np.zeros(0, dtype=np.int64), np.zeros(0)  # shared, never written
@@ -213,12 +201,15 @@ def _expand_chunk(p: TreeParams, keys0: np.ndarray):
     horizon or a leaf edge that offers no candidate.
     """
     n = keys0.size
-    contact = p.contact
+    contact, horizon = p.contact, p.horizon
     marks = bool(contact.levels.min() < 1.0)  # at c = 1 everywhere no mark rejects
+    w_offset, s_offset, key_offset = _slot_offsets(p.s_counts.cum.size)
+    no_leaf = p.i_counts.cum[0]  # P(K_I = 0): a uniform below it gives K_I = 0
     # the frontier: keys, sample ids and depths of the level being expanded
     key, sample, depth_len = keys0, np.arange(n, dtype=np.int64), np.zeros(n)
     cur = _Level(np.zeros(0, dtype=np.int32), _NO_VALUES, None, n)
     levels: list[_Level] = []
+    owners = []  # per level with leaf edges: (level, row, key, depth, K_S, K_I) of each owner
     per_sample_nodes = np.ones(n, dtype=np.int64)
     nodes_pruned = 0
 
@@ -227,29 +218,29 @@ def _expand_chunk(p: TreeParams, keys0: np.ndarray):
             raise RuntimeError(f"a level of {key.size} nodes has more rows than an int32 "
                                "parent row can index")
         levels.append(cur)
-        k_s, k_i = _offspring_counts(p, key)
-
-        # leaf edges to initially infected individuals: marks only within H
-        if k_i.any():
-            rows, keys_rep, base, w, z = _leaf_edges(p, key, k_s, k_i)
-            ok = (depth_len[rows] + w <= p.horizon).nonzero()[0]
-            if marks:
-                ok = ok[_leaf_marks(keys_rep[ok], base[ok]) <= contact(w[ok])]
-            nodes_pruned += rows.size - ok.size
-            cur.leaf_row, cur.leaf_val, cur.leaf_z = rows[ok], w[ok], z[ok]
-            np.minimum.at(cur.i_min, cur.leaf_row, cur.leaf_val)
+        k_s = p.s_counts.index(u01_from_bits(keyed_bits(key, _KS_OFFSET)))
+        u = u01_from_bits(keyed_bits(key, _KI_OFFSET))
+        rows = (u >= no_leaf).nonzero()[0]
+        if rows.size:  # the leaf owners: their K_I is looked up, their edges drawn later
+            owners.append((np.full(rows.size, len(levels) - 1), rows, key[rows], depth_len[rows],
+                           k_s[rows], p.i_counts.index(u[rows])))
+        del u
 
         # subtree children: marks and keys only within H
-        rows, slots, keys_rep, w = _subtree_edges(p, key, k_s)
-        del key, k_s, k_i  # read no more: freed before the children's frontier is built
-        depth_len = depth_len[rows] + w
-        keep = (depth_len <= p.horizon).nonzero()[0]
+        rows, slots = _ragged(k_s)
+        del k_s
+        w = p.generation.ppf_from_uniform(
+            u01_from_bits(keyed_bits(key.take(rows), w_offset.take(slots))))
+        depth_len = depth_len.take(rows)
+        depth_len += w
+        keep = (depth_len <= horizon).nonzero()[0]
         nodes_pruned += rows.size - keep.size
         if keep.size == 0:
             break
-        rows, slots, keys_rep = rows[keep], slots[keep], keys_rep[keep]
-        w, depth_len = w[keep], depth_len[keep]
-        sample = sample[rows]
+        rows, slots = rows.take(keep), slots.take(keep)
+        w, depth_len = w.take(keep), depth_len.take(keep)
+        del keep
+        sample = sample.take(rows)
         per_sample_nodes += np.bincount(sample, minlength=n)
         if np.any(per_sample_nodes > p.node_cap):
             worst = int(per_sample_nodes.max())
@@ -257,16 +248,51 @@ def _expand_chunk(p: TreeParams, keys0: np.ndarray):
                 f"node cap {p.node_cap} exceeded ({worst} nodes in one sample, "
                 f"depth {len(levels)}, {int(per_sample_nodes.sum())} nodes total); "
                 "edge lengths are too short relative to the horizon")
-        key = child_key_vec(keys_rep, slots)
-        cur = _Level(rows.astype(np.int32), w,
-                     _subtree_marks(keys_rep, slots) if marks else None, key.size)
+        parent_key = key.take(rows)
+        del key  # read no more: freed before the children's keys are drawn
+        edge_s = u01_from_bits(keyed_bits(parent_key, s_offset.take(slots))) if marks else None
+        key = child_keys(parent_key, key_offset.take(slots))
+        del parent_key, slots
+        cur = _Level(rows.astype(np.int32), w, edge_s, key.size)
+        del rows, w, edge_s
 
-    # bottom-up: fold each level's sigma into its parents' minima
-    for k in range(len(levels) - 1, 0, -1):
+    if owners:
+        nodes_pruned += _leaf_edges(p, levels, owners, marks)
+    # bottom-up: each level's leaf candidates, then its sigma into its parents' minima
+    for k in range(len(levels) - 1, -1, -1):
         lev = levels[k]
-        np.minimum.at(levels[k - 1].i_min, lev.parent_row, _candidates(contact, lev))
+        if lev.leaf_row.size:
+            np.minimum.at(lev.i_min, lev.leaf_row, lev.leaf_val)
+        if k:
+            np.minimum.at(levels[k - 1].i_min, lev.parent_row, _candidates(contact, lev))
 
     return levels, int(per_sample_nodes.sum()), nodes_pruned
+
+
+def _leaf_edges(p: TreeParams, levels: list[_Level], owners, marks: bool) -> int:
+    """Draw the leaf edges of a chunk's owners at once and list, on each
+    level, those that offer a candidate: within H and, where c < 1 somewhere,
+    accepted by their mark.  Returns the number pruned.
+
+    `owners` holds, level by level, (level, row, key, depth, K_S, K_I) of the
+    owners in row order.  Leaf m of a node draws Z_m, Wbar_m and sbar_m at
+    counters base = 2+2K_S+3m, base+1 and base+2.
+    """
+    level, rows, keys, depth_len, k_s, k_i = (np.concatenate(col) for col in zip(*owners))
+    owner, slot = _ragged(k_i)
+    keys = keys[owner]
+    base = (2 * k_s[owner] + 3 * slot + 2).astype(np.uint64)
+    w, z = joint_delay_age_from_uniforms(p.ic, keyed_u01_vec(keys, base),
+                                         keyed_u01_vec(keys, base + np.uint64(1)))
+    ok = (depth_len[owner] + w <= p.horizon).nonzero()[0]
+    if marks:
+        ok = ok[keyed_u01_vec(keys[ok], base[ok] + np.uint64(2)) <= p.contact(w[ok])]
+    level = level[owner[ok]]  # nondecreasing, so each level's edges are one run
+    for k in np.unique(level):
+        lo, hi = np.searchsorted(level, (k, k + 1))
+        sel = ok[lo:hi]
+        levels[k].leaf_row, levels[k].leaf_val, levels[k].leaf_z = rows[owner[sel]], w[sel], z[sel]
+    return owner.size - ok.size
 
 
 def _candidates(contact: ContactRate, lev: _Level, sel=slice(None)) -> np.ndarray:
@@ -473,7 +499,8 @@ def estimate_B(p: TreeParams, t_grid, n_samples: int, seed: int) -> DualCurve:
         i = int(np.argmin(np.isfinite(t_grid)))
         raise ValueError(f"curve grid t_grid must be finite, got {t_grid[i]} at index {i}")
     if t_grid.max() > p.horizon:
-        raise ValueError("curve grid extends beyond the censoring horizon")
+        raise ValueError(f"curve grid extends beyond the censoring horizon: max(t_grid) = "
+                         f"{t_grid.max()} > {p.horizon}")
     sigma, _, _, work = _expand_batch(replace(p, horizon=float(t_grid.max())),
                                       np.arange(n_samples), seed)
     frac = np.searchsorted(np.sort(sigma), t_grid, side="right") / n_samples
@@ -502,13 +529,11 @@ def conditioned_first_step(p: TreeParams, t: float, delta: float,
     backward time (the infector's infection time, negative if the infector
     was initially infected).  The trees are censored at t + delta."""
     n_samples = check_count("n_samples", n_samples, 1)
-    for name, value in (("t", t), ("delta", delta)):
-        if not math.isfinite(value):
-            raise ValueError(f"window {name} must be finite, got {value}")
-    if delta <= 0:
-        raise ValueError("window width must be positive")
+    t = _check_real("window t", t, positive=None)
+    delta = _check_real("window delta", delta, positive=True)
     if t + delta > p.horizon:
-        raise ValueError("window extends beyond the censoring horizon")
+        raise ValueError(f"window extends beyond the censoring horizon: t + delta = "
+                         f"{t + delta} > {p.horizon}")
     if t + delta <= 0:
         raise ValueError(f"window [{t}, {t + delta}] ends at or before 0, where no sigma "
                          "(always positive) can land")

@@ -10,7 +10,10 @@ Two layers:
   the branching-tree sampler, where every tree node owns a key and the node's
   randomness must be reproducible regardless of traversal order or of how
   many trees are expanded together.  The helpers act elementwise on uint64
-  arrays, whose arithmetic wraps mod 2^64.
+  arrays, whose arithmetic wraps mod 2^64.  A draw mixes key + (c + 1) *
+  gamma for its counter c (`counter_offsets`, which a caller may table
+  once) through the one splitmix64 finalizer, `keyed_bits`, and
+  `u01_from_bits` keeps the top 53 bits as the uniform.
 
 `check_count` is the one check on the number of samples, chains or
 individuals a sampler is asked for, and on the master seed of every stream.
@@ -60,10 +63,21 @@ def check_count(name: str, value, minimum: int) -> int:
     return int(value)
 
 
+def counter_offsets(counters) -> np.ndarray:
+    """(c + 1) * gamma mod 2^64 for each counter c: the offset a keyed draw
+    at counter c adds to its key, as a fresh uint64 array.  The dual tree
+    builds its tables of these once, so that a draw costs one gather."""
+    c = np.array(counters, dtype=np.uint64)
+    c += np.uint64(1)
+    c *= _GAMMA  # in place, so a 0-d array wraps like any other, unwarned
+    return c
+
+
 def _mix64(z: np.ndarray) -> np.ndarray:
     """splitmix64 finalizer, bijective on 64-bit integers; mixes the caller's
-    fresh uint64 array in place and returns it.  Callers silence the overflow
-    warnings of 0-d input (`np.errstate(over="ignore")`)."""
+    fresh uint64 array in place and returns it.  Every product is formed in
+    place, where a 0-d array wraps mod 2^64 as a longer one does (a numpy
+    scalar would warn of the overflow)."""
     z ^= z >> np.uint64(30)
     z *= _M1
     z ^= z >> np.uint64(27)
@@ -72,11 +86,15 @@ def _mix64(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def keyed_u01_vec(keys: np.ndarray, counters) -> np.ndarray:
-    """Uniforms in [0,1) determined by (key, counter). 53-bit resolution."""
-    with np.errstate(over="ignore"):
-        c = (np.asarray(counters, dtype=np.uint64) + np.uint64(1)) * _GAMMA
-        bits = _mix64(np.asarray(keys, dtype=np.uint64) + c)
+def keyed_bits(keys: np.ndarray, offsets) -> np.ndarray:
+    """The 64 mixed bits of each (key, counter), given the counter's offset
+    from `counter_offsets`; `u01_from_bits` turns them into the uniform."""
+    z = np.add(keys, offsets, dtype=np.uint64)
+    return _mix64(z if isinstance(z, np.ndarray) else np.array(z))
+
+
+def u01_from_bits(bits: np.ndarray) -> np.ndarray:
+    """Uniforms in [0,1) from the top 53 of the mixed bits (overwritten)."""
     bits >>= np.uint64(11)
     # below 2**53, so the signed conversion (the faster one) is exact
     u = bits.view(np.int64).astype(np.float64)
@@ -84,18 +102,25 @@ def keyed_u01_vec(keys: np.ndarray, counters) -> np.ndarray:
     return u
 
 
+def keyed_u01_vec(keys: np.ndarray, counters) -> np.ndarray:
+    """Uniforms in [0,1) determined by (key, counter). 53-bit resolution."""
+    return u01_from_bits(keyed_bits(np.asarray(keys, dtype=np.uint64), counter_offsets(counters)))
+
+
+def child_keys(keys: np.ndarray, offsets) -> np.ndarray:
+    """Keys of the nodes' children, given the `counter_offsets` of their
+    slots."""
+    return keyed_bits(np.bitwise_xor(keys, _KEY_TWEAK, dtype=np.uint64), offsets)
+
+
 def child_key_vec(keys: np.ndarray, slots) -> np.ndarray:
     """Keys of the nodes' slot-th children (slots 0-based)."""
-    with np.errstate(over="ignore"):
-        s = (np.asarray(slots, dtype=np.uint64) + np.uint64(1)) * _GAMMA
-        return _mix64((np.asarray(keys, dtype=np.uint64) ^ _KEY_TWEAK) + s)
+    return child_keys(np.asarray(keys, dtype=np.uint64), counter_offsets(slots))
 
 
 def root_key_vec(seed: int, indices: np.ndarray) -> np.ndarray:
     """Keys of the tree roots at positions `indices` of a run seed's stream
     (a nonnegative integer)."""
     seed = check_count("seed", seed, 0)
-    with np.errstate(over="ignore"):
-        base = _mix64(np.array(seed & _MASK, dtype=np.uint64))
-        s = (np.asarray(indices, dtype=np.uint64) + np.uint64(1)) * _GAMMA
-        return _mix64(base + s)
+    base = _mix64(np.array(seed & _MASK, dtype=np.uint64))
+    return keyed_bits(base, counter_offsets(indices))

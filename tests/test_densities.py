@@ -1,6 +1,7 @@
-"""The one inversion of tabulated laws: the guide table's index equals
+"""The exact lookups in tabulated laws: the guide table's index equals
 `searchsorted` at every scale, the kernel's inverse keeps its arithmetic,
-and draws follow the cell-constant law of the trapezoid CDF out to its tail."""
+draws follow the cell-constant law of the trapezoid CDF out to its tail, and
+the uniform-grid lookup is `np.interp` bit for bit."""
 
 import math
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from epichain import ExponentialKernel, backward_density
-from epichain.densities import GUIDE_BUCKETS, GridDensity, GuideTable
+from epichain.densities import GUIDE_BUCKETS, GridDensity, GuideTable, UniformInterp
 from epichain.kernels import TabulatedKernel
 from epichain.poisson_tree import poisson_counts
 
@@ -128,3 +129,78 @@ class TestCellLaw:
         # the cell law puts 6.8e-9 of its mass past 18.8; the 4096-quantile
         # table it replaced put 1.27e-4 of its draws there
         assert x.max() < 18.8
+
+
+def _interp_probes(xp: np.ndarray) -> np.ndarray:
+    """Points between knots, on knots and next to them, below and above the
+    grid, at the last knot, infinities and NaN."""
+    lo, hi = xp[0], xp[-1]
+    width = hi - lo
+    return np.concatenate((
+        np.random.default_rng(893).uniform(lo - 0.05 * width, hi + 0.05 * width, 1_000_000),
+        xp, np.nextafter(xp, -np.inf), np.nextafter(xp, np.inf),
+        0.5 * (xp[1:] + xp[:-1]),
+        [lo - 1.0, np.nextafter(lo, -np.inf), -0.0, hi, np.nextafter(hi, np.inf), hi + 1.0,
+         1e300, -1e300, np.inf, -np.inf, np.nan]))
+
+
+class TestUniformInterp:
+    """The lookup behind `LimitSolution.b_at` and `S_at` is `np.interp`,
+    bit for bit, NaN included, and raises no warning (a RuntimeWarning fails
+    the test)."""
+
+    @pytest.mark.parametrize("field", ["b", "S", "B"])
+    def test_equals_np_interp_on_the_solution(self, sol, field):
+        table = getattr(sol, field)
+        x = _interp_probes(sol.t)
+        assert UniformInterp(sol.t, table)(x).tobytes() == np.interp(x, sol.t, table).tobytes()
+
+    @pytest.mark.parametrize("lo, hi, n", [(0.0, 25.0, 12_501), (-3.0, 7.0, 11), (0.0, 1e-3, 2),
+                                           (1e6, 1e6 + 10.0, 100_001)])
+    def test_equals_np_interp_on_other_grids(self, lo, hi, n):
+        xp = np.linspace(lo, hi, n)
+        # signed zeros, a flat stretch and a jump
+        fp = np.sin(np.arange(n) * 0.7)
+        fp[: n // 3] = -0.0
+        fp[n // 2:] += 5.0
+        x = _interp_probes(xp)
+        assert UniformInterp(xp, fp)(x).tobytes() == np.interp(x, xp, fp).tobytes()
+
+    def test_knots_off_the_grid_by_less_than_half_a_step(self):
+        # the floor index is then off by at most one, which one step mends
+        n = 1_001
+        xp = np.linspace(0.0, 10.0, n)
+        xp[1:-1] += np.random.default_rng(897).uniform(-0.45, 0.45, n - 2) * 0.01
+        fp = np.cos(xp)
+        x = _interp_probes(xp)
+        assert UniformInterp(xp, fp)(x).tobytes() == np.interp(x, xp, fp).tobytes()
+
+    def test_keeps_the_shape(self, sol):
+        x = np.linspace(-1.0, 26.0, 12).reshape(3, 4)
+        table = UniformInterp(sol.t, sol.b)
+        assert np.array_equal(table(x), np.interp(x, sol.t, sol.b))
+        assert table(2.5).shape == () and table(2.5) == np.interp(2.5, sol.t, sol.b)
+
+    @pytest.mark.parametrize("xp, fp", [
+        ([0.0, 0.5, 3.0], [1.0, 2.0, 3.0]),
+        ([0.0, 1.0, 2.0], [1.0, np.inf, 3.0]),
+        ([2.0, 1.0, 0.0], [1.0, 2.0, 3.0]),
+        ([0.0], [1.0]),
+    ], ids=["not-uniform", "not-finite", "decreasing", "one-knot"])
+    def test_rejects_tables_it_cannot_match(self, xp, fp):
+        with pytest.raises(ValueError):
+            UniformInterp(np.array(xp), np.array(fp))
+
+    def test_b_at_and_S_at_are_their_parent_formulas(self, sol):
+        # b_at evaluates each branch on its own x: np.interp where x >= 0,
+        # I0 g(-x) below 0 and at NaN
+        x = np.concatenate((_interp_probes(sol.t), -np.linspace(0.0, 40.0, 8001),
+                            np.random.default_rng(895).uniform(-20.0, 0.0, 100_000)))
+        b_want = np.where(x >= 0, np.interp(x, sol.t, sol.b),
+                          sol.ic.i0 * sol.ic.g_pdf(np.maximum(-x, 0.0)))
+        S_want = np.where(x >= 0, np.interp(x, sol.t, sol.S), 1.0 - sol.ic.i0)
+        assert sol.b_at(x).tobytes() == b_want.tobytes()
+        assert sol.S_at(x).tobytes() == S_want.tobytes()
+        assert sol.b_at(-0.5) == b_want[x == -0.5][0] and sol.b_at(-0.5).shape == ()
+        neg = x[x < 0]
+        assert sol.b_at(neg).tobytes() == (sol.ic.i0 * sol.ic.g_pdf(-neg)).tobytes()

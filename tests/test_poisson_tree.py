@@ -15,7 +15,8 @@ from epichain import (
     ContactRate, conditioned_first_step, estimate_B, sample_geodesic, tree_params,
 )
 from epichain import poisson_tree
-from epichain.poisson_tree import _expand_batch, poisson_counts
+from epichain.poisson_tree import _expand_batch, _expand_chunk, poisson_counts
+from epichain.rng import root_key_vec
 
 
 def _indices(n):
@@ -89,6 +90,17 @@ class TestEstimateB:
         with pytest.raises(ValueError, match="node_cap"):
             tree_params(kernel, ic, unit_contact, horizon=8.0, node_cap=cap)
 
+    @pytest.mark.parametrize("horizon", [True, "5", None, 10**400, 0, -1.0, math.inf, math.nan],
+                             ids=["True", "str", "None", "10**400", "0", "-1", "inf", "nan"])
+    def test_rejects_bad_horizon(self, kernel, ic, unit_contact, horizon):
+        # a bool must not act as horizon 1, nor a str or None raise a TypeError
+        with pytest.raises(ValueError, match="^horizon must be "):
+            tree_params(kernel, ic, unit_contact, horizon=horizon)
+
+    def test_grid_beyond_horizon_names_both(self, params):
+        with pytest.raises(ValueError, match=r"max\(t_grid\) = 9.5 > 8.0"):
+            estimate_B(params, [1.0, 9.5], 5_000, seed=1)
+
     def test_rejects_grid_that_is_not_1d(self, params):
         with pytest.raises(ValueError, match="t_grid must be 1-D"):
             estimate_B(params, [[1.0, 2.0]], 5_000, seed=1)
@@ -143,6 +155,50 @@ class TestChunking:
             assert getattr(small, key) == getattr(work, key), key
         assert work.chunks < 10 and small.chunks > 100  # a few samples a chunk
         assert small.max_chunk_nodes < work.max_chunk_nodes
+
+
+# sha256 of each field over one chunk's levels (dtype, then bytes, level by
+# level; "None" for a mark never drawn) for 3000 samples of seed 871 at H = 8,
+# recorded before the expansion drew its leaf edges once per chunk
+RECORDED_LEVELS = {
+    "unit": {
+        "i_min": "a7a19f7b755da9fed2cd3f4e54432ec916308ecacd01f8e7dddf883e507c111e",
+        "parent_row": "745632dcfa107a0ca8530f17bfeb13c6308e46019ac096c5c2063bf7be2fe1ae",
+        "edge_w": "817ac53ddab3b7a26c808447304c31c87650b30ada9fbd86eb3f32099f9296bf",
+        "edge_s": "4748d2b7f939b2463f2d646672d64b7030dbeda9e8db5303818420d95a504514",
+        "leaf_row": "9abe1b275219ba1b4270b63a2c3266a33cfcd08d959462c6dfdafd34cfcc847a",
+        "leaf_val": "195a09f13350452242353f5e7ae4b75b703603495b4107be23c574d16fd17f82",
+        "leaf_z": "d3b687789b110607cd72722c5aaa4f4ad9bffbbc553332eb0a3d4f662352c234",
+    },
+    "halved": {
+        "i_min": "5a6c252dca26674030fd6e2b16288fb397a3bd5962f5ff81ca396feca9e94ed0",
+        "parent_row": "745632dcfa107a0ca8530f17bfeb13c6308e46019ac096c5c2063bf7be2fe1ae",
+        "edge_w": "817ac53ddab3b7a26c808447304c31c87650b30ada9fbd86eb3f32099f9296bf",
+        "edge_s": "3a8a6b98125568536eeaf2bdb60aff8bf7de79a7b64d85f44134827d79edd8bf",
+        "leaf_row": "87aa9143a91c7fc2a0fcf39777431ef9db690eff7bdbdfe4c6dcab4eb4c169da",
+        "leaf_val": "f988d0f6908ddeb8e8a8ceb99ea757beef313c88002cc90e5e673428e88e51d0",
+        "leaf_z": "972726bec699ea4d181321af95ffde572bad3871245ce44f3490da517137e799",
+    },
+}
+
+
+class TestRecordedLevels:
+    """Every array the fold and the walk read, in its order: a leaf edge
+    listed in another order, or on another level, changes a digest even
+    where sigma and the node counts stay the same."""
+
+    @pytest.mark.parametrize("contact", ["unit", "halved"])
+    def test_levels_reproduced(self, kernel, ic, contact):
+        rate = ContactRate.constant(1.0) if contact == "unit" else ContactRate(**HALVED)
+        p = tree_params(kernel, ic, rate, horizon=8.0)
+        levels, expanded, _ = _expand_chunk(p, root_key_vec(871, _indices(3_000)))
+        assert (len(levels), expanded) == (28, 435265)
+        for field, want in RECORDED_LEVELS[contact].items():
+            h = hashlib.sha256()
+            for lev in levels:
+                a = getattr(lev, field)
+                h.update(b"None" if a is None else a.dtype.str.encode() + a.tobytes())
+            assert h.hexdigest() == want, field
 
 
 class TestScalarBatchParity:
@@ -292,6 +348,19 @@ class TestConditionedFirstStep:
     def test_rejects_non_finite_window(self, params, t, delta, name):
         with pytest.raises(ValueError, match=f"window {name} must be finite"):
             conditioned_first_step(params, t, delta, 2_000, seed=832)
+
+    @pytest.mark.parametrize("t, delta, name", [
+        (True, 0.5, "t"), ("4", 0.5, "t"), (None, 0.5, "t"), (4.0, True, "delta"),
+        (4.0, "0.5", "delta"), (4.0, 0.0, "delta"), (4.0, -0.5, "delta"),
+    ])
+    def test_rejects_window_that_is_not_a_real_number(self, params, t, delta, name):
+        # a bool must not act as 1, nor a str raise a TypeError
+        with pytest.raises(ValueError, match=f"^window {name} must be "):
+            conditioned_first_step(params, t, delta, 2_000, seed=832)
+
+    def test_window_beyond_horizon_names_both(self, params):
+        with pytest.raises(ValueError, match=r"t \+ delta = 8.5 > 8.0"):
+            conditioned_first_step(params, 7.5, 1.0, 2_000, seed=832)
 
     @pytest.mark.parametrize("t, delta", [(-5.0, 1.0), (-1.0, 1.0)])
     def test_rejects_window_ending_at_or_before_zero(self, params, t, delta):

@@ -3,6 +3,8 @@ that do not depend on which other keys share the batch (the property that
 lets one tree be expanded alone or inside a chunk with the same draws), and
 the one check on the sample counts every sampler is given."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,8 +16,11 @@ from epichain import (
     simulate, survival_representation_check, tree_params,
 )
 from epichain.backward_chain import reweighted_first_steps
-from epichain.rng import child_key_vec, keyed_u01_vec, root_key_vec
+from epichain.poisson_tree import _KI_OFFSET, _KS_OFFSET, _slot_offsets
+from epichain.rng import child_key_vec, counter_offsets, keyed_u01_vec, root_key_vec
 from helpers import empirical_tau
+
+GAMMA = 0x9E3779B97F4A7C15
 
 
 def test_derive_seed_stable_and_tag_sensitive():
@@ -55,6 +60,37 @@ def test_root_keys_independent_of_batch():
     assert int(child_key_vec(vec[:1], 2)[0]) == 0x6655C11B5A88E683
     for i in range(32):
         assert root_key_vec(99, np.array([i], dtype=np.uint64))[0] == vec[i]
+
+
+def test_tree_offset_tables_are_the_python_int_products(kernel, ic, unit_contact):
+    # the tree draws through tables of (c + 1) * gamma mod 2^64; every slot
+    # the Poisson table of K_S can yield (K_S up to cum.size) must be covered
+    p = tree_params(kernel, ic, unit_contact, horizon=8.0)
+    slots = p.s_counts.cum.size
+    w_table, s_table, key_table = _slot_offsets(slots)
+    for table, counter in ((w_table, lambda j: 2 + 2 * j), (s_table, lambda j: 3 + 2 * j),
+                           (key_table, lambda j: j)):
+        assert table.dtype == np.uint64 and table.size == slots
+        assert [int(v) for v in table] == [(counter(j) + 1) * GAMMA % 2**64 for j in range(slots)]
+    assert (int(_KS_OFFSET), int(_KI_OFFSET)) == (GAMMA, 2 * GAMMA % 2**64)
+    big = np.array([0, 2**63, 2**64 - 2], dtype=np.uint64)
+    assert [int(v) for v in counter_offsets(big)] == [(int(c) + 1) * GAMMA % 2**64 for c in big]
+
+
+@pytest.mark.parametrize("key", [np.uint64(2**64 - 1), np.array(2**64 - 1, dtype=np.uint64),
+                                 np.uint64(12345)], ids=["scalar-top", "0-d-top", "scalar"])
+def test_zero_d_keys_give_the_batch_draws_unwarned(key):
+    # the products wrap mod 2^64 in place, so a 0-d key warns of no overflow
+    one = np.array([key], dtype=np.uint64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u = keyed_u01_vec(key, np.uint64(3))
+        child = child_key_vec(key, 5)
+        root = root_key_vec(99, np.uint64(7))
+    assert np.shape(u) == np.shape(child) == np.shape(root) == ()
+    assert u == keyed_u01_vec(one, np.uint64(3))[0]
+    assert child == child_key_vec(one, 5)[0]
+    assert root == root_key_vec(99, np.array([7], dtype=np.uint64))[0]
 
 
 def test_counter_stream_looks_uniform():
