@@ -44,7 +44,7 @@ import numpy as np
 
 from .kernels import IntensityKernel, backward_density, malthusian_parameter
 from .limit_solver import LimitSolution
-from .rng import check_count, make_rng
+from .rng import as_real, check_count, make_rng
 
 _B_FLOOR = 1e-12
 _ENVELOPE_WIDTH = 0.5  # width of the ancestor-time blocks of the b envelope
@@ -124,17 +124,18 @@ def sample_renewal_chains(t: float, kernel: IntensityKernel, n_chains: int,
     """n independent renewal paths R_0 = t > R_1 > ... > R_L <= 0 with jumps
     from r(a) = e^{-alpha a} tau(a); a start t <= 0 gives L = 0."""
     n_chains = check_count("n_chains", n_chains, 1)
+    t = as_real("chain start", t)
     if not math.isfinite(t):
         raise ValueError(f"chain start {t:g} is not finite")
     rng = make_rng(seed, "renewal", t)
     step = _renewal_step(kernel, malthusian_parameter(kernel).alpha, rng)
-    return _paths(_walk(np.full(n_chains, float(t)), step, rng))
+    return _paths(_walk(np.full(n_chains, t), step, rng))
 
 
 def _killed_walk(t: float, sol: LimitSolution, alpha: float, n: int, rng: np.random.Generator):
     """`_walk` of n renewal chains from t, each killed at a positive state x
     with probability 1 - S(x)c(x); t must pass `_check_starts`."""
-    starts = _check_starts(np.full(n, float(t)), sol, positive=False)
+    starts = _check_starts(np.full(n, t), sol, positive=False)
     return _walk(starts, _renewal_step(sol.kernel, alpha, rng), rng,
                  lambda x: sol.S_at(x) * sol.contact(x))
 
@@ -168,6 +169,7 @@ def martingale_diagnostic(t: float, sol: LimitSolution, n_samples: int, k_max: i
                           seed: int) -> MartingaleReport:
     n_samples = check_count("n_samples", n_samples, 1)
     k_max = check_count("k_max", k_max, 1)
+    t = as_real("chain start", t)
     alpha = malthusian_parameter(sol.kernel).alpha
     sums = np.zeros(k_max + 1)
     sq_sums = np.zeros(k_max + 1)
@@ -215,6 +217,7 @@ class SurvivalReport:
 def survival_representation_check(t: float, sol: LimitSolution, n_samples: int,
                                   seed: int) -> SurvivalReport:
     n_samples = check_count("n_samples", n_samples, 1)
+    t = as_real("chain start", t)
     if t <= 0:
         raise ValueError(f"chain start {t:g} is not positive: the survival representation "
                          "is stated for t > 0")
@@ -348,7 +351,8 @@ def sample_h_chains(t: float, sol: LimitSolution, n_chains: int, seed: int) -> C
     """n independent conditioned paths from calendar time t; a start t <= 0
     gives L = 0.  `proposals` counts the envelope draws of all transitions."""
     n_chains = check_count("n_chains", n_chains, 1)
-    starts = _check_starts(np.full(n_chains, float(t)), sol, positive=False)
+    t = as_real("chain start", t)
+    starts = _check_starts(np.full(n_chains, t), sol, positive=False)
     rng = make_rng(seed, "h-chain", t)
     step = _HTransition(sol, rng)
     return replace(_paths(_walk(starts, step, rng)), proposals=step.proposals)
@@ -382,6 +386,7 @@ def reweighted_first_steps(t: float, sol: LimitSolution, n_samples: int,
     survival probability, not the reweighted law); the unit tests compare
     the weighted histogram with `sample_h_first_steps`."""
     n_samples = check_count("n_samples", n_samples, 1)
+    t = as_real("chain start", t)
     alpha = malthusian_parameter(sol.kernel).alpha
     h_start = float(sol.b_at(t)) * math.exp(-alpha * t)
     walk = _killed_walk(t, sol, alpha, n_samples, make_rng(seed, "reweighted", t))

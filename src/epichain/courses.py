@@ -7,6 +7,8 @@ ages at which it enters each compartment of its model's fixed sequence
 intensity kernel, and expose the age-marginal occupation probabilities
 p(a, i) when known in closed form.  Courses only ever exist in batches: a
 `CourseBatch` stores n courses flat, and one course is one of its rows.
+`_rows`, `_ragged` (rows with slots) and `_offsets` (CSR offsets from rows)
+are the index maps of every flat layout: atoms, tree levels, graph edges.
 
 `CourseModel.palm_courses` draws exact Palm courses: courses conditioned on
 a contact at a given age.  Every built-in model is a Cox process (Poisson
@@ -43,7 +45,28 @@ class CourseBatch:
 
     def owners(self) -> np.ndarray:
         """The course index of every atom."""
-        return np.repeat(np.arange(self.n), np.diff(self.offsets))
+        return _rows(np.diff(self.offsets))
+
+
+def _rows(counts: np.ndarray) -> np.ndarray:
+    """The row of every item when row i owns counts[i] items: 0,..,0,1,..,1,..."""
+    return np.repeat(np.arange(counts.size), counts)
+
+
+def _ragged(counts: np.ndarray):
+    """(row, slot) of every item when row i owns counts[i] items: rows as in
+    `_rows` and slots 0..c0-1, 0..c1-1, ..."""
+    rows = _rows(counts)
+    slots = np.arange(rows.size)
+    slots -= (np.cumsum(counts) - counts).take(rows)
+    return rows, slots
+
+
+def _offsets(rows: np.ndarray, n: int) -> np.ndarray:
+    """CSR offsets of n rows, given the row of every item."""
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=offsets[1:])
+    return offsets
 
 
 def _sorted_uniforms(rng: np.random.Generator, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -60,15 +83,9 @@ def _sorted_uniforms(rng: np.random.Generator, counts: np.ndarray) -> tuple[np.n
     partial = np.cumsum(rng.standard_exponential(int(counts.sum()) + counts.size))
     before = np.concatenate(([0.0], partial[ends[:-1] - 1]))
     total = partial[ends - 1] - before
-    owner = np.repeat(np.arange(counts.size), counts)
+    owner = _rows(counts)
     spacing = np.arange(owner.size) + owner
     return owner, (partial[spacing] - before[owner]) / total[owner]
-
-
-def _offsets(owner: np.ndarray, n: int) -> np.ndarray:
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(owner, minlength=n), out=offsets[1:])
-    return offsets
 
 
 def _infectious_atoms(rng: np.random.Generator, start: np.ndarray, duration: np.ndarray,

@@ -1,5 +1,5 @@
-"""Tabulated densities on uniform grids, and the two exact lookups in such
-tables.
+"""Tabulated densities on uniform grids (every grid is a `uniform_grid`),
+and the two exact lookups in such tables.
 
 `GuideTable` is the one inversion behind every tabulated draw (the dual
 tree's Poisson counts, `IntensityKernel.inverse_cumulative`,
@@ -8,9 +8,10 @@ CDF out to its last cell of mass.
 
 `UniformInterp` is `np.interp` on a uniform grid, bit for bit, with the cell
 index found by arithmetic instead of a binary search: the limit solution's
-`b_at` and `S_at` read their tables through it.  A floor index off by one
-next to a knot is corrected by one step against the knots, and the value
-comes from `np.interp`'s own slope formula and end cases."""
+`b_at` and `S_at` and `IntensityKernel.cumulative` read their tables through
+it.  A floor index off by one next to a knot is corrected by one step
+against the knots, and the value comes from `np.interp`'s own slope formula
+and end cases."""
 
 from __future__ import annotations
 
@@ -21,6 +22,12 @@ import numpy as np
 
 GUIDE_BUCKETS = 1 << 16
 _INTERP_BLOCK = 1 << 14  # points a `UniformInterp` block holds: its temporaries stay in cache
+
+
+def uniform_grid(extent: float, step: float) -> np.ndarray:
+    """0, step, ..., n * step, n = round(extent / step); callers check both."""
+    n = int(round(extent / step))
+    return np.linspace(0.0, n * step, n + 1)
 
 
 class GuideTable:

@@ -19,7 +19,7 @@ import numpy as np
 from .courses import CourseBatch, CourseModel
 from .infection_graph import InfectionGraph, first_passage
 from .kernels import ContactRate, InitialCondition
-from .rng import check_count, make_rng
+from .rng import as_real, check_count, make_rng
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,8 @@ def simulate(model: CourseModel, n_individuals: int, contact: ContactRate,
     oracle cross-checks read it).
     """
     n = check_count("n_individuals", n_individuals, 1)
-    if not float(horizon) >= 0.0:
+    horizon = as_real("horizon", horizon, "be a nonnegative number")
+    if not horizon >= 0.0:
         raise ValueError(f"horizon must be a nonnegative number, got {horizon!r}")
     rng = make_rng(0 if seed is None else seed, "forward-sim")
 

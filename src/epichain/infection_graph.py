@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .courses import CourseBatch
+from .courses import CourseBatch, _offsets, _rows
 from .kernels import ContactRate
 
 _MAX_CHAINS = 500_000  # chains the oracle enumerates before giving up on a population
@@ -71,7 +71,7 @@ def _ranges(offsets: np.ndarray, ids: np.ndarray) -> np.ndarray:
     starts = offsets[ids]
     lengths = offsets[ids + 1] - starts
     ends = np.cumsum(lengths)
-    return np.repeat(starts - ends + lengths, lengths) + np.arange(lengths.sum())
+    return (starts - ends + lengths).take(_rows(lengths)) + np.arange(lengths.sum())
 
 
 def first_passage(graph: InfectionGraph, contact: ContactRate) -> FirstPassage:
@@ -98,8 +98,7 @@ def first_passage(graph: InfectionGraph, contact: ContactRate) -> FirstPassage:
     # only contacts between two individuals, the target not initially infected, can infect
     live = np.flatnonzero((targets != source) & ~graph.initial[targets])
     in_edges = live[np.argsort(targets[live])]
-    in_offsets = np.zeros(graph.n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(targets[live], minlength=graph.n), out=in_offsets[1:])
+    in_offsets = _offsets(targets[live], graph.n)
     can_infect = np.zeros(atoms.size, dtype=bool)
     can_infect[live] = True
 

@@ -18,13 +18,13 @@ uniform age grid, which is what the quadrature-based solvers consume.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .densities import GridDensity, GuideTable, cumulative_trapezoid
+from .densities import GridDensity, GuideTable, UniformInterp, cumulative_trapezoid, uniform_grid
+from .rng import as_real, check_real
 
 DEFAULT_AGE_STEP = 0.01
 GENERATION_TIME_SPAN = 40.0  # grid reach, in units of the mean generation time
@@ -32,27 +32,6 @@ _MALTHUS_BRACKET = (-5.0, 5.0)  # growth rates searched by the Malthusian bisect
 _MALTHUS_TOL = 1e-10
 _MALTHUS_MAX_ITER = 200
 _BACKWARD_DENSITY_TOL = 1e-6  # largest |L(alpha) - 1| a backward density may keep
-
-
-def _check_real(name: str, value, *, positive: bool | None) -> float:
-    """`value` as a float; a ValueError naming `name` when it is a bool, not
-    a real number, not finite, or negative (or zero, when `positive`); with
-    `positive` None, any finite sign passes.  The kernel and
-    initial-condition constructors check their parameters with it before any
-    array is built, and the dual tree its horizon and window."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
-    try:
-        value = float(value)
-    except OverflowError:  # an int beyond the float range
-        value = math.inf if value > 0 else -math.inf
-    if positive is None:
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-    elif not math.isfinite(value) or value < 0.0 or (positive and value == 0.0):
-        raise ValueError(f"{name} must be finite and {'positive' if positive else 'nonnegative'}, "
-                         f"got {value}")
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -129,12 +108,11 @@ class IntensityKernel:
     r0: float
 
     def _init_grid(self, step: float, a_max: float) -> None:
-        step = _check_real("step", step, positive=True)
-        a_max = _check_real("a_max", a_max, positive=True)
+        step = check_real("step", step, positive=True)
+        a_max = check_real("a_max", a_max, positive=True)
         if a_max <= step:
             raise ValueError("a_max must exceed the age step")
-        n = int(round(a_max / step))
-        self.ages = np.linspace(0.0, n * step, n + 1)
+        self.ages = uniform_grid(a_max, step)
         self.table = np.asarray(self.value(self.ages), dtype=float)
         if np.any(self.table < 0) or not np.all(np.isfinite(self.table)):
             raise ValueError("intensity values must be finite and nonnegative")
@@ -156,9 +134,10 @@ class IntensityKernel:
         """integral of exp(-theta a) tau(a) da; may be +inf when divergent."""
         raise NotImplementedError
 
-    def cumulative(self, a) -> np.ndarray:
-        """integral of tau over [0, a], tabulated (flat beyond the grid)."""
-        return np.interp(a, self.ages, self._cum, left=0.0, right=float(self._cum[-1]))
+    @cached_property
+    def cumulative(self) -> UniformInterp:  # built at the first lookup
+        """integral of tau over [0, a], tabulated (0 below the grid, flat beyond)."""
+        return UniformInterp(self.ages, self._cum)
 
     @cached_property
     def _cum_table(self) -> GuideTable:  # built at the first inversion
@@ -188,8 +167,8 @@ class ExponentialKernel(IntensityKernel):
 
     def __init__(self, beta: float, gamma: float, step: float = DEFAULT_AGE_STEP,
                  a_max: float | None = None):
-        self.beta = _check_real("beta", beta, positive=False)
-        self.gamma = _check_real("gamma", gamma, positive=True)
+        self.beta = check_real("beta", beta, positive=False)
+        self.gamma = check_real("gamma", gamma, positive=True)
         self.r0 = self.beta / self.gamma
         if a_max is None:
             a_max = GENERATION_TIME_SPAN / self.gamma
@@ -212,9 +191,9 @@ class LatentExponentialKernel(IntensityKernel):
 
     def __init__(self, beta: float, activation: float, recovery: float,
                  step: float = DEFAULT_AGE_STEP, a_max: float | None = None):
-        self.beta = _check_real("beta", beta, positive=False)
-        self.activation = _check_real("activation", activation, positive=True)
-        self.recovery = _check_real("recovery", recovery, positive=True)
+        self.beta = check_real("beta", beta, positive=False)
+        self.activation = check_real("activation", activation, positive=True)
+        self.recovery = check_real("recovery", recovery, positive=True)
         if self.activation == self.recovery:
             raise ValueError("equal activation and recovery rates are not supported")
         self.r0 = self.beta / self.recovery
@@ -370,9 +349,11 @@ class InitialCondition:
     z_marginal: GridDensity = field(init=False)
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.i0 < 1.0:
-            raise ValueError("initial infection probability i0 must lie in (0, 1), "
-                             f"got {self.i0!r}")
+        name, must = "initial infection probability i0", "lie in (0, 1)"
+        i0 = as_real(name, self.i0, must)
+        if not 0.0 < i0 < 1.0:
+            raise ValueError(f"{name} must {must}, got {self.i0!r}")
+        object.__setattr__(self, "i0", i0)
         tb = bar_tau(self.kernel, self.age_density)
         object.__setattr__(self, "tau_bar", tb)
         object.__setattr__(self, "r0_bar", tb.r0)
@@ -392,12 +373,6 @@ class InitialCondition:
         return self.age_density.pdf(a)
 
 
-def exponential_age_density(rate: float, step: float, a_max: float) -> GridDensity:
-    n = int(round(a_max / step))
-    grid = np.linspace(0.0, n * step, n + 1)
-    return GridDensity(grid, rate * np.exp(-rate * grid))
-
-
 def initial_condition(kernel: IntensityKernel, i0: float, *, age_rate: float | None = None,
                       age_density: GridDensity | None = None) -> InitialCondition:
     """Build an InitialCondition from either an exponential age rate or an
@@ -405,8 +380,9 @@ def initial_condition(kernel: IntensityKernel, i0: float, *, age_rate: float | N
     if (age_rate is None) == (age_density is None):
         raise ValueError("give exactly one of age_rate or age_density")
     if age_rate is not None:
-        age_rate = _check_real("age_rate", age_rate, positive=True)
-        age_density = exponential_age_density(age_rate, kernel.step, kernel.a_max)
+        age_rate = check_real("age_rate", age_rate, positive=True)
+        ages = uniform_grid(kernel.a_max, kernel.step)
+        age_density = GridDensity(ages, age_rate * np.exp(-age_rate * ages))
     return InitialCondition(i0=i0, age_density=age_density, kernel=kernel, age_rate=age_rate)
 
 

@@ -46,10 +46,11 @@ from functools import cached_property
 import numpy as np
 
 from .courses import CourseModel
-from .densities import UniformInterp, cumulative_trapezoid
+from .densities import UniformInterp, cumulative_trapezoid, uniform_grid
 from .kernels import (
     ContactRate, InitialCondition, IntensityKernel, malthusian_parameter, shifted_age_sums,
 )
+from .rng import check_real
 
 _BLOCK = 1024            # marching steps per block of the history sum
 _INNER_TOL = 1e-14       # relative change that ends a marching step's fixed point
@@ -151,14 +152,12 @@ def _trapezoid_convolution(f: np.ndarray, spectrum: np.ndarray, b: np.ndarray,
 
 def _time_grid(horizon: float, dt: float) -> np.ndarray:
     """The solver grid 0, dt, ..., horizon, shared by every solver entry point."""
-    if not (math.isfinite(dt) and dt > 0):
-        raise ValueError(f"time step dt must be positive and finite, got {dt!r}")
-    if not (math.isfinite(horizon) and horizon > 0):
-        raise ValueError(f"horizon must be positive and finite, got {horizon!r}")
-    n = int(round(horizon / dt))
-    if n < 1 or abs(n * dt - horizon) > 1e-9 * max(1.0, horizon):
+    dt = check_real("time step dt", dt, positive=True)
+    horizon = check_real("horizon", horizon, positive=True)
+    t = uniform_grid(horizon, dt)
+    if t.size < 2 or abs(t[-1] - horizon) > 1e-9 * max(1.0, horizon):
         raise ValueError(f"horizon {horizon:g} must be a multiple of dt {dt:g}")
-    return np.linspace(0.0, n * dt, n + 1)
+    return t
 
 
 @dataclass(frozen=True)

@@ -54,11 +54,11 @@ Per-node draw layout (counter -> use):
     0 -> number of subtree children K_S       1 -> number of leaf edges K_I
     2+2j, 3+2j -> edge length W_j and mark s_j of subtree child j
     2+2K_S+3m, +1, +2 -> initial age Z_m, delay Wbar_m, mark sbar_m of leaf m
-Subtree child j's key is child_key_vec(parent_key, j).  A draw at counter c
-hashes the key plus the offset (c + 1) * gamma mod 2^64; the offsets of K_S,
-K_I and every subtree slot's W, s and key are tabled once
-(`rng.counter_offsets`), so a level's draws cost one gather each and no
-counter arithmetic.
+Subtree child j's key is `rng.child_keys` of the parent's key at counter j.
+A draw at counter c hashes the key plus the offset (c + 1) * gamma mod 2^64;
+the offsets of K_S, K_I and every subtree slot's W, s and key are tabled
+once (`rng.counter_offsets`), so a level's draws cost one gather each and no
+counter arithmetic, and a leaf edge's three draws step one offset by gamma.
 
 No draw that the horizon cuts is ever made.  An edge's length comes first;
 only a subtree child with depth + W <= H gets its mark and its key, and only
@@ -86,14 +86,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .courses import CourseBatch, CourseModel
+from .courses import CourseBatch, CourseModel, _ragged
 from .densities import GridDensity, GuideTable
-from .kernels import (
-    ContactRate, InitialCondition, IntensityKernel, _check_real, joint_delay_age_from_uniforms,
-)
+from .kernels import ContactRate, InitialCondition, IntensityKernel, joint_delay_age_from_uniforms
 from .rng import (
-    check_count, child_keys, counter_offsets, keyed_bits, keyed_u01_vec, make_rng, root_key_vec,
-    u01_from_bits,
+    GAMMA, check_count, check_real, child_keys, counter_offsets, keyed_bits, make_rng,
+    root_key_vec, u01_from_bits,
 )
 
 # nodes a chunk of samples aims at (see the module docstring); more nodes
@@ -134,7 +132,7 @@ class TreeParams:
 def tree_params(kernel: IntensityKernel, ic: InitialCondition, contact: ContactRate,
                 horizon: float, node_cap: int = NODE_CAP,
                 model: CourseModel | None = None) -> TreeParams:
-    horizon = _check_real("horizon", horizon, positive=True)
+    horizon = check_real("horizon", horizon, positive=True)
     node_cap = check_count("node_cap", node_cap, 1)
     s0 = 1.0 - ic.i0
     return TreeParams(
@@ -144,15 +142,6 @@ def tree_params(kernel: IntensityKernel, ic: InitialCondition, contact: ContactR
         i_counts=poisson_counts(ic.i0 * ic.r0_bar),
         node_cap=node_cap, model=model,
     )
-
-
-def _ragged(counts: np.ndarray):
-    """(row, slot) of every item when row i owns counts[i] items: rows
-    0,..,0,1,..,1,... and slots 0..c0-1, 0..c1-1, ..."""
-    rows = np.repeat(np.arange(counts.size), counts)
-    slots = np.arange(rows.size)
-    slots -= (np.cumsum(counts) - counts).take(rows)
-    return rows, slots
 
 
 # Per-node draw layout and its offset tables: see the module docstring.
@@ -281,12 +270,14 @@ def _leaf_edges(p: TreeParams, levels: list[_Level], owners, marks: bool) -> int
     level, rows, keys, depth_len, k_s, k_i = (np.concatenate(col) for col in zip(*owners))
     owner, slot = _ragged(k_i)
     keys = keys[owner]
-    base = (2 * k_s[owner] + 3 * slot + 2).astype(np.uint64)
-    w, z = joint_delay_age_from_uniforms(p.ic, keyed_u01_vec(keys, base),
-                                         keyed_u01_vec(keys, base + np.uint64(1)))
+    offset = counter_offsets(2 * k_s[owner] + 3 * slot + 2)  # Z_m; + GAMMA: Wbar_m, sbar_m
+    u_age = u01_from_bits(keyed_bits(keys, offset))
+    offset += GAMMA
+    w, z = joint_delay_age_from_uniforms(p.ic, u_age, u01_from_bits(keyed_bits(keys, offset)))
     ok = (depth_len[owner] + w <= p.horizon).nonzero()[0]
     if marks:
-        ok = ok[keyed_u01_vec(keys[ok], base[ok] + np.uint64(2)) <= p.contact(w[ok])]
+        offset += GAMMA
+        ok = ok[u01_from_bits(keyed_bits(keys[ok], offset[ok])) <= p.contact(w[ok])]
     level = level[owner[ok]]  # nondecreasing, so each level's edges are one run
     for k in np.unique(level):
         lo, hi = np.searchsorted(level, (k, k + 1))
@@ -529,8 +520,8 @@ def conditioned_first_step(p: TreeParams, t: float, delta: float,
     backward time (the infector's infection time, negative if the infector
     was initially infected).  The trees are censored at t + delta."""
     n_samples = check_count("n_samples", n_samples, 1)
-    t = _check_real("window t", t, positive=None)
-    delta = _check_real("window delta", delta, positive=True)
+    t = check_real("window t", t, positive=None)
+    delta = check_real("window delta", delta, positive=True)
     if t + delta > p.horizon:
         raise ValueError(f"window extends beyond the censoring horizon: t + delta = "
                          f"{t + delta} > {p.horizon}")

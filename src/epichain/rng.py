@@ -12,21 +12,24 @@ Two layers:
   many trees are expanded together.  The helpers act elementwise on uint64
   arrays, whose arithmetic wraps mod 2^64.  A draw mixes key + (c + 1) *
   gamma for its counter c (`counter_offsets`, which a caller may table
-  once) through the one splitmix64 finalizer, `keyed_bits`, and
-  `u01_from_bits` keeps the top 53 bits as the uniform.
+  once; counter c + 1 adds `GAMMA` more) through the one splitmix64
+  finalizer, `keyed_bits`, and `u01_from_bits` keeps the top 53 bits.
 
-`check_count` is the one check on the number of samples, chains or
-individuals a sampler is asked for, and on the master seed of every stream.
+The argument checks every layer imports live here too: `check_count` on
+sample counts and master seeds, `check_real` on real parameters, and
+`as_real`, its type step, for entry points with their own range messages.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
+import numbers
 
 import numpy as np
 
 _MASK = (1 << 64) - 1
-_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _KEY_TWEAK = np.uint64(0xD1B54A32D192ED03)
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
@@ -63,13 +66,39 @@ def check_count(name: str, value, minimum: int) -> int:
     return int(value)
 
 
+def as_real(name: str, value, must: str = "be a real number") -> float:
+    """`value` as a float; a ValueError "`name` must `must`, got `value`"
+    when it is a bool, not a real number, or an int beyond the float range.
+    The type step of `check_real`; an entry point with its own range message
+    passes that message's `must`, so one message names both faults."""
+    if not isinstance(value, bool) and isinstance(value, numbers.Real):
+        try:
+            return float(value)
+        except OverflowError:  # an int beyond the float range
+            pass
+    raise ValueError(f"{name} must {must}, got {value!r}")
+
+
+def check_real(name: str, value, *, positive: bool | None) -> float:
+    """`value` as a finite float; a ValueError naming `name` when it fails
+    `as_real` or is negative (or zero, when `positive`); with `positive`
+    None, any finite sign passes."""
+    must = ("be finite" if positive is None
+            else f"be finite and {'positive' if positive else 'nonnegative'}")
+    value = as_real(name, value, must)
+    in_range = positive is None or (value > 0.0 if positive else value >= 0.0)
+    if not (math.isfinite(value) and in_range):
+        raise ValueError(f"{name} must {must}, got {value}")
+    return value
+
+
 def counter_offsets(counters) -> np.ndarray:
     """(c + 1) * gamma mod 2^64 for each counter c: the offset a keyed draw
     at counter c adds to its key, as a fresh uint64 array.  The dual tree
     builds its tables of these once, so that a draw costs one gather."""
     c = np.array(counters, dtype=np.uint64)
     c += np.uint64(1)
-    c *= _GAMMA  # in place, so a 0-d array wraps like any other, unwarned
+    c *= GAMMA  # in place, so a 0-d array wraps like any other, unwarned
     return c
 
 
@@ -102,20 +131,10 @@ def u01_from_bits(bits: np.ndarray) -> np.ndarray:
     return u
 
 
-def keyed_u01_vec(keys: np.ndarray, counters) -> np.ndarray:
-    """Uniforms in [0,1) determined by (key, counter). 53-bit resolution."""
-    return u01_from_bits(keyed_bits(np.asarray(keys, dtype=np.uint64), counter_offsets(counters)))
-
-
 def child_keys(keys: np.ndarray, offsets) -> np.ndarray:
     """Keys of the nodes' children, given the `counter_offsets` of their
     slots."""
     return keyed_bits(np.bitwise_xor(keys, _KEY_TWEAK, dtype=np.uint64), offsets)
-
-
-def child_key_vec(keys: np.ndarray, slots) -> np.ndarray:
-    """Keys of the nodes' slot-th children (slots 0-based)."""
-    return child_keys(np.asarray(keys, dtype=np.uint64), counter_offsets(slots))
 
 
 def root_key_vec(seed: int, indices: np.ndarray) -> np.ndarray:

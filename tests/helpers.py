@@ -5,7 +5,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from epichain.courses import CourseModel
-from epichain.rng import check_count
+from epichain.rng import check_count, child_keys, counter_offsets, keyed_bits, u01_from_bits
+
+
+def keyed_u01_vec(keys: np.ndarray, counters) -> np.ndarray:
+    """Uniforms in [0,1) determined by (key, counter), 53-bit resolution: the
+    reference a tree draw at that counter must equal."""
+    return u01_from_bits(keyed_bits(np.asarray(keys, dtype=np.uint64), counter_offsets(counters)))
+
+
+def child_key_vec(keys: np.ndarray, slots) -> np.ndarray:
+    """Keys of the nodes' slot-th children (slots 0-based)."""
+    return child_keys(np.asarray(keys, dtype=np.uint64), counter_offsets(slots))
 
 
 @dataclass(frozen=True)

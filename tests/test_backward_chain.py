@@ -27,6 +27,30 @@ _KILLED_CHAINS = {
     "reweighted": lambda t, sol: reweighted_first_steps(t, sol, 100, seed=1),
 }
 
+# every entry point that seeds its stream from a start t, with what it returns
+_CHAIN_STARTS = {
+    "renewal": lambda t, sol: sample_renewal_chains(t, sol.kernel, 100, seed=1).times,
+    "h-chain": lambda t, sol: sample_h_chains(t, sol, 100, seed=1).times,
+    "martingale": lambda t, sol: martingale_diagnostic(t, sol, 100, 3, seed=1).mean,
+    "survival": lambda t, sol: survival_representation_check(t, sol, 100, seed=1).p_survive,
+    "reweighted": lambda t, sol: reweighted_first_steps(t, sol, 100, seed=1).values,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_CHAIN_STARTS))
+def test_start_type_does_not_pick_the_stream(sol, entry):
+    # the stream is seeded from the start: 3, 3.0 and np.float64(3.0) are one start
+    want = _CHAIN_STARTS[entry](3.0, sol)
+    for t in (3, np.float64(3.0)):
+        assert np.array_equal(_CHAIN_STARTS[entry](t, sol), want, equal_nan=True)
+
+
+@pytest.mark.parametrize("start", ["3", None, True], ids=["str", "None", "True"])
+@pytest.mark.parametrize("entry", sorted(_CHAIN_STARTS))
+def test_start_that_is_not_a_real_number(sol, entry, start):
+    with pytest.raises(ValueError, match=f"^chain start must be a real number, got {start!r}$"):
+        _CHAIN_STARTS[entry](start, sol)
+
 
 class TestRenewalChain:
     def test_path_structure(self, kernel):

@@ -10,7 +10,8 @@ import pytest
 from scipy import stats
 
 from epichain import MarkovSEIR, MarkovSIR, make_rng
-from epichain.courses import CourseBatch, PoissonCourse
+from epichain.courses import CourseBatch, PoissonCourse, _offsets, _ragged
+from epichain.infection_graph import _ranges
 from helpers import empirical_tau
 
 
@@ -102,6 +103,33 @@ class TestCourseBatch:
         assert m.sample_courses(make_rng(47, "count"), 0).n == 0
         with pytest.raises(ValueError, match="^n must be "):
             m.sample_courses(make_rng(47, "count"), count)
+
+
+class TestFlatIndexMaps:
+    """The one row builder and the one CSR builder behind every flat layout,
+    against Python loops."""
+
+    @pytest.mark.parametrize("counts", [[], [0, 0, 0], [2, 0, 3, 0, 0, 1], [0, 70_000, 0]],
+                             ids=["empty", "all-zero", "zeros-inside", "one-large-row"])
+    def test_rows_slots_and_offsets(self, counts):
+        counts = np.array(counts, dtype=np.int64)
+        rows, slots = _ragged(counts)
+        assert rows.tolist() == [i for i, c in enumerate(counts) for _ in range(c)]
+        assert slots.tolist() == [j for c in counts for j in range(c)]
+        assert _offsets(rows, counts.size).tolist() == [0] + np.cumsum(counts).tolist()
+
+    @pytest.mark.parametrize("ids", [[], [2], [0, 1, 2, 3, 4], [3, 1, 3, 4]],
+                             ids=["none", "one-empty-row", "all", "repeated"])
+    def test_ranges_concatenate_the_rows(self, ids):
+        offsets = np.array([0, 2, 2, 5, 9, 9])
+        ids = np.array(ids, dtype=np.int64)
+        want = [e for i in ids for e in range(offsets[i], offsets[i + 1])]
+        assert _ranges(offsets, ids).tolist() == want
+
+    def test_owners(self, model):
+        batch = model.sample_courses(make_rng(53, "owners"), 2_000)
+        want = [i for i in range(batch.n) for _ in range(batch.offsets[i], batch.offsets[i + 1])]
+        assert batch.owners().tolist() == want
 
 
 SEIR_LATENCY_RATES = [(2.0, 1.0), (1.0, 1.5)]  # d = activation - recovery of both signs

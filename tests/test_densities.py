@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from epichain import ExponentialKernel, backward_density
-from epichain.densities import GUIDE_BUCKETS, GridDensity, GuideTable, UniformInterp
-from epichain.kernels import TabulatedKernel
+from epichain.densities import GUIDE_BUCKETS, GridDensity, GuideTable, UniformInterp, uniform_grid
+from epichain.kernels import LatentExponentialKernel, TabulatedKernel, initial_condition
+from epichain.limit_solver import _time_grid
 from epichain.poisson_tree import poisson_counts
 
 
@@ -145,9 +146,21 @@ def _interp_probes(xp: np.ndarray) -> np.ndarray:
 
 
 class TestUniformInterp:
-    """The lookup behind `LimitSolution.b_at` and `S_at` is `np.interp`,
-    bit for bit, NaN included, and raises no warning (a RuntimeWarning fails
-    the test)."""
+    """The lookup behind `LimitSolution.b_at` and `S_at` and
+    `IntensityKernel.cumulative` is `np.interp`, bit for bit, NaN included,
+    and raises no warning (a RuntimeWarning fails the test)."""
+
+    @pytest.mark.parametrize("build", [
+        lambda ic: ic.kernel, lambda ic: ic.tau_bar, lambda ic: _zero_stretch_kernel(),
+        lambda ic: ExponentialKernel(1.5, 1.0, step=0.002, a_max=40.0),
+        lambda ic: LatentExponentialKernel(2.0, 1.0, 1.5, step=0.01, a_max=50.0),
+    ], ids=["reference", "tau_bar", "zero-stretches", "step-0.002", "latent"])
+    def test_kernel_cumulative_is_np_interp_with_its_ends(self, ic, build):
+        # np.interp's ends: 0 = _cum[0] below the grid and _cum[-1] beyond a_max
+        kernel = build(ic)
+        x = _interp_probes(kernel.ages)
+        want = np.interp(x, kernel.ages, kernel._cum, left=0.0, right=float(kernel._cum[-1]))
+        assert kernel.cumulative(x).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("field", ["b", "S", "B"])
     def test_equals_np_interp_on_the_solution(self, sol, field):
@@ -204,3 +217,19 @@ class TestUniformInterp:
         assert sol.b_at(-0.5) == b_want[x == -0.5][0] and sol.b_at(-0.5).shape == ()
         neg = x[x < 0]
         assert sol.b_at(neg).tobytes() == (sol.ic.i0 * sol.ic.g_pdf(-neg)).tobytes()
+
+
+@pytest.mark.parametrize("extent, step", [(40.0, 0.01), (25.0, 0.005), (25.0, 0.002),
+                                          (80.0, 0.005), (3.0, 1e-3), (7.5, 0.3)])
+def test_every_grid_follows_the_grid_rule(extent, step):
+    # kernel ages, exponential age densities and solver times all follow it
+    def formula(extent, step):
+        n = int(round(extent / step))
+        return np.linspace(0.0, n * step, n + 1).tobytes()
+
+    assert uniform_grid(extent, step).tobytes() == formula(extent, step)
+    assert _time_grid(extent, step).tobytes() == formula(extent, step)
+    kernel = ExponentialKernel(1.5, 1.0, step=step, a_max=extent)
+    assert kernel.ages.tobytes() == formula(extent, step)
+    ages = initial_condition(kernel, 0.01, age_rate=0.5).age_density.grid
+    assert ages.tobytes() == formula(kernel.a_max, kernel.step)

@@ -259,3 +259,15 @@ class TestValidation:
     def test_nan_horizon(self, model, unit_contact, ic):
         with pytest.raises(ValueError, match="horizon must be a nonnegative number, got nan"):
             simulate(model, 10, unit_contact, ic, horizon=math.nan, seed=1)
+
+    @pytest.mark.parametrize("horizon", ["5", None, True, 10**400],
+                             ids=["str", "None", "True", "10**400"])
+    def test_horizon_that_is_not_a_real_number(self, model, unit_contact, ic, horizon):
+        # not numpy's UFuncTypeError, a TypeError, an OverflowError, or True stored as 1
+        with pytest.raises(ValueError, match="^horizon must be a nonnegative number, got "):
+            simulate(model, 10, unit_contact, ic, horizon=horizon, seed=1)
+
+    def test_int_horizon_is_the_float_run(self, model, unit_contact, ic):
+        a = simulate(model, 300, unit_contact, ic, horizon=5, seed=1)
+        b = simulate(model, 300, unit_contact, ic, horizon=5.0, seed=1)
+        assert type(a.horizon) is float and np.array_equal(a.sigma, b.sigma)

@@ -94,6 +94,14 @@ _SOLVERS = {"solve_delay": solve_delay, "picard_delay": picard_delay}
 @pytest.mark.parametrize("horizon, dt, named", [
     (5.0, -1.0, "dt"), (5.0, 0.0, "dt"), (5.0, math.nan, "dt"),
     (-5.0, 0.005, "horizon"), (math.inf, 0.005, "horizon"), (5.0025, 0.005, "multiple of dt"),
+    # not a real number: a ValueError, not a TypeError, and True is not horizon 1
+    pytest.param("5", 0.005, "^horizon", id="str-horizon"),
+    pytest.param(None, 0.005, "^horizon", id="None-horizon"),
+    pytest.param(True, 0.005, "^horizon", id="True-horizon"),
+    pytest.param(10**400, 0.005, "^horizon", id="10**400-horizon"),
+    pytest.param(5.0, "0.005", "^time step dt", id="str-dt"),
+    pytest.param(5.0, None, "^time step dt", id="None-dt"),
+    pytest.param(5.0, True, "^time step dt", id="True-dt"),
 ])
 def test_time_grid_checked_by_every_solver(kernel, unit_contact, ic, solver, horizon, dt, named):
     with pytest.raises(ValueError, match=named):
@@ -221,7 +229,7 @@ class TestFinalSize:
         assert 0.001 < total < 0.01
 
     def test_rejects_bad_i0(self, kernel):
-        for i0 in (0.0, 1.0, math.nan, True):
+        for i0 in (0.0, 1.0, math.nan, True, "0.1", None):
             with pytest.raises(ValueError, match=rf"probability i0 must lie in \(0, 1\), got {i0!r}"):
                 initial_condition(kernel, i0, age_rate=0.5)
 

@@ -3,6 +3,7 @@ that do not depend on which other keys share the batch (the property that
 lets one tree be expanded alone or inside a chunk with the same draws), and
 the one check on the sample counts every sampler is given."""
 
+import re
 import warnings
 
 import numpy as np
@@ -17,8 +18,8 @@ from epichain import (
 )
 from epichain.backward_chain import reweighted_first_steps
 from epichain.poisson_tree import _KI_OFFSET, _KS_OFFSET, _slot_offsets
-from epichain.rng import child_key_vec, counter_offsets, keyed_u01_vec, root_key_vec
-from helpers import empirical_tau
+from epichain.rng import as_real, check_real, counter_offsets, root_key_vec
+from helpers import child_key_vec, empirical_tau, keyed_u01_vec
 
 GAMMA = 0x9E3779B97F4A7C15
 
@@ -162,3 +163,17 @@ def test_numpy_integer_seed_is_the_same_stream():
     assert derive_seed(np.int64(123), "x", 1) == derive_seed(123, "x", 1)
     indices = np.arange(5, dtype=np.uint64)
     assert np.array_equal(root_key_vec(np.uint64(123), indices), root_key_vec(123, indices))
+
+
+@pytest.mark.parametrize("value", [True, "1.5", None, 1 + 0j, 10**400],
+                         ids=["bool", "str", "None", "complex", "10**400"])
+def test_type_step_names_what_is_not_a_float(value):
+    with pytest.raises(ValueError, match=f"^x must lie in a range, got {re.escape(repr(value))}$"):
+        as_real("x", value, "lie in a range")
+    with pytest.raises(ValueError, match="^x must be finite and positive, got "):
+        check_real("x", value, positive=True)
+
+
+@pytest.mark.parametrize("value", [3, np.float64(3.0), np.int64(3), np.float32(3.0), 3.0])
+def test_type_step_keeps_the_value(value):
+    assert type(as_real("x", value)) is float and as_real("x", value) == 3.0
