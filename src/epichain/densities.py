@@ -1,5 +1,5 @@
 """Tabulated densities on uniform grids (every grid is a `uniform_grid`),
-and the two exact lookups in such tables.
+the two exact lookups in such tables, and the one FFT convolution.
 
 `GuideTable` is the one inversion behind every tabulated draw (the dual
 tree's Poisson counts, `IntensityKernel.inverse_cumulative`,
@@ -11,7 +11,10 @@ index found by arithmetic instead of a binary search: the limit solution's
 `b_at` and `S_at` and `IntensityKernel.cumulative` read their tables through
 it.  A floor index off by one next to a knot is corrected by one step
 against the knots, and the value comes from `np.interp`'s own slope formula
-and end cases."""
+and end cases.
+
+`_convolve` is every convolution of grid tables, tau_bar's included; its FFT
+rounds alike under any number of BLAS threads, unlike a long BLAS dot."""
 
 from __future__ import annotations
 
@@ -21,13 +24,38 @@ from functools import cached_property
 import numpy as np
 
 GUIDE_BUCKETS = 1 << 16
+MAX_GRID_POINTS = 10_000_000  # far above every grid in use (the largest has 25,001 points)
 _INTERP_BLOCK = 1 << 14  # points a `UniformInterp` block holds: its temporaries stay in cache
 
 
 def uniform_grid(extent: float, step: float) -> np.ndarray:
-    """0, step, ..., n * step, n = round(extent / step); callers check both."""
+    """0, step, ..., n * step, n = round(extent / step), at most
+    `MAX_GRID_POINTS` points; callers check that both are positive."""
+    if not extent / step < MAX_GRID_POINTS - 0.5:  # n + 1 <= MAX_GRID_POINTS; inf fails too
+        raise ValueError(f"a grid of extent {extent:g} at step {step:g} would hold more "
+                         f"than {MAX_GRID_POINTS:,} points")
     n = int(round(extent / step))
     return np.linspace(0.0, n * step, n + 1)
+
+
+def _spectrum(f: np.ndarray, length: int | None = None) -> np.ndarray:
+    """Real FFT of the table f at the size `fftconvolve` picks for a linear
+    convolution of `length` terms (by default that of f with an f-sized b)."""
+    from scipy import fft  # imported here so that `import epichain` does not load scipy
+
+    return fft.rfft(f, fft.next_fast_len(length or 2 * f.size - 1, True))
+
+
+def _convolve(spectrum: np.ndarray, b: np.ndarray, length: int | None = None) -> np.ndarray:
+    """First b.size terms of the linear convolution f * b of `length` terms,
+    given f's `_spectrum` for them: `fftconvolve(f, b)[:b.size]`, bit for
+    bit, at the default length (f of b's size)."""
+    from scipy import fft
+
+    size = fft.next_fast_len(length or 2 * b.size - 1, True)
+    # the ufunc, not `*`: numpy may write a large product of `*` into the
+    # temporary rfft(b), and that product rounds differently from fftconvolve's
+    return fft.irfft(np.multiply(spectrum, fft.rfft(b, size)), size)[:b.size]
 
 
 class GuideTable:

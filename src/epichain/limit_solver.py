@@ -14,8 +14,8 @@ n(t, a) = b(t - a) for a < t and I0 g(a - t) for a > t.
 Every quantity has one code path.  `_GridSystem` holds tau, its real FFT
 (computed once), I0 tau_bar and c on the solver grid, the map b -> (A, S)
 and the renewal residual; both solvers and the final size share it.
-`_convolve` (cached spectrum times the FFT of b, transformed back) is the
-package's one FFT convolution:
+`densities._convolve` (cached spectrum times the FFT of b, transformed
+back), the package's one FFT convolution, gives every history sum:
 
 * `solve_delay` marches forward in time, closing each step with a scalar
   fixed point in b(t_k) (the implicit weight is the trapezoid endpoint).
@@ -26,8 +26,7 @@ package's one FFT convolution:
   convolution of Hairer, Lubich and Schlichte, SIAM J. Sci. Stat. Comput. 6
   (1985) 532-541, with blocks of fixed size).
 * `picard_delay` iterates the full map from b = 0, the constructive
-  fixed-point route, with convergence tracked in an exponentially weighted
-  sup metric.
+  fixed-point route, until the sup change is below tolerance.
 * `final_size_settled_contact` solves the final-size fixed point for a
   contact rate that is constant after some time t_c >= 0.
 
@@ -46,17 +45,16 @@ from functools import cached_property
 import numpy as np
 
 from .courses import CourseModel
-from .densities import UniformInterp, cumulative_trapezoid, uniform_grid
-from .kernels import (
-    ContactRate, InitialCondition, IntensityKernel, malthusian_parameter, shifted_age_sums,
-)
+from .densities import UniformInterp, _convolve, _spectrum, cumulative_trapezoid, uniform_grid
+from .kernels import ContactRate, InitialCondition, IntensityKernel, shifted_age_sums
 from .rng import check_real
 
+# below the 10,000 terms past which OpenBLAS splits a dot across threads, rounding it anew
 _BLOCK = 1024            # marching steps per block of the history sum
 _INNER_TOL = 1e-14       # relative change that ends a marching step's fixed point
 _MAX_INNER = 100         # fixed-point iterations per marching step
 _RESIDUAL_TOL = 1e-8     # largest renewal residual a marched solution may keep
-_PICARD_TOL = 1e-13      # weighted and unweighted change that ends the Picard iteration
+_PICARD_TOL = 1e-13      # sup change that ends the Picard iteration
 _MAX_PICARD = 2_000
 _FINAL_SIZE_TOL = 1e-12  # change that ends the final-size fixed point
 _MAX_FINAL_SIZE = 10_000
@@ -119,26 +117,6 @@ class LimitSolution:
         out = self._S_table(x)
         out[~(x >= 0)] = 1.0 - self.ic.i0
         return out
-
-
-def _spectrum(f: np.ndarray) -> np.ndarray:
-    """Real FFT of the table f, at the length `fftconvolve` picks for the
-    convolution of f with an array of f's size."""
-    from scipy import fft  # imported here so that `import epichain` does not load scipy
-
-    return fft.rfft(f, fft.next_fast_len(2 * f.size - 1, True))
-
-
-def _convolve(spectrum: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """First b.size terms of the linear convolution f * b, f the table of b's
-    size whose `_spectrum` is given: the package's one FFT convolution, equal
-    bit for bit to `fftconvolve(f, b)[:b.size]`."""
-    from scipy import fft
-
-    size = fft.next_fast_len(2 * b.size - 1, True)
-    # the ufunc, not `*`: numpy may write a large product of `*` into the
-    # temporary rfft(b), and that product rounds differently from fftconvolve's
-    return fft.irfft(np.multiply(spectrum, fft.rfft(b, size)), size)[:b.size]
 
 
 def _trapezoid_convolution(f: np.ndarray, spectrum: np.ndarray, b: np.ndarray,
@@ -272,34 +250,23 @@ def solve_delay(kernel: IntensityKernel, contact: ContactRate, ic: InitialCondit
 class PicardResult:
     solution: LimitSolution
     iterations: int
-    weighted_change: float
 
 
 def picard_delay(kernel: IntensityKernel, contact: ContactRate, ic: InitialCondition,
                  horizon: float, dt: float) -> PicardResult:
     """Solve the same grid system by global fixed-point iteration from b = 0.
 
-    Convergence is tracked in the weighted sup metric
-    max_k exp(-rate * t_k) |delta b_k| with rate = max(alpha, 0) + 1, alpha
-    the kernel's Malthusian parameter (0 when it has none), the weight that
-    makes the underlying map a contraction; iteration stops when the
-    unweighted change is also below the tolerance.
+    It converges because the map contracts in the sup metric weighted by
+    exp(-(max(alpha, 0) + 1) t), alpha the kernel's Malthusian parameter.
+    Those weights are at most 1, so it stops once the plain sup change
+    max_k |delta b_k| is below the tolerance.
     """
     grid = _grid_system(kernel, contact, ic, _time_grid(horizon, dt), dt)
-    try:
-        alpha = malthusian_parameter(kernel).alpha
-    except ValueError:
-        alpha = 0.0
-    weights = np.exp(-(max(alpha, 0.0) + 1.0) * grid.t)
-
     b = np.zeros(grid.t.size)
     for iterations in range(1, _MAX_PICARD + 1):
         A, S = grid.forward(b)
-        b_new = grid.c * S * A
-        diff = np.abs(b_new - b)
-        b = b_new
-        weighted_change = float(np.max(weights * diff))
-        if weighted_change < _PICARD_TOL and float(np.max(diff)) < _PICARD_TOL:
+        b, b_old = grid.c * S * A, b
+        if float(np.max(np.abs(b - b_old))) < _PICARD_TOL:
             break
     else:
         raise RuntimeError(f"Picard iteration did not converge in {_MAX_PICARD} steps")
@@ -307,7 +274,7 @@ def picard_delay(kernel: IntensityKernel, contact: ContactRate, ic: InitialCondi
     A, S = grid.forward(b)
     sol = LimitSolution(t=grid.t, b=b, B=grid.s0 - S, S=S, kernel=kernel, contact=contact,
                         ic=ic, renewal_residual=grid.residual(b, A, S))
-    return PicardResult(solution=sol, iterations=iterations, weighted_change=weighted_change)
+    return PicardResult(solution=sol, iterations=iterations)
 
 
 def compartment_curve(sol: LimitSolution, model: CourseModel, compartment: str) -> np.ndarray:

@@ -5,6 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from epichain.courses import CourseModel
+from epichain.densities import GridDensity
 from epichain.rng import check_count, child_keys, counter_offsets, keyed_bits, u01_from_bits
 
 
@@ -17,6 +18,19 @@ def keyed_u01_vec(keys: np.ndarray, counters) -> np.ndarray:
 def child_key_vec(keys: np.ndarray, slots) -> np.ndarray:
     """Keys of the nodes' slot-th children (slots 0-based)."""
     return child_keys(np.asarray(keys, dtype=np.uint64), counter_offsets(slots))
+
+
+def direct_shifted_age_sums(f, age_density: GridDensity, step: float, n: int) -> np.ndarray:
+    """`kernels.shifted_age_sums` as a direct sliding sum in long double: the
+    reference its FFT must come close to.  numpy sums long doubles in its own
+    loop, not in BLAS, so the reference too is the same under any thread count."""
+    m = age_density.grid.size
+    f_ext = np.asarray(f(np.linspace(0.0, (n + m - 2) * step, n + m - 1)), dtype=np.longdouble)
+    g_vals = (age_density.values / age_density.total).astype(np.longdouble)
+    sums = np.correlate(f_ext, g_vals, mode="valid")
+    sums -= 0.5 * g_vals[0] * f_ext[:n]
+    sums -= 0.5 * g_vals[-1] * f_ext[m - 1:]
+    return sums
 
 
 @dataclass(frozen=True)

@@ -276,6 +276,17 @@ class TestCli:
         assert f"error: --replicas must be at least 1, got {replicas}" in capsys.readouterr().err
         assert not (tmp_path / "simulate.csv").exists()
 
+    def test_solve_rejects_a_grid_too_large(self, tmp_path, capsys):
+        # 40 / 1e-300 overflowed to inf, and `round` raised OverflowError
+        rc = main(["solve", "--out", str(tmp_path), "--set", "dt=1e-300",
+                   "--set", "age_step=1e-300"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error: a grid of extent 40 at step 1e-300 would hold more than 10,000,000 points" \
+            in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "solve.csv").exists()
+
     def test_tree_rejects_bad_points(self, tmp_path, capsys):
         rc = main(["tree", "--out", str(tmp_path), "--samples", "2000", "--points", "-1"])
         assert rc == 1

@@ -4,12 +4,16 @@ draws follow the cell-constant law of the trapezoid CDF out to its tail, and
 the uniform-grid lookup is `np.interp` bit for bit."""
 
 import math
+import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from epichain import ExponentialKernel, backward_density
-from epichain.densities import GUIDE_BUCKETS, GridDensity, GuideTable, UniformInterp, uniform_grid
+from epichain import ExponentialKernel, backward_density, solve_delay
+from epichain.densities import (
+    GUIDE_BUCKETS, MAX_GRID_POINTS, GridDensity, GuideTable, UniformInterp, uniform_grid,
+)
 from epichain.kernels import LatentExponentialKernel, TabulatedKernel, initial_condition
 from epichain.limit_solver import _time_grid
 from epichain.poisson_tree import poisson_counts
@@ -233,3 +237,26 @@ def test_every_grid_follows_the_grid_rule(extent, step):
     assert kernel.ages.tobytes() == formula(extent, step)
     ages = initial_condition(kernel, 0.01, age_rate=0.5).age_density.grid
     assert ages.tobytes() == formula(kernel.a_max, kernel.step)
+
+
+# 1e300 / 1e-300 overflows to inf; 1e9 points would ask for 8 GB at once
+@pytest.mark.parametrize("extent, step", [(1e300, 1e-300), (1e3, 1e-6)])
+def test_every_grid_user_rejects_a_grid_too_large(extent, step, unit_contact, ic):
+    message = re.escape(f"a grid of extent {extent:g} at step {step:g} would hold more than "
+                        f"{MAX_GRID_POINTS:,} points")
+    with pytest.raises(ValueError, match=message):
+        uniform_grid(extent, step)
+    with pytest.raises(ValueError, match=message):
+        ExponentialKernel(1.5, 1.0, step=step, a_max=extent)
+    with pytest.raises(ValueError, match=message):  # exponential initial ages
+        initial_condition(SimpleNamespace(a_max=extent, step=step), 0.01, age_rate=0.5)
+    with pytest.raises(ValueError, match=message):
+        _time_grid(extent, step)
+    with pytest.raises(ValueError, match=message):
+        solve_delay(ic.kernel, unit_contact, ic, extent, step)
+
+
+def test_the_largest_grid_is_allowed():
+    assert uniform_grid(MAX_GRID_POINTS - 1.0, 1.0).size == MAX_GRID_POINTS
+    with pytest.raises(ValueError, match="would hold more than"):
+        uniform_grid(float(MAX_GRID_POINTS), 1.0)

@@ -17,11 +17,13 @@ from hypothesis import strategies as st
 
 from epichain import (
     ContactRate, ExponentialKernel, backward_density, initial_condition, malthusian_parameter,
+    reference_scenario,
 )
 from epichain.densities import GridDensity
 from epichain.kernels import (
     LatentExponentialKernel, TabulatedKernel, bar_tau, joint_delay_age_from_uniforms,
 )
+from helpers import direct_shifted_age_sums
 
 
 class TestExponentialKernel:
@@ -113,7 +115,7 @@ class TestShiftedQuantities:
 
     def test_tau_bar_recorded_table(self, ic):
         assert hashlib.sha256(ic.tau_bar.table.tobytes()).hexdigest() == \
-            "2313fa2ae14c15f21761049967845d91499378a4ebdd368d14353fc8ffa084b1"
+            "f191b324a70eee464ae8cbd837383c973ce00a2e1b153041d5119c7c08fb498d"
 
     @pytest.mark.parametrize("rate", BAD_REALS + [0.0], ids=repr)
     def test_initial_condition_names_a_bad_age_rate(self, kernel, rate):
@@ -143,6 +145,17 @@ class TestShiftedQuantities:
         for u in (0.0, 0.7, 2.3):
             oracle = np.trapezoid(0.5 * 1.5 * np.exp(-(grid + u)), grid)
             assert float(tb.value(u)) == pytest.approx(oracle, rel=1e-4)
+
+    @pytest.mark.parametrize("step", [0.005, 0.002])
+    def test_tau_bar_is_the_direct_sum(self, step):
+        # the FFT errs by about eps times the peak at every point; the clamp
+        # at 0 moves no value farther from the clamped reference
+        scenario = reference_scenario(age_step=step, dt=step)
+        kernel = scenario.build_model().kernel
+        ic = scenario.build_ic(kernel)
+        direct = direct_shifted_age_sums(kernel.value, ic.age_density, step, kernel.ages.size)
+        table = ic.tau_bar.table
+        assert np.max(np.abs(table - np.maximum(direct * step, 0.0))) <= 1e-15 * table.max()
 
     def test_bar_tau_rejects_age_step_off_kernel_grid(self, kernel):
         grid = np.linspace(0.0, 2.0, 201)

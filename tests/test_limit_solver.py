@@ -9,6 +9,9 @@ b(t) = I0 alpha e^{alpha t} of the linearized system.
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -18,11 +21,13 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 from scipy.signal import fftconvolve
 
+import epichain
 from epichain import (
     ContactRate, ExponentialKernel, MarkovSIR, compartment_curve, final_size_settled_contact,
-    initial_condition, picard_delay, solve_delay,
+    initial_condition, picard_delay, reference_scenario, solve_delay,
 )
-from epichain.limit_solver import _BLOCK, _convolve, _grid_system, _time_grid
+from epichain.densities import _convolve
+from epichain.limit_solver import _BLOCK, _grid_system, _time_grid
 
 STEP_CONTACT = ContactRate((0.0, 4.0, 8.0), (1.0, 0.3, 0.8), "step")
 
@@ -113,7 +118,6 @@ class TestPicard:
         res = picard_delay(kernel, unit_contact, ic, 25.0, 0.005)
         assert np.max(np.abs(res.solution.b - sol.b)) < 1e-10
         assert res.iterations < 200
-        assert res.weighted_change < 1e-12
 
     def test_step_contact_agreement(self, kernel, ic):
         march = solve_delay(kernel, STEP_CONTACT, ic, 12.0, 0.01)
@@ -124,7 +128,7 @@ class TestPicard:
         res = picard_delay(kernel, STEP_CONTACT, ic, 80.0, 0.005)
         assert res.iterations == 131
         assert _sha(res.solution.b) == \
-            "95ccc434242a740d0c8e94cdf892cd43395562065b1c781aa13ea50754fcac59"
+            "2773cef06376621a7c0cc67c817eea85101bebbd65bdf1c4c3c49d302f191c82"
 
 
 class TestBlockedHistory:
@@ -253,9 +257,9 @@ class TestCompartmentCurve:
 
     def test_recorded_values(self, sol, model):
         assert _sha(compartment_curve(sol, model, "I")) == \
-            "50cdfa5674e682a9998c6e2533a8f6f8f098d331667886d91f8e4e7d38ff3169"
+            "e99d7310f0cdd2c2ca897dbc23ae62375c45da5723e1205437c37c5f633575dd"
         assert _sha(compartment_curve(sol, model, "R")) == \
-            "a36c3cbfd3eb31071e8eac240e7e63d2b80c3aa8b4e9ecdb5d96a5cbf66d0bb8"
+            "661ea4f261c4dfc6e8db6e1457248dcfd5563f9b6b6be84bb98998c266759037"
 
     def test_rejects_step_off_age_grid(self, kernel, unit_contact, ic, model):
         coarse = solve_delay(kernel, unit_contact, ic, 5.0, 0.01)
@@ -285,3 +289,31 @@ def test_solver_invariants(beta, gamma, i0):
     A, S = grid.forward(run.b)
     assert np.max(np.abs(run.b - grid.c * S * A) / run.b) < 1e-9
     assert np.array_equal(run.B, run.s0 - run.S)
+
+
+# The 0.002 grid's 20,001 ages are past the 10,000 terms beyond which OpenBLAS
+# splits a dot product across threads, which changes its rounding.
+_THREAD_DIGESTS = """
+import hashlib
+from epichain import compartment_curve, reference_scenario
+def sha(a):
+    return hashlib.sha256(a.tobytes()).hexdigest()
+scenario = reference_scenario(age_step=0.002, dt=0.002)
+sol = scenario.solve()
+print(sha(sol.ic.tau_bar.table), sha(compartment_curve(sol, scenario.build_model(), "I")),
+      sha(sol.b))
+"""
+
+
+def test_no_result_depends_on_the_blas_thread_count():
+    # the variable must be set before numpy loads, hence a child process
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    src = os.path.dirname(os.path.dirname(epichain.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    child = subprocess.run([sys.executable, "-c", _THREAD_DIGESTS], env=env,
+                           capture_output=True, text=True, check=True, timeout=300)
+    scenario = reference_scenario(age_step=0.002, dt=0.002)
+    sol = scenario.solve()
+    here = [_sha(sol.ic.tau_bar.table), _sha(compartment_curve(sol, scenario.build_model(), "I")),
+            _sha(sol.b)]
+    assert child.stdout.split() == here
