@@ -41,6 +41,7 @@ from .rng import derive_seed, make_rng
 MASTER_SEED = reference_scenario().seed
 
 _SIM_TIMES = 64  # grid points of the simulated-vs-limit I-fraction comparison
+_SIM_N = 50_000  # population of every simulated replica the limit is compared with
 
 Outcome = tuple[str, tuple[ComparisonReport, ...]]  # a criterion's name and checks
 
@@ -134,11 +135,11 @@ class SharedReferences:
         """Criterion 3's 20 replicas at N = 5e4 under the unit contact rate, as
         `_sim_solve_deviation` returns them; criterion 5 reads their finals."""
         return _sim_solve_deviation(self, self.contact, self.sol, self.scenario.horizon,
-                                    50_000, 20, "c3")
+                                    20, "c3")
 
 
 def _sim_solve_deviation(shared: SharedReferences, contact: ContactRate, sol, horizon: float,
-                         n: int, replicas: int, tag: str,
+                         replicas: int, tag: str,
                          window: tuple[float, float] | None = None):
     """Replica sup-deviations of the I fraction from the limit curve, final
     infected fractions, (optionally) first backward increments in a
@@ -149,7 +150,7 @@ def _sim_solve_deviation(shared: SharedReferences, contact: ContactRate, sol, ho
     devs, finals, increments = [], [], []
     contacts = accepted = infections = rounds = max_rounds = 0
     for r in range(replicas):
-        out = simulate(shared.model, n, contact, shared.ic, horizon,
+        out = simulate(shared.model, _SIM_N, contact, shared.ic, horizon,
                        seed=derive_seed(MASTER_SEED, tag, r))
         contacts += out.contacts
         accepted += out.accepted
@@ -424,7 +425,7 @@ def criterion_11(shared: SharedReferences) -> Outcome:
     infected during a time window match the conditioned chain's law."""
     lo, hi = 4.0, 6.0
     _, _, inc_sim, counts = _sim_solve_deviation(
-        shared, shared.contact, shared.sol, hi + 0.5, 50_000, 12, "c11",
+        shared, shared.contact, shared.sol, hi + 0.5, 12, "c11",
         window=(lo, hi))
     starts = _b_weighted_starts(shared.sol, lo, hi, inc_sim.size,
                                 seed=derive_seed(MASTER_SEED, "c11-starts"))
@@ -449,7 +450,7 @@ def criterion_12(shared: SharedReferences) -> Outcome:
     sol = shared.sol_step80
     sim_start = time.time()
     devs, finals, _, counts = _sim_solve_deviation(
-        shared, shared.step_contact, sol, shared.step_scenario.horizon, 50_000, 20, "c12")
+        shared, shared.step_contact, sol, shared.step_scenario.horizon, 20, "c12")
     sim_runtime = time.time() - sim_start
     tree_start = time.time()
     tree, nodes = _tree_checks(shared, shared.step_contact, sol, "c12-tree")

@@ -61,10 +61,6 @@ class ChainBatch:
     proposals: int = 0     # envelope draws behind the transitions (conditioned chains)
 
     @property
-    def first_increments(self) -> np.ndarray:
-        return self.times[:, 0] - self.times[:, 1]
-
-    @property
     def increments(self) -> np.ndarray:
         """All jumps of all chains, pooled."""
         jumps = self.times[:, :-1] - self.times[:, 1:]

@@ -3,29 +3,32 @@
 A scenario pins everything a run needs: the course model, the contact rate,
 the seeded fraction and its age density, population size, horizon, grid
 steps, and the master seed; `ScenarioConfig.solve` is the one path from a
-scenario to its limit solution.  Loading is strict (unknown keys are errors,
-all problems are reported at once) and the canonical digest is invariant
-under key reordering, so artifacts stamped with it are comparable across
-reruns.
+scenario to its limit solution.  Loading is strict: it checks the JSON
+shape (unknown or missing keys are errors), then builds the course model,
+contact rate, initial condition and time grid, whose own checks are the one
+home of each range rule, and reports every problem found at once.  The
+canonical digest is invariant under key reordering, so artifacts stamped
+with it are comparable across reruns.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import asdict, dataclass, replace
 
 from .courses import CourseModel, MarkovSEIR, MarkovSIR
 from .kernels import (
     ContactRate, InitialCondition, IntensityKernel, initial_condition, malthusian_parameter,
 )
-from .limit_solver import LimitSolution, solve_delay
+from .limit_solver import LimitSolution, _time_grid, solve_delay
+from .rng import as_real, check_count
 
 _COURSE_KEYS = {
     "markov_sir": {"beta", "gamma"},
     "markov_seir": {"beta", "activation", "recovery"},
 }
+_CONTACT_KEYS = {"kind", "knots", "levels"}
 _AGE_KEYS = {
     "exponential": {"rate"},
     "malthusian": set(),
@@ -34,6 +37,7 @@ _TOP_KEYS = {
     "course", "contact", "i0", "initial_age", "n_individuals", "horizon",
     "dt", "age_step", "a_max", "seed", "out_dir",
 }
+_REQUIRED_KEYS = _TOP_KEYS - {"out_dir"}
 
 
 class ConfigError(ValueError):
@@ -71,13 +75,15 @@ class ScenarioConfig:
 
     # builders ------------------------------------------------------------
 
+    # a_max and the age rate pass `as_real` first: None would ask the
+    # constructors for their default
     def build_model(self) -> CourseModel:
-        fam = self.course["family"]
+        fam, a_max = self.course["family"], as_real("a_max", self.a_max)
         if fam == "markov_sir":
             return MarkovSIR(self.course["beta"], self.course["gamma"],
-                             step=self.age_step, a_max=self.a_max)
+                             step=self.age_step, a_max=a_max)
         return MarkovSEIR(self.course["beta"], self.course["activation"],
-                          self.course["recovery"], step=self.age_step, a_max=self.a_max)
+                          self.course["recovery"], step=self.age_step, a_max=a_max)
 
     def build_contact(self) -> ContactRate:
         return ContactRate(knots=self.contact["knots"], levels=self.contact["levels"],
@@ -85,7 +91,7 @@ class ScenarioConfig:
 
     def build_ic(self, kernel: IntensityKernel) -> InitialCondition:
         fam = self.initial_age["family"]
-        rate = (self.initial_age["rate"] if fam == "exponential"
+        rate = (as_real("initial_age.rate", self.initial_age["rate"]) if fam == "exponential"
                 else malthusian_parameter(kernel).alpha)
         return initial_condition(kernel, self.i0, age_rate=rate)
 
@@ -96,145 +102,103 @@ class ScenarioConfig:
                            self.horizon, self.dt)
 
 
-def _is_number(v) -> bool:
-    """A JSON number (not a bool) that converts to a finite float."""
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        return False
-    try:
-        return math.isfinite(v)
-    except OverflowError:
-        return False
-
-
-def _validate(raw: dict) -> list[str]:
-    errors: list[str] = []
-
-    unknown = set(raw) - _TOP_KEYS
+def _key_errors(where: str, obj: dict, allowed: set, required: set) -> list[str]:
+    errors = []
+    unknown = set(obj) - allowed
     if unknown:
-        errors.append(f"unknown keys: {', '.join(sorted(unknown))}")
-    missing = _TOP_KEYS - {"out_dir"} - set(raw)
+        errors.append(f"unknown {where}keys: {', '.join(sorted(unknown))}")
+    missing = required - set(obj)
     if missing:
-        errors.append(f"missing keys: {', '.join(sorted(missing))}")
-        return errors
+        errors.append(f"missing {where}keys: {', '.join(sorted(missing))}")
+    return errors
 
-    course = raw["course"]
-    if not isinstance(course, dict) or "family" not in course:
-        errors.append("course must be an object with a 'family' key")
-    else:
-        fam = course["family"]
-        if fam not in _COURSE_KEYS:
-            errors.append(f"unknown course family {fam!r}")
-        else:
-            extra = set(course) - _COURSE_KEYS[fam] - {"family"}
-            lack = _COURSE_KEYS[fam] - set(course)
-            if extra:
-                errors.append(f"unknown course keys: {', '.join(sorted(extra))}")
-            if lack:
-                errors.append(f"missing course keys: {', '.join(sorted(lack))}")
-            for k in _COURSE_KEYS[fam] & set(course):
-                v = course[k]
-                if not _is_number(v) or not v > 0:
-                    errors.append(f"course.{k} must be a positive number")
-            if fam == "markov_seir" and not errors and course["activation"] == course["recovery"]:
-                errors.append("markov_seir requires activation != recovery")
 
+def _family_errors(name: str, obj, families: dict) -> list[str]:
+    """Shape problems of the `name` object: a known family and exactly its keys."""
+    if not isinstance(obj, dict) or "family" not in obj:
+        return [f"{name} must be an object with a 'family' key"]
+    fam = obj["family"]
+    if not isinstance(fam, str) or fam not in families:
+        return [f"unknown {name} family {fam!r}"]
+    return _key_errors(f"{name} ", obj, families[fam] | {"family"}, families[fam])
+
+
+def _validate(raw: dict) -> tuple[list[str], set[str] | None]:
+    """The problems with the JSON shape of `raw`, and the parts (course,
+    contact, initial_age) whose shape passed, None while a key is missing.
+    The values' ranges are for the builders to check."""
+    errors = _key_errors("", raw, _TOP_KEYS, _REQUIRED_KEYS)
+    if not _REQUIRED_KEYS <= set(raw):
+        return errors, None
     contact = raw["contact"]
-    if not isinstance(contact, dict):
-        errors.append("contact must be an object")
-    else:
-        extra = set(contact) - {"kind", "knots", "levels"}
-        if extra:
-            errors.append(f"unknown contact keys: {', '.join(sorted(extra))}")
-        kind = contact.get("kind", "step")
-        if kind not in ("step", "linear"):
-            errors.append(f"contact kind must be 'step' or 'linear', got {kind!r}")
-        knots = contact.get("knots")
-        levels = contact.get("levels")
-        if not isinstance(knots, list) or not isinstance(levels, list) or not knots:
-            errors.append("contact needs nonempty 'knots' and 'levels' lists")
-        else:
-            if len(knots) != len(levels):
-                errors.append("contact knots and levels must have equal length")
-            if not all(_is_number(k) for k in knots):
-                errors.append("contact knots must be finite numbers")
-            else:
-                if any(b <= a for a, b in zip(knots, knots[1:])):
-                    errors.append("contact knots must be strictly increasing")
-                if knots[0] != 0.0:
-                    errors.append("contact knots must start at 0")
-            if any(not _is_number(v) or not 0.0 <= v <= 1.0 for v in levels):
-                errors.append("contact rate outside [0,1]")
-
-    i0 = raw["i0"]
-    if not _is_number(i0) or not 0.0 < i0 < 1.0:
-        errors.append("I0 in (0,1) required")
-
-    age = raw["initial_age"]
-    if not isinstance(age, dict) or "family" not in age:
-        errors.append("initial_age must be an object with a 'family' key")
-    else:
-        fam = age["family"]
-        if fam not in _AGE_KEYS:
-            errors.append(f"unknown initial_age family {fam!r}")
-        else:
-            extra = set(age) - _AGE_KEYS[fam] - {"family"}
-            lack = _AGE_KEYS[fam] - set(age)
-            if extra:
-                errors.append(f"unknown initial_age keys: {', '.join(sorted(extra))}")
-            if lack:
-                errors.append(f"missing initial_age keys: {', '.join(sorted(lack))}")
-            if fam == "exponential" and "rate" in age:
-                if not _is_number(age["rate"]) or not age["rate"] > 0:
-                    errors.append("initial_age.rate must be a positive number")
-
-    n = raw["n_individuals"]
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        errors.append("n_individuals must be a positive integer")
-
-    for key in ("horizon", "dt", "age_step", "a_max"):
-        v = raw[key]
-        if not _is_number(v) or not v > 0:
-            errors.append(f"{key} must be a positive number")
-
-    if not errors:
-        if raw["a_max"] <= raw["age_step"]:
-            errors.append("a_max must exceed age_step")
-        ratio = raw["age_step"] / raw["dt"]
-        if (abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio)
-                and abs(1.0 / ratio - round(1.0 / ratio)) > 1e-9):
-            errors.append("age_step and dt must be integer multiples of one another")
-        n_steps = raw["horizon"] / raw["dt"]
-        if abs(n_steps - round(n_steps)) > 1e-9 * max(1.0, n_steps):
-            errors.append("horizon must be a multiple of dt")
-
-    seed = raw["seed"]
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        errors.append("seed must be a nonnegative integer")
-    if "out_dir" in raw and not isinstance(raw["out_dir"], str):
+    parts = {
+        "course": _family_errors("course", raw["course"], _COURSE_KEYS),
+        "contact": (_key_errors("contact ", contact, _CONTACT_KEYS, _CONTACT_KEYS - {"kind"})
+                    if isinstance(contact, dict) else ["contact must be an object"]),
+        "initial_age": _family_errors("initial_age", raw["initial_age"], _AGE_KEYS),
+    }
+    for problems in parts.values():
+        errors += problems
+    for key, minimum in (("n_individuals", 1), ("seed", 0)):
+        try:
+            check_count(key, raw[key], minimum)
+        except ValueError as exc:
+            errors.append(str(exc))
+    if not isinstance(raw.get("out_dir", ""), str):
         errors.append("out_dir must be a string")
+    return errors, {part for part, problems in parts.items() if not problems}
 
+
+def _build_errors(cfg: ScenarioConfig, shaped: set[str]) -> list[str]:
+    """The first problem of each part that `cfg`'s builders and the solvers'
+    time-grid check find: the course model, the contact rate, the initial
+    condition (once the course is built) and the time grid."""
+    errors = []
+
+    def build(part, builder):
+        try:
+            return builder()
+        except ValueError as exc:
+            errors.append(f"{part}: {exc}")
+            return None
+
+    model = build("course", cfg.build_model) if "course" in shaped else None
+    if "contact" in shaped:
+        build("contact", cfg.build_contact)
+    if model is not None and "initial_age" in shaped:
+        build("initial condition", lambda: cfg.build_ic(model.kernel))
+    build("time grid", lambda: _time_grid(cfg.horizon, cfg.dt, cfg.age_step))
     return errors
 
 
 def parse_config(raw: dict) -> ScenarioConfig:
-    """Validate a raw mapping; raises ConfigError listing every problem."""
-    errors = _validate(raw)
+    """Check a raw mapping's shape, then build each part whose shape passed;
+    raises ConfigError listing every shape problem and the first problem of
+    each part.  Numbers come back as floats, so a JSON 1 and 1.0 share a
+    digest."""
+    errors, shaped = _validate(raw)
+    if shaped is not None:
+        fields = {key: raw[key] for key in _REQUIRED_KEYS}
+        if "contact" in shaped:
+            fields["contact"] = {"kind": "step", **raw["contact"]}
+        cfg = ScenarioConfig(**fields, out_dir=raw.get("out_dir", "out"))
+        errors += _build_errors(cfg, shaped)
     if errors:
         raise ConfigError(errors)
-    return ScenarioConfig(
-        course=dict(raw["course"]),
-        contact={"kind": raw["contact"].get("kind", "step"),
-                 "knots": [float(k) for k in raw["contact"]["knots"]],
-                 "levels": [float(v) for v in raw["contact"]["levels"]]},
-        i0=float(raw["i0"]),
-        initial_age=dict(raw["initial_age"]),
-        n_individuals=int(raw["n_individuals"]),
-        horizon=float(raw["horizon"]),
-        dt=float(raw["dt"]),
-        age_step=float(raw["age_step"]),
-        a_max=float(raw["a_max"]),
-        seed=int(raw["seed"]),
-        out_dir=str(raw.get("out_dir", "out")),
+    return replace(
+        cfg,
+        course=dict(cfg.course),
+        contact={"kind": cfg.contact["kind"],
+                 "knots": [float(k) for k in cfg.contact["knots"]],
+                 "levels": [float(v) for v in cfg.contact["levels"]]},
+        i0=float(cfg.i0),
+        initial_age=dict(cfg.initial_age),
+        n_individuals=int(cfg.n_individuals),
+        horizon=float(cfg.horizon),
+        dt=float(cfg.dt),
+        age_step=float(cfg.age_step),
+        a_max=float(cfg.a_max),
+        seed=int(cfg.seed),
     )
 
 

@@ -40,6 +40,16 @@ _BACKWARD_DENSITY_TOL = 1e-6  # largest |L(alpha) - 1| a backward density may ke
 # ---------------------------------------------------------------------------
 
 
+def _real_entries(name: str, values) -> np.ndarray:
+    """Contact rate `name` as a float array; a ValueError naming the first
+    entry that is not a real number (a bool is not one), or the whole value
+    when it is not a sequence."""
+    if isinstance(values, (str, dict)) or not np.iterable(values):
+        raise ValueError(f"contact rate {name} must be a sequence of real numbers, got {values!r}")
+    return np.array([as_real(f"contact rate {name}[{i}]", v) for i, v in enumerate(values)],
+                    dtype=float)
+
+
 @dataclass(frozen=True)
 class ContactRate:
     """Time-varying contact rate c(t) with values in [0, 1].
@@ -53,21 +63,21 @@ class ContactRate:
     kind: str = "step"  # "step" | "linear"
 
     def __post_init__(self) -> None:
-        knots = np.asarray(self.knots, dtype=float)
-        levels = np.asarray(self.levels, dtype=float)
+        knots, levels = _real_entries("knots", self.knots), _real_entries("levels", self.levels)
         if self.kind not in ("step", "linear"):
             raise ValueError(f"unknown contact rate kind {self.kind!r}")
-        if knots.ndim != 1 or knots.shape != levels.shape or knots.size == 0:
-            raise ValueError("knots and levels must be matching 1-D arrays")
+        if knots.shape != levels.shape or knots.size == 0:
+            raise ValueError(f"contact rate knots and levels must be nonempty and of one length, "
+                             f"got {knots.size} and {levels.size}")
         for name, values in (("knots", knots), ("levels", levels)):
             if not np.all(np.isfinite(values)):
                 raise ValueError(f"contact rate {name} must be finite, got {values.tolist()}")
         if knots[0] != 0.0:
-            raise ValueError("first knot must be at t = 0")
+            raise ValueError(f"contact rate knots must start at t = 0, got {knots.tolist()}")
         if np.any(np.diff(knots) <= 0):
-            raise ValueError("knots must be strictly increasing")
+            raise ValueError(f"contact rate knots must be strictly increasing, got {knots.tolist()}")
         if np.any((levels < 0.0) | (levels > 1.0)):
-            raise ValueError("contact rate values must lie in [0, 1]")
+            raise ValueError(f"contact rate levels must lie in [0, 1], got {levels.tolist()}")
         object.__setattr__(self, "knots", knots)
         object.__setattr__(self, "levels", levels)
 

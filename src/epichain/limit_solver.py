@@ -128,13 +128,20 @@ def _trapezoid_convolution(f: np.ndarray, spectrum: np.ndarray, b: np.ndarray,
     return conv
 
 
-def _time_grid(horizon: float, dt: float) -> np.ndarray:
-    """The solver grid 0, dt, ..., horizon, shared by every solver entry point."""
+def _time_grid(horizon: float, dt: float, age_step: float) -> np.ndarray:
+    """The solver grid 0, dt, ..., horizon, shared by every solver entry point
+    and by the scenario check: its step and the age grid's `age_step` must be
+    whole multiples of one another."""
     dt = check_real("time step dt", dt, positive=True)
     horizon = check_real("horizon", horizon, positive=True)
+    age_step = check_real("age step", age_step, positive=True)
     t = uniform_grid(horizon, dt)
     if t.size < 2 or abs(t[-1] - horizon) > 1e-9 * max(1.0, horizon):
         raise ValueError(f"horizon {horizon:g} must be a multiple of dt {dt:g}")
+    ratio = age_step / (t[1] - t[0])
+    if abs(ratio - round(ratio)) > 1e-9 and abs(1.0 / ratio - round(1.0 / ratio)) > 1e-9:
+        raise ValueError(f"time step {t[1] - t[0]:g} is not commensurate with the age step "
+                         f"{age_step:g}: one must be a whole multiple of the other")
     return t
 
 
@@ -168,14 +175,9 @@ class _GridSystem:
 
 def _grid_system(kernel: IntensityKernel, contact: ContactRate, ic: InitialCondition,
                  t: np.ndarray, dt: float) -> _GridSystem:
-    """The system on grid t; dt is the step as the caller holds it, which
-    t[1] - t[0] can miss in the last bit."""
+    """The system on grid t, a `_time_grid` on the step of `ic.tau_bar`; dt is
+    the step as the caller holds it, which t[1] - t[0] can miss in the last bit."""
     tb = ic.tau_bar
-    ratio = tb.step / (t[1] - t[0])
-    if abs(ratio - round(ratio)) > 1e-9 and abs(1.0 / ratio - round(1.0 / ratio)) > 1e-9:
-        raise ValueError(
-            f"time step {t[1]-t[0]:g} is not commensurate with the kernel grid step {tb.step:g}"
-        )
     tau = np.asarray(kernel.value(t), dtype=float)
     return _GridSystem(
         t=t, dt=float(dt), tau=tau, tau_spectrum=_spectrum(tau),
@@ -200,7 +202,7 @@ def solve_delay(kernel: IntensityKernel, contact: ContactRate, ic: InitialCondit
     step thus costs at most `_BLOCK` multiply-adds plus its share of one
     O(n log n) FFT per block.
     """
-    grid = _grid_system(kernel, contact, ic, _time_grid(horizon, dt), dt)
+    grid = _grid_system(kernel, contact, ic, _time_grid(horizon, dt, ic.tau_bar.step), dt)
     t, dt, s0 = grid.t, grid.dt, grid.s0
     n = t.size - 1
     forcing, c_vals = grid.forcing.tolist(), grid.c.tolist()
@@ -261,7 +263,7 @@ def picard_delay(kernel: IntensityKernel, contact: ContactRate, ic: InitialCondi
     Those weights are at most 1, so it stops once the plain sup change
     max_k |delta b_k| is below the tolerance.
     """
-    grid = _grid_system(kernel, contact, ic, _time_grid(horizon, dt), dt)
+    grid = _grid_system(kernel, contact, ic, _time_grid(horizon, dt, ic.tau_bar.step), dt)
     b = np.zeros(grid.t.size)
     for iterations in range(1, _MAX_PICARD + 1):
         A, S = grid.forward(b)

@@ -245,7 +245,7 @@ class TestConditionedChain:
             assert np.all(np.diff(row) < 0)
             assert row[-1] <= 0 < row[-2]
         assert np.all(batch.terminals <= 0)
-        assert np.all(batch.first_increments > 0)
+        assert np.all(batch.times[:, 0] - batch.times[:, 1] > 0)
 
     def test_first_steps_stay_below_start(self, sol):
         starts = np.linspace(2.0, 8.0, 500)

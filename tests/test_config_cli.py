@@ -15,6 +15,7 @@ from epichain import (
     load_config, parse_config, reference_scenario, sample_renewal_chains,
 )
 from epichain.cli import main
+from epichain.limit_solver import _time_grid
 
 
 class TestScenarioConfig:
@@ -68,9 +69,10 @@ class TestScenarioConfig:
             parse_config(raw)
         joined = "\n".join(err.value.errors)
         assert len(err.value.errors) == 3
-        assert "I0 in (0,1) required" in joined
-        assert "contact rate outside [0,1]" in joined
-        assert "bogus" in joined
+        assert "initial condition: initial infection probability i0 must lie in (0, 1), got 1.5" \
+            in joined
+        assert "contact: contact rate levels must lie in [0, 1], got [1.2]" in joined
+        assert "unknown keys: bogus" in joined
 
     def test_incommensurate_steps_rejected(self):
         raw = reference_scenario().to_dict()
@@ -94,15 +96,61 @@ class TestScenarioConfig:
     def test_mistyped_knot_is_a_config_error(self):
         raw = apply_overrides(reference_scenario().to_dict(),
                               ['contact.knots=[0,"x"]', "contact.levels=[1,0.5]"])
-        with pytest.raises(ConfigError, match="knots must be finite numbers"):
+        with pytest.raises(ConfigError,
+                           match=r"contact rate knots\[1\] must be a real number, got 'x'"):
             parse_config(raw)
 
     @pytest.mark.parametrize("horizon", [float("inf"), 10**400, True])
     def test_non_finite_horizon_is_a_config_error(self, horizon):
         raw = reference_scenario().to_dict()
         raw["horizon"] = horizon
-        with pytest.raises(ConfigError, match="horizon must be a positive number"):
+        with pytest.raises(ConfigError, match="time grid: horizon must be finite and positive"):
             parse_config(raw)
+
+    # the constructors read None as "use the default", which a scenario has not
+    @pytest.mark.parametrize("part, key, message", [
+        (None, "a_max", "course: a_max must be a real number, got None"),
+        ("initial_age", "rate", "initial condition: initial_age.rate must be a real number, got None"),
+    ])
+    def test_null_number_is_a_config_error(self, part, key, message):
+        raw = reference_scenario().to_dict()
+        (raw[part] if part else raw)[key] = None
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config(raw)
+
+    # one-field changes the range rules once kept in two places disagreed on:
+    # a_max = 1e300 passed the config's copy and failed the course build
+    @pytest.mark.parametrize("changes", [
+        {"a_max": 1e300},
+        {"horizon": 1e9, "dt": 1e-3, "age_step": 1e-3},
+        {"course.beta": 0},
+        {"course": {"family": "markov_seir", "beta": 1.5, "activation": 1.0, "recovery": 1.0}},
+        {"i0": 1.5},
+        {"dt": 0.003},
+        {"contact.knots": [0.0, True], "contact.levels": [1.0, 0.5]},
+    ], ids=["a_max", "horizon", "beta", "seir", "i0", "dt", "knot"])
+    def test_accepts_exactly_what_its_builders_build(self, changes):
+        raw = reference_scenario().to_dict()
+        for path, value in changes.items():
+            *parents, key = path.split(".")
+            node = raw
+            for p in parents:
+                node = node[p]
+            node[key] = value
+        try:
+            cfg = parse_config(raw)
+        except ConfigError:
+            cfg = None
+        built = ScenarioConfig(**raw)
+        try:
+            kernel = built.build_model().kernel
+            built.build_contact()
+            ic = built.build_ic(kernel)
+            _time_grid(built.horizon, built.dt, ic.tau_bar.step)
+        except ValueError:
+            assert cfg is None
+        else:
+            assert cfg is not None
 
 
 _JSON_SCALARS = st.one_of(
@@ -282,8 +330,8 @@ class TestCli:
                    "--set", "age_step=1e-300"])
         assert rc == 1
         err = capsys.readouterr().err
-        assert "error: a grid of extent 40 at step 1e-300 would hold more than 10,000,000 points" \
-            in err
+        assert "config error: course: a grid of extent 40 at step 1e-300 would hold more than " \
+            "10,000,000 points" in err
         assert "Traceback" not in err
         assert not (tmp_path / "solve.csv").exists()
 

@@ -232,7 +232,7 @@ def test_every_grid_follows_the_grid_rule(extent, step):
         return np.linspace(0.0, n * step, n + 1).tobytes()
 
     assert uniform_grid(extent, step).tobytes() == formula(extent, step)
-    assert _time_grid(extent, step).tobytes() == formula(extent, step)
+    assert _time_grid(extent, step, step).tobytes() == formula(extent, step)
     kernel = ExponentialKernel(1.5, 1.0, step=step, a_max=extent)
     assert kernel.ages.tobytes() == formula(extent, step)
     ages = initial_condition(kernel, 0.01, age_rate=0.5).age_density.grid
@@ -251,7 +251,7 @@ def test_every_grid_user_rejects_a_grid_too_large(extent, step, unit_contact, ic
     with pytest.raises(ValueError, match=message):  # exponential initial ages
         initial_condition(SimpleNamespace(a_max=extent, step=step), 0.01, age_rate=0.5)
     with pytest.raises(ValueError, match=message):
-        _time_grid(extent, step)
+        _time_grid(extent, step, step)
     with pytest.raises(ValueError, match=message):
         solve_delay(ic.kernel, unit_contact, ic, extent, step)
 

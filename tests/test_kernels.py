@@ -223,6 +223,22 @@ class TestContactRate:
         with pytest.raises(ValueError, match=f"contact rate {named} must be finite"):
             ContactRate(knots, levels, "step")
 
+    # numpy read True as 1.0, and raised its own TypeError or conversion and
+    # shape messages for the others
+    @pytest.mark.parametrize("knots, levels, message", [
+        ([0, "x"], [1, 0.5], r"^contact rate knots\[1\] must be a real number, got 'x'$"),
+        ([0, {"a": 1}], [1, 0.5], r"^contact rate knots\[1\] must be a real number, got \{'a': 1\}$"),
+        ([0, [1, 2]], [1, 0.5], r"^contact rate knots\[1\] must be a real number, got \[1, 2\]$"),
+        ([0, True], [1, 0.5], r"^contact rate knots\[1\] must be a real number, got True$"),
+        ([0, 1], [None, 0.5], r"^contact rate levels\[0\] must be a real number, got None$"),
+        ([0, 1], [1, 10**400], r"^contact rate levels\[1\] must be a real number, got 1000"),
+        (0.0, 1.0, r"^contact rate knots must be a sequence of real numbers, got 0\.0$"),
+        ("01", [1, 0.5], r"^contact rate knots must be a sequence of real numbers, got '01'$"),
+    ], ids=["str", "dict", "list", "bool", "None", "huge-int", "scalar", "whole-str"])
+    def test_names_an_entry_that_is_not_a_real_number(self, knots, levels, message):
+        with pytest.raises(ValueError, match=message):
+            ContactRate(knots, levels, "step")
+
     @given(st.floats(0.0, 100.0))
     @settings(max_examples=50, deadline=None)
     def test_values_stay_in_band(self, t):

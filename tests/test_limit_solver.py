@@ -168,7 +168,7 @@ class TestBlockedHistory:
     # 25001 points put the spectra past numpy's 256 KiB threshold for reusing a temporary
     @pytest.mark.parametrize("horizon, dt", [(80.0, 0.005), (25.0, 0.001)])
     def test_cached_spectrum_matches_fftconvolve(self, kernel, ic, horizon, dt):
-        grid = _grid_system(kernel, STEP_CONTACT, ic, _time_grid(horizon, dt), dt)
+        grid = _grid_system(kernel, STEP_CONTACT, ic, _time_grid(horizon, dt, ic.tau_bar.step), dt)
         b = solve_delay(kernel, STEP_CONTACT, ic, horizon, dt).b
         assert np.array_equal(_convolve(grid.tau_spectrum, b),
                               fftconvolve(grid.tau, b)[:b.size])
