@@ -24,7 +24,6 @@ from .config import (
     ConfigError,
     ScenarioConfig,
     apply_overrides,
-    load_config,
     parse_config,
     reference_scenario,
 )
@@ -54,7 +53,7 @@ __all__ = [
     "l1_histogram_distance",
     "martingale_diagnostic", "sample_h_chains", "sample_h_first_steps",
     "sample_renewal_chains", "survival_representation_check",
-    "ConfigError", "ScenarioConfig", "apply_overrides", "load_config", "parse_config",
+    "ConfigError", "ScenarioConfig", "apply_overrides", "parse_config",
     "reference_scenario",
     "MarkovSEIR", "MarkovSIR",
     "compartment_fraction", "historical_measure", "simulate",

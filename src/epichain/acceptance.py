@@ -2,22 +2,23 @@
 
 Every reference is built from `reference_scenario()`: MarkovSIR(beta=1.5,
 gamma=1), so tau(a) = 1.5 e^{-a}, R0 = 1.5, alpha = 1/2; initial ages
-g = Exp(1/2); I0 = 0.01; c == 1; T = 25; dt = 0.005.  Its variants are
-`reference_scenario(dt=1e-3)` for criteria 1, 2 and 5,
-`reference_scenario(age_step=0.002, dt=0.002)` for the chain criteria 8 and 9
-(a grid fine enough that the quadrature bias sits well inside their
-statistical bands), `reference_scenario(i0=1e-3, horizon=3.0)` for criterion
-10's near-linear regime, and criterion 12's piecewise-constant contact rate
-at T = 80.  Each criterion returns its name and one or more
-ComparisonReports, `run_all` times it, and the suite is deterministic: every
-random input derives from the scenario's master seed.
+g = Exp(1/2); I0 = 0.01; c == 1; T = 25; dt = 0.005.  Its variants replace
+dt = 1e-3 for criteria 1, 2 and 5, age_step = dt = 0.002 for the chain
+criteria 8 and 9 (a grid fine enough that the quadrature bias sits well
+inside their statistical bands), i0 = 1e-3 and T = 3 for criterion 10's
+near-linear regime, and criterion 12's piecewise-constant contact rate at
+T = 80.  `SharedReferences` holds the five scenarios, each of which builds
+its model, contact rate, initial condition and solution once.  Each
+criterion returns its name and one or more ComparisonReports, `run_all`
+times it, and the suite is deterministic: every random input derives from
+the master seed of the scenario it runs.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -28,17 +29,16 @@ from .analysis import (
 from .backward_chain import (
     martingale_diagnostic, sample_h_chains, sample_h_first_steps, survival_representation_check,
 )
-from .config import reference_scenario
-from .courses import CourseModel
+from .config import ScenarioConfig, reference_scenario
 from .densities import cumulative_trapezoid
 from .forward_sim import compartment_fraction, simulate
 from .infection_graph import brute_force_infection_times
-from .kernels import ContactRate, backward_density, malthusian_parameter
+from .kernels import backward_density, malthusian_parameter
 from .limit_solver import compartment_curve, final_size_settled_contact, picard_delay
 from .poisson_tree import conditioned_first_step, estimate_B, tree_params
 from .rng import derive_seed, make_rng
 
-MASTER_SEED = reference_scenario().seed
+MASTER_SEED = reference_scenario().seed  # the default; each criterion reads its scenario's
 
 _SIM_TIMES = 64  # grid points of the simulated-vs-limit I-fraction comparison
 _SIM_N = 50_000  # population of every simulated replica the limit is compared with
@@ -75,83 +75,47 @@ class CriterionResult:
 
 
 class SharedReferences:
-    """Objects reused across criteria (solver runs dominate), each built on
-    first use from the reference scenario or a variant of it."""
+    """The scenario variants the criteria share, each of which builds its
+    parts (course model, contact rate, initial condition, solution) once, on
+    first use, and criterion 3's replicas.  Every variant is the reference
+    scenario with a few fields replaced, so each keeps its master seed."""
 
-    scenario = reference_scenario()
-    # criterion 12's intervention c = 1 / 0.3 / 0.8: the suppressed second
-    # wave settles late, and the final-size comparison needs b(T) ~ 0
-    step_scenario = reference_scenario(
-        contact={"kind": "step", "knots": [0.0, 4.0, 8.0], "levels": [1.0, 0.3, 0.8]},
-        horizon=80.0)
-
-    @cached_property
-    def model(self) -> CourseModel:
-        return self.scenario.build_model()
-
-    @property
-    def kernel(self):
-        return self.model.kernel
-
-    @cached_property
-    def ic(self):
-        return self.scenario.build_ic(self.kernel)
-
-    @cached_property
-    def contact(self) -> ContactRate:
-        return self.scenario.build_contact()
-
-    @cached_property
-    def step_contact(self) -> ContactRate:
-        return self.step_scenario.build_contact()
-
-    @cached_property
-    def alpha(self) -> float:
-        return malthusian_parameter(self.kernel).alpha
-
-    @cached_property
-    def sol(self):
-        """General-purpose reference solution, dt = 0.005."""
-        return self.scenario.solve()
-
-    @cached_property
-    def sol_millistep(self):
-        """Criterion 1/2 solution at dt = 1e-3."""
-        return reference_scenario(dt=1e-3).solve()
-
-    @cached_property
-    def sol_fine(self):
-        """Chain-criteria solution: dt = 0.002 keeps quadrature bias well
-        inside the 3-SE bands at 1e6 samples."""
-        return reference_scenario(age_step=0.002, dt=0.002).solve()
-
-    @cached_property
-    def sol_step80(self):
-        """Step-contact run extended to T = 80."""
-        return self.step_scenario.solve()
+    def __init__(self):
+        self.scenario = reference_scenario()
+        # criteria 1, 2 and 5
+        self.millistep = replace(self.scenario, dt=1e-3)
+        # criteria 8 and 9: dt = 0.002 keeps quadrature bias well inside the
+        # 3-SE bands at 1e6 samples
+        self.fine = replace(self.scenario, age_step=0.002, dt=0.002)
+        # criterion 10's near-linear regime
+        self.small = replace(self.scenario, i0=1e-3, horizon=3.0)
+        # criterion 12's intervention c = 1 / 0.3 / 0.8: the suppressed second
+        # wave settles late, and the final-size comparison needs b(T) ~ 0
+        self.step80 = replace(
+            self.scenario, horizon=80.0,
+            contact={"kind": "step", "knots": [0.0, 4.0, 8.0], "levels": [1.0, 0.3, 0.8]})
 
     @cached_property
     def unit_contact_replicas(self):
         """Criterion 3's 20 replicas at N = 5e4 under the unit contact rate, as
         `_sim_solve_deviation` returns them; criterion 5 reads their finals."""
-        return _sim_solve_deviation(self, self.contact, self.sol, self.scenario.horizon,
-                                    20, "c3")
+        return _sim_solve_deviation(self.scenario, self.scenario.horizon, 20, "c3")
 
 
-def _sim_solve_deviation(shared: SharedReferences, contact: ContactRate, sol, horizon: float,
-                         replicas: int, tag: str,
+def _sim_solve_deviation(scenario: ScenarioConfig, horizon: float, replicas: int, tag: str,
                          window: tuple[float, float] | None = None):
-    """Replica sup-deviations of the I fraction from the limit curve, final
-    infected fractions, (optionally) first backward increments in a
+    """Replica sup-deviations of the I fraction from `scenario`'s limit curve,
+    final infected fractions, (optionally) first backward increments in a
     sigma-window, and the simulator's work counts, in one pass over the
-    replicas."""
+    replicas, each run to `horizon`."""
+    model, sol = scenario.model, scenario.solution
     times = np.linspace(0.0, horizon, _SIM_TIMES)
-    limit = np.interp(times, sol.t, compartment_curve(sol, shared.model, "I"))
+    limit = np.interp(times, sol.t, compartment_curve(sol, model, "I"))
     devs, finals, increments = [], [], []
     contacts = accepted = infections = rounds = max_rounds = 0
     for r in range(replicas):
-        out = simulate(shared.model, _SIM_N, contact, shared.ic, horizon,
-                       seed=derive_seed(MASTER_SEED, tag, r))
+        out = simulate(model, _SIM_N, scenario.contact_rate, scenario.ic, horizon,
+                       seed=derive_seed(scenario.seed, tag, r))
         contacts += out.contacts
         accepted += out.accepted
         infections += out.infections
@@ -189,7 +153,7 @@ def criterion_1(shared: SharedReferences) -> Outcome:
     from scipy.integrate import solve_ivp  # here, so that `import epichain` does not load scipy
 
     solve_start = time.time()
-    sol = shared.sol_millistep
+    sol = shared.millistep.solution
     solve_time = time.time() - solve_start
     ic = sol.ic
     kern = sol.kernel
@@ -213,7 +177,7 @@ def criterion_1(shared: SharedReferences) -> Outcome:
 def criterion_2(shared: SharedReferences) -> Outcome:
     """Marching and Picard solve the same grid equations; their fixed points
     must agree far below discretization error."""
-    march = shared.sol_millistep
+    march = shared.millistep.solution
     pic = picard_delay(march.kernel, march.contact, march.ic, float(march.t[-1]),
                        march.dt).solution
     sup = float(np.max(np.abs(march.b - pic.b)))
@@ -237,13 +201,13 @@ def _tree_nodes(result) -> str:
             f"{result.chunks} chunks of at most {result.max_chunk_nodes} nodes")
 
 
-def _tree_checks(shared: SharedReferences, contact: ContactRate, sol, tag: str):
-    """B_hat(t) from 1e5 dual trees within 3 SE of the solver's B at
-    t in {2, 5, 10}; returns the checks and the trees' work counts."""
-    params = tree_params(shared.kernel, shared.ic, contact, horizon=10.0)
+def _tree_checks(scenario: ScenarioConfig, tag: str):
+    """B_hat(t) from 1e5 dual trees of `scenario` within 3 SE of its solver's
+    B at t in {2, 5, 10}; returns the checks and the trees' work counts."""
+    params = tree_params(scenario.model.kernel, scenario.ic, scenario.contact_rate, horizon=10.0)
     grid = np.array([2.0, 5.0, 10.0])
-    curve = estimate_B(params, grid, 100_000, seed=derive_seed(MASTER_SEED, tag))
-    b_sol = np.interp(grid, sol.t, sol.B)
+    curve = estimate_B(params, grid, 100_000, seed=derive_seed(scenario.seed, tag))
+    b_sol = np.interp(grid, scenario.solution.t, scenario.solution.B)
     checks = tuple(
         ComparisonReport(name=f"|B_hat - B| at t={t:g}", value=float(abs(curve.estimate[i] - b_sol[i])),
                          threshold=float(3.0 * curve.se[i]), se=float(curve.se[i]),
@@ -284,7 +248,7 @@ def criterion_4(shared: SharedReferences) -> Outcome:
     """The dual tree's censored-root law reproduces cumulative incidence:
     B_hat(t) within 3 SE of the solver's B at t in {2, 5, 10}."""
     t0 = time.time()
-    checks, nodes = _tree_checks(shared, shared.contact, shared.sol, "c4")
+    checks, nodes = _tree_checks(shared.scenario, "c4")
     runtime = time.time() - t0
     checks += (ComparisonReport(name="runtime (s)", value=runtime, threshold=60.0, detail=nodes),)
     return "tree dual estimates B", checks
@@ -296,7 +260,7 @@ def criterion_5(shared: SharedReferences) -> Outcome:
     _, finals, _, _ = shared.unit_contact_replicas
     # dt = 1e-3 run (cached from criteria 1/2); the ~8.6e-4 gap that remains
     # is the epidemic's unsettled tail beyond T = 25, not quadrature error
-    checks = _final_size_checks(finals, shared.sol_millistep)
+    checks = _final_size_checks(finals, shared.millistep.solution)
     return "final-size fixed point", checks
 
 
@@ -304,13 +268,14 @@ def criterion_6(shared: SharedReferences) -> Outcome:
     """Small populations, exact law: the simulator's infection times equal
     brute-force evaluation of the geodesic recursion on the decorated graph,
     bit for bit, on 100 seeded instances."""
+    scenario = shared.scenario
     mismatched = 0
     total = 0
     for i in range(100):
         n = 2 + (i % 11)
-        out = simulate(shared.model, n, shared.contact, shared.ic, horizon=8.0,
-                       seed=derive_seed(MASTER_SEED, "c6", i), record_graph=True)
-        oracle = brute_force_infection_times(out.graph, shared.contact)
+        out = simulate(scenario.model, n, scenario.contact_rate, scenario.ic, horizon=8.0,
+                       seed=derive_seed(scenario.seed, "c6", i), record_graph=True)
+        oracle = brute_force_infection_times(out.graph, scenario.contact_rate)
         total += n
         if not np.array_equal(out.sigma, oracle):
             mismatched += 1
@@ -323,11 +288,12 @@ def criterion_7(shared: SharedReferences) -> Outcome:
     """Conditioned on infection near t = 5, the infector's infection time
     drawn from the tree matches the spinal density, and the h-chain's first
     transition reproduces the same histogram."""
-    sol = shared.sol
+    scenario = shared.scenario
+    sol, kernel = scenario.solution, scenario.model.kernel
     t_lo, delta = 5.0, 0.25
-    params = tree_params(shared.kernel, shared.ic, shared.contact, horizon=10.0)
+    params = tree_params(kernel, scenario.ic, scenario.contact_rate, horizon=10.0)
     sample = conditioned_first_step(params, t_lo, delta, 1_500_000,
-                                    seed=derive_seed(MASTER_SEED, "c7"))
+                                    seed=derive_seed(scenario.seed, "c7"))
 
     # window-averaged spinal density, weighted by incidence across the window
     i0 = int(round(t_lo / sol.dt))
@@ -340,7 +306,7 @@ def criterion_7(shared: SharedReferences) -> Outcome:
 
     def spinal(x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        tau_mat = shared.kernel.value(tw[None, :] - x[:, None])
+        tau_mat = kernel.value(tw[None, :] - x[:, None])
         return sol.b_at(x) * (tau_mat @ coef) / denom
 
     edges = np.linspace(-8.0, t_lo + delta, 65)
@@ -349,8 +315,8 @@ def criterion_7(shared: SharedReferences) -> Outcome:
     l1_tree = l1_histogram_distance(tree_hist, oracle_hist)
 
     starts = _b_weighted_starts(sol, t_lo, t_lo + delta, sample.n_conditioned,
-                                seed=derive_seed(MASTER_SEED, "c7-starts"))
-    h_vals = sample_h_first_steps(starts, sol, seed=derive_seed(MASTER_SEED, "c7-h"))
+                                seed=derive_seed(scenario.seed, "c7-starts"))
+    h_vals = sample_h_first_steps(starts, sol, seed=derive_seed(scenario.seed, "c7-h"))
     h_hist = histogram_from_samples(h_vals, edges)
     l1_h = l1_histogram_distance(tree_hist, h_hist)
 
@@ -370,8 +336,8 @@ def criterion_7(shared: SharedReferences) -> Outcome:
 def criterion_8(shared: SharedReferences) -> Outcome:
     """h(R_{k and L}) on the not-yet-killed event is a martingale: per-step
     means over 1e6 killed-renewal chains stay within 3 SE of b(t)e^{-at}."""
-    rep = martingale_diagnostic(5.0, shared.sol_fine, 1_000_000, k_max=10,
-                                seed=derive_seed(MASTER_SEED, "c8"))
+    rep = martingale_diagnostic(5.0, shared.fine.solution, 1_000_000, k_max=10,
+                                seed=derive_seed(shared.fine.seed, "c8"))
     checks = [
         ComparisonReport(name="|mean M_0 - reference| (deterministic)",
                          value=float(abs(rep.mean[0] - rep.reference)), threshold=1e-12,
@@ -389,8 +355,8 @@ def criterion_9(shared: SharedReferences) -> Outcome:
     equilibrium age density, with the unit-normalized discrepancy reported."""
     checks = []
     for t in (2.0, 5.0, 8.0):
-        rep = survival_representation_check(t, shared.sol_fine, 1_000_000,
-                                            seed=derive_seed(MASTER_SEED, "c9", t))
+        rep = survival_representation_check(t, shared.fine.solution, 1_000_000,
+                                            seed=derive_seed(shared.fine.seed, "c9", t))
         checks.append(ComparisonReport(
             name=f"|b - I0 a e^(at) P_hat| at t={t:g}",
             value=abs(rep.b_solver - rep.estimate), threshold=rep.band,
@@ -403,10 +369,11 @@ def criterion_9(shared: SharedReferences) -> Outcome:
 def criterion_10(shared: SharedReferences) -> Outcome:
     """Near-linear regime: conditioned-chain increments are exactly backward
     generation times, density e^{-au} tau(u)."""
-    sol_small = reference_scenario(i0=1e-3, horizon=3.0).solve()
-    batch = sample_h_chains(3.0, sol_small, 15_000, seed=derive_seed(MASTER_SEED, "c10"))
+    small = shared.small
+    batch = sample_h_chains(3.0, small.solution, 15_000, seed=derive_seed(small.seed, "c10"))
     inc = batch.increments
-    r_density = backward_density(shared.kernel, shared.alpha)
+    kernel = small.model.kernel
+    r_density = backward_density(kernel, malthusian_parameter(kernel).alpha)
     edges = np.linspace(0.0, 8.0, 65)
     emp = histogram_from_samples(inc, edges)
     exact = histogram_from_density(r_density.pdf, edges)
@@ -424,12 +391,12 @@ def criterion_11(shared: SharedReferences) -> Outcome:
     """Historical process: first backward increments of simulated chains
     infected during a time window match the conditioned chain's law."""
     lo, hi = 4.0, 6.0
-    _, _, inc_sim, counts = _sim_solve_deviation(
-        shared, shared.contact, shared.sol, hi + 0.5, 12, "c11",
-        window=(lo, hi))
-    starts = _b_weighted_starts(shared.sol, lo, hi, inc_sim.size,
-                                seed=derive_seed(MASTER_SEED, "c11-starts"))
-    nxt = sample_h_first_steps(starts, shared.sol, seed=derive_seed(MASTER_SEED, "c11-h"))
+    scenario = shared.scenario
+    _, _, inc_sim, counts = _sim_solve_deviation(scenario, hi + 0.5, 12, "c11", window=(lo, hi))
+    starts = _b_weighted_starts(scenario.solution, lo, hi, inc_sim.size,
+                                seed=derive_seed(scenario.seed, "c11-starts"))
+    nxt = sample_h_first_steps(starts, scenario.solution,
+                               seed=derive_seed(scenario.seed, "c11-h"))
     inc_h = starts - nxt
     edges = np.linspace(0.0, 10.0, 49)
     l1 = l1_histogram_distance(histogram_from_samples(inc_sim, edges),
@@ -447,13 +414,13 @@ def criterion_12(shared: SharedReferences) -> Outcome:
     The suppressed second wave settles long after t = 25, so the run extends
     to T = 80 where b(T) is negligible; the fixed-point value itself is
     horizon-independent (the solved history enters only through [0, 8])."""
-    sol = shared.sol_step80
+    scenario = shared.step80
+    sol = scenario.solution
     sim_start = time.time()
-    devs, finals, _, counts = _sim_solve_deviation(
-        shared, shared.step_contact, sol, shared.step_scenario.horizon, 20, "c12")
+    devs, finals, _, counts = _sim_solve_deviation(scenario, scenario.horizon, 20, "c12")
     sim_runtime = time.time() - sim_start
     tree_start = time.time()
-    tree, nodes = _tree_checks(shared, shared.step_contact, sol, "c12-tree")
+    tree, nodes = _tree_checks(scenario, "c12-tree")
     tree_runtime = time.time() - tree_start
     checks = (
         _lln_check(devs, counts),

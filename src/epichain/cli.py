@@ -22,8 +22,7 @@ from .backward_chain import (
     martingale_diagnostic, sample_h_chains, sample_renewal_chains, survival_representation_check,
 )
 from .config import (
-    ConfigError, ScenarioConfig, apply_overrides, load_config, parse_config,
-    reference_scenario,
+    ConfigError, ScenarioConfig, apply_overrides, parse_config, read_config, reference_scenario,
 )
 from .forward_sim import compartment_fraction, simulate
 from .poisson_tree import NODE_CAP, estimate_B, tree_params
@@ -49,8 +48,8 @@ def _write_csv(path: Path, digest: str, header: list[str], rows) -> None:
 
 
 def _load(args) -> ScenarioConfig:
-    raw = (load_config(args.config).to_dict() if args.config
-           else reference_scenario().to_dict())
+    """The scenario of `args`, parsed (and so built) once, after the overrides."""
+    raw = read_config(args.config) if args.config else reference_scenario().to_dict()
     if args.set:
         raw = apply_overrides(raw, args.set)
     if args.seed is not None:
@@ -70,7 +69,7 @@ def _outdir(out_dir: str) -> Path:
 
 def cmd_solve(args) -> int:
     cfg = _load(args)
-    sol = cfg.solve()
+    sol = cfg.solution
     out = _outdir(cfg.out_dir) / "solve.csv"
     _write_csv(out, cfg.digest, ["t", "b", "B", "S"],
                zip(sol.t, sol.b, sol.B, sol.S))
@@ -84,14 +83,11 @@ def cmd_solve(args) -> int:
 def cmd_simulate(args) -> int:
     check_count("--replicas", args.replicas, 1)
     cfg = _load(args)
-    model = cfg.build_model()
-    contact = cfg.build_contact()
-    ic = cfg.build_ic(model.kernel)
     times = np.linspace(0.0, cfg.horizon, REPORT_POINTS)
-    names = model.compartments
+    names = cfg.model.compartments
 
     def one(r: int):
-        out = simulate(model, cfg.n_individuals, contact, ic, cfg.horizon,
+        out = simulate(cfg.model, cfg.n_individuals, cfg.contact_rate, cfg.ic, cfg.horizon,
                        seed=derive_seed(cfg.seed, "simulate", r))
         fracs = [compartment_fraction(out, nm, times) for nm in names]
         return out.susceptible_fraction(times), fracs, float(out.infected_fraction(cfg.horizon))
@@ -114,10 +110,8 @@ def cmd_simulate(args) -> int:
 def cmd_tree(args) -> int:
     check_count("--points", args.points, 2)  # one point is t = 0 alone, where no tree grows
     cfg = _load(args)
-    kernel = cfg.build_model().kernel
-    contact = cfg.build_contact()
-    ic = cfg.build_ic(kernel)
-    params = tree_params(kernel, ic, contact, cfg.horizon, node_cap=args.node_cap)
+    params = tree_params(cfg.model.kernel, cfg.ic, cfg.contact_rate, cfg.horizon,
+                         node_cap=args.node_cap)
     grid = np.linspace(0.0, cfg.horizon, args.points)
     t0 = time.perf_counter()
     try:
@@ -146,7 +140,7 @@ def cmd_chain(args) -> int:
     # t; the other samplers reject a start past the horizon themselves
     if args.mode == "renewal" and cfg.horizon < t < math.inf:
         raise ValueError(f"chain start {t:g} lies past the solver horizon T={cfg.horizon:g}")
-    sol = None if args.mode == "renewal" else cfg.solve()
+    sol = None if args.mode == "renewal" else cfg.solution
     outdir = _outdir(cfg.out_dir)
 
     if args.mode == "martingale":
@@ -179,7 +173,7 @@ def cmd_chain(args) -> int:
         batch = sample_h_chains(t, sol, args.samples,
                                 seed=derive_seed(cfg.seed, "chain", "hchain"))
     else:
-        batch = sample_renewal_chains(t, cfg.build_model().kernel, args.samples,
+        batch = sample_renewal_chains(t, cfg.model.kernel, args.samples,
                                       seed=derive_seed(cfg.seed, "chain", "renewal"))
     rows = []
     for i in range(batch.times.shape[0]):
@@ -194,9 +188,8 @@ def cmd_chain(args) -> int:
 def cmd_courses_dump(args) -> int:
     check_count("--samples", args.samples, 0)
     cfg = _load(args)
-    model = cfg.build_model()
     rng = make_rng(derive_seed(cfg.seed, "courses"))
-    batch = model.sample_courses(rng, args.samples)
+    batch = cfg.model.sample_courses(rng, args.samples)
     atoms, offsets = batch.atoms.tolist(), batch.offsets.tolist()
     rows = []
     for i, entry in enumerate(batch.entry_ages.tolist()):
@@ -218,7 +211,8 @@ def cmd_validate(args) -> int:
         except ValueError:
             raise ValueError(f"--criteria must list criterion numbers separated by commas, "
                              f"got {args.criteria!r}") from None
-    results = run_all(criteria=wanted)
+    shared = SharedReferences()
+    results = run_all(criteria=wanted, shared=shared)
     records = [
         {"criterion": r.criterion, "name": r.name, "passed": r.passed,
          "runtime_s": round(r.runtime_s, 2),
@@ -228,7 +222,7 @@ def cmd_validate(args) -> int:
         for r in results
     ]
     ok = all(r.passed for r in results)
-    scenario = SharedReferences.scenario
+    scenario = shared.scenario  # the references the criteria ran
     payload = {"scenario_digest": scenario.digest, "all_passed": ok, "criteria": records}
     out = _outdir(args.out if args.out is not None else scenario.out_dir) / "validation.json"
     with open(out, "w", encoding="utf-8") as fh:

@@ -1,14 +1,15 @@
-"""Scenario configuration: strict JSON schema, canonical digests, builders.
+"""Scenario configuration: strict JSON schema, canonical digests, parts.
 
 A scenario pins everything a run needs: the course model, the contact rate,
 the seeded fraction and its age density, population size, horizon, grid
-steps, and the master seed; `ScenarioConfig.solve` is the one path from a
-scenario to its limit solution.  Loading is strict: it checks the JSON
-shape (unknown or missing keys are errors), then builds the course model,
-contact rate, initial condition and time grid, whose own checks are the one
-home of each range rule, and reports every problem found at once.  The
-canonical digest is invariant under key reordering, so artifacts stamped
-with it are comparable across reruns.
+steps, and the master seed.  `ScenarioConfig` is the one home of its parts:
+`model`, `contact_rate`, `ic` and `solution` are each built on first use
+and kept.  Parsing is strict: it checks the JSON shape (unknown or missing
+keys are errors), then builds the course model, contact rate and initial
+condition and checks the time grid, whose own checks are the one home of
+each range rule, and reports every problem found at once.  The canonical
+digest is invariant under key reordering, so artifacts stamped with it are
+comparable across reruns.
 """
 
 from __future__ import annotations
@@ -16,11 +17,10 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, replace
+from functools import cached_property
 
 from .courses import CourseModel, MarkovSEIR, MarkovSIR
-from .kernels import (
-    ContactRate, InitialCondition, IntensityKernel, initial_condition, malthusian_parameter,
-)
+from .kernels import ContactRate, InitialCondition, initial_condition, malthusian_parameter
 from .limit_solver import LimitSolution, _time_grid, solve_delay
 from .rng import as_real, check_count
 
@@ -73,11 +73,12 @@ class ScenarioConfig:
         canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()
 
-    # builders ------------------------------------------------------------
+    # parts: each built on first use, once; the instance is frozen, so none
+    # can go stale.  a_max and the age rate pass `as_real` first: None would
+    # ask the constructors for their default
 
-    # a_max and the age rate pass `as_real` first: None would ask the
-    # constructors for their default
-    def build_model(self) -> CourseModel:
+    @cached_property
+    def model(self) -> CourseModel:
         fam, a_max = self.course["family"], as_real("a_max", self.a_max)
         if fam == "markov_sir":
             return MarkovSIR(self.course["beta"], self.course["gamma"],
@@ -85,21 +86,23 @@ class ScenarioConfig:
         return MarkovSEIR(self.course["beta"], self.course["activation"],
                           self.course["recovery"], step=self.age_step, a_max=a_max)
 
-    def build_contact(self) -> ContactRate:
+    @cached_property
+    def contact_rate(self) -> ContactRate:
         return ContactRate(knots=self.contact["knots"], levels=self.contact["levels"],
                            kind=self.contact["kind"])
 
-    def build_ic(self, kernel: IntensityKernel) -> InitialCondition:
+    @cached_property
+    def ic(self) -> InitialCondition:
+        kernel = self.model.kernel
         fam = self.initial_age["family"]
         rate = (as_real("initial_age.rate", self.initial_age["rate"]) if fam == "exponential"
                 else malthusian_parameter(kernel).alpha)
         return initial_condition(kernel, self.i0, age_rate=rate)
 
-    def solve(self) -> LimitSolution:
+    @cached_property
+    def solution(self) -> LimitSolution:
         """The limit system of this scenario solved on [0, horizon] at step dt."""
-        kernel = self.build_model().kernel
-        return solve_delay(kernel, self.build_contact(), self.build_ic(kernel),
-                           self.horizon, self.dt)
+        return solve_delay(self.model.kernel, self.contact_rate, self.ic, self.horizon, self.dt)
 
 
 def _key_errors(where: str, obj: dict, allowed: set, required: set) -> list[str]:
@@ -123,50 +126,34 @@ def _family_errors(name: str, obj, families: dict) -> list[str]:
     return _key_errors(f"{name} ", obj, families[fam] | {"family"}, families[fam])
 
 
-def _validate(raw: dict) -> tuple[list[str], set[str] | None]:
-    """The problems with the JSON shape of `raw`, and the parts (course,
-    contact, initial_age) whose shape passed, None while a key is missing.
-    The values' ranges are for the builders to check."""
-    errors = _key_errors("", raw, _TOP_KEYS, _REQUIRED_KEYS)
-    if not _REQUIRED_KEYS <= set(raw):
-        return errors, None
-    contact = raw["contact"]
-    parts = {
-        "course": _family_errors("course", raw["course"], _COURSE_KEYS),
-        "contact": (_key_errors("contact ", contact, _CONTACT_KEYS, _CONTACT_KEYS - {"kind"})
-                    if isinstance(contact, dict) else ["contact must be an object"]),
-        "initial_age": _family_errors("initial_age", raw["initial_age"], _AGE_KEYS),
-    }
-    for problems in parts.values():
-        errors += problems
-    for key, minimum in (("n_individuals", 1), ("seed", 0)):
-        try:
-            check_count(key, raw[key], minimum)
-        except ValueError as exc:
-            errors.append(str(exc))
-    if not isinstance(raw.get("out_dir", ""), str):
-        errors.append("out_dir must be a string")
-    return errors, {part for part, problems in parts.items() if not problems}
+def _real(value):
+    """`value` as a float when it is a real number; a bool, a non-real value
+    or an int beyond the float range as it is, for the builders to reject."""
+    try:
+        return as_real("value", value)
+    except ValueError:
+        return value
 
 
 def _build_errors(cfg: ScenarioConfig, shaped: set[str]) -> list[str]:
-    """The first problem of each part that `cfg`'s builders and the solvers'
-    time-grid check find: the course model, the contact rate, the initial
-    condition (once the course is built) and the time grid."""
+    """The first problem of each of `cfg`'s parts whose shape passed, as its
+    builder reports it: the course model, the contact rate, the initial
+    condition (once the course is built) and the solvers' time-grid check."""
     errors = []
 
-    def build(part, builder):
+    def build(part, getter) -> bool:
         try:
-            return builder()
+            getter()
         except ValueError as exc:
             errors.append(f"{part}: {exc}")
-            return None
+            return False
+        return True
 
-    model = build("course", cfg.build_model) if "course" in shaped else None
+    model = "course" in shaped and build("course", lambda: cfg.model)
     if "contact" in shaped:
-        build("contact", cfg.build_contact)
-    if model is not None and "initial_age" in shaped:
-        build("initial condition", lambda: cfg.build_ic(model.kernel))
+        build("contact", lambda: cfg.contact_rate)
+    if model and "initial_age" in shaped:
+        build("initial condition", lambda: cfg.ic)
     build("time grid", lambda: _time_grid(cfg.horizon, cfg.dt, cfg.age_step))
     return errors
 
@@ -174,35 +161,46 @@ def _build_errors(cfg: ScenarioConfig, shaped: set[str]) -> list[str]:
 def parse_config(raw: dict) -> ScenarioConfig:
     """Check a raw mapping's shape, then build each part whose shape passed;
     raises ConfigError listing every shape problem and the first problem of
-    each part.  Numbers come back as floats, so a JSON 1 and 1.0 share a
+    each part.  The scenario returned holds the parts so built.  Numbers come
+    back as floats before anything is built, so a JSON 1 and 1.0 share a
     digest."""
-    errors, shaped = _validate(raw)
-    if shaped is not None:
-        fields = {key: raw[key] for key in _REQUIRED_KEYS}
-        if "contact" in shaped:
-            fields["contact"] = {"kind": "step", **raw["contact"]}
-        cfg = ScenarioConfig(**fields, out_dir=raw.get("out_dir", "out"))
-        errors += _build_errors(cfg, shaped)
+    errors = _key_errors("", raw, _TOP_KEYS, _REQUIRED_KEYS)
+    if not _REQUIRED_KEYS <= set(raw):
+        raise ConfigError(errors)
+    fields = {key: _real(raw[key]) for key in ("i0", "horizon", "dt", "age_step", "a_max")}
+    contact = raw["contact"]
+    shape = {
+        "course": _family_errors("course", raw["course"], _COURSE_KEYS),
+        "contact": (_key_errors("contact ", contact, _CONTACT_KEYS, _CONTACT_KEYS - {"kind"})
+                    if isinstance(contact, dict) else ["contact must be an object"]),
+        "initial_age": _family_errors("initial_age", raw["initial_age"], _AGE_KEYS),
+    }
+    for part, problems in shape.items():
+        errors += problems
+        fields[part] = raw[part] if problems else dict(raw[part])
+    if not shape["contact"]:
+        fields["contact"] = {"kind": "step", **contact}
+        for key in ("knots", "levels"):
+            if isinstance(contact[key], (list, tuple)):
+                fields["contact"][key] = [_real(v) for v in contact[key]]
+    for key, minimum in (("n_individuals", 1), ("seed", 0)):
+        try:
+            fields[key] = check_count(key, raw[key], minimum)
+        except ValueError as exc:
+            errors.append(str(exc))
+            fields[key] = raw[key]
+    fields["out_dir"] = raw.get("out_dir", "out")
+    if not isinstance(fields["out_dir"], str):
+        errors.append("out_dir must be a string")
+    cfg = ScenarioConfig(**fields)
+    errors += _build_errors(cfg, {part for part, problems in shape.items() if not problems})
     if errors:
         raise ConfigError(errors)
-    return replace(
-        cfg,
-        course=dict(cfg.course),
-        contact={"kind": cfg.contact["kind"],
-                 "knots": [float(k) for k in cfg.contact["knots"]],
-                 "levels": [float(v) for v in cfg.contact["levels"]]},
-        i0=float(cfg.i0),
-        initial_age=dict(cfg.initial_age),
-        n_individuals=int(cfg.n_individuals),
-        horizon=float(cfg.horizon),
-        dt=float(cfg.dt),
-        age_step=float(cfg.age_step),
-        a_max=float(cfg.a_max),
-        seed=int(cfg.seed),
-    )
+    return cfg
 
 
-def load_config(path: str) -> ScenarioConfig:
+def read_config(path: str) -> dict:
+    """The raw scenario mapping in the JSON file `path`, for `parse_config`."""
     with open(path, encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
@@ -210,7 +208,7 @@ def load_config(path: str) -> ScenarioConfig:
             raise ConfigError([f"invalid JSON: {exc}"]) from exc
     if not isinstance(raw, dict):
         raise ConfigError(["top level must be a JSON object"])
-    return parse_config(raw)
+    return raw
 
 
 def apply_overrides(raw: dict, overrides: list[str]) -> dict:

@@ -25,6 +25,7 @@ from __future__ import annotations
 import hashlib
 import math
 import numbers
+import reprlib
 
 import numpy as np
 
@@ -70,13 +71,14 @@ def as_real(name: str, value, must: str = "be a real number") -> float:
     """`value` as a float; a ValueError "`name` must `must`, got `value`"
     when it is a bool, not a real number, or an int beyond the float range.
     The type step of `check_real`; an entry point with its own range message
-    passes that message's `must`, so one message names both faults."""
+    passes that message's `must`, so one message names both faults.  The
+    message shows at most about 40 characters of `value`."""
     if not isinstance(value, bool) and isinstance(value, numbers.Real):
         try:
             return float(value)
         except OverflowError:  # an int beyond the float range
             pass
-    raise ValueError(f"{name} must {must}, got {value!r}")
+    raise ValueError(f"{name} must {must}, got {reprlib.repr(value)}")
 
 
 def check_real(name: str, value, *, positive: bool | None) -> float:

@@ -12,22 +12,22 @@ def scenario():
 
 @pytest.fixture(scope="session")
 def model(scenario):
-    return scenario.build_model()
+    return scenario.model
 
 
 @pytest.fixture(scope="session")
-def kernel(model):
-    return model.kernel
+def kernel(scenario):
+    return scenario.model.kernel
 
 
 @pytest.fixture(scope="session")
-def ic(scenario, kernel):
-    return scenario.build_ic(kernel)
+def ic(scenario):
+    return scenario.ic
 
 
 @pytest.fixture(scope="session")
 def unit_contact(scenario):
-    return scenario.build_contact()
+    return scenario.contact_rate
 
 
 @pytest.fixture(scope="session")
@@ -38,7 +38,7 @@ def alpha(kernel):
 @pytest.fixture(scope="session")
 def sol(scenario):
     """Reference limit solution: tau = 1.5 e^{-a}, g = Exp(1/2), I0 = 0.01, T = 25."""
-    return scenario.solve()
+    return scenario.solution
 
 
 def _check_courses(batch, model):

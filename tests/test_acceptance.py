@@ -82,9 +82,9 @@ def shared():
 
 def test_suite_runs_reference_scenario(shared):
     # the digest `epichain validate` stamps is the scenario the suite solves
-    assert SharedReferences.scenario.digest == reference_scenario().digest
+    assert shared.scenario.digest == reference_scenario().digest
     assert MASTER_SEED == reference_scenario().seed
-    assert np.array_equal(shared.sol.b, reference_scenario().solve().b)
+    assert np.array_equal(shared.scenario.solution.b, reference_scenario().solution.b)
 
 
 @pytest.mark.parametrize("criterion", sorted(_NAMES),

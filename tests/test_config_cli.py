@@ -11,10 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epichain import (
-    ConfigError, ContactRate, MarkovSIR, ScenarioConfig, apply_overrides, derive_seed,
-    load_config, parse_config, reference_scenario, sample_renewal_chains,
+    ConfigError, ContactRate, MarkovSEIR, MarkovSIR, ScenarioConfig, apply_overrides,
+    derive_seed, parse_config, reference_scenario, sample_renewal_chains,
 )
 from epichain.cli import main
+from epichain.config import read_config
+from epichain.kernels import InitialCondition
 from epichain.limit_solver import _time_grid
 
 
@@ -30,7 +32,7 @@ class TestScenarioConfig:
         cfg = reference_scenario(horizon=10.0)
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(cfg.to_dict(), sort_keys=True, indent=2))
-        assert load_config(str(path)) == cfg
+        assert parse_config(read_config(str(path))) == cfg
 
     def test_digest_ignores_key_order_and_out_dir(self):
         cfg = reference_scenario()
@@ -44,20 +46,23 @@ class TestScenarioConfig:
 
     def test_builders(self):
         cfg = reference_scenario()
-        model = cfg.build_model()
+        model = cfg.model
         assert isinstance(model, MarkovSIR)
         assert model.kernel.step == cfg.age_step
-        contact = cfg.build_contact()
+        contact = cfg.contact_rate
         assert isinstance(contact, ContactRate)
         assert float(contact(3.0)) == 1.0
-        ic = cfg.build_ic(model.kernel)
+        ic = cfg.ic
         assert ic.i0 == 0.01
         assert ic.age_rate == 0.5
+        assert ic.kernel is model.kernel
+        # each part is built once and kept, and the solution reads them
+        assert cfg.model is model and cfg.contact_rate is contact and cfg.ic is ic
+        sol = reference_scenario(horizon=2.0).solution
+        assert sol.t[-1] == 2.0 and sol.ic.i0 == 0.01
 
     def test_malthusian_initial_age(self):
-        cfg = reference_scenario(initial_age={"family": "malthusian"})
-        model = cfg.build_model()
-        ic = cfg.build_ic(model.kernel)
+        ic = reference_scenario(initial_age={"family": "malthusian"}).ic
         assert ic.age_rate == pytest.approx(0.5, abs=1e-8)
 
     def test_all_errors_collected(self):
@@ -104,8 +109,12 @@ class TestScenarioConfig:
     def test_non_finite_horizon_is_a_config_error(self, horizon):
         raw = reference_scenario().to_dict()
         raw["horizon"] = horizon
-        with pytest.raises(ConfigError, match="time grid: horizon must be finite and positive"):
+        with pytest.raises(ConfigError,
+                           match="^time grid: horizon must be finite and positive, got ") as err:
             parse_config(raw)
+        # 10**400 has 401 digits; the line shows about 40 of them
+        (line,) = err.value.errors
+        assert len(line) < 120
 
     # the constructors read None as "use the default", which a scenario has not
     @pytest.mark.parametrize("part, key, message", [
@@ -143,9 +152,7 @@ class TestScenarioConfig:
             cfg = None
         built = ScenarioConfig(**raw)
         try:
-            kernel = built.build_model().kernel
-            built.build_contact()
-            ic = built.build_ic(kernel)
+            _, _, ic = built.model, built.contact_rate, built.ic
             _time_grid(built.horizon, built.dt, ic.tau_bar.step)
         except ValueError:
             assert cfg is None
@@ -171,7 +178,7 @@ def test_malformed_contact_raises_only_config_error(knots, levels):
         cfg = parse_config(raw)
     except ConfigError:
         return
-    assert cfg.build_contact().knots.size == len(knots)
+    assert cfg.contact_rate.knots.size == len(knots)
 
 
 def _read_csv(path):
@@ -278,13 +285,13 @@ class TestCli:
         def no_solve(self):
             raise AssertionError("renewal chains must not solve the limit system")
 
-        monkeypatch.setattr(ScenarioConfig, "solve", no_solve)
+        monkeypatch.setattr(ScenarioConfig, "solution", property(no_solve))
         rc = main(["chain", "--out", str(tmp_path), "--mode", "renewal",
                    "--samples", "300", "--t", "4.0"])
         assert rc == 0
         _, rows = _read_csv(tmp_path / "chain_renewal.csv")
         cfg = reference_scenario()
-        batch = sample_renewal_chains(4.0, cfg.build_model().kernel, 300,
+        batch = sample_renewal_chains(4.0, cfg.model.kernel, 300,
                                       seed=derive_seed(cfg.seed, "chain", "renewal"))
         want = [(i, k, float(batch.times[i, k]))
                 for i in range(300) for k in range(batch.lengths[i] + 1)]
@@ -296,6 +303,44 @@ class TestCli:
         header, rows = _read_csv(tmp_path / "courses.csv")
         assert header == ["course", "kind", "age", "compartment"]
         assert {r[0] for r in rows} == {str(i) for i in range(20)}
+
+    # each command with cheap options; --horizon and --samples leave the
+    # scenario's parts to the parse
+    _CHEAP = {
+        "solve": ["--horizon", "2"],
+        "simulate": ["--horizon", "2"],
+        "tree": ["--horizon", "2", "--samples", "1000"],
+        "chain": ["--horizon", "2", "--samples", "50"],
+        "courses-dump": ["--samples", "10"],
+    }
+
+    @pytest.mark.parametrize("source", ["plain", "set", "config"])
+    @pytest.mark.parametrize("command", sorted(_CHEAP))
+    def test_each_command_builds_its_scenario_once(self, tmp_path, monkeypatch, command,
+                                                    source):
+        counts = {"initial condition": 0, "course model": 0}
+
+        def count(cls, method, part):
+            original = getattr(cls, method)
+
+            def counted(self, *args, **kwargs):
+                counts[part] += 1
+                return original(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, method, counted)
+
+        count(InitialCondition, "__post_init__", "initial condition")
+        count(MarkovSIR, "__init__", "course model")
+        count(MarkovSEIR, "__init__", "course model")
+        argv = [command, "--out", str(tmp_path)] + self._CHEAP[command]
+        if source == "set":
+            argv += ["--set", "i0=0.02"]
+        if source == "config":
+            path = tmp_path / "scenario.json"
+            path.write_text(json.dumps(reference_scenario().to_dict()))
+            argv += ["--config", str(path)]
+        assert main(argv) == 0
+        assert counts == {"initial condition": 1, "course model": 1}
 
     @pytest.mark.parametrize("overrides, lines, digest", [
         ([], 686, "28f493f6d6077e8e4ec02f66caad2e31e25c32cb12edb237b00e8a953d4a22ac"),

@@ -151,8 +151,7 @@ class TestShiftedQuantities:
         # the FFT errs by about eps times the peak at every point; the clamp
         # at 0 moves no value farther from the clamped reference
         scenario = reference_scenario(age_step=step, dt=step)
-        kernel = scenario.build_model().kernel
-        ic = scenario.build_ic(kernel)
+        kernel, ic = scenario.model.kernel, scenario.ic
         direct = direct_shifted_age_sums(kernel.value, ic.age_density, step, kernel.ages.size)
         table = ic.tau_bar.table
         assert np.max(np.abs(table - np.maximum(direct * step, 0.0))) <= 1e-15 * table.max()

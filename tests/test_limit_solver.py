@@ -299,8 +299,8 @@ from epichain import compartment_curve, reference_scenario
 def sha(a):
     return hashlib.sha256(a.tobytes()).hexdigest()
 scenario = reference_scenario(age_step=0.002, dt=0.002)
-sol = scenario.solve()
-print(sha(sol.ic.tau_bar.table), sha(compartment_curve(sol, scenario.build_model(), "I")),
+sol = scenario.solution
+print(sha(sol.ic.tau_bar.table), sha(compartment_curve(sol, scenario.model, "I")),
       sha(sol.b))
 """
 
@@ -313,7 +313,7 @@ def test_no_result_depends_on_the_blas_thread_count():
     child = subprocess.run([sys.executable, "-c", _THREAD_DIGESTS], env=env,
                            capture_output=True, text=True, check=True, timeout=300)
     scenario = reference_scenario(age_step=0.002, dt=0.002)
-    sol = scenario.solve()
-    here = [_sha(sol.ic.tau_bar.table), _sha(compartment_curve(sol, scenario.build_model(), "I")),
+    sol = scenario.solution
+    here = [_sha(sol.ic.tau_bar.table), _sha(compartment_curve(sol, scenario.model, "I")),
             _sha(sol.b)]
     assert child.stdout.split() == here
