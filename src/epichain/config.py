@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import reprlib
 from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 
@@ -107,12 +108,10 @@ class ScenarioConfig:
 
 def _key_errors(where: str, obj: dict, allowed: set, required: set) -> list[str]:
     errors = []
-    unknown = set(obj) - allowed
-    if unknown:
-        errors.append(f"unknown {where}keys: {', '.join(sorted(unknown))}")
-    missing = required - set(obj)
-    if missing:
-        errors.append(f"missing {where}keys: {', '.join(sorted(missing))}")
+    for fault, keys in (("unknown", set(obj) - allowed), ("missing", required - set(obj))):
+        if keys:  # as `reprlib` would show them: ten at most, a long one cut
+            names = [k if len(k) <= 30 else reprlib.repr(k) for k in sorted(keys)]
+            errors.append(f"{fault} {where}keys: {', '.join(names[:10] + ['...'] * (len(names) > 10))}")
     return errors
 
 
@@ -122,7 +121,7 @@ def _family_errors(name: str, obj, families: dict) -> list[str]:
         return [f"{name} must be an object with a 'family' key"]
     fam = obj["family"]
     if not isinstance(fam, str) or fam not in families:
-        return [f"unknown {name} family {fam!r}"]
+        return [f"unknown {name} family {reprlib.repr(fam)}"]
     return _key_errors(f"{name} ", obj, families[fam] | {"family"}, families[fam])
 
 
@@ -220,7 +219,7 @@ def apply_overrides(raw: dict, overrides: list[str]) -> dict:
     errors = []
     for item in overrides:
         if "=" not in item:
-            errors.append(f"override {item!r} is not of the form key=value")
+            errors.append(f"override {reprlib.repr(item)} is not of the form key=value")
             continue
         path, text = item.split("=", 1)
         try:
@@ -232,13 +231,13 @@ def apply_overrides(raw: dict, overrides: list[str]) -> dict:
         ok = True
         for p in parts[:-1]:
             if not isinstance(node, dict) or p not in node:
-                errors.append(f"override path {path!r} does not exist")
+                errors.append(f"override path {reprlib.repr(path)} does not exist")
                 ok = False
                 break
             node = node[p]
         if ok:
             if not isinstance(node, dict) or parts[-1] not in node:
-                errors.append(f"override path {path!r} does not exist")
+                errors.append(f"override path {reprlib.repr(path)} does not exist")
             else:
                 node[parts[-1]] = value
     if errors:

@@ -18,7 +18,8 @@ uniform age grid, which is what the quadrature-based solvers consume.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import reprlib
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -45,7 +46,8 @@ def _real_entries(name: str, values) -> np.ndarray:
     entry that is not a real number (a bool is not one), or the whole value
     when it is not a sequence."""
     if isinstance(values, (str, dict)) or not np.iterable(values):
-        raise ValueError(f"contact rate {name} must be a sequence of real numbers, got {values!r}")
+        raise ValueError(f"contact rate {name} must be a sequence of real numbers, "
+                         f"got {reprlib.repr(values)}")
     return np.array([as_real(f"contact rate {name}[{i}]", v) for i, v in enumerate(values)],
                     dtype=float)
 
@@ -65,19 +67,19 @@ class ContactRate:
     def __post_init__(self) -> None:
         knots, levels = _real_entries("knots", self.knots), _real_entries("levels", self.levels)
         if self.kind not in ("step", "linear"):
-            raise ValueError(f"unknown contact rate kind {self.kind!r}")
+            raise ValueError(f"unknown contact rate kind {reprlib.repr(self.kind)}")
         if knots.shape != levels.shape or knots.size == 0:
             raise ValueError(f"contact rate knots and levels must be nonempty and of one length, "
                              f"got {knots.size} and {levels.size}")
-        for name, values in (("knots", knots), ("levels", levels)):
-            if not np.all(np.isfinite(values)):
-                raise ValueError(f"contact rate {name} must be finite, got {values.tolist()}")
-        if knots[0] != 0.0:
-            raise ValueError(f"contact rate knots must start at t = 0, got {knots.tolist()}")
-        if np.any(np.diff(knots) <= 0):
-            raise ValueError(f"contact rate knots must be strictly increasing, got {knots.tolist()}")
-        if np.any((levels < 0.0) | (levels > 1.0)):
-            raise ValueError(f"contact rate levels must lie in [0, 1], got {levels.tolist()}")
+        for name, must, broken in (  # in this order, so the last three see finite values
+                ("knots", "be finite", lambda: not np.all(np.isfinite(knots))),
+                ("levels", "be finite", lambda: not np.all(np.isfinite(levels))),
+                ("knots", "start at t = 0", lambda: knots[0] != 0.0),
+                ("knots", "be strictly increasing", lambda: np.any(np.diff(knots) <= 0)),
+                ("levels", "lie in [0, 1]", lambda: np.any((levels < 0.0) | (levels > 1.0)))):
+            if broken():
+                shown = reprlib.repr((knots if name == "knots" else levels).tolist())
+                raise ValueError(f"contact rate {name} must {must}, got {shown}")
         object.__setattr__(self, "knots", knots)
         object.__setattr__(self, "levels", levels)
 
@@ -348,36 +350,35 @@ class InitialCondition:
     """Initial state: each individual independently infected with probability
     i0, with age-of-infection drawn from `age_density` (g).
 
-    Carries the derived shifted quantities used by every downstream layer:
-    tau_bar, its mass r0_bar, and the marginal needed to sample (delay, age)
-    pairs from the joint law G(w, z) = g(z) tau(w + z) / r0_bar.
+    Holds its four inputs and `z_marginal`, G's age marginal, whose mass is
+    r0_bar (zero mass is an error); tau_bar, an FFT, is built at its first read.
     """
 
     i0: float
     age_density: GridDensity
     kernel: IntensityKernel
     age_rate: float | None  # set when g is exponential with this rate
-    tau_bar: TabulatedKernel = field(init=False)
-    r0_bar: float = field(init=False)
-    z_marginal: GridDensity = field(init=False)
 
     def __post_init__(self) -> None:
         name, must = "initial infection probability i0", "lie in (0, 1)"
         i0 = as_real(name, self.i0, must)
         if not 0.0 < i0 < 1.0:
-            raise ValueError(f"{name} must {must}, got {self.i0!r}")
+            raise ValueError(f"{name} must {must}, got {reprlib.repr(self.i0)}")
         object.__setattr__(self, "i0", i0)
-        tb = bar_tau(self.kernel, self.age_density)
-        object.__setattr__(self, "tau_bar", tb)
-        object.__setattr__(self, "r0_bar", tb.r0)
-        if tb.r0 <= 0:
+        kern, g = self.kernel, self.age_density
+        weights = (np.interp(kern.ages, g.grid, g.values / g.total, left=0.0, right=0.0)
+                   * np.maximum(kern.r0 - kern.cumulative(kern.ages), 0.0))
+        if not weights.any():
             raise ValueError("shifted intensity has zero mass; no initial infectivity")
-        kern = self.kernel
-        g_on_kernel_grid = np.interp(kern.ages, self.age_density.grid,
-                                     self.age_density.values / self.age_density.total,
-                                     left=0.0, right=0.0)
-        remaining = kern.r0 - kern.cumulative(kern.ages)
-        object.__setattr__(self, "z_marginal", GridDensity(kern.ages, g_on_kernel_grid * np.maximum(remaining, 0.0)))
+        object.__setattr__(self, "z_marginal", GridDensity(kern.ages, weights))
+
+    @cached_property
+    def tau_bar(self) -> TabulatedKernel:  # built at the first read
+        return bar_tau(self.kernel, self.age_density)
+
+    @property
+    def r0_bar(self) -> float:
+        return self.tau_bar.r0
 
     def g_pdf(self, a) -> np.ndarray:
         if self.age_rate is not None:

@@ -175,7 +175,7 @@ class _GridSystem:
 
 def _grid_system(kernel: IntensityKernel, contact: ContactRate, ic: InitialCondition,
                  t: np.ndarray, dt: float) -> _GridSystem:
-    """The system on grid t, a `_time_grid` on the step of `ic.tau_bar`; dt is
+    """The system on grid t, a `_time_grid` on `ic.kernel`'s age step; dt is
     the step as the caller holds it, which t[1] - t[0] can miss in the last bit."""
     tb = ic.tau_bar
     tau = np.asarray(kernel.value(t), dtype=float)
@@ -202,7 +202,7 @@ def solve_delay(kernel: IntensityKernel, contact: ContactRate, ic: InitialCondit
     step thus costs at most `_BLOCK` multiply-adds plus its share of one
     O(n log n) FFT per block.
     """
-    grid = _grid_system(kernel, contact, ic, _time_grid(horizon, dt, ic.tau_bar.step), dt)
+    grid = _grid_system(kernel, contact, ic, _time_grid(horizon, dt, ic.kernel.step), dt)
     t, dt, s0 = grid.t, grid.dt, grid.s0
     n = t.size - 1
     forcing, c_vals = grid.forcing.tolist(), grid.c.tolist()
@@ -263,7 +263,7 @@ def picard_delay(kernel: IntensityKernel, contact: ContactRate, ic: InitialCondi
     Those weights are at most 1, so it stops once the plain sup change
     max_k |delta b_k| is below the tolerance.
     """
-    grid = _grid_system(kernel, contact, ic, _time_grid(horizon, dt, ic.tau_bar.step), dt)
+    grid = _grid_system(kernel, contact, ic, _time_grid(horizon, dt, ic.kernel.step), dt)
     b = np.zeros(grid.t.size)
     for iterations in range(1, _MAX_PICARD + 1):
         A, S = grid.forward(b)

@@ -61,9 +61,9 @@ def check_count(name: str, value, minimum: int) -> int:
     integer, is a bool, or lies below `minimum`.  Every sampler checks its
     sample counts with it, and every stream its master seed."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+        raise ValueError(f"{name} must be an integer, got {reprlib.repr(value)}")
     if value < minimum:
-        raise ValueError(f"{name} must be at least {minimum}, got {value}")
+        raise ValueError(f"{name} must be at least {minimum}, got {reprlib.repr(int(value))}")
     return int(value)
 
 

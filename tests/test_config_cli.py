@@ -14,10 +14,14 @@ from epichain import (
     ConfigError, ContactRate, MarkovSEIR, MarkovSIR, ScenarioConfig, apply_overrides,
     derive_seed, parse_config, reference_scenario, sample_renewal_chains,
 )
+from epichain import kernels
 from epichain.cli import main
 from epichain.config import read_config
 from epichain.kernels import InitialCondition
 from epichain.limit_solver import _time_grid
+
+
+_ZERO_MASS = "initial condition: shifted intensity has zero mass; no initial infectivity"
 
 
 class TestScenarioConfig:
@@ -116,6 +120,42 @@ class TestScenarioConfig:
         (line,) = err.value.errors
         assert len(line) < 120
 
+    # each value as `reprlib` shows it: a 500-character name, an int of 401
+    # digits or 300 numbers once gave lines of 469 to 2036 characters
+    @pytest.mark.parametrize("changes, start", [
+        ({"contact.kind": "k" * 500}, "contact: unknown contact rate kind 'kkk"),
+        ({"contact.knots": 10**400}, "contact: contact rate knots must be a sequence of real "
+                                     "numbers, got 1000"),
+        ({"contact.knots": [float(300 - i) for i in range(300)],
+          "contact.levels": [1.0] * 300},
+         "contact: contact rate knots must start at t = 0, got [300.0, "),
+        ({"contact.knots": [0.0] * 300, "contact.levels": [1.0] * 300},
+         "contact: contact rate knots must be strictly increasing, got [0.0, "),
+        ({"contact.knots": [float(i) for i in range(300)], "contact.levels": [2.0] * 300},
+         "contact: contact rate levels must lie in [0, 1], got [2.0, "),
+        ({"contact.knots": [float(i) for i in range(299)] + [float("inf")],
+          "contact.levels": [1.0] * 300},
+         "contact: contact rate knots must be finite, got [0.0, "),
+        ({"course.family": "f" * 500}, "unknown course family 'fff"),
+        ({"x" * 500: 1}, "unknown keys: 'xxx"),
+        ({"n_individuals": "n" * 500}, "n_individuals must be an integer, got 'nnn"),
+    ], ids=["kind", "knots-int", "knots-start", "knots-order", "levels", "knots-inf", "family",
+            "key", "count"])
+    def test_messages_cap_their_values(self, changes, start):
+        raw = _changed(reference_scenario().to_dict(), changes)
+        with pytest.raises(ConfigError) as err:
+            parse_config(raw)
+        (line,) = err.value.errors
+        assert line.startswith(start) and len(line) < 120
+
+    def test_initial_condition_caps_i0(self, ic):
+        # parse_config passes i0 as a float; the API takes any real number
+        with pytest.raises(ValueError, match="^initial infection probability i0 must lie in "
+                                             r"\(0, 1\), got 1000") as err:
+            InitialCondition(i0=10**300, age_density=ic.age_density, kernel=ic.kernel,
+                             age_rate=ic.age_rate)
+        assert len(str(err.value)) < 120
+
     # the constructors read None as "use the default", which a scenario has not
     @pytest.mark.parametrize("part, key, message", [
         (None, "a_max", "course: a_max must be a real number, got None"),
@@ -128,28 +168,27 @@ class TestScenarioConfig:
             parse_config(raw)
 
     # one-field changes the range rules once kept in two places disagreed on:
-    # a_max = 1e300 passed the config's copy and failed the course build
-    @pytest.mark.parametrize("changes", [
-        {"a_max": 1e300},
-        {"horizon": 1e9, "dt": 1e-3, "age_step": 1e-3},
-        {"course.beta": 0},
-        {"course": {"family": "markov_seir", "beta": 1.5, "activation": 1.0, "recovery": 1.0}},
-        {"i0": 1.5},
-        {"dt": 0.003},
-        {"contact.knots": [0.0, True], "contact.levels": [1.0, 0.5]},
-    ], ids=["a_max", "horizon", "beta", "seir", "i0", "dt", "knot"])
-    def test_accepts_exactly_what_its_builders_build(self, changes):
-        raw = reference_scenario().to_dict()
-        for path, value in changes.items():
-            *parents, key = path.split(".")
-            node = raw
-            for p in parents:
-                node = node[p]
-            node[key] = value
+    # a_max = 1e300 passed the config's copy and failed the course build; a
+    # zero beta names its fault
+    @pytest.mark.parametrize("changes, message", [
+        ({"a_max": 1e300}, None),
+        ({"horizon": 1e9, "dt": 1e-3, "age_step": 1e-3}, None),
+        ({"course.beta": 0}, _ZERO_MASS),
+        ({"course": {"family": "markov_seir", "beta": 1.5, "activation": 1.0, "recovery": 1.0}},
+         None),
+        ({"i0": 1.5}, None),
+        ({"dt": 0.003}, None),
+        ({"contact.knots": [0.0, True], "contact.levels": [1.0, 0.5]}, None),
+        ({"course": {"family": "markov_seir", "beta": 0, "activation": 1.0, "recovery": 2.0}},
+         _ZERO_MASS),
+    ], ids=["a_max", "horizon", "beta", "seir", "i0", "dt", "knot", "seir-beta"])
+    def test_accepts_exactly_what_its_builders_build(self, changes, message):
+        raw = _changed(reference_scenario().to_dict(), changes)
+        errors = []
         try:
             cfg = parse_config(raw)
-        except ConfigError:
-            cfg = None
+        except ConfigError as exc:
+            cfg, errors = None, exc.errors
         built = ScenarioConfig(**raw)
         try:
             _, _, ic = built.model, built.contact_rate, built.ic
@@ -158,6 +197,19 @@ class TestScenarioConfig:
             assert cfg is None
         else:
             assert cfg is not None
+        if message is not None:
+            assert errors == [message]
+
+
+def _changed(raw: dict, changes: dict) -> dict:
+    """`raw` with each dotted path of `changes` set to its value."""
+    for path, value in changes.items():
+        *parents, key = path.split(".")
+        node = raw
+        for p in parents:
+            node = node[p]
+        node[key] = value
+    return raw
 
 
 _JSON_SCALARS = st.one_of(
@@ -318,20 +370,21 @@ class TestCli:
     @pytest.mark.parametrize("command", sorted(_CHEAP))
     def test_each_command_builds_its_scenario_once(self, tmp_path, monkeypatch, command,
                                                     source):
-        counts = {"initial condition": 0, "course model": 0}
+        counts = {"initial condition": 0, "course model": 0, "tau_bar": 0}
 
-        def count(cls, method, part):
-            original = getattr(cls, method)
+        def count(owner, name, part):
+            original = getattr(owner, name)
 
-            def counted(self, *args, **kwargs):
+            def counted(*args, **kwargs):
                 counts[part] += 1
-                return original(self, *args, **kwargs)
+                return original(*args, **kwargs)
 
-            monkeypatch.setattr(cls, method, counted)
+            monkeypatch.setattr(owner, name, counted)
 
         count(InitialCondition, "__post_init__", "initial condition")
         count(MarkovSIR, "__init__", "course model")
         count(MarkovSEIR, "__init__", "course model")
+        count(kernels, "bar_tau", "tau_bar")
         argv = [command, "--out", str(tmp_path)] + self._CHEAP[command]
         if source == "set":
             argv += ["--set", "i0=0.02"]
@@ -340,7 +393,9 @@ class TestCli:
             path.write_text(json.dumps(reference_scenario().to_dict()))
             argv += ["--config", str(path)]
         assert main(argv) == 0
-        assert counts == {"initial condition": 1, "course model": 1}
+        # tau_bar is built by its first reader: the solver, the tree or the h-chains
+        tau_bars = 0 if command in ("courses-dump", "simulate") else 1
+        assert counts == {"initial condition": 1, "course model": 1, "tau_bar": tau_bars}
 
     @pytest.mark.parametrize("overrides, lines, digest", [
         ([], 686, "28f493f6d6077e8e4ec02f66caad2e31e25c32cb12edb237b00e8a953d4a22ac"),
