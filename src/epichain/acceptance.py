@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -35,13 +35,15 @@ from .forward_sim import compartment_fraction, simulate
 from .infection_graph import brute_force_infection_times
 from .kernels import backward_density, malthusian_parameter
 from .limit_solver import compartment_curve, final_size_settled_contact, picard_delay
-from .poisson_tree import conditioned_first_step, estimate_B, tree_params
+from .poisson_tree import TreeWork, conditioned_first_step, estimate_B, tree_params
 from .rng import derive_seed, make_rng
 
 MASTER_SEED = reference_scenario().seed  # the default; each criterion reads its scenario's
 
 _SIM_TIMES = 64  # grid points of the simulated-vs-limit I-fraction comparison
 _SIM_N = 50_000  # population of every simulated replica the limit is compared with
+_SIM_WORK = ("contacts", "accepted", "infections", "rounds")  # summed over a run's replicas
+_TREE_WORK = ("n_samples", *(f.name for f in fields(TreeWork)))  # of a tree result
 
 Outcome = tuple[str, tuple[ComparisonReport, ...]]  # a criterion's name and checks
 
@@ -106,21 +108,16 @@ def _sim_solve_deviation(scenario: ScenarioConfig, horizon: float, replicas: int
                          window: tuple[float, float] | None = None):
     """Replica sup-deviations of the I fraction from `scenario`'s limit curve,
     final infected fractions, (optionally) first backward increments in a
-    sigma-window, and the simulator's work counts, in one pass over the
-    replicas, each run to `horizon`."""
+    sigma-window, and the simulator's work (`_SIM_WORK` summed, the most rounds
+    of one replica), in one pass over the replicas, each run to `horizon`."""
     model, sol = scenario.model, scenario.solution
     times = np.linspace(0.0, horizon, _SIM_TIMES)
     limit = np.interp(times, sol.t, compartment_curve(sol, model, "I"))
-    devs, finals, increments = [], [], []
-    contacts = accepted = infections = rounds = max_rounds = 0
+    devs, finals, increments, counts = [], [], [], []
     for r in range(replicas):
         out = simulate(model, _SIM_N, scenario.contact_rate, scenario.ic, horizon,
                        seed=derive_seed(scenario.seed, tag, r))
-        contacts += out.contacts
-        accepted += out.accepted
-        infections += out.infections
-        rounds += out.rounds
-        max_rounds = max(max_rounds, out.rounds)
+        counts.append([getattr(out, k) for k in _SIM_WORK])
         frac = compartment_fraction(out, "I", times)
         devs.append(float(np.max(np.abs(frac - limit))))
         finals.append(float(out.infected_fraction(horizon)))
@@ -130,18 +127,23 @@ def _sim_solve_deviation(scenario: ScenarioConfig, horizon: float, replicas: int
                 & (out.sigma <= window[1]) & (out.infector >= 0))
             increments.append(out.sigma[sel] - out.sigma[out.infector[sel]])
     inc = np.concatenate(increments) if window is not None else None
-    counts = (f"{replicas} runs: {contacts} contacts drawn, {accepted} accepted, "
-              f"{infections} infections, {rounds} frontier rounds (max {max_rounds})")
-    return np.asarray(devs), np.asarray(finals), inc, counts
+    counts = np.array(counts)
+    work = {"replicas": replicas, **dict(zip(_SIM_WORK, counts.sum(axis=0))),
+            "max_rounds": counts[:, _SIM_WORK.index("rounds")].max()}
+    return np.asarray(devs), np.asarray(finals), inc, work
+
+
+def _window(sol, lo: float, hi: float) -> slice:
+    """The points of `sol`'s grid in [lo, hi], as a slice of its arrays."""
+    return slice(int(round(lo / sol.dt)), int(round(hi / sol.dt)) + 1)
 
 
 def _b_weighted_starts(sol, lo: float, hi: float, n: int, seed: int) -> np.ndarray:
     """Starting times drawn with density proportional to the incidence b
     restricted to [lo, hi] (the weight of a chain read off at that time)."""
-    i0 = int(round(lo / sol.dt))
-    i1 = int(round(hi / sol.dt))
-    grid = sol.t[i0:i1 + 1]
-    cum = cumulative_trapezoid(grid, sol.b[i0:i1 + 1])
+    window = _window(sol, lo, hi)
+    grid = sol.t[window]
+    cum = cumulative_trapezoid(grid, sol.b[window])
     cum = cum / cum[-1]
     u = make_rng(seed, "window-starts").random(n)
     return np.interp(u, cum, grid)
@@ -152,9 +154,9 @@ def criterion_1(shared: SharedReferences) -> Outcome:
     S(t) from the marching solver must match the ODE to 1e-3 at dt = 1e-3."""
     from scipy.integrate import solve_ivp  # here, so that `import epichain` does not load scipy
 
-    solve_start = time.time()
+    solve_start = time.perf_counter()
     sol = shared.millistep.solution
-    solve_time = time.time() - solve_start
+    solve_time = time.perf_counter() - solve_start
     ic = sol.ic
     kern = sol.kernel
     j0 = ic.i0 * float(ic.tau_bar.value(0.0)) / kern.beta
@@ -186,24 +188,17 @@ def criterion_2(shared: SharedReferences) -> Outcome:
     return "marching agrees with Picard", checks
 
 
-def _lln_check(devs: np.ndarray, counts: str) -> ComparisonReport:
+def _lln_check(devs: np.ndarray, work: dict) -> ComparisonReport:
     """At most 2 of 20 replicas stray more than 0.02 from the limit I curve."""
     return ComparisonReport(name="replicas exceeding 0.02 sup-deviation",
                             value=float(np.sum(devs > 0.02)), threshold=2.0, n_samples=20,
-                            detail=f"max deviation {devs.max():.4f}, median {np.median(devs):.4f}; "
-                                   f"{counts}")
-
-
-def _tree_nodes(result) -> str:
-    """The work counts of an `estimate_B` or `conditioned_first_step` run."""
-    return (f"{result.n_samples} trees: nodes expanded {result.nodes_expanded}, "
-            f"pruned {result.nodes_pruned}, max depth {result.max_depth}, "
-            f"{result.chunks} chunks of at most {result.max_chunk_nodes} nodes")
+                            work={"max_deviation": devs.max(),
+                                  "median_deviation": np.median(devs), **work})
 
 
 def _tree_checks(scenario: ScenarioConfig, tag: str):
     """B_hat(t) from 1e5 dual trees of `scenario` within 3 SE of its solver's
-    B at t in {2, 5, 10}; returns the checks and the trees' work counts."""
+    B at t in {2, 5, 10}; returns the checks and the trees' work."""
     params = tree_params(scenario.model.kernel, scenario.ic, scenario.contact_rate, horizon=10.0)
     grid = np.array([2.0, 5.0, 10.0])
     curve = estimate_B(params, grid, 100_000, seed=derive_seed(scenario.seed, tag))
@@ -214,7 +209,7 @@ def _tree_checks(scenario: ScenarioConfig, tag: str):
                          n_samples=curve.n_samples)
         for i, t in enumerate(grid)
     )
-    return checks, _tree_nodes(curve)
+    return checks, {k: getattr(curve, k) for k in _TREE_WORK}
 
 
 def _final_size_checks(finals: np.ndarray, sol) -> tuple[ComparisonReport, ...]:
@@ -227,7 +222,7 @@ def _final_size_checks(finals: np.ndarray, sol) -> tuple[ComparisonReport, ...]:
     return (
         ComparisonReport(name="|mean final fraction - fixed point|", value=abs(mean - fp),
                          threshold=3.0 * se, se=se, n_samples=finals.size,
-                         detail=f"fixed point {fp:.5f}, simulated {mean:.5f}"),
+                         work={"fixed_point": fp, "simulated_mean": mean}),
         ComparisonReport(name=f"|B({sol.t[-1]:g})+I0 - fixed point|", value=abs(solver_total - fp),
                          threshold=1e-3),
     )
@@ -236,10 +231,10 @@ def _final_size_checks(finals: np.ndarray, sol) -> tuple[ComparisonReport, ...]:
 def criterion_3(shared: SharedReferences) -> Outcome:
     """Functional LLN: the I-compartment fraction of N = 5e4 runs stays
     within 0.02 of the limit curve in at least 18 of 20 replicas."""
-    t0 = time.time()
-    devs, _, _, counts = shared.unit_contact_replicas
-    runtime = time.time() - t0
-    checks = (_lln_check(devs, counts),
+    t0 = time.perf_counter()
+    devs, _, _, work = shared.unit_contact_replicas
+    runtime = time.perf_counter() - t0
+    checks = (_lln_check(devs, work),
               ComparisonReport(name="runtime (s)", value=runtime, threshold=120.0))
     return "LLN at N=50000", checks
 
@@ -247,10 +242,10 @@ def criterion_3(shared: SharedReferences) -> Outcome:
 def criterion_4(shared: SharedReferences) -> Outcome:
     """The dual tree's censored-root law reproduces cumulative incidence:
     B_hat(t) within 3 SE of the solver's B at t in {2, 5, 10}."""
-    t0 = time.time()
-    checks, nodes = _tree_checks(shared.scenario, "c4")
-    runtime = time.time() - t0
-    checks += (ComparisonReport(name="runtime (s)", value=runtime, threshold=60.0, detail=nodes),)
+    t0 = time.perf_counter()
+    checks, work = _tree_checks(shared.scenario, "c4")
+    runtime = time.perf_counter() - t0
+    checks += (ComparisonReport(name="runtime (s)", value=runtime, threshold=60.0, work=work),)
     return "tree dual estimates B", checks
 
 
@@ -296,13 +291,12 @@ def criterion_7(shared: SharedReferences) -> Outcome:
                                     seed=derive_seed(scenario.seed, "c7"))
 
     # window-averaged spinal density, weighted by incidence across the window
-    i0 = int(round(t_lo / sol.dt))
-    i1 = int(round((t_lo + delta) / sol.dt))
-    tw = sol.t[i0:i1 + 1]
+    window = _window(sol, t_lo, t_lo + delta)
+    tw = sol.t[window]
     wts = np.full(tw.size, sol.dt)
     wts[0] = wts[-1] = 0.5 * sol.dt
-    coef = wts * sol.contact(tw) * sol.S[i0:i1 + 1]
-    denom = float(np.sum(wts * sol.b[i0:i1 + 1]))
+    coef = wts * sol.contact(tw) * sol.S[window]
+    denom = float(np.sum(wts * sol.b[window]))
 
     def spinal(x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -324,7 +318,7 @@ def criterion_7(shared: SharedReferences) -> Outcome:
         ComparisonReport(name="conditioned-sample deficit below 1e4",
                          value=max(0.0, 1e4 - sample.n_conditioned), threshold=0.0,
                          n_samples=sample.n_conditioned,
-                         detail=_tree_nodes(sample)),
+                         work={k: getattr(sample, k) for k in _TREE_WORK}),
         ComparisonReport(name="L1(tree, spinal density)", value=l1_tree, threshold=0.05,
                          n_samples=sample.n_conditioned),
         ComparisonReport(name="L1(tree, h-chain)", value=l1_h, threshold=0.05,
@@ -361,8 +355,8 @@ def criterion_9(shared: SharedReferences) -> Outcome:
             name=f"|b - I0 a e^(at) P_hat| at t={t:g}",
             value=abs(rep.b_solver - rep.estimate), threshold=rep.band,
             se=rep.se, n_samples=rep.n_samples,
-            detail=(f"unit-normalized estimate {rep.unit_estimate:.4f} exceeds b "
-                    f"by factor {rep.discrepancy_ratio:.1f} (the 1/I0 normalization)")))
+            work={"unit_estimate": rep.unit_estimate,
+                  "discrepancy_ratio": rep.discrepancy_ratio}))
     return "survival representation", tuple(checks)
 
 
@@ -381,9 +375,8 @@ def criterion_10(shared: SharedReferences) -> Outcome:
     transitions = int(batch.lengths.sum())
     checks = (ComparisonReport(name="L1(increments, e^(-au) tau(u))", value=l1,
                                threshold=0.05, n_samples=int(inc.size),
-                               detail=(f"{transitions} transitions: "
-                                       f"{batch.proposals / transitions:.4f} envelope "
-                                       "proposals per transition")),)
+                               work={"transitions": transitions, "proposals": batch.proposals,
+                                     "proposals_per_transition": batch.proposals / transitions}),)
     return "backward generation times", checks
 
 
@@ -392,7 +385,7 @@ def criterion_11(shared: SharedReferences) -> Outcome:
     infected during a time window match the conditioned chain's law."""
     lo, hi = 4.0, 6.0
     scenario = shared.scenario
-    _, _, inc_sim, counts = _sim_solve_deviation(scenario, hi + 0.5, 12, "c11", window=(lo, hi))
+    _, _, inc_sim, work = _sim_solve_deviation(scenario, hi + 0.5, 12, "c11", window=(lo, hi))
     starts = _b_weighted_starts(scenario.solution, lo, hi, inc_sim.size,
                                 seed=derive_seed(scenario.seed, "c11-starts"))
     nxt = sample_h_first_steps(starts, scenario.solution,
@@ -403,8 +396,8 @@ def criterion_11(shared: SharedReferences) -> Outcome:
                                histogram_from_samples(inc_h, edges))
     checks = (ComparisonReport(name="L1(sim increments, h-chain increments)", value=l1,
                                threshold=0.05, n_samples=int(inc_sim.size),
-                               detail=f"window [{lo:g}, {hi:g}], {inc_sim.size} sim chains; "
-                                      f"{counts}"),)
+                               work={"window_lo": lo, "window_hi": hi,
+                                     "sim_chains": inc_sim.size, **work}),)
     return "historical first increments", checks
 
 
@@ -416,18 +409,18 @@ def criterion_12(shared: SharedReferences) -> Outcome:
     horizon-independent (the solved history enters only through [0, 8])."""
     scenario = shared.step80
     sol = scenario.solution
-    sim_start = time.time()
-    devs, finals, _, counts = _sim_solve_deviation(scenario, scenario.horizon, 20, "c12")
-    sim_runtime = time.time() - sim_start
-    tree_start = time.time()
-    tree, nodes = _tree_checks(scenario, "c12-tree")
-    tree_runtime = time.time() - tree_start
+    sim_start = time.perf_counter()
+    devs, finals, _, sim_work = _sim_solve_deviation(scenario, scenario.horizon, 20, "c12")
+    sim_runtime = time.perf_counter() - sim_start
+    tree_start = time.perf_counter()
+    tree, tree_work = _tree_checks(scenario, "c12-tree")
+    tree_runtime = time.perf_counter() - tree_start
     checks = (
-        _lln_check(devs, counts),
+        _lln_check(devs, sim_work),
         ComparisonReport(name="simulation runtime (s)", value=sim_runtime, threshold=120.0),
         *tree,
         ComparisonReport(name="tree runtime (s)", value=tree_runtime, threshold=60.0,
-                         detail=nodes),
+                         work=tree_work),
         *_final_size_checks(finals, sol),
     )
     return "intervention contact rate", checks
@@ -451,7 +444,7 @@ def run_all(criteria: list[int] | None = None,
         shared = SharedReferences()
     results = []
     for k in wanted:
-        start = time.time()
+        start = time.perf_counter()
         name, checks = _CRITERIA[k](shared)
-        results.append(CriterionResult(k, name, checks, time.time() - start))
+        results.append(CriterionResult(k, name, checks, time.perf_counter() - start))
     return results

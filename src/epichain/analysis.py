@@ -69,24 +69,27 @@ def l1_histogram_distance(h1: Histogram, h2: Histogram) -> float:
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    """One checked statistic: passes iff value <= threshold."""
+    """One checked statistic: passes iff value <= threshold.  `work` names the
+    numbers behind it as Python ints and floats, so `asdict` gives JSON."""
 
     name: str
     value: float
     threshold: float
     se: float = 0.0
     n_samples: int = 0
-    detail: str = ""
+    work: dict = field(default_factory=dict)
     passed: bool = field(init=False)
 
     def __post_init__(self) -> None:
         if self.se < 0:
             raise ValueError("standard error must be nonnegative")
+        object.__setattr__(self, "work", {k: np.asarray(v).item() for k, v in self.work.items()})
         object.__setattr__(self, "passed", bool(self.value <= self.threshold))
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
-        extra = f" ({self.detail})" if self.detail else ""
         se_part = f" se={self.se:.3g}" if self.se else ""
+        work = ", ".join(f"{k}={v:.6g}" if isinstance(v, float) else f"{k}={v}"
+                         for k, v in self.work.items())  # a counter in full
         return (f"[{status}] {self.name}: value={self.value:.6g} "
-                f"threshold={self.threshold:.6g}{se_part}{extra}")
+                f"threshold={self.threshold:.6g}{se_part}" + (f" ({work})" if work else ""))

@@ -14,6 +14,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -213,14 +214,8 @@ def cmd_validate(args) -> int:
                              f"got {args.criteria!r}") from None
     shared = SharedReferences()
     results = run_all(criteria=wanted, shared=shared)
-    records = [
-        {"criterion": r.criterion, "name": r.name, "passed": r.passed,
-         "runtime_s": round(r.runtime_s, 2),
-         "checks": [{"name": c.name, "value": float(c.value), "threshold": float(c.threshold),
-                     "se": float(c.se), "n_samples": int(c.n_samples), "passed": c.passed,
-                     "detail": c.detail} for c in r.checks]}
-        for r in results
-    ]
+    records = [{**asdict(r), "passed": r.passed, "runtime_s": round(r.runtime_s, 2)}
+               for r in results]
     ok = all(r.passed for r in results)
     scenario = shared.scenario  # the references the criteria ran
     payload = {"scenario_digest": scenario.digest, "all_passed": ok, "criteria": records}

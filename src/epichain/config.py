@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import reprlib
 from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 
 from .courses import CourseModel, MarkovSEIR, MarkovSIR
 from .kernels import ContactRate, InitialCondition, initial_condition, malthusian_parameter
 from .limit_solver import LimitSolution, _time_grid, solve_delay
-from .rng import as_real, check_count
+from .rng import SHOWN, as_real, check_count
 
 _COURSE_KEYS = {
     "markov_sir": {"beta", "gamma"},
@@ -108,10 +107,12 @@ class ScenarioConfig:
 
 def _key_errors(where: str, obj: dict, allowed: set, required: set) -> list[str]:
     errors = []
-    for fault, keys in (("unknown", set(obj) - allowed), ("missing", required - set(obj))):
-        if keys:  # as `reprlib` would show them: ten at most, a long one cut
-            names = [k if len(k) <= 30 else reprlib.repr(k) for k in sorted(keys)]
-            errors.append(f"{fault} {where}keys: {', '.join(names[:10] + ['...'] * (len(names) > 10))}")
+    if unknown := sorted(set(obj) - allowed):  # the input's names, cut as `SHOWN` cuts a dict
+        names = [k if SHOWN.repr(k) == repr(k) else SHOWN.repr(k) for k in unknown]
+        names[SHOWN.maxdict:] = ["..."] * (len(names) > SHOWN.maxdict)
+        errors.append(f"unknown {where}keys: {', '.join(names)}")
+    if missing := sorted(required - set(obj)):  # the schema's own names, all of them
+        errors.append(f"missing {where}keys: {', '.join(missing)}")
     return errors
 
 
@@ -121,7 +122,7 @@ def _family_errors(name: str, obj, families: dict) -> list[str]:
         return [f"{name} must be an object with a 'family' key"]
     fam = obj["family"]
     if not isinstance(fam, str) or fam not in families:
-        return [f"unknown {name} family {reprlib.repr(fam)}"]
+        return [f"unknown {name} family {SHOWN.repr(fam)}"]
     return _key_errors(f"{name} ", obj, families[fam] | {"family"}, families[fam])
 
 
@@ -219,27 +220,21 @@ def apply_overrides(raw: dict, overrides: list[str]) -> dict:
     errors = []
     for item in overrides:
         if "=" not in item:
-            errors.append(f"override {reprlib.repr(item)} is not of the form key=value")
+            errors.append(f"override {SHOWN.repr(item)} is not of the form key=value")
             continue
         path, text = item.split("=", 1)
         try:
             value = json.loads(text)
         except json.JSONDecodeError:
             value = text
+        *parents, key = path.split(".")
         node = out
-        parts = path.split(".")
-        ok = True
-        for p in parts[:-1]:
-            if not isinstance(node, dict) or p not in node:
-                errors.append(f"override path {reprlib.repr(path)} does not exist")
-                ok = False
-                break
-            node = node[p]
-        if ok:
-            if not isinstance(node, dict) or parts[-1] not in node:
-                errors.append(f"override path {reprlib.repr(path)} does not exist")
-            else:
-                node[parts[-1]] = value
+        for p in parents:  # a missing step leaves None, which holds no key
+            node = node.get(p) if isinstance(node, dict) else None
+        if isinstance(node, dict) and key in node:
+            node[key] = value
+        else:
+            errors.append(f"override path {SHOWN.repr(path)} does not exist")
     if errors:
         raise ConfigError(errors)
     return out

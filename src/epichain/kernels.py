@@ -18,7 +18,6 @@ uniform age grid, which is what the quadrature-based solvers consume.
 from __future__ import annotations
 
 import math
-import reprlib
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -26,7 +25,7 @@ import numpy as np
 
 from .densities import GridDensity, GuideTable, UniformInterp, cumulative_trapezoid, uniform_grid
 from .densities import _convolve, _spectrum
-from .rng import as_real, check_real
+from .rng import SHOWN, as_real, check_real
 
 DEFAULT_AGE_STEP = 0.01
 GENERATION_TIME_SPAN = 40.0  # grid reach, in units of the mean generation time
@@ -47,7 +46,7 @@ def _real_entries(name: str, values) -> np.ndarray:
     when it is not a sequence."""
     if isinstance(values, (str, dict)) or not np.iterable(values):
         raise ValueError(f"contact rate {name} must be a sequence of real numbers, "
-                         f"got {reprlib.repr(values)}")
+                         f"got {SHOWN.repr(values)}")
     return np.array([as_real(f"contact rate {name}[{i}]", v) for i, v in enumerate(values)],
                     dtype=float)
 
@@ -67,7 +66,7 @@ class ContactRate:
     def __post_init__(self) -> None:
         knots, levels = _real_entries("knots", self.knots), _real_entries("levels", self.levels)
         if self.kind not in ("step", "linear"):
-            raise ValueError(f"unknown contact rate kind {reprlib.repr(self.kind)}")
+            raise ValueError(f"unknown contact rate kind {SHOWN.repr(self.kind)}")
         if knots.shape != levels.shape or knots.size == 0:
             raise ValueError(f"contact rate knots and levels must be nonempty and of one length, "
                              f"got {knots.size} and {levels.size}")
@@ -78,7 +77,7 @@ class ContactRate:
                 ("knots", "be strictly increasing", lambda: np.any(np.diff(knots) <= 0)),
                 ("levels", "lie in [0, 1]", lambda: np.any((levels < 0.0) | (levels > 1.0)))):
             if broken():
-                shown = reprlib.repr((knots if name == "knots" else levels).tolist())
+                shown = SHOWN.repr((knots if name == "knots" else levels).tolist())
                 raise ValueError(f"contact rate {name} must {must}, got {shown}")
         object.__setattr__(self, "knots", knots)
         object.__setattr__(self, "levels", levels)
@@ -363,7 +362,7 @@ class InitialCondition:
         name, must = "initial infection probability i0", "lie in (0, 1)"
         i0 = as_real(name, self.i0, must)
         if not 0.0 < i0 < 1.0:
-            raise ValueError(f"{name} must {must}, got {reprlib.repr(self.i0)}")
+            raise ValueError(f"{name} must {must}, got {SHOWN.repr(self.i0)}")
         object.__setattr__(self, "i0", i0)
         kern, g = self.kernel, self.age_density
         weights = (np.interp(kern.ages, g.grid, g.values / g.total, left=0.0, right=0.0)
@@ -379,6 +378,12 @@ class InitialCondition:
     @property
     def r0_bar(self) -> float:
         return self.tau_bar.r0
+
+    def check_kernel(self, kernel: IntensityKernel) -> None:
+        """A ValueError unless `kernel` is this condition's own, not another model's."""
+        if kernel is not self.kernel:
+            raise ValueError(f"kernel with R0 = {kernel.r0:g} is not the initial condition's "
+                             f"kernel, with R0 = {self.kernel.r0:g}; pass ic.kernel")
 
     def g_pdf(self, a) -> np.ndarray:
         if self.age_rate is not None:

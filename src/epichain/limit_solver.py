@@ -177,6 +177,7 @@ def _grid_system(kernel: IntensityKernel, contact: ContactRate, ic: InitialCondi
                  t: np.ndarray, dt: float) -> _GridSystem:
     """The system on grid t, a `_time_grid` on `ic.kernel`'s age step; dt is
     the step as the caller holds it, which t[1] - t[0] can miss in the last bit."""
+    ic.check_kernel(kernel)
     tb = ic.tau_bar
     tau = np.asarray(kernel.value(t), dtype=float)
     return _GridSystem(

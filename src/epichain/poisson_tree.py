@@ -132,6 +132,7 @@ class TreeParams:
 def tree_params(kernel: IntensityKernel, ic: InitialCondition, contact: ContactRate,
                 horizon: float, node_cap: int = NODE_CAP,
                 model: CourseModel | None = None) -> TreeParams:
+    ic.check_kernel(kernel)
     horizon = check_real("horizon", horizon, positive=True)
     node_cap = check_count("node_cap", node_cap, 1)
     s0 = 1.0 - ic.i0

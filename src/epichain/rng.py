@@ -36,6 +36,11 @@ _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
 _INV_2_53 = 2.0 ** -53
 
+# how every message shows a value: as `reprlib` does, but with two entries of
+# a dict and no container inside another, so that a JSON object stays short
+SHOWN = reprlib.Repr()
+SHOWN.maxdict, SHOWN.maxlevel = 2, 1
+
 
 def derive_seed(master_seed: int, *tags: object) -> int:
     """Derive a 64-bit child seed from a master seed and a tag tuple.
@@ -61,9 +66,9 @@ def check_count(name: str, value, minimum: int) -> int:
     integer, is a bool, or lies below `minimum`.  Every sampler checks its
     sample counts with it, and every stream its master seed."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {reprlib.repr(value)}")
+        raise ValueError(f"{name} must be an integer, got {SHOWN.repr(value)}")
     if value < minimum:
-        raise ValueError(f"{name} must be at least {minimum}, got {reprlib.repr(int(value))}")
+        raise ValueError(f"{name} must be at least {minimum}, got {SHOWN.repr(int(value))}")
     return int(value)
 
 
@@ -78,7 +83,7 @@ def as_real(name: str, value, must: str = "be a real number") -> float:
             return float(value)
         except OverflowError:  # an int beyond the float range
             pass
-    raise ValueError(f"{name} must {must}, got {reprlib.repr(value)}")
+    raise ValueError(f"{name} must {must}, got {SHOWN.repr(value)}")
 
 
 def check_real(name: str, value, *, positive: bool | None) -> float:

@@ -91,6 +91,14 @@ class TestComparisonReport:
     def test_boundary_passes(self):
         assert ComparisonReport(name="x", value=0.05, threshold=0.05).passed
 
+    def test_work_holds_python_numbers(self):
+        # numpy scalars become the ints and floats JSON writes; a counter shows in full
+        rep = ComparisonReport(name="x", value=0.0, threshold=1.0,
+                               work={"contacts": np.int64(1501623), "max": np.float64(0.0129103)})
+        assert rep.work == {"contacts": 1501623, "max": 0.0129103}
+        assert [type(v) for v in rep.work.values()] == [int, float]
+        assert rep.line().endswith(" (contacts=1501623, max=0.0129103)")
+
     def test_negative_se_rejected(self):
         with pytest.raises(ValueError):
             ComparisonReport(name="x", value=0.0, threshold=1.0, se=-1.0)

@@ -102,6 +102,14 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError):
             apply_overrides(raw, ["course.nonsense=1"])
 
+    # a missing last key, a missing first step, and a step that is not an object
+    @pytest.mark.parametrize("path", ["course.nonsense", "nonsense.beta", "course.beta.x"])
+    def test_override_path_message(self, path):
+        raw = reference_scenario().to_dict()
+        with pytest.raises(ConfigError) as err:
+            apply_overrides(raw, [f"{path}=1"])
+        assert err.value.errors == [f"override path {path!r} does not exist"]
+
     def test_mistyped_knot_is_a_config_error(self):
         raw = apply_overrides(reference_scenario().to_dict(),
                               ['contact.knots=[0,"x"]', "contact.levels=[1,0.5]"])
@@ -139,14 +147,26 @@ class TestScenarioConfig:
         ({"course.family": "f" * 500}, "unknown course family 'fff"),
         ({"x" * 500: 1}, "unknown keys: 'xxx"),
         ({"n_individuals": "n" * 500}, "n_individuals must be an integer, got 'nnn"),
+        # a JSON object shows two entries; ten long names were once 332 characters
+        ({"i0": {"family": "markov_seir", "beta": 1.5, "activation": 1.0, "recovery": 2.0}},
+         "initial condition: initial infection probability i0 must lie in (0, 1), got "
+         "{'activation': 1.0, 'beta': 1.5, ...}"),
+        ({chr(ord("a") + i) * 40: 1 for i in range(10)}, "unknown keys: 'aaa"),
     ], ids=["kind", "knots-int", "knots-start", "knots-order", "levels", "knots-inf", "family",
-            "key", "count"])
+            "key", "count", "object", "ten-keys"])
     def test_messages_cap_their_values(self, changes, start):
         raw = _changed(reference_scenario().to_dict(), changes)
         with pytest.raises(ConfigError) as err:
             parse_config(raw)
         (line,) = err.value.errors
         assert line.startswith(start) and len(line) < 120
+
+    def test_missing_keys_are_listed_in_full(self):
+        # the cap is for names the input made up; the schema's own are all shown
+        with pytest.raises(ConfigError) as err:
+            parse_config({})
+        assert err.value.errors == ["missing keys: a_max, age_step, contact, course, dt, "
+                                    "horizon, i0, initial_age, n_individuals, seed"]
 
     def test_initial_condition_caps_i0(self, ic):
         # parse_config passes i0 as a float; the API takes any real number
@@ -492,7 +512,7 @@ class TestCli:
         assert 0.0 <= check["value"] <= check["threshold"]
         assert check["passed"] is True
         assert check["n_samples"] == 25_001
-        assert check["se"] == 0.0 and check["detail"] == ""
+        assert check["se"] == 0.0 and check["work"] == {}
         assert report["scenario_digest"] == reference_scenario().digest
 
     def test_bad_config_reports_every_error(self, tmp_path, capsys):

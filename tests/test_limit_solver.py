@@ -24,7 +24,7 @@ from scipy.signal import fftconvolve
 import epichain
 from epichain import (
     ContactRate, ExponentialKernel, MarkovSIR, compartment_curve, final_size_settled_contact,
-    initial_condition, picard_delay, reference_scenario, solve_delay,
+    initial_condition, picard_delay, reference_scenario, solve_delay, tree_params,
 )
 from epichain.densities import _convolve
 from epichain.limit_solver import _BLOCK, _grid_system, _time_grid
@@ -111,6 +111,22 @@ _SOLVERS = {"solve_delay": solve_delay, "picard_delay": picard_delay}
 def test_time_grid_checked_by_every_solver(kernel, unit_contact, ic, solver, horizon, dt, named):
     with pytest.raises(ValueError, match=named):
         _SOLVERS[solver](kernel, unit_contact, ic, horizon, dt)
+
+
+@pytest.mark.parametrize("entry", ["solve_delay", "picard_delay", "tree_params"])
+def test_one_kernel_per_computation(unit_contact, entry):
+    # tau from one kernel and tau_bar, the z-marginal and the grid check from
+    # the other would solve a hybrid of two models
+    ic = initial_condition(ExponentialKernel(3.0, 1.0), 0.01, age_rate=0.5)
+    run = {
+        "solve_delay": lambda k: solve_delay(k, unit_contact, ic, 5.0, 0.01),
+        "picard_delay": lambda k: picard_delay(k, unit_contact, ic, 5.0, 0.01),
+        "tree_params": lambda k: tree_params(k, ic, unit_contact, 5.0),
+    }[entry]
+    with pytest.raises(ValueError, match=r"^kernel with R0 = 1\.5 is not the initial "
+                                         r"condition's kernel, with R0 = 3; pass ic\.kernel$"):
+        run(ExponentialKernel(1.5, 1.0))
+    assert run(ic.kernel) is not None
 
 
 class TestPicard:
