@@ -129,7 +129,8 @@ def cmd_tree(args) -> int:
     # timings go to stdout only, so that tree.csv stays deterministic
     print(f"  nodes expanded {curve.nodes_expanded}, pruned {curve.nodes_pruned}, "
           f"max depth {curve.max_depth}; {curve.nodes_expanded / elapsed:.3g} nodes/s "
-          f"in {elapsed:.2f} s; {curve.chunks} chunks of at most {curve.max_chunk_nodes} nodes")
+          f"in {elapsed:.2f} s; {curve.chunks} chunks of at most {curve.max_chunk_nodes} nodes, "
+          f"workers {curve.workers}")
     return 0
 
 

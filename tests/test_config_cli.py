@@ -14,7 +14,7 @@ from epichain import (
     ConfigError, ContactRate, MarkovSEIR, MarkovSIR, ScenarioConfig, apply_overrides,
     derive_seed, parse_config, reference_scenario, sample_renewal_chains,
 )
-from epichain import kernels
+from epichain import kernels, poisson_tree
 from epichain.cli import main
 from epichain.config import read_config
 from epichain.kernels import InitialCondition
@@ -311,6 +311,7 @@ class TestCli:
         first = (tmp_path / "tree.csv").read_bytes()
         out = capsys.readouterr().out
         assert re.search(r"nodes expanded \d+, pruned \d+, max depth \d+; \S+ nodes/s", out)
+        assert re.search(r"chunks of at most \d+ nodes, workers \d+$", out, re.M)
         assert main(argv) == 0
         assert (tmp_path / "tree.csv").read_bytes() == first
 
@@ -326,10 +327,15 @@ class TestCli:
         assert "Traceback" not in err
         assert not (tmp_path / "tree.csv").exists()
 
-    def test_tree_past_default_node_cap_stays_small(self, tmp_path, capsys):
+    def test_tree_past_default_node_cap_stays_small(self, tmp_path, capsys, monkeypatch):
         # the cap trips in the first chunk of a few hundred samples, before the
         # runaway level's keys are drawn: about 250 MiB traced, where 2048-sample
-        # chunks of 56-byte nodes traced 2.27 GiB before the same error
+        # chunks of 56-byte nodes traced 2.27 GiB before the same error.  That
+        # chunk runs in this process, so no worker is forked, even where the
+        # batch would be split over two
+        monkeypatch.setattr(poisson_tree, "_workers", lambda: 2)
+        forks = []
+        monkeypatch.setattr(poisson_tree, "_forked", lambda *args: forks.append(args))
         tracemalloc.start()
         try:
             rc = main(["tree", "--samples", "2000", "--out", str(tmp_path)])
@@ -342,6 +348,7 @@ class TestCli:
         assert "Traceback" not in err
         assert not (tmp_path / "tree.csv").exists()
         assert peak < 512 * 2**20
+        assert forks == []
 
     def test_chain_modes(self, tmp_path):
         for mode, name in [("renewal", "chain_renewal.csv"),

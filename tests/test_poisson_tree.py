@@ -5,7 +5,9 @@ time it reads."""
 
 import hashlib
 import math
+import multiprocessing
 import tracemalloc
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -24,9 +26,38 @@ def _indices(n):
     return np.arange(n, dtype=np.uint64)
 
 
+def _pin_workers(monkeypatch, workers):
+    """Expand every batch in `workers` processes (forked past the first
+    chunk), whatever its size and the CPUs of the machine."""
+    assert workers <= poisson_tree._WORKER_CAP  # never more than the cap, not even here
+    monkeypatch.setattr(poisson_tree, "_workers", lambda: workers)
+    monkeypatch.setattr(poisson_tree, "_FORK_NODES", 0)
+
+
 @pytest.fixture(scope="module")
 def params(kernel, ic, unit_contact):
     return tree_params(kernel, ic, unit_contact, horizon=8.0)
+
+
+# (float.hex of the sum of the finite sigmas, their number, nodes expanded,
+# nodes pruned) of 3000 samples of seed 871 at H = 8, recorded when every
+# drawn child got its mark and key before the horizon cut; re-recorded when
+# W and Z came to invert the trapezoid CDF exactly
+RECORDED_B = [
+    ("unit", ("0x1.06f7f3561c736p+12", 769, 435265, 214491)),
+    # a mark skipped or drawn twice moves sigma only where contact < 1
+    ("halved", ("0x1.10a1a9760f990p+9", 168, 435265, 214503)),
+]
+
+
+def _recorded_values(kernel, ic, contact):
+    """The recorded values of RECORDED_B, and the processes that expanded them."""
+    rate = ContactRate.constant(1.0) if contact == "unit" else ContactRate(**HALVED)
+    p = tree_params(kernel, ic, rate, horizon=8.0)
+    sigma, _, _, work = _expand_batch(p, _indices(3_000), seed=871)
+    finite = sigma[np.isfinite(sigma)]
+    values = float(np.sum(finite)).hex(), finite.size, work.nodes_expanded, work.nodes_pruned
+    return values, work.workers
 
 
 class TestEstimateB:
@@ -55,21 +86,9 @@ class TestEstimateB:
         with pytest.raises(ValueError, match="grid"):
             estimate_B(params, grid, 5_000, seed=1)
 
-    @pytest.mark.parametrize("contact, want", [
-        ("unit", ("0x1.06f7f3561c736p+12", 769, 435265, 214491)),
-        # a mark skipped or drawn twice moves sigma only where contact < 1
-        ("halved", ("0x1.10a1a9760f990p+9", 168, 435265, 214503)),
-    ])
+    @pytest.mark.parametrize("contact, want", RECORDED_B)
     def test_recorded_values_reproduced(self, kernel, ic, contact, want):
-        # recorded as float.hex when every drawn child got its mark and key
-        # before the horizon cut; re-recorded when W and Z came to invert the
-        # trapezoid CDF exactly
-        rate = ContactRate.constant(1.0) if contact == "unit" else ContactRate(**HALVED)
-        p = tree_params(kernel, ic, rate, horizon=8.0)
-        sigma, _, _, work = _expand_batch(p, _indices(3_000), seed=871)
-        finite = sigma[np.isfinite(sigma)]
-        assert (float(np.sum(finite)).hex(), finite.size, work.nodes_expanded,
-                work.nodes_pruned) == want
+        assert _recorded_values(kernel, ic, contact)[0] == want
 
     def test_max_depth_is_the_deepest_tree(self, kernel, ic, unit_contact):
         p = tree_params(kernel, ic, unit_contact, horizon=5.0)
@@ -106,9 +125,11 @@ class TestEstimateB:
             estimate_B(params, [[1.0, 2.0]], 5_000, seed=1)
 
     @pytest.mark.parametrize("contact", ["unit", "halved"])
-    def test_memory_stays_within_a_chunk(self, kernel, ic, contact):
+    def test_memory_stays_within_a_chunk(self, kernel, ic, contact, monkeypatch):
         # node-budget chunks of 20-28-byte nodes: about 8-10 MiB traced, where
-        # 2048-sample chunks of 56-byte nodes traced 45-49 MiB
+        # 2048-sample chunks of 56-byte nodes traced 45-49 MiB; one process,
+        # so that the bound covers every chunk (tracemalloc sees no child)
+        _pin_workers(monkeypatch, 1)
         rate = ContactRate.constant(1.0) if contact == "unit" else ContactRate(**HALVED)
         p = tree_params(kernel, ic, rate, horizon=10.0)
         tracemalloc.start()
@@ -155,6 +176,80 @@ class TestChunking:
             assert getattr(small, key) == getattr(work, key), key
         assert work.chunks < 10 and small.chunks > 100  # a few samples a chunk
         assert small.max_chunk_nodes < work.max_chunk_nodes
+
+
+class TestWorkers:
+    """Splitting a batch over forked workers never changes a draw: every
+    output is the same in one process and in two, and no worker outlives
+    the call, whether it returns or raises."""
+
+    PER_RUN = ("chunks", "max_chunk_nodes", "workers")  # depend on the CPU count
+
+    @pytest.mark.parametrize("contact", ["unit", "halved"])
+    def test_outputs_do_not_depend_on_the_workers(self, kernel, ic, contact, monkeypatch):
+        rate = ContactRate.constant(1.0) if contact == "unit" else ContactRate(**HALVED)
+        p = tree_params(kernel, ic, rate, horizon=8.0)
+        runs = {}
+        for workers in (1, 2):
+            _pin_workers(monkeypatch, workers)
+            runs[workers] = (
+                _expand_batch(p, _indices(3_000), seed=891, window=(2.0, 5.0)),
+                estimate_B(p, [2.0, 5.0, 8.0], 3_000, seed=892),
+                conditioned_first_step(p, 1.0, 7.0, 6_000, seed=893),
+            )
+            assert multiprocessing.active_children() == []
+        (sigma, times, ages, work), curve, sample = runs[1]
+        (sigma2, times2, ages2, work2), curve2, sample2 = runs[2]
+        assert np.array_equal(sigma2, sigma)
+        assert times.shape[0] > 50
+        assert np.array_equal(times2, times, equal_nan=True)
+        assert np.array_equal(ages2, ages, equal_nan=True)
+        assert np.array_equal(curve2.estimate, curve.estimate)
+        assert np.array_equal(curve2.se, curve.se)
+        assert np.array_equal(sample2.values, sample.values)
+        assert np.array_equal(sample2.sigmas, sample.sigmas)
+        for one, two in [(work, work2), (curve, curve2), (sample, sample2)]:
+            assert (one.workers, two.workers) == (1, 2)
+            for field in fields(poisson_tree.TreeWork):
+                if field.name not in self.PER_RUN:
+                    assert getattr(two, field.name) == getattr(one, field.name), field.name
+
+    @pytest.fixture(scope="class")
+    def sizes(self, kernel, ic, unit_contact):
+        """(params at horizon 5, the node count of each of the first 700 trees of seed 894)."""
+        p = tree_params(kernel, ic, unit_contact, horizon=5.0)
+        return p, np.array([sample_geodesic(p, seed=894, index=i).nodes_expanded
+                            for i in range(700)])
+
+    @pytest.mark.parametrize("block", ["parent", "child"])
+    def test_node_cap_in_a_block_is_raised_intact(self, sizes, block, monkeypatch):
+        # the largest tree goes first in the block this process expands or
+        # last, in the block a child expands; every other tree fits the cap
+        p, nodes = sizes
+        order = np.argsort(nodes, kind="stable")
+        big, small = order[-1], order[:-1][:600]
+        cap = int(nodes[small].max())
+        assert nodes[big] > cap
+        head = poisson_tree._chunk_size(*poisson_tree._GUESS)
+        where = head if block == "parent" else small.size
+        indices = np.insert(small, where, big).astype(np.uint64)
+        _pin_workers(monkeypatch, 2)
+        with pytest.raises(RuntimeError, match=f"^node cap {cap} exceeded .*; edge lengths"):
+            _expand_batch(replace(p, node_cap=cap), indices, seed=894)
+        assert multiprocessing.active_children() == []
+        # the same trees under the default cap: two processes, none left
+        *_, work = _expand_batch(p, indices, seed=894)
+        assert work.workers == 2 and work.nodes_expanded == nodes[indices].sum()
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("contact, want", RECORDED_B)
+    def test_recorded_values_reproduced_in_two_processes(self, kernel, ic, contact, want,
+                                                         monkeypatch):
+        _pin_workers(monkeypatch, 2)
+        assert _recorded_values(kernel, ic, contact) == (want, 2)
+
+    def test_workers_never_exceed_the_cap(self):
+        assert 1 <= poisson_tree._workers() <= poisson_tree._WORKER_CAP
 
 
 # sha256 of each field over one chunk's levels (dtype, then bytes, level by
