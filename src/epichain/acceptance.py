@@ -31,7 +31,7 @@ from .backward_chain import (
 )
 from .config import ScenarioConfig, reference_scenario
 from .densities import cumulative_trapezoid
-from .forward_sim import compartment_fraction, simulate
+from .forward_sim import WORK as _SIM_WORK, compartment_fraction, simulate
 from .infection_graph import brute_force_infection_times
 from .kernels import backward_density, malthusian_parameter
 from .limit_solver import compartment_curve, final_size_settled_contact, picard_delay
@@ -42,7 +42,6 @@ MASTER_SEED = reference_scenario().seed  # the default; each criterion reads its
 
 _SIM_TIMES = 64  # grid points of the simulated-vs-limit I-fraction comparison
 _SIM_N = 50_000  # population of every simulated replica the limit is compared with
-_SIM_WORK = ("contacts", "accepted", "infections", "rounds")  # summed over a run's replicas
 _TREE_WORK = ("n_samples", *(f.name for f in fields(TreeWork)))  # of a tree result
 
 Outcome = tuple[str, tuple[ComparisonReport, ...]]  # a criterion's name and checks

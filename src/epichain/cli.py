@@ -25,7 +25,7 @@ from .backward_chain import (
 from .config import (
     ConfigError, ScenarioConfig, apply_overrides, parse_config, read_config, reference_scenario,
 )
-from .forward_sim import compartment_fraction, simulate
+from .forward_sim import WORK as SIM_WORK, compartment_fraction, simulate
 from .poisson_tree import NODE_CAP, estimate_B, tree_params
 from .rng import check_count, derive_seed, make_rng
 
@@ -91,12 +91,13 @@ def cmd_simulate(args) -> int:
         out = simulate(cfg.model, cfg.n_individuals, cfg.contact_rate, cfg.ic, cfg.horizon,
                        seed=derive_seed(cfg.seed, "simulate", r))
         fracs = [compartment_fraction(out, nm, times) for nm in names]
-        return out.susceptible_fraction(times), fracs, float(out.infected_fraction(cfg.horizon))
+        return (out.susceptible_fraction(times), fracs, float(out.infected_fraction(cfg.horizon)),
+                [getattr(out, k) for k in SIM_WORK])
 
     results = [one(r) for r in range(args.replicas)]
 
     rows = []
-    for r, (susc, fracs, _final) in enumerate(results):
+    for r, (susc, fracs, _final, _work) in enumerate(results):
         for j, t in enumerate(times):
             rows.append([r, t, susc[j]] + [f[j] for f in fracs])
     out_path = _outdir(cfg.out_dir) / "simulate.csv"
@@ -105,6 +106,8 @@ def cmd_simulate(args) -> int:
     print(f"simulate: wrote {out_path} ({args.replicas} replicas of N={cfg.n_individuals})")
     print(f"  final infected fraction: mean {finals.mean():.5f}"
           + (f", sd {finals.std(ddof=1):.5f}" if finals.size > 1 else ""))
+    work = np.sum([res[3] for res in results], axis=0)
+    print("  " + ", ".join(f"{k} {v}" for k, v in zip(SIM_WORK, work)))
     return 0
 
 

@@ -5,8 +5,11 @@ infected, their initial ages Z, a course for every individual, and a uniform
 target and a uniform mark for every contact atom of every course.  These
 draws decorate the infection graph (`InfectionGraph`), on which the infection
 times are deterministic: `first_passage` solves them in a few vectorised
-rounds.  Initially infected individuals enter with infection time -Z, so
-only their contacts at ages beyond Z take effect.
+frontier rounds.  At a constant contact rate each round relaxes only the
+out-edges of the individuals whose time fell; under a time-varying rate it
+recomputes every touched target from all its in-edges.  Initially infected
+individuals enter with infection time -Z, so only their contacts at ages
+beyond Z take effect.
 """
 
 from __future__ import annotations
@@ -22,6 +25,9 @@ from .kernels import ContactRate, InitialCondition
 from .rng import as_real, check_count, make_rng
 
 
+WORK = ("contacts", "accepted", "infections", "rounds", "edges")  # a run's work counts
+
+
 @dataclass(frozen=True)
 class SimulationOutput:
     n: int
@@ -33,6 +39,7 @@ class SimulationOutput:
     courses: CourseBatch          # every individual's course, infected or not
     accepted: int                 # contacts of the infected in [0, horizon] passing c(t)
     rounds: int                   # frontier rounds of the infection-time solve
+    edges: int                    # contacts those rounds evaluated
     graph: InfectionGraph | None = None
 
     @property
@@ -86,7 +93,7 @@ def simulate(model: CourseModel, n_individuals: int, contact: ContactRate,
     solved = first_passage(graph, contact)
     return SimulationOutput(n=n, horizon=horizon, z=z, sigma=solved.sigma,
                             infector=solved.infector, initial=initial, courses=courses,
-                            accepted=solved.accepted, rounds=solved.rounds,
+                            accepted=solved.accepted, rounds=solved.rounds, edges=solved.edges,
                             graph=graph if record_graph else None)
 
 

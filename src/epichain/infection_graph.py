@@ -11,10 +11,16 @@ is at most c(t), and
 
 for every u not initially infected (initially infected individuals keep
 sigma = -z).  `first_passage` solves this fixed point on the whole graph at
-once; `brute_force_infection_times` evaluates the same minimum by
-enumerating contact chains one at a time, so it can cross-check the solver
-on small populations.  Both make the same floating-point additions, so they
-agree exactly.
+once, in frontier rounds.  At a constant rate the rounds relax only the
+out-edges of the individuals whose time fell: with c constant an accepted
+contact stays accepted when its source's time falls (every time but the
+initial ones is >= 0), so lowering is exact.  Under a time-varying rate a
+falling time can move a contact to where c(t) rejects it, so the rounds
+recompute each touched target from all its in-edges (Jacobi).
+`brute_force_infection_times` evaluates the same minimum by enumerating
+contact chains one at a time, so it can cross-check the solver on small
+populations.  Both make the same floating-point additions, so they agree
+exactly.
 """
 
 from __future__ import annotations
@@ -64,6 +70,7 @@ class FirstPassage:
     infector: np.ndarray  # -1 for initial infections and the never infected
     accepted: int         # contacts of infected individuals in [0, horizon] passing c(t)
     rounds: int           # frontier rounds until no time changed
+    edges: int            # contacts the rounds evaluated: out-edges at constant c, else in-edges
 
 
 def _ranges(offsets: np.ndarray, ids: np.ndarray) -> np.ndarray:
@@ -75,52 +82,50 @@ def _ranges(offsets: np.ndarray, ids: np.ndarray) -> np.ndarray:
 
 
 def first_passage(graph: InfectionGraph, contact: ContactRate) -> FirstPassage:
-    """Solve the infection-time fixed point by Jacobi frontier rounds.
+    """Solve the infection-time fixed point in frontier rounds.
 
-    Each round recomputes every target of the individuals whose time changed
-    in the last round, from all of that target's in-edges.  Acceptance
-    depends on absolute time, so a time that falls can turn an accepted
-    contact into a rejected one downstream: a target is recomputed, never
-    only lowered.  With positive ages the fixed point is unique, and after r
-    rounds every time below (earliest seed time) + r * (smallest age) is
-    final, so the rounds end at it.  The infector of u is the source of the
-    accepted contact that sets sigma[u]; ties break by (time, source id,
-    atom index), the order in which contacts happen.
+    The first round's frontier is the initially infected; each round
+    evaluates the contacts its frontier can have changed, and the targets
+    whose time changed are the next frontier.  The rate picks one of two
+    routes:
+
+    - constant c (`contact.settles_at == 0`): out-edge relaxation.  A round
+      evaluates only the frontier's own contacts and lowers each target to
+      its smallest accepted candidate.  Lowering is exact here: acceptance
+      is 0 <= t <= horizon and mark <= c, every time but the initial ones is
+      >= 0, and times only fall, so an accepted contact stays accepted when
+      its source's time falls.  A target's recompute from all its in-edges
+      is then the minimum of its time and the frontier's new candidates.
+    - time-varying c: Jacobi rounds recompute every target of the frontier
+      from all of that target's in-edges.  A time that falls can move a
+      contact to where c(t) rejects it, so a target is recomputed, never
+      only lowered.
+
+    A constant rate written with a redundant knot settles later, so it takes
+    the Jacobi rounds: they give the same sigma, infectors, accepted count
+    and rounds, and only `edges` differs.  With positive ages the fixed
+    point is unique, and after r rounds every time below (earliest seed
+    time) + r * (smallest age) is final, so the rounds end at it.  The
+    infector of u is the source of the accepted contact that sets sigma[u];
+    ties break by (time, source id, atom index), the order in which
+    contacts happen.
     """
-    courses, targets, marks = graph.courses, graph.targets, graph.marks
-    horizon = graph.horizon
-    source = courses.owners()
-    atoms = courses.atoms
+    targets = graph.targets
+    source = graph.courses.owners()
+    atoms = graph.courses.atoms
+    constant = contact.settles_at == 0.0
 
     def accepted(t: np.ndarray, e: np.ndarray) -> np.ndarray:
-        return (t >= 0.0) & (t <= horizon) & (marks[e] <= contact(t))
+        c = contact.terminal_value if constant else contact(t)
+        return (t >= 0.0) & (t <= graph.horizon) & (graph.marks[e] <= c)
 
     # only contacts between two individuals, the target not initially infected, can infect
-    live = np.flatnonzero((targets != source) & ~graph.initial[targets])
-    in_edges = live[np.argsort(targets[live])]
-    in_offsets = _offsets(targets[live], graph.n)
-    can_infect = np.zeros(atoms.size, dtype=bool)
-    can_infect[live] = True
-
+    can_infect = (targets != source) & ~graph.initial[targets]
     sigma = np.full(graph.n, math.inf)
-    frontier = np.flatnonzero(graph.initial)
-    sigma[frontier] = -graph.z[frontier]
-    is_touched = np.zeros(graph.n, dtype=bool)
-    rounds = 0
-    while frontier.size:
-        rounds += 1
-        out = _ranges(courses.offsets, frontier)
-        is_touched[targets[out[can_infect[out]]]] = True
-        touched = np.flatnonzero(is_touched)
-        is_touched[touched] = False
-        degree = in_offsets[touched + 1] - in_offsets[touched]
-        e = in_edges[_ranges(in_offsets, touched)]
-        t = sigma[source[e]] + atoms[e]
-        best = np.minimum.reduceat(np.where(accepted(t, e), t, math.inf),
-                                   np.cumsum(degree) - degree)
-        changed = best != sigma[touched]
-        frontier = touched[changed]
-        sigma[frontier] = best[changed]
+    seeds = np.flatnonzero(graph.initial)
+    sigma[seeds] = -graph.z[seeds]
+    solve = _relaxed if constant else _recomputed
+    rounds, edges = solve(graph, source, can_infect, accepted, sigma, seeds)
 
     e = np.flatnonzero(np.isfinite(sigma[source]))
     t = sigma[source[e]] + atoms[e]
@@ -131,7 +136,60 @@ def first_passage(graph: InfectionGraph, contact: ContactRate) -> FirstPassage:
     infector = np.full(graph.n, -1, dtype=np.int64)
     infector[infected] = source[hit[first]]
     return FirstPassage(sigma=sigma, infector=infector, accepted=int(np.count_nonzero(ok)),
-                        rounds=rounds)
+                        rounds=rounds, edges=edges)
+
+
+def _relaxed(graph: InfectionGraph, source, can_infect, accepted, sigma,
+             frontier) -> tuple[int, int]:
+    """`first_passage`'s rounds for a constant rate: each relaxes the
+    frontier's out-edges, lowering sigma in place.  (rounds, edges)."""
+    targets, atoms, offsets = graph.targets, graph.courses.atoms, graph.courses.offsets
+    best = np.full(graph.n, math.inf)  # each target's smallest candidate so far, >= sigma
+    is_touched = np.zeros(graph.n, dtype=bool)
+    rounds = edges = 0
+    while frontier.size:
+        rounds += 1
+        e = _ranges(offsets, frontier)
+        edges += e.size
+        t = sigma[source[e]] + atoms[e]
+        ok = can_infect[e] & accepted(t, e)
+        u = targets[e[ok]]
+        np.minimum.at(best, u, t[ok])
+        is_touched[u] = True
+        touched = np.flatnonzero(is_touched)
+        is_touched[touched] = False
+        frontier = touched[best[touched] < sigma[touched]]
+        sigma[frontier] = best[frontier]
+    return rounds, edges
+
+
+def _recomputed(graph: InfectionGraph, source, can_infect, accepted, sigma,
+                frontier) -> tuple[int, int]:
+    """`first_passage`'s Jacobi rounds for a time-varying rate: each
+    recomputes the frontier's targets from all their in-edges, updating
+    sigma in place.  (rounds, edges)."""
+    targets, atoms = graph.targets, graph.courses.atoms
+    live = np.flatnonzero(can_infect)
+    in_edges = live[np.argsort(targets[live])]
+    in_offsets = _offsets(targets[live], graph.n)
+    is_touched = np.zeros(graph.n, dtype=bool)
+    rounds = edges = 0
+    while frontier.size:
+        rounds += 1
+        out = _ranges(graph.courses.offsets, frontier)
+        is_touched[targets[out[can_infect[out]]]] = True
+        touched = np.flatnonzero(is_touched)
+        is_touched[touched] = False
+        degree = in_offsets[touched + 1] - in_offsets[touched]
+        e = in_edges[_ranges(in_offsets, touched)]
+        edges += e.size
+        t = sigma[source[e]] + atoms[e]
+        best = np.minimum.reduceat(np.where(accepted(t, e), t, math.inf),
+                                   np.cumsum(degree) - degree)
+        changed = best != sigma[touched]
+        frontier = touched[changed]
+        sigma[frontier] = best[changed]
+    return rounds, edges
 
 
 def brute_force_infection_times(graph: InfectionGraph, contact: ContactRate) -> np.ndarray:

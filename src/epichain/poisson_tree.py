@@ -329,9 +329,10 @@ def _first_per_owner(idx: np.ndarray, owner: np.ndarray) -> np.ndarray:
     return idx[first]
 
 
-def _walk(contact: ContactRate, levels: list[_Level], rows: np.ndarray):
+def _walk(contact: ContactRate, levels: list[_Level], rows: np.ndarray,
+          steps: int | None = None):
     """Follow the argmin edges down from the roots `rows` (ascending) of a
-    chunk until every path has ended.
+    chunk until every path has ended, or for at most `steps` generations.
 
     Returns (times, ages), row i for root rows[i], NaN past its path's end:
     times[i, k] is the infection time of the k-th individual up the chain
@@ -341,11 +342,12 @@ def _walk(contact: ContactRate, levels: list[_Level], rows: np.ndarray):
     draws.  `rows` are the paths' nodes in the current level, and `owners`
     the paths they belong to.
     """
-    times = np.full((rows.size, len(levels) + 1), np.nan)
-    ages = np.full((rows.size, len(levels)), np.nan)
+    last = len(levels) if steps is None else min(steps, len(levels))
+    times = np.full((rows.size, last + 1), np.nan)
+    ages = np.full((rows.size, last), np.nan)
     times[:, 0] = levels[0].i_min[rows]
     owners, depth = np.arange(rows.size), 0
-    while rows.size:
+    while rows.size and depth < last:
         lev = levels[depth]
         on_path = np.zeros(lev.i_min.size, dtype=bool)
         on_path[rows] = True
@@ -404,7 +406,7 @@ def _chunk_size(samples: int, nodes: int) -> int:
 _GUESS = (1, 1000)  # (samples, nodes) until measured: 1000 nodes per sample
 
 
-def _expand_block(p: TreeParams, indices: np.ndarray, seed: int, window, seen):
+def _expand_block(p: TreeParams, indices: np.ndarray, seed: int, window, steps, seen):
     """(sigma, times, ages, work) of the trees at `indices`, expanded in this
     process in chunks of consecutive samples, each sized from the nodes per
     sample seen so far, `seen` (samples, nodes) counting those seen before."""
@@ -420,7 +422,7 @@ def _expand_block(p: TreeParams, indices: np.ndarray, seed: int, window, seen):
         max_depth = max(max_depth, len(levels) - 1)
         if window is not None:
             walked = (sigma[lo:hi] >= window[0]) & (sigma[lo:hi] <= window[1])
-            paths.append(_walk(p.contact, levels, np.flatnonzero(walked)))
+            paths.append(_walk(p.contact, levels, np.flatnonzero(walked), steps))
         del levels  # free this chunk's forest before expanding the next
         lo = hi
         size = _chunk_size(seen[0] + lo, seen[1] + sum(nodes))
@@ -441,18 +443,19 @@ def _workers() -> int:
     return min(len(os.sched_getaffinity(0)), _WORKER_CAP)
 
 
-def _send_block(conn, p: TreeParams, indices: np.ndarray, seed: int, window, seen) -> None:
+def _send_block(conn, p: TreeParams, indices: np.ndarray, seed: int, window, steps,
+                seen) -> None:
     """A forked child's work: expand its block and send (True, result), or
     (False, the exception) for the parent to raise."""
     try:
-        reply = True, _expand_block(p, indices, seed, window, seen)
+        reply = True, _expand_block(p, indices, seed, window, steps, seen)
     except Exception as exc:  # sent to the parent, which raises it
         reply = False, exc
     conn.send(reply)
     conn.close()
 
 
-def _forked(p: TreeParams, blocks: list, seed: int, window, seen) -> list:
+def _forked(p: TreeParams, blocks: list, seed: int, window, steps, seen) -> list:
     """The results of `_expand_block` on each of `blocks`, in order: the
     first expanded here, each other one in a forked child.  Every child is
     joined before this returns or raises; the exception of the first
@@ -464,12 +467,12 @@ def _forked(p: TreeParams, blocks: list, seed: int, window, seen) -> list:
     try:
         for block in blocks[1:]:
             recv, send = ctx.Pipe(duplex=False)
-            child = ctx.Process(target=_send_block, args=(send, p, block, seed, window, seen),
-                                daemon=True)
+            child = ctx.Process(target=_send_block,
+                                args=(send, p, block, seed, window, steps, seen), daemon=True)
             child.start()
             children.append((child, recv))
             send.close()  # the child holds the only write end, so its exit ends the pipe
-        results = [_expand_block(p, blocks[0], seed, window, seen)]
+        results = [_expand_block(p, blocks[0], seed, window, steps, seen)]
         for child, recv in children:
             try:
                 ok, reply = recv.recv()
@@ -489,28 +492,29 @@ def _forked(p: TreeParams, blocks: list, seed: int, window, seen) -> list:
             recv.close()
 
 
-def _expand_batch(p: TreeParams, indices: np.ndarray, seed: int, window=None):
+def _expand_batch(p: TreeParams, indices: np.ndarray, seed: int, window=None, steps=None):
     """(sigma, times, ages, work) of the trees at positions `indices` of the
     seed's stream, censored at `p.horizon`, with a sigma per index.
 
     Given a sigma `window` (lo, hi), times and ages hold the paths (see
     `_walk`) of the trees whose sigma lies in [lo, hi], in index order and
-    NaN-padded to the longest; without one they are None.  Chunks are sized
-    by `_NODE_BUDGET`, and the samples after the first chunk may be split
-    over forked workers (see the module docstring); since a draw depends
-    only on its node's key, neither changes an output.
+    NaN-padded to the longest, each cut after `steps` generations if given;
+    without a window they are None.  Chunks are sized by `_NODE_BUDGET`,
+    and the samples after the first chunk may be split over forked workers
+    (see the module docstring); since a draw depends only on its node's
+    key, neither changes an output.
     """
     head = _chunk_size(*_GUESS)
-    parts = [_expand_block(p, indices[:head], seed, window, _GUESS)]
+    parts = [_expand_block(p, indices[:head], seed, window, steps, _GUESS)]
     rest, workers = indices[head:], 1
     if rest.size:
         seen = (head, parts[0][3].nodes_expanded)
         if rest.size * seen[1] / seen[0] > _FORK_NODES:
             workers = min(_workers(), rest.size)
         if workers > 1:
-            parts += _forked(p, np.array_split(rest, workers), seed, window, seen)
+            parts += _forked(p, np.array_split(rest, workers), seed, window, steps, seen)
         else:
-            parts.append(_expand_block(p, rest, seed, window, seen))
+            parts.append(_expand_block(p, rest, seed, window, steps, seen))
     works = [part[3] for part in parts]
     work = TreeWork(sum(w.nodes_expanded for w in works), sum(w.nodes_pruned for w in works),
                     max(w.max_depth for w in works), sum(w.chunks for w in works),
@@ -651,8 +655,9 @@ def conditioned_first_step(p: TreeParams, t: float, delta: float,
     if t + delta <= 0:
         raise ValueError(f"window [{t}, {t + delta}] ends at or before 0, where no sigma "
                          "(always positive) can land")
+    # column 1 is all it reads, so each path is walked one generation down
     _, times, _, work = _expand_batch(replace(p, horizon=t + delta), np.arange(n_samples), seed,
-                                      window=(t, t + delta))
+                                      window=(t, t + delta), steps=1)
     if times.shape[0] < 200:
         raise RuntimeError(f"only {times.shape[0]} samples landed in [{t}, {t + delta}]; "
                            "increase n_samples")

@@ -99,7 +99,8 @@ def test_criterion(criterion, shared):
     if criterion in (4, 7, 12):  # the tree criteria report their work
         assert any(c.work.get("nodes_expanded", 0) > 0 for c in result.checks)
     if criterion in (3, 11, 12):  # and so do the simulator criteria
-        assert any(c.work.get("contacts", 0) > 0 for c in result.checks)
+        assert any(c.work.get("contacts", 0) > 0 and c.work.get("edges", 0) > 0
+                   for c in result.checks)
     values = {(criterion, c.name): float(c.value).hex()
               for c in result.checks if "runtime" not in c.name}
     assert set(values) == {key for key in RECORDED_VALUES if key[0] == criterion}

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from epichain import (
     ConfigError, ContactRate, MarkovSEIR, MarkovSIR, ScenarioConfig, apply_overrides,
-    derive_seed, parse_config, reference_scenario, sample_renewal_chains,
+    derive_seed, parse_config, reference_scenario, sample_renewal_chains, simulate,
 )
 from epichain import kernels, poisson_tree
 from epichain.cli import main
@@ -314,6 +314,25 @@ class TestCli:
         assert re.search(r"chunks of at most \d+ nodes, workers \d+$", out, re.M)
         assert main(argv) == 0
         assert (tmp_path / "tree.csv").read_bytes() == first
+
+    def test_simulate_reports_work_on_stdout_only(self, tmp_path, capsys):
+        argv = ["simulate", "--out", str(tmp_path), "--replicas", "2",
+                "--set", "n_individuals=2000", "--set", "horizon=5.0"]
+        assert main(argv) == 0
+        first = (tmp_path / "simulate.csv").read_bytes()
+        out = capsys.readouterr().out
+        line = re.search(r"^  contacts (\d+), accepted (\d+), infections (\d+), rounds (\d+), "
+                         r"edges (\d+)$", out, re.M)
+        assert line, out
+        # the replicas' own counts, summed
+        cfg = reference_scenario(n_individuals=2000, horizon=5.0)
+        runs = [simulate(cfg.model, 2000, cfg.contact_rate, cfg.ic, 5.0,
+                         seed=derive_seed(cfg.seed, "simulate", r)) for r in range(2)]
+        assert [int(v) for v in line.groups()] == [
+            sum(getattr(run, k) for run in runs)
+            for k in ("contacts", "accepted", "infections", "rounds", "edges")]
+        assert main(argv) == 0
+        assert (tmp_path / "simulate.csv").read_bytes() == first
 
     def test_tree_past_node_cap_names_remedies(self, tmp_path, capsys):
         # at the built-in horizon of 25 the supercritical tree outgrows the node

@@ -52,6 +52,34 @@ class TestHandBuiltGraphs:
         assert solved.infector.tolist() == [-1, 3, 1, 0]
 
 
+class TestRoutes:
+    """A constant rate written with a redundant knot settles at 5, so
+    `first_passage` takes the Jacobi rounds on it; written with one knot it
+    relaxes only the frontier's out-edges.  The two must agree bitwise."""
+
+    @pytest.mark.parametrize("family", ["SIR", "SEIR"])
+    @pytest.mark.parametrize("i0", [0.01, 0.2])
+    @pytest.mark.parametrize("c", [1.0, 0.6])
+    def test_relaxed_rounds_match_jacobi_rounds(self, family, i0, c):
+        # I0 = 0.2 brings initial ages whose early contacts the t >= 0 rule drops
+        model = (MarkovSIR(1.5, 1.0, step=0.005, a_max=40.0) if family == "SIR"
+                 else MarkovSEIR(2.0, 1.0, 1.5, step=0.01, a_max=50.0))
+        ic = initial_condition(model.kernel, i0, age_rate=0.5)
+        constant, redundant = ContactRate.constant(c), ContactRate((0.0, 5.0), (c, c))
+        assert constant.settles_at == 0.0 and redundant.settles_at == 5.0
+        sizes = [50_000] + [2 + i % 11 for i in range(60)]
+        for i, n in enumerate(sizes):
+            out = simulate(model, n, constant, ic, horizon=15.0,
+                           seed=derive_seed(408, family, i0, c, i), record_graph=True)
+            jacobi = first_passage(out.graph, redundant)
+            assert np.array_equal(out.sigma, jacobi.sigma), f"graph {i} diverged"
+            assert np.array_equal(out.infector, jacobi.infector), f"graph {i} diverged"
+            assert (out.accepted, out.rounds) == (jacobi.accepted, jacobi.rounds), i
+            if n == 50_000:  # only the frontier's out-edges, not every target's in-edges
+                assert out.infections > 500
+                assert out.edges < jacobi.edges
+
+
 class TestExactLaw:
     def test_matches_brute_force_on_small_instances(self, model, unit_contact, ic):
         for i in range(25):

@@ -497,6 +497,9 @@ class TestCensoring:
         sel = (sigma >= t) & (sigma <= t + delta)
         assert np.array_equal(sample.sigmas, sigma[sel])
         assert np.array_equal(sample.values, times[:, 1])
+        # a walk cut after one generation is the first two columns of the whole paths
+        _, first, _, _ = _expand_batch(p, _indices(n), seed=861, window=(t, t + delta), steps=1)
+        assert first.shape[1] == 2 and np.array_equal(first, times[:, :2], equal_nan=True)
         if t + delta < p.horizon:
             assert sample.nodes_expanded < work.nodes_expanded
         else:
