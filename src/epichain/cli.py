@@ -120,7 +120,10 @@ def cmd_tree(args) -> int:
     t0 = time.perf_counter()
     try:
         curve = estimate_B(params, grid, args.samples, seed=derive_seed(cfg.seed, "tree"))
-    except RuntimeError as exc:  # the node cap: a supercritical tree outgrew the horizon
+    except RuntimeError as exc:
+        if not str(exc).startswith("node cap "):  # a dead worker, an int32 level: no remedy here
+            raise
+        # the node cap: a supercritical tree outgrew the horizon
         raise RuntimeError(f"{exc}; rerun with a shorter --horizon (the built-in scenario "
                            "runs at --horizon 10) or a larger --node-cap") from None
     elapsed = time.perf_counter() - t0

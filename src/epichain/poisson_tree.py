@@ -79,23 +79,26 @@ draws and the levels are those of a per-level pass, bit for bit.
 
 Workers.  A batch uses every CPU the process may run on
 (`os.sched_getaffinity`, so `taskset` limits it), at most `_WORKER_CAP`.
-The split is exact: a tree's draws depend only on its root's key, and that
+Any split is exact: a tree's draws depend only on its root's key, and that
 only on (seed, index), so trees at different indices are independent work
 and no split of the indices can change a sigma, a path or a count.  The
 batch's first chunk runs in this process: it measures the nodes per sample,
 and a runaway tree trips the node cap there before any worker exists.  If
 the remaining samples are expected to hold more than `_FORK_NODES` nodes
-(below that a fork gains too little to measure), they are split into one
-contiguous block per worker; forked children expand all blocks but the
-first, which this process expands itself, each with the chunk loop above.
-The blocks are joined in index order: sigma and the paths one after the
-other, the node counts summed.  One process serves where the platform
-cannot fork, and where another thread runs (a forked child would inherit
-the locks it holds but not the thread).
+(below that a fork gains too little to measure), the same chunk loop hands
+the rest to a pool of W forked workers, keeping 2W chunks in flight, and
+collects them in index order, so a busy CPU delays one small chunk, not a
+W-th of the batch; sigma and the paths are joined one chunk after the other
+and the node counts summed.  The lowest-indexed failing chunk raises its
+exception, and the chunks not yet handed out never run.  One process serves
+where the platform cannot fork, and where another thread runs (a forked
+child would inherit the locks it holds but not the thread).
 """
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import math
 import os
 import threading
@@ -386,8 +389,11 @@ class TreeWork:
     """The work behind a tree result: nodes expanded and pruned over all its
     samples, the deepest generation any of them reached, the number of
     chunks they ran in, with the most nodes in one chunk, and the number of
-    processes that expanded them.  `chunks`, `max_chunk_nodes` and
-    `workers` depend on the CPUs the run may use; the others do not."""
+    processes that expanded the chunks past the first (1 where this process
+    expanded them all, W where a pool of W workers did).  The chunk sizes
+    follow the nodes per sample measured as chunks return, so `chunks`,
+    `max_chunk_nodes` and `workers` depend on the CPUs the run may use; the
+    others do not."""
 
     nodes_expanded: int
     nodes_pruned: int
@@ -406,31 +412,16 @@ def _chunk_size(samples: int, nodes: int) -> int:
 _GUESS = (1, 1000)  # (samples, nodes) until measured: 1000 nodes per sample
 
 
-def _expand_block(p: TreeParams, indices: np.ndarray, seed: int, window, steps, seen):
-    """(sigma, times, ages, work) of the trees at `indices`, expanded in this
-    process in chunks of consecutive samples, each sized from the nodes per
-    sample seen so far, `seen` (samples, nodes) counting those seen before."""
-    sigma = np.empty(indices.size)
-    nodes, pruned, max_depth, paths = [], 0, 0, []
-    lo, size = 0, _chunk_size(*seen)
-    while lo < indices.size:
-        hi = min(lo + size, indices.size)
-        levels, expanded, cut = _expand_chunk(p, root_key_vec(seed, indices[lo:hi]))
-        sigma[lo:hi] = levels[0].i_min
-        nodes.append(expanded)
-        pruned += cut
-        max_depth = max(max_depth, len(levels) - 1)
-        if window is not None:
-            walked = (sigma[lo:hi] >= window[0]) & (sigma[lo:hi] <= window[1])
-            paths.append(_walk(p.contact, levels, np.flatnonzero(walked), steps))
-        del levels  # free this chunk's forest before expanding the next
-        lo = hi
-        size = _chunk_size(seen[0] + lo, seen[1] + sum(nodes))
-    work = TreeWork(sum(nodes), pruned, max_depth, len(nodes), max(nodes), 1)
-    if window is None:
-        return sigma, None, None, work
-    times, ages = zip(*paths)
-    return sigma, _stack(times), _stack(ages), work
+def _chunk(p: TreeParams, seed: int, window, steps, indices: np.ndarray):
+    """(sigma, times, ages, nodes expanded, nodes pruned, depth) of the trees
+    at `indices`, expanded as one chunk; times and ages are None without a
+    window."""
+    levels, expanded, pruned = _expand_chunk(p, root_key_vec(seed, indices))
+    sigma, times, ages = levels[0].i_min, None, None
+    if window is not None:
+        walked = np.flatnonzero((sigma >= window[0]) & (sigma <= window[1]))
+        times, ages = _walk(p.contact, levels, walked, steps)
+    return sigma, times, ages, expanded, pruned, len(levels) - 1
 
 
 def _workers() -> int:
@@ -443,53 +434,18 @@ def _workers() -> int:
     return min(len(os.sched_getaffinity(0)), _WORKER_CAP)
 
 
-def _send_block(conn, p: TreeParams, indices: np.ndarray, seed: int, window, steps,
-                seen) -> None:
-    """A forked child's work: expand its block and send (True, result), or
-    (False, the exception) for the parent to raise."""
-    try:
-        reply = True, _expand_block(p, indices, seed, window, steps, seen)
-    except Exception as exc:  # sent to the parent, which raises it
-        reply = False, exc
-    conn.send(reply)
-    conn.close()
+# in a pool worker: the batch's (p, seed, window, steps), set by `_start_worker`; the
+# fork hands them over unpickled, where a pickled TreeParams takes about 2.6 MiB
+_batch = ()
 
 
-def _forked(p: TreeParams, blocks: list, seed: int, window, steps, seen) -> list:
-    """The results of `_expand_block` on each of `blocks`, in order: the
-    first expanded here, each other one in a forked child.  Every child is
-    joined before this returns or raises; the exception of the first
-    failing block is raised with its type and message."""
-    import multiprocessing  # loads at first use: most runs never fork
+def _start_worker(*batch) -> None:
+    global _batch
+    _batch = batch
 
-    ctx = multiprocessing.get_context("fork")
-    children = []
-    try:
-        for block in blocks[1:]:
-            recv, send = ctx.Pipe(duplex=False)
-            child = ctx.Process(target=_send_block,
-                                args=(send, p, block, seed, window, steps, seen), daemon=True)
-            child.start()
-            children.append((child, recv))
-            send.close()  # the child holds the only write end, so its exit ends the pipe
-        results = [_expand_block(p, blocks[0], seed, window, steps, seen)]
-        for child, recv in children:
-            try:
-                ok, reply = recv.recv()
-            except EOFError:
-                child.join()
-                raise RuntimeError(f"a tree worker exited with code {child.exitcode} "
-                                   "before sending its trees") from None
-            if not ok:
-                raise reply
-            results.append(reply)
-        return results
-    finally:
-        for child, recv in children:
-            if child.is_alive():  # its reply is sent, or not needed as a block raised
-                child.terminate()
-            child.join()
-            recv.close()
+
+def _worker_chunk(indices: np.ndarray):
+    return _chunk(*_batch, indices)
 
 
 def _expand_batch(p: TreeParams, indices: np.ndarray, seed: int, window=None, steps=None):
@@ -500,30 +456,43 @@ def _expand_batch(p: TreeParams, indices: np.ndarray, seed: int, window=None, st
     `_walk`) of the trees whose sigma lies in [lo, hi], in index order and
     NaN-padded to the longest, each cut after `steps` generations if given;
     without a window they are None.  Chunks are sized by `_NODE_BUDGET`,
-    and the samples after the first chunk may be split over forked workers
-    (see the module docstring); since a draw depends only on its node's
-    key, neither changes an output.
+    and those after the first may go to a pool of forked workers (see the
+    module docstring); since a draw depends only on its node's key, neither
+    changes an output.
     """
-    head = _chunk_size(*_GUESS)
-    parts = [_expand_block(p, indices[:head], seed, window, steps, _GUESS)]
-    rest, workers = indices[head:], 1
-    if rest.size:
-        seen = (head, parts[0][3].nodes_expanded)
-        if rest.size * seen[1] / seen[0] > _FORK_NODES:
-            workers = min(_workers(), rest.size)
-        if workers > 1:
-            parts += _forked(p, np.array_split(rest, workers), seed, window, steps, seen)
-        else:
-            parts.append(_expand_block(p, rest, seed, window, steps, seen))
-    works = [part[3] for part in parts]
-    work = TreeWork(sum(w.nodes_expanded for w in works), sum(w.nodes_pruned for w in works),
-                    max(w.max_depth for w in works), sum(w.chunks for w in works),
-                    max(w.max_chunk_nodes for w in works), workers)
-    sigma = np.concatenate([part[0] for part in parts])
+    batch, lo, seen = (p, seed, window, steps), 0, _GUESS
+
+    def take() -> np.ndarray:  # the next chunk, sized from the samples and nodes seen so far
+        nonlocal lo
+        chunk = indices[lo:lo + _chunk_size(*seen)]
+        lo += chunk.size
+        return chunk
+
+    parts = [_chunk(*batch, take())]  # the head: a runaway tree trips the node cap here
+    seen, workers = (lo, parts[0][3]), 1
+    if (indices.size - lo) * seen[1] / seen[0] > _FORK_NODES:
+        workers = min(_workers(), indices.size - lo)
+    if workers > 1:
+        # both load at first use: most runs never fork
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
+
+        pool = ProcessPoolExecutor(workers, mp_context=get_context("fork"),
+                                   initializer=_start_worker, initargs=batch)
+    else:
+        pool = contextlib.nullcontext()
+    with pool:
+        pending = collections.deque()  # chunks in the pool, in index order
+        while lo < indices.size or pending:
+            while workers > 1 and lo < indices.size and len(pending) < 2 * workers:
+                pending.append(pool.submit(_worker_chunk, take()))
+            parts.append(pending.popleft().result() if pending else _chunk(*batch, take()))
+            seen = (seen[0] + parts[-1][0].size, seen[1] + parts[-1][3])
+    sigma, times, ages, expanded, pruned, depth = zip(*parts)
+    work = TreeWork(sum(expanded), sum(pruned), max(depth), len(parts), max(expanded), workers)
     if window is None:
-        return sigma, None, None, work
-    return (sigma, _stack([part[1] for part in parts]), _stack([part[2] for part in parts]),
-            work)
+        return np.concatenate(sigma), None, None, work
+    return np.concatenate(sigma), _stack(times), _stack(ages), work
 
 
 # ---------------------------------------------------------------------------

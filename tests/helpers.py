@@ -1,12 +1,27 @@
 """Estimators the tests check the library against; no part of the package."""
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from epichain import poisson_tree
 from epichain.courses import CourseModel
 from epichain.densities import GridDensity
 from epichain.rng import check_count, child_keys, counter_offsets, keyed_bits, u01_from_bits
+
+
+def kill_tree_workers(monkeypatch) -> None:
+    """Make every forked tree worker exit with code 3 at its first chunk, as
+    if killed, while this process expands its own chunks as before."""
+    parent, expand = os.getpid(), poisson_tree._expand_chunk
+
+    def expand_or_exit(*args):
+        if os.getpid() != parent:
+            os._exit(3)
+        return expand(*args)
+
+    monkeypatch.setattr(poisson_tree, "_expand_chunk", expand_or_exit)
 
 
 def keyed_u01_vec(keys: np.ndarray, counters) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Scenario configuration and the command-line entry point."""
 
+import concurrent.futures
 import hashlib
 import json
 import re
@@ -19,6 +20,7 @@ from epichain.cli import main
 from epichain.config import read_config
 from epichain.kernels import InitialCondition
 from epichain.limit_solver import _time_grid
+from helpers import kill_tree_workers
 
 
 _ZERO_MASS = "initial condition: shifted intensity has zero mass; no initial infectivity"
@@ -350,11 +352,12 @@ class TestCli:
         # the cap trips in the first chunk of a few hundred samples, before the
         # runaway level's keys are drawn: about 250 MiB traced, where 2048-sample
         # chunks of 56-byte nodes traced 2.27 GiB before the same error.  That
-        # chunk runs in this process, so no worker is forked, even where the
-        # batch would be split over two
+        # chunk runs in this process, so no worker pool is made, even where
+        # the batch would go to a pool of two
         monkeypatch.setattr(poisson_tree, "_workers", lambda: 2)
-        forks = []
-        monkeypatch.setattr(poisson_tree, "_forked", lambda *args: forks.append(args))
+        pools = []
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            lambda *args, **kwargs: pools.append(args))
         tracemalloc.start()
         try:
             rc = main(["tree", "--samples", "2000", "--out", str(tmp_path)])
@@ -367,7 +370,20 @@ class TestCli:
         assert "Traceback" not in err
         assert not (tmp_path / "tree.csv").exists()
         assert peak < 512 * 2**20
-        assert forks == []
+        assert pools == []
+
+    def test_tree_with_a_dead_worker_names_no_node_cap_remedy(self, tmp_path, capsys,
+                                                               monkeypatch):
+        kill_tree_workers(monkeypatch)
+        monkeypatch.setattr(poisson_tree, "_workers", lambda: 2)
+        monkeypatch.setattr(poisson_tree, "_FORK_NODES", 0)
+        rc = main(["tree", "--samples", "2000", "--horizon", "6.0", "--out", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "node cap" not in err and "--horizon" not in err and "--node-cap" not in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "tree.csv").exists()
 
     def test_chain_modes(self, tmp_path):
         for mode, name in [("renewal", "chain_renewal.csv"),

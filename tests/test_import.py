@@ -1,7 +1,7 @@
-"""Cold start: `import epichain` and `import epichain.cli` load no scipy
-module and no multiprocessing module; each one loads where it is first
+"""Cold start: `import epichain` and `import epichain.cli` load no scipy,
+multiprocessing or concurrent module; each one loads where it is first
 used, so the commands that read no tau_bar load no scipy at all, and only
-a tree batch large enough to fork loads multiprocessing."""
+a tree batch large enough for a worker pool loads the other two."""
 
 import os
 import subprocess
@@ -28,6 +28,10 @@ def test_import_loads_no_scipy():
 
 def test_import_loads_no_multiprocessing():
     assert _modules("import epichain, epichain.cli", "multiprocessing") == "[]"
+
+
+def test_import_loads_no_concurrent():
+    assert _modules("import epichain, epichain.cli", "concurrent") == "[]"
 
 
 @pytest.mark.parametrize("argv", [

@@ -6,6 +6,8 @@ time it reads."""
 import hashlib
 import math
 import multiprocessing
+import threading
+import time
 import tracemalloc
 from dataclasses import fields, replace
 
@@ -19,6 +21,7 @@ from epichain import (
 from epichain import poisson_tree
 from epichain.poisson_tree import _expand_batch, _expand_chunk, poisson_counts
 from epichain.rng import root_key_vec
+from helpers import kill_tree_workers
 
 
 def _indices(n):
@@ -27,10 +30,12 @@ def _indices(n):
 
 
 def _pin_workers(monkeypatch, workers):
-    """Expand every batch in `workers` processes (forked past the first
-    chunk), whatever its size and the CPUs of the machine."""
+    """Hand every batch's chunks past the first to a pool of `workers`
+    forked processes (none at 1), whatever the batch's size and the CPUs of
+    the machine: `_workers` sees that many CPUs, and its thread guard still
+    keeps a batch in one process where another thread runs."""
     assert workers <= poisson_tree._WORKER_CAP  # never more than the cap, not even here
-    monkeypatch.setattr(poisson_tree, "_workers", lambda: workers)
+    monkeypatch.setattr(poisson_tree.os, "sched_getaffinity", lambda pid: set(range(workers)))
     monkeypatch.setattr(poisson_tree, "_FORK_NODES", 0)
 
 
@@ -221,26 +226,62 @@ class TestWorkers:
         return p, np.array([sample_geodesic(p, seed=894, index=i).nodes_expanded
                             for i in range(700)])
 
-    @pytest.mark.parametrize("block", ["parent", "child"])
-    def test_node_cap_in_a_block_is_raised_intact(self, sizes, block, monkeypatch):
-        # the largest tree goes first in the block this process expands or
-        # last, in the block a child expands; every other tree fits the cap
+    @pytest.mark.parametrize("chunk", ["head", "worker"])
+    def test_node_cap_in_a_block_is_raised_intact(self, sizes, chunk, monkeypatch):
+        # the two largest trees exceed the cap and every other tree fits it.
+        # At one sample a chunk they go one after the other: the first into
+        # the head chunk this process expands, or both into worker chunks in
+        # flight together, the first one's held back so that it fails last.
+        # Either way the first one's error is raised
         p, nodes = sizes
         order = np.argsort(nodes, kind="stable")
-        big, small = order[-1], order[:-1][:600]
-        cap = int(nodes[small].max())
-        assert nodes[big] > cap
-        head = poisson_tree._chunk_size(*poisson_tree._GUESS)
-        where = head if block == "parent" else small.size
-        indices = np.insert(small, where, big).astype(np.uint64)
+        first, second, small = order[-1], order[-2], order[:-2][:600]
+        tight = replace(p, node_cap=int(nodes[small].max()))
+
+        def alone(i):  # the node-cap error of tree i expanded on its own
+            with pytest.raises(RuntimeError, match="^node cap ") as raised:
+                _expand_chunk(tight, root_key_vec(894, np.array([i], dtype=np.uint64)))
+            return str(raised.value)
+
+        assert alone(first) != alone(second)
+        where = 0 if chunk == "head" else 5
+        indices = np.insert(small, where, [first, second]).astype(np.uint64)
+        first_key, expand = root_key_vec(894, indices[where:where + 1])[0], _expand_chunk
+
+        def first_fails_last(q, keys):
+            if keys[0] == first_key:
+                time.sleep(0.2)
+            return expand(q, keys)
+
         _pin_workers(monkeypatch, 2)
-        with pytest.raises(RuntimeError, match=f"^node cap {cap} exceeded .*; edge lengths"):
-            _expand_batch(replace(p, node_cap=cap), indices, seed=894)
+        with monkeypatch.context() as one_sample_chunks:
+            one_sample_chunks.setattr(poisson_tree, "_NODE_BUDGET", 1)
+            one_sample_chunks.setattr(poisson_tree, "_expand_chunk", first_fails_last)
+            with pytest.raises(RuntimeError) as raised:
+                _expand_batch(tight, indices, seed=894)
+        assert str(raised.value) == alone(first)
         assert multiprocessing.active_children() == []
-        # the same trees under the default cap: two processes, none left
+        # the same trees under the default cap and budget: two processes, none left
         *_, work = _expand_batch(p, indices, seed=894)
         assert work.workers == 2 and work.nodes_expanded == nodes[indices].sum()
         assert multiprocessing.active_children() == []
+
+    def test_dead_worker_raises_and_leaves_nothing_behind(self, params, monkeypatch):
+        kill_tree_workers(monkeypatch)
+        _pin_workers(monkeypatch, 2)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError):
+            _expand_batch(params, _indices(3_000), seed=895)
+        assert multiprocessing.active_children() == []
+        assert threading.active_count() == threads
+
+    def test_back_to_back_batches_both_fork(self, params, monkeypatch):
+        # the pool's threads are joined before a batch returns, so the thread
+        # guard of `_workers` lets the next batch fork too
+        _pin_workers(monkeypatch, 2)
+        for seed in (896, 897):
+            *_, work = _expand_batch(params, _indices(3_000), seed=seed)
+            assert work.workers == 2
 
     @pytest.mark.parametrize("contact, want", RECORDED_B)
     def test_recorded_values_reproduced_in_two_processes(self, kernel, ic, contact, want,
